@@ -437,6 +437,8 @@ def cmd_evaluate(args) -> int:
     refs = _read_tokenized(args.ref)
     if len(hyps) != len(refs):
         raise evaluate.EvalError(f"{args.hyp}: {len(hyps)} lines vs {args.ref}: {len(refs)}")
+    if not hyps:
+        raise evaluate.EvalError(f"{args.hyp} and {args.ref}: no sentences to score")
     metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
     lines.extend(_metric_lines(hyps, refs, metrics))
     _write(args.output, "\n".join(lines) + "\n")
@@ -454,6 +456,8 @@ def _metric_lines(hyps, refs, metrics) -> list[str]:
                 lines.append(f"bleu_p{n}\t{p:.6f}")
         elif metric == "wer":
             rates = [evaluate.wer(h, r) for h, r in zip(hyps, refs) if r]
+            if not rates:
+                raise evaluate.EvalError("wer: every reference is empty")
             lines.append(f"wer\t{sum(rates) / len(rates):.6f}")
         elif metric == "prf":
             scored = [evaluate.precision_recall_f(h, r) for h, r in zip(hyps, refs)]

@@ -10,12 +10,13 @@ programming, which is what the oracle-equivalence tests rely on.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
 from ..corpus import BOS, EOS
 from ..lm import NGramModel
-from ..phrasetab import MSD, MSLR, PhraseEntry, ReorderingEntry
+from ..phrasetab import PhraseEntry, ReorderingEntry
 from .weights import FeatureWeights, add_features
 
 SCORE_NAMES = ("phi_s_given_t", "lex_s_given_t", "phi_t_given_s", "lex_t_given_s")
@@ -43,12 +44,38 @@ class PhraseModels:
         if self.reordering:
             for entry in self.reordering:
                 self._reorder[(entry.src, entry.tgt)] = entry
+        # filled on first use, so loading a model stays as cheap as indexing it
+        self._reorder_logs: dict[tuple | None, tuple[dict[str, float], dict[str, float]] | None] = {}
 
     def options(self, src: tuple[str, ...]) -> list[PhraseEntry]:
         return self._options.get(src, [])
 
     def reordering_entry(self, src, tgt) -> ReorderingEntry | None:
         return self._reorder.get((src, tgt))
+
+    def reordering_logs(
+        self, key: tuple | None
+    ) -> tuple[dict[str, float], dict[str, float]] | None:
+        """log10 forward and backward orientation scores of one phrase entry.
+
+        `key` is a step's `entry_key`; None (an OOV step) or an entry without
+        reordering statistics gives None. Memoized per entry.
+        """
+        if key not in self._reorder_logs:
+            entry = self._reorder.get(key) if key is not None else None
+            self._reorder_logs[key] = (
+                None if entry is None else (_log_scores(entry.forward), _log_scores(entry.backward))
+            )
+        return self._reorder_logs[key]
+
+
+def _log_scores(probs: dict[str, float]) -> dict[str, float]:
+    """log10 score per orientation, keyed by the four-way (mslr) names; a
+    three-way (msd) entry gives its discontinuous score to both."""
+    logs = {orient: math.log10(max(p, 1e-30)) for orient, p in probs.items()}
+    if "discontinuous" in logs:
+        logs["disc-left"] = logs["disc-right"] = logs.pop("discontinuous")
+    return logs
 
 
 @dataclass
@@ -73,14 +100,12 @@ class Step:
 class Hypothesis:
     coverage: int  # bit mask
     covered: int
-    last_start: int
     last_end: int  # exclusive source position after last phrase
-    ctx: tuple[str, ...]
+    ctx: tuple[int, ...]  # LM context ids
     tokens: tuple[str, ...]
     score: float  # accumulated weighted score
     future: float
     steps: tuple[Step, ...]
-    last_key: tuple | None
 
     def sort_key(self):
         return (-(self.score + self.future), self.tokens, self.coverage, self.last_end)
@@ -180,44 +205,40 @@ def _uncovered_future(
     return total
 
 
-def _orientation_name(
-    prev_start: int, prev_end: int, start: int, end: int, orientations: tuple[str, ...]
-) -> str:
+def _orientation_name(prev_start: int, prev_end: int, start: int, end: int) -> str:
+    """Four-way orientation of [start, end) against [prev_start, prev_end)."""
     if prev_end == start:
         return "monotone"
     if end == prev_start:
         return "swap"
-    if len(orientations) == 3:
-        return "discontinuous"
     return "disc-left" if start >= prev_end else "disc-right"
 
 
-def _reordering_increment(
-    models: PhraseModels,
-    weights: FeatureWeights,
-    prev_key: tuple | None,
-    prev_start: int,
-    prev_end: int,
-    step: Step,
-) -> float:
-    """Forward orientation of the new phrase plus backward of the previous."""
-    if not models.reordering:
+def _forward_log(models: PhraseModels, step: Step, prev_start: int, prev_end: int) -> float:
+    """log10 forward score of `step` after the phrase [prev_start, prev_end);
+    0.0 when its entry has no reordering statistics."""
+    logs = models.reordering_logs(step.entry_key)
+    if logs is None:
         return 0.0
-    total = 0.0
-    entry = models.reordering_entry(*step.entry_key) if step.entry_key else None
-    orientations = MSD
-    if entry is not None and len(entry.forward) == 4:
-        orientations = MSLR
-    orient = _orientation_name(prev_start, prev_end, step.start, step.end, orientations)
-    if entry is not None:
-        total += math.log10(max(entry.forward[orient], 1e-30))
-    if prev_key is not None:
-        prev_entry = models.reordering_entry(*prev_key)
-        if prev_entry is not None:
-            back_orients = MSD if len(prev_entry.backward) == 3 else MSLR
-            back = _orientation_name(step.start, step.end, prev_start, prev_end, back_orients)
-            total += math.log10(max(prev_entry.backward[back], 1e-30))
-    return weights.reordering * total
+    return logs[0][_orientation_name(prev_start, prev_end, step.start, step.end)]
+
+
+def _backward_log(models: PhraseModels, step: Step, next_start: int, next_end: int) -> float:
+    """log10 backward score of `step` before the phrase [next_start, next_end);
+    0.0 when its entry has no reordering statistics."""
+    logs = models.reordering_logs(step.entry_key)
+    if logs is None:
+        return 0.0
+    return logs[1][_orientation_name(next_start, next_end, step.start, step.end)]
+
+
+def _final_reordering_for(
+    models: PhraseModels, weights: FeatureWeights, step: Step, n: int
+) -> float:
+    """Weighted backward score of the last phrase against the sentence end."""
+    if models.reordering_logs(step.entry_key) is None:
+        return 0.0
+    return weights.reordering * _backward_log(models, step, n, n + 1)
 
 
 def decode_phrase(
@@ -231,6 +252,16 @@ def decode_phrase(
     Recombination keeps a single survivor per key; n-best variety comes
     from widening the per-stack beam to at least 2*nbest keys and from
     every distinct completed derivation encountered along the way.
+
+    Each decode computes once, for its own options and weights: the weighted
+    phrase-local score and the LM ids of every option, LM deltas by
+    (context, target ids), the </s> score by context and future costs by
+    coverage. Orientation log-scores are memoized per phrase entry on
+    `models`; an expansion's orientations follow from the previous phrase's
+    span and the new span alone, so they are resolved once per span and
+    each option adds only its own forward log-score. A completed derivation
+    keeps only its score and steps; the full feature vector is computed for
+    the returned n-best alone.
     """
     weights = weights or FeatureWeights()
     config = config or DecodeConfig()
@@ -248,15 +279,10 @@ def decode_phrase(
     if beam_width is not None and config.nbest > 1:
         beam_width = max(beam_width, 2 * config.nbest)
 
-    # per-decode caches: weighted phrase-local increments, LM deltas, and
-    # future costs by coverage mask
-    step_inc: dict[int, float] = {}
-    step_ids: dict[int, tuple[int, ...]] = {}
-    for span_steps in options.values():
-        for step in span_steps:
-            step_inc[id(step)] = sum(weights.get(name) * v for name, v in step.features)
-            step_ids[id(step)] = tuple(lm.vocab.id_of(w) for w in step.tgt)
+    # per-decode caches: LM deltas by (context, target ids), </s> scores by
+    # context and future costs by coverage mask
     lm_cache: dict[tuple, tuple[float, tuple[int, ...]]] = {}
+    eos_cache: dict[tuple[int, ...], float] = {}
     future_cache: dict[int, float] = {}
 
     def future_of(coverage: int) -> float:
@@ -266,17 +292,20 @@ def decode_phrase(
             future_cache[coverage] = cached
         return cached
 
-    def lm_delta(ctx: tuple[int, ...], step: Step) -> tuple[float, tuple[int, ...]]:
-        key = (ctx, id(step))
-        cached = lm_cache.get(key)
+    def lm_delta(ctx: tuple[int, ...], ids: tuple[int, ...]) -> tuple[float, tuple[int, ...]]:
+        total = 0.0
+        cur = ctx
+        for wid in ids:
+            total += lm.score_ids(cur, wid)
+            cur = (cur + (wid,))[-order_cut:]
+        lm_cache[(ctx, ids)] = (total, cur)
+        return total, cur
+
+    def eos_score(ctx: tuple[int, ...]) -> float:
+        cached = eos_cache.get(ctx)
         if cached is None:
-            total = 0.0
-            cur = ctx
-            for wid in step_ids[id(step)]:
-                total += lm.score_ids(cur, wid)
-                cur = (cur + (wid,))[-order_cut:]
-            cached = (total, cur)
-            lm_cache[key] = cached
+            cached = lm.score_ids(ctx, eos_id)
+            eos_cache[ctx] = cached
         return cached
 
     bos_ctx = (lm.vocab.id_of(BOS),)
@@ -284,66 +313,87 @@ def decode_phrase(
     init = Hypothesis(
         coverage=0,
         covered=0,
-        last_start=0,
         last_end=0,
         ctx=bos_ctx,
         tokens=(),
         score=0.0,
         future=future_of(0),
         steps=(),
-        last_key=None,
     )
     stacks: list[dict[tuple, Hypothesis]] = [dict() for _ in range(n + 1)]
     stacks[0][(0, bos_ctx, 0, None)] = init
-    completed: dict[tuple[str, ...], DecodedHypothesis] = {}
+    # best (score, steps) per distinct output
+    completed: dict[tuple[str, ...], tuple[float, tuple[Step, ...]]] = {}
     full_mask = (1 << n) - 1
-    span_masks = [
-        (i, j, ((1 << (j - i)) - 1) << i, steps) for (i, j), steps in sorted(options.items())
+    # per span: its coverage mask and, per option, the weighted phrase-local
+    # score, the LM ids of the target words and the reordering log-scores
+    span_options = [
+        (
+            i,
+            j,
+            ((1 << (j - i)) - 1) << i,
+            [
+                (
+                    step,
+                    sum(weights.get(name) * v for name, v in step.features),
+                    tuple(lm.vocab.id_of(w) for w in step.tgt),
+                    models.reordering_logs(step.entry_key),
+                )
+                for step in steps
+            ],
+        )
+        for (i, j), steps in sorted(options.items())
     ]
     track_reorder = bool(models.reordering)
     distortion_weight = weights.distortion
+    lm_weight = weights.lm
+    reordering_weight = weights.reordering
     limit = config.distortion_limit
 
     for count in range(n):
         stack = stacks[count]
         if not stack:
             continue
-        survivors = sorted(stack.values(), key=Hypothesis.sort_key)
-        if beam_width is not None:
-            survivors = survivors[:beam_width]
+        if beam_width is None:
+            survivors = sorted(stack.values(), key=Hypothesis.sort_key)
+        else:
+            survivors = heapq.nsmallest(beam_width, stack.values(), key=Hypothesis.sort_key)
         for hyp in survivors:
             coverage = hyp.coverage
             last_end = hyp.last_end
-            for i, j, mask, span_steps in span_masks:
+            hyp_ctx = hyp.ctx
+            prev = hyp.steps[-1] if hyp.steps else None
+            prev_start = prev.start if prev is not None else 0
+            for i, j, mask, scored in span_options:
                 if coverage & mask:
                     continue
                 jump = i - last_end if i >= last_end else last_end - i
                 if limit is not None and jump > limit:
                     continue
                 base = hyp.score + distortion_weight * -float(jump)
-                for step in span_steps:
-                    inc = base + step_inc[id(step)]
-                    delta, ctx = lm_delta(hyp.ctx, step)
-                    inc += weights.lm * delta
+                new_coverage = coverage | mask
+                if track_reorder:
+                    # the span fixes both orientations: the new phrase's
+                    # forward one and the previous phrase's backward one
+                    forward_orient = _orientation_name(prev_start, last_end, i, j)
+                    backward = 0.0
+                    if prev is not None:
+                        backward = _backward_log(models, prev, i, j)
+                for step, local, ids, reorder_logs in scored:
+                    inc = base + local
+                    delta, ctx = lm_cache.get((hyp_ctx, ids)) or lm_delta(hyp_ctx, ids)
+                    inc += lm_weight * delta
                     if track_reorder:
-                        inc += _reordering_increment(
-                            models, weights, hyp.last_key, hyp.last_start, hyp.last_end, step
-                        )
-                    new_coverage = coverage | mask
+                        forward = reorder_logs[0][forward_orient] if reorder_logs else 0.0
+                        inc += reordering_weight * (forward + backward)
                     if new_coverage == full_mask:
-                        score = inc + weights.lm * lm.score_ids(ctx, eos_id)
-                        steps = hyp.steps + (step,)
-                        tokens = hyp.tokens + step.tgt
+                        score = inc + lm_weight * eos_score(ctx)
                         if track_reorder:
                             score += _final_reordering_for(models, weights, step, n)
+                        tokens = hyp.tokens + step.tgt
                         existing = completed.get(tokens)
-                        if existing is None or score > existing.score:
-                            completed[tokens] = DecodedHypothesis(
-                                tokens=tokens,
-                                score=score,
-                                features=derivation_features(steps, models, n),
-                                steps=steps,
-                            )
+                        if existing is None or score > existing[0]:
+                            completed[tokens] = (score, hyp.steps + (step,))
                         continue
                     key = (new_coverage, ctx, j, step.entry_key if track_reorder else None)
                     target_stack = stacks[hyp.covered + (j - i)]
@@ -353,14 +403,12 @@ def decode_phrase(
                     target_stack[key] = Hypothesis(
                         coverage=new_coverage,
                         covered=hyp.covered + (j - i),
-                        last_start=i,
                         last_end=j,
                         ctx=ctx,
                         tokens=hyp.tokens + step.tgt,
                         score=inc,
                         future=future_of(new_coverage),
                         steps=hyp.steps + (step,),
-                        last_key=step.entry_key,
                     )
 
     if not completed:
@@ -369,21 +417,11 @@ def decode_phrase(
         fallback = DecodeConfig(stack_size=config.stack_size, distortion_limit=0, nbest=config.nbest)
         return decode_phrase(sentence, models, weights, fallback)
 
-    ranked = sorted(completed.values(), key=lambda h: (-h.score, h.tokens))
-    return ranked[: max(config.nbest, 1)]
-
-
-def _final_reordering_for(
-    models: PhraseModels, weights: FeatureWeights, step: Step, n: int
-) -> float:
-    if step.entry_key is None:
-        return 0.0
-    entry = models.reordering_entry(*step.entry_key)
-    if entry is None:
-        return 0.0
-    orients = MSD if len(entry.backward) == 3 else MSLR
-    back = _orientation_name(n, n + 1, step.start, step.end, orients)
-    return weights.reordering * math.log10(max(entry.backward[back], 1e-30))
+    ranked = sorted(completed.items(), key=lambda item: (-item[1][0], item[0]))
+    return [
+        DecodedHypothesis(tokens, score, derivation_features(steps, models, n), steps)
+        for tokens, (score, steps) in ranked[: max(config.nbest, 1)]
+    ]
 
 
 def derivation_features(
@@ -393,33 +431,21 @@ def derivation_features(
     features: dict[str, float] = {}
     tokens: tuple[str, ...] = ()
     last_start, last_end = 0, 0
-    prev_key = None
+    prev: Step | None = None
     distortion = 0.0
     reorder = 0.0
     for step in steps:
         add_features(features, dict(step.features))
         distortion += abs(step.start - last_end)
         if models.reordering:
-            entry = models.reordering_entry(*step.entry_key) if step.entry_key else None
-            orients = MSLR if entry is not None and len(entry.forward) == 4 else MSD
-            orient = _orientation_name(last_start, last_end, step.start, step.end, orients)
-            if entry is not None:
-                reorder += math.log10(max(entry.forward[orient], 1e-30))
-            if prev_key is not None:
-                prev_entry = models.reordering_entry(*prev_key)
-                if prev_entry is not None:
-                    back_orients = MSD if len(prev_entry.backward) == 3 else MSLR
-                    back = _orientation_name(step.start, step.end, last_start, last_end, back_orients)
-                    reorder += math.log10(max(prev_entry.backward[back], 1e-30))
+            reorder += _forward_log(models, step, last_start, last_end)
+            if prev is not None:
+                reorder += _backward_log(models, prev, step.start, step.end)
         tokens += step.tgt
         last_start, last_end = step.start, step.end
-        prev_key = step.entry_key
-    if models.reordering and prev_key is not None:
-        prev_entry = models.reordering_entry(*prev_key)
-        if prev_entry is not None:
-            back_orients = MSD if len(prev_entry.backward) == 3 else MSLR
-            back = _orientation_name(n, n + 1, last_start, last_end, back_orients)
-            reorder += math.log10(max(prev_entry.backward[back], 1e-30))
+        prev = step
+    if models.reordering and prev is not None:
+        reorder += _backward_log(models, prev, n, n + 1)
     features["distortion"] = -distortion
     if models.reordering:
         features["reordering"] = reorder

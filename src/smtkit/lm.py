@@ -79,19 +79,30 @@ class NGramModel:
         return tuple(self.vocab.id_of(t) for t in tokens)
 
     def score_ids(self, history: tuple[int, ...], word: int) -> float:
-        """log10 p(word | history) with interpolated-model backoff."""
+        """log10 p(word | history) with interpolated-model backoff.
+
+        The back-off weights met on the way down are added innermost first,
+        bow1 + (bow2 + p), the grouping of the recursive definition.
+        """
         hist = history[-(self.order - 1):] if self.order > 1 else ()
-        while True:
-            gram = hist + (word,)
-            stored = self.probs[len(gram)].get(gram)
-            if stored is not None:
-                return stored
-            if not hist:
-                return self.probs[1][(self.vocab.id_of(UNK),)]
-            bow = self.backoffs[len(hist)].get(hist, 0.0)
+        probs = self.probs
+        stored = probs[len(hist) + 1].get(hist + (word,))
+        if stored is not None:
+            return stored
+        bows: list[float] = []
+        while hist:
+            bow = self.backoffs[len(hist)].get(hist)
             if bow:
-                return bow + self.score_ids(hist[1:], word)
+                bows.append(bow)
             hist = hist[1:]
+            stored = probs[len(hist) + 1].get(hist + (word,))
+            if stored is not None:
+                break
+        else:
+            stored = probs[1][(self.vocab.id_of(UNK),)]
+        for bow in reversed(bows):
+            stored = bow + stored
+        return stored
 
     def score_word(self, history: list[str] | tuple[str, ...], word: str) -> float:
         return self.score_ids(self._ids(history), self.vocab.id_of(word))
@@ -268,9 +279,14 @@ def read_arpa(text: str) -> NGramModel:
         part = lines[pos].strip()
         if not part.startswith("ngram "):
             raise LmError(f"line {pos + 1}: malformed count line {part!r}")
-        spec_part = part[len("ngram "):]
-        k_str, _, count_str = spec_part.partition("=")
-        declared[int(k_str)] = int(count_str)
+        k_str, _, count_str = part[len("ngram "):].partition("=")
+        try:
+            k, count = int(k_str), int(count_str)
+        except ValueError:
+            k = count = -1
+        if k < 1 or count < 0:
+            raise LmError(f"line {pos + 1}: malformed count line {part!r}")
+        declared[k] = count
         pos += 1
     if not declared:
         raise LmError("empty \\data\\ section")
@@ -287,7 +303,8 @@ def read_arpa(text: str) -> NGramModel:
         if line == "\\end\\":
             break
         if line.startswith("\\") and line.endswith("-grams:"):
-            current_k = int(line[1:-len("-grams:")])
+            k_str = line[1:-len("-grams:")]
+            current_k = int(k_str) if k_str.isdecimal() else -1
             if current_k not in declared:
                 raise LmError(f"line {lineno + 1}: undeclared section {line!r}")
             continue
@@ -302,12 +319,17 @@ def read_arpa(text: str) -> NGramModel:
         words = tuple(cols[1].split(" "))
         if len(words) != current_k:
             raise LmError(f"line {lineno + 1}: expected {current_k} tokens in {cols[1]!r}")
+        try:
+            logp = float(cols[0])
+            bow = float(cols[2]) if current_k < order else 0.0
+        except ValueError:
+            raise LmError(
+                f"line {lineno + 1}: non-numeric probability or back-off in {line!r}"
+            ) from None
         gram = tuple(vocab.add(w) for w in words)
-        model.probs[current_k][gram] = float(cols[0])
-        if current_k < order:
-            bow = float(cols[2])
-            if bow != 0.0:
-                model.backoffs[current_k][gram] = bow
+        model.probs[current_k][gram] = logp
+        if bow != 0.0:
+            model.backoffs[current_k][gram] = bow
         seen[current_k] += 1
     else:
         raise LmError("missing \\end\\ terminator")

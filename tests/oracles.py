@@ -146,6 +146,45 @@ def kn_reference_prob(corpus, order, word, history, bos="<s>", eos="</s>", unk="
     return prob(len(hist) + 1, hist, word)
 
 
+# --- back-off n-gram scoring from ARPA text, recursive ---------------------
+
+
+def arpa_tables(text):
+    """(log10 p, log10 bow) dicts keyed by word tuples, read from ARPA text."""
+    probs, bows = {}, {}
+    in_section = False
+    for line in text.splitlines():
+        line = line.strip()
+        if line.startswith("\\") and line.endswith("-grams:"):
+            in_section = True
+        elif line == "\\end\\":
+            break
+        elif in_section and line:
+            cols = line.split("\t")
+            gram = tuple(cols[1].split(" "))
+            probs[gram] = float(cols[0])
+            if len(cols) == 3:
+                bows[gram] = float(cols[2])
+    return probs, bows
+
+
+def backoff_reference_logprob(probs, bows, order, history, word, unk="<unk>"):
+    """log10 p(word | history) by the recursive back-off rule:
+    p(h w) if stored, else bow(h) + log10 p(w | h minus its first word)."""
+    known = {gram[0] for gram in probs if len(gram) == 1}
+    word = word if word in known else unk
+    hist = tuple(w if w in known else unk for w in history)[-(order - 1):]
+
+    def score(h):
+        if h + (word,) in probs:
+            return probs[h + (word,)]
+        if not h:
+            return probs[(unk,)]
+        return bows.get(h, 0.0) + score(h[1:])
+
+    return score(hist)
+
+
 # --- projectivity via yield contiguity -------------------------------------
 
 

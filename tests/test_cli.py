@@ -257,6 +257,45 @@ class TestTranslate:
             assert "lm=" in fields[2]
 
 
+MALFORMED_ARPA = {
+    "count-line": ("\\data\\\nngram 1=x\n\n\\1-grams:\n-1.0\ta\n\\end\\\n", "line 2:"),
+    "probability": ("\\data\\\nngram 1=1\n\n\\1-grams:\nabc\ta\n\\end\\\n", "line 5:"),
+    "back-off": (
+        "\\data\\\nngram 1=1\nngram 2=1\n\n\\1-grams:\n-1.0\ta\txyz\n\n\\2-grams:\n-1.0\ta a\n\\end\\\n",
+        "line 6:",
+    ),
+}
+
+
+class TestDataErrorExitCodes:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_ARPA))
+    def test_malformed_arpa_is_data_error(self, trained, tmp_path, case):
+        text, where = MALFORMED_ARPA[case]
+        bad_lm = tmp_path / "bad.arpa"
+        bad_lm.write_text(text, encoding="utf-8")
+        src = tmp_path / "in.txt"
+        src.write_text("the dog sees the house .\n", encoding="utf-8")
+        code, _, err = run(
+            [
+                "decode",
+                "--phrase-table", str(trained / "phrase-table.txt"),
+                "--lm", str(bad_lm),
+                "--input", str(src),
+            ]
+        )
+        assert code == EXIT_DATA, err
+        assert where in err
+
+    def test_evaluate_empty_files_is_data_error(self, tmp_path):
+        (tmp_path / "empty.hyp").write_text("", encoding="utf-8")
+        (tmp_path / "empty.ref").write_text("", encoding="utf-8")
+        code, _, err = run(
+            ["evaluate", "--hyp", str(tmp_path / "empty.hyp"), "--ref", str(tmp_path / "empty.ref")]
+        )
+        assert code == EXIT_DATA, err
+        assert "empty.hyp" in err and "empty.ref" in err
+
+
 class TestPipelineConfig:
     def test_parse_and_defaults(self, fixture_dir):
         text = f"""

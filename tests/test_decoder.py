@@ -21,7 +21,7 @@ from smtkit.decoder import (
 from smtkit.decoder.weights import format_weights, parse_weights
 from smtkit.deptree import parse_conllu
 from smtkit.lm import train_lm
-from smtkit.phrasetab import PhraseEntry, extract_reordering
+from smtkit.phrasetab import MSD, MSLR, PhraseEntry, ReorderingEntry, extract_reordering
 from smtkit.ruletab import Fragment, NT, RuleEntry, TreeRule, Var, glue_rules
 
 
@@ -68,6 +68,24 @@ def reordering_models():
         links.append({(i, i) for i in range(n)})
     reorder = extract_reordering(pairs, links, "msd")
     return PhraseModels(random_phrase_table(), random_lm(), reorder)
+
+
+def random_reordering_models(orientations, seed=5):
+    """Every orientation gets its own probability, so scoring one as another
+    changes the score; a fifth of the entries have no statistics."""
+    rng = random.Random(seed)
+    table = random_phrase_table()
+    reorder = [
+        ReorderingEntry(
+            e.src,
+            e.tgt,
+            {o: rng.uniform(0.01, 1.0) for o in orientations},
+            {o: rng.uniform(0.01, 1.0) for o in orientations},
+        )
+        for e in table
+        if rng.random() < 0.8
+    ]
+    return PhraseModels(table, random_lm(), reorder)
 
 
 UNLIMITED = DecodeConfig(stack_size=None, distortion_limit=None, nbest=1)
@@ -132,6 +150,35 @@ class TestDecodePhrase:
             beam = decode_phrase(sent, reordering_models, FeatureWeights(), UNLIMITED)[0]
             _, oracle_score = decode_oracle(sent, reordering_models, FeatureWeights())
             assert beam.score == pytest.approx(oracle_score, abs=1e-9)
+
+    def test_oracle_equivalence_with_mslr_reordering_model(self):
+        models = random_reordering_models(MSLR)
+        # a heavy reordering weight makes discontinuous orders win often
+        weights = FeatureWeights(reordering=3.0, distortion=0.05)
+        rng = random.Random(37)
+        for _ in range(25):
+            sent = [rng.choice(SRC + ["oov-word"]) for _ in range(rng.randint(1, 4))]
+            beam = decode_phrase(sent, models, weights, UNLIMITED)[0]
+            _, oracle_score = decode_oracle(sent, models, weights)
+            assert beam.score == pytest.approx(oracle_score, abs=1e-9)
+
+    @pytest.mark.parametrize("orientations", [MSD, MSLR], ids=["msd", "mslr"])
+    def test_limited_beam_nbest_rederives_with_reordering(self, orientations):
+        # the search's incremental score of every returned hypothesis must
+        # equal its feature vector recomputed from the derivation alone
+        models = random_reordering_models(orientations)
+        weights = FeatureWeights(reordering=0.7, distortion=0.2)
+        config = DecodeConfig(stack_size=3, distortion_limit=None, nbest=5)
+        rng = random.Random(41)
+        returned = 0
+        for _ in range(20):
+            sent = [rng.choice(SRC + ["oov-word"]) for _ in range(rng.randint(2, 6))]
+            for hyp in decode_phrase(sent, models, weights, config):
+                again = score_derivation(hyp.steps, models, weights, len(sent))
+                assert again == pytest.approx(hyp.score, abs=1e-9)
+                assert weights.dot(hyp.features) == pytest.approx(hyp.score, abs=1e-9)
+                returned += 1
+        assert returned > 40
 
     def test_score_rederives_from_derivation(self, phrase_models):
         rng = random.Random(31)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracles import kn_reference_prob
+from oracles import arpa_tables, backoff_reference_logprob, kn_reference_prob
 from smtkit.corpus import BOS, EOS, NULL, UNK
 from smtkit.lm import LmError, read_arpa, read_binary, train_lm, write_arpa, write_binary
 
@@ -103,6 +103,31 @@ class TestScoring:
             expected = kn_reference_prob(random_corpus, 3, word, hist)
             got = 10 ** trigram.score_word(hist, word)
             assert got == pytest.approx(expected, rel=1e-9, abs=1e-12)
+
+    def test_score_ids_equals_recursive_backoff_reference(self):
+        # order 4, so a query can back off through two stored histories
+        rng = random.Random(17)
+        words = [f"w{i}" for i in range(40)]
+        corpus = [[rng.choice(words) for _ in range(rng.randint(2, 12))] for _ in range(400)]
+        text = write_arpa(train_lm(corpus, order=4))
+        model = read_arpa(text)
+        probs, bows = arpa_tables(text)
+        histories = [tuple(s[i : i + 3]) for s in corpus[:60] for i in range(len(s) - 2)]
+        histories += [tuple(rng.choice(words) for _ in range(rng.randint(0, 3))) for _ in range(100)]
+        two_level = 0
+        for hist in histories:
+            for word in rng.sample(words, 5) + ["zzz-oov", EOS]:
+                expected = backoff_reference_logprob(probs, bows, 4, hist, word)
+                assert model.score_word(hist, word) == expected
+                if (
+                    len(hist) == 3
+                    and hist + (word,) not in probs
+                    and hist[1:] + (word,) not in probs
+                    and bows.get(hist)
+                    and bows.get(hist[1:])
+                ):
+                    two_level += 1
+        assert two_level >= 50
 
     def test_word_order_preference(self):
         # a model trained on one ordering prefers it over a shuffle
