@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from typing import Callable
 
 from . import __version__, align, corpus, deptree, evaluate, lm, phrasetab, ruletab, tune
 from .decoder import (
@@ -36,6 +37,11 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INTERNAL = 3
 
+
+class DataError(Exception):
+    """A malformed input file, reported with its path."""
+
+
 DATA_ERRORS = (
     corpus.CorpusError,
     deptree.ConlluError,
@@ -44,6 +50,7 @@ DATA_ERRORS = (
     phrasetab.PhraseError,
     evaluate.EvalError,
     DecodeError,
+    DataError,
     FileNotFoundError,
 )
 
@@ -72,8 +79,41 @@ def _write(path: str | None, text: str) -> None:
             fh.write(text)
 
 
+def _split_lines(text: str) -> list[list[str]]:
+    return [line.split() for line in text.splitlines()]
+
+
 def _read_tokenized(path: str) -> list[list[str]]:
-    return [line.split() for line in corpus.read_text(path).splitlines()]
+    return _split_lines(corpus.read_text(path))
+
+
+def _read_file(reader, path: str):
+    """Parse the file at `path` with `reader`; a parse error names the file."""
+    text = corpus.read_text(path)
+    try:
+        return reader(text)
+    except ValueError as exc:  # every reader's own error is a ValueError
+        raise DataError(f"{path}: {exc}") from None
+
+
+def _read_alignments(path: str) -> list[set[tuple[int, int]]]:
+    return [align.parse_links(line) for line in corpus.read_text(path).splitlines()]
+
+
+def _read_pairs(args, with_alignments: bool = True):
+    """Whitespace-tokenized --source/--target pairs and, optionally, their
+    --alignments; every file must have one line per sentence pair."""
+    src = _read_tokenized(args.source)
+    tgt = _read_tokenized(args.target)
+    counts = {args.source: len(src), args.target: len(tgt)}
+    links = None
+    if with_alignments:
+        links = _read_alignments(args.alignments)
+        counts[args.alignments] = len(links)
+    if len(set(counts.values())) > 1:
+        found = ", ".join(f"{path} has {n}" for path, n in counts.items())
+        raise corpus.CorpusError(f"line count mismatch: {found}")
+    return [corpus.SentencePair(s, t) for s, t in zip(src, tgt)], links
 
 
 def _format_sentences(sentences: list[list[str]]) -> str:
@@ -213,13 +253,8 @@ def cmd_tokenize(args) -> int:
 
 
 def cmd_clean(args) -> int:
-    src = _read_tokenized(args.source)
-    tgt = _read_tokenized(args.target)
-    if len(src) != len(tgt):
-        raise corpus.CorpusError(
-            f"line count mismatch: {args.source} has {len(src)}, {args.target} has {len(tgt)}"
-        )
-    pairs = corpus.clean([corpus.SentencePair(s, t) for s, t in zip(src, tgt)], args.max_len)
+    pairs, _ = _read_pairs(args, with_alignments=False)
+    pairs = corpus.clean(pairs, args.max_len)
     _write(args.out_source, _format_sentences([p.source for p in pairs]))
     _write(args.out_target, _format_sentences([p.target for p in pairs]))
     return EXIT_OK
@@ -254,9 +289,7 @@ def _alignments_for(pairs, iterations, model_kind, heuristic):
 
 
 def cmd_train_align(args) -> int:
-    src = _read_tokenized(args.source)
-    tgt = _read_tokenized(args.target)
-    pairs = [corpus.SentencePair(s, t) for s, t in zip(src, tgt)]
+    pairs, _ = _read_pairs(args, with_alignments=False)
     fwd, bwd, links = _alignments_for(pairs, args.iterations, args.model, args.symmetrization)
     _write(args.output, "".join(align.format_links(l) + "\n" for l in links))
     if args.ttable_fwd:
@@ -266,42 +299,33 @@ def cmd_train_align(args) -> int:
     return EXIT_OK
 
 
-def _read_alignments(path: str) -> list[set[tuple[int, int]]]:
-    return [align.parse_links(line) for line in corpus.read_text(path).splitlines()]
-
-
 def cmd_extract_phrases(args) -> int:
-    pairs = [
-        corpus.SentencePair(s, t)
-        for s, t in zip(_read_tokenized(args.source), _read_tokenized(args.target))
-    ]
-    links = _read_alignments(args.alignments)
-    fwd = align.read_ttable(corpus.read_text(args.ttable_fwd))
-    bwd = align.read_ttable(corpus.read_text(args.ttable_bwd))
+    pairs, links = _read_pairs(args)
+    fwd = _read_file(align.read_ttable, args.ttable_fwd)
+    bwd = _read_file(align.read_ttable, args.ttable_bwd)
     entries = phrasetab.build_phrase_table(pairs, links, fwd, bwd, args.max_phrase_len)
     _write(args.output, phrasetab.write_phrase_table(entries))
     return EXIT_OK
 
 
+def _attach_trees(pairs, path: str) -> None:
+    """Give each sentence pair its source tree from the CoNLL-U file at `path`."""
+    trees = _read_file(deptree.parse_conllu, path)
+    if len(trees) != len(pairs):
+        raise deptree.ConlluError(f"{path}: {len(trees)} trees for {len(pairs)} sentence pairs")
+    for pair, tree in zip(pairs, trees):
+        pair.source_tree = tree
+
+
 def cmd_extract_rules(args) -> int:
-    pairs = [
-        corpus.SentencePair(s, t)
-        for s, t in zip(_read_tokenized(args.source), _read_tokenized(args.target))
-    ]
-    links = _read_alignments(args.alignments)
+    pairs, links = _read_pairs(args)
     if args.kind == "hier":
-        fwd = align.read_ttable(corpus.read_text(args.ttable_fwd))
-        bwd = align.read_ttable(corpus.read_text(args.ttable_bwd))
+        fwd = _read_file(align.read_ttable, args.ttable_fwd)
+        bwd = _read_file(align.read_ttable, args.ttable_bwd)
         table = ruletab.build_rule_table(pairs, links, fwd, bwd)
         _write(args.output, ruletab.write_rule_table(table))
     else:
-        trees = deptree.parse_conllu(corpus.read_text(args.trees))
-        if len(trees) != len(pairs):
-            raise deptree.ConlluError(
-                f"{args.trees}: {len(trees)} trees for {len(pairs)} sentence pairs"
-            )
-        for pair, tree in zip(pairs, trees):
-            pair.source_tree = tree
+        _attach_trees(pairs, args.trees)
         table, skipped = ruletab.build_tree_rule_table(pairs, links)
         if skipped:
             print(f"warning: skipped {skipped} non-projective sentences", file=sys.stderr)
@@ -310,11 +334,7 @@ def cmd_extract_rules(args) -> int:
 
 
 def cmd_train_reorder(args) -> int:
-    pairs = [
-        corpus.SentencePair(s, t)
-        for s, t in zip(_read_tokenized(args.source), _read_tokenized(args.target))
-    ]
-    links = _read_alignments(args.alignments)
+    pairs, links = _read_pairs(args)
     entries = phrasetab.extract_reordering(
         pairs, links, args.orientation_set, args.sigma, args.max_phrase_len
     )
@@ -325,58 +345,121 @@ def cmd_train_reorder(args) -> int:
 def _load_weights(path: str | None) -> FeatureWeights:
     if not path:
         return FeatureWeights()
-    return parse_weights(corpus.read_text(path))
-
-
-def _phrase_models(args) -> PhraseModels:
-    table = phrasetab.read_phrase_table(corpus.read_text(args.phrase_table))
-    model = lm.read_arpa(corpus.read_text(args.lm))
-    reorder = None
-    if getattr(args, "reordering", None):
-        reorder = phrasetab.read_reordering_table(corpus.read_text(args.reordering))
-    return PhraseModels(table, model, reorder)
-
-
-def _decode_sentences(sentences, args, weights, nbest) -> list[list]:
-    """Decode a list of sources with the configured backend; n-best each."""
-    if args.kind == "phrase":
-        models = _phrase_models(args)
-        config = DecodeConfig(args.stack_size, args.distortion_limit, nbest)
-        return [decode_phrase(s, models, weights, config) for s in sentences]
-    if args.kind == "hier":
-        table = ruletab.read_rule_table(corpus.read_text(args.rule_table))
-        models = ChartModels(table, lm.read_arpa(corpus.read_text(args.lm)))
-        config = ChartConfig(cell_beam=args.stack_size, nbest=nbest)
-        return [decode_chart(s, models, weights, config) for s in sentences]
-    table = ruletab.read_tree_rule_table(corpus.read_text(args.rule_table))
-    models = TreeModels(table, lm.read_arpa(corpus.read_text(args.lm)))
-    config = TreeConfig(k_best_per_node=args.stack_size, nbest=nbest)
-    return [decode_tree(s, models, weights, config) for s in sentences]
+    return _read_file(parse_weights, path)
 
 
 def _parse_trees(text: str) -> list:
-    stripped = text.lstrip()
-    if stripped.startswith("<tree"):
+    if text.lstrip().startswith("<tree"):
         return deptree.parse_nested_tree_file(text)
     return deptree.parse_conllu(text)
 
 
+@dataclass(frozen=True)
+class _Backend:
+    """How the CLI loads, configures and runs one decoder kind.
+
+    The callables look smtkit's readers, model classes and decoders up when
+    they run, not when this table is built.
+    """
+
+    table_option: str  # attribute of the required translation-table option
+    read_table: Callable  # table file text -> entries
+    models: Callable  # (table, lm, reordering or None) -> decoder models
+    config: Callable  # (stack_size, distortion_limit, nbest) -> decoder config
+    decode: Callable  # (source, models, weights, config) -> n-best hypotheses
+    reads_trees: bool  # sources are dependency trees, not token lines
+
+
+_BACKENDS = {
+    "phrase": _Backend(
+        "phrase_table",
+        lambda text: phrasetab.read_phrase_table(text),
+        lambda table, lm_model, reordering: PhraseModels(table, lm_model, reordering),
+        lambda stack, distortion, nbest: DecodeConfig(stack, distortion, nbest),
+        lambda *call: decode_phrase(*call),
+        False,
+    ),
+    "hier": _Backend(
+        "rule_table",
+        lambda text: ruletab.read_rule_table(text),
+        lambda table, lm_model, reordering: ChartModels(table, lm_model),
+        lambda stack, distortion, nbest: ChartConfig(cell_beam=stack, nbest=nbest),
+        lambda *call: decode_chart(*call),
+        False,
+    ),
+    "tree": _Backend(
+        "rule_table",
+        lambda text: ruletab.read_tree_rule_table(text),
+        lambda table, lm_model, reordering: TreeModels(table, lm_model),
+        lambda stack, distortion, nbest: TreeConfig(k_best_per_node=stack, nbest=nbest),
+        lambda *call: decode_tree(*call),
+        True,
+    ),
+}
+
+
+def _read_sources(kind: str, text: str, read_lines) -> list:
+    """Decoder inputs: trees for a tree decoder, else `read_lines(text)`."""
+    return _parse_trees(text) if _BACKENDS[kind].reads_trees else read_lines(text)
+
+
+def _load_decoder(args):
+    """decode(source, weights, nbest) over the LM, table and reordering files in args."""
+    backend = _BACKENDS[args.kind]
+    table_path = getattr(args, backend.table_option)
+    if not table_path:
+        flag = "--" + backend.table_option.replace("_", "-")
+        raise UsageError(f"--kind {args.kind} needs {flag}")
+    table = _read_file(backend.read_table, table_path)
+    model = _read_file(lm.read_arpa, args.lm)
+    reordering = None
+    if getattr(args, "reordering", None):
+        reordering = _read_file(phrasetab.read_reordering_table, args.reordering)
+    models = backend.models(table, model, reordering)
+    return _decoder(backend, models, args.stack_size, args.distortion_limit)
+
+
+def _decoder(backend: _Backend, models, stack_size: int, distortion_limit: int):
+    """decode(source, weights, nbest) -> n-best, for one backend and its models."""
+
+    def decode(source, weights, nbest):
+        config = backend.config(stack_size, distortion_limit, nbest)
+        return backend.decode(source, models, weights, config)
+
+    return decode
+
+
+def _mert_decoder(decode):
+    """`decode` as tune.mert calls it: (index, source, weights, nbest) -> [(tokens, features)]."""
+    return lambda index, source, weights, nbest: [
+        (h.tokens, h.features) for h in decode(source, weights, nbest)
+    ]
+
+
+def _decode_sentences(sentences, args, weights, nbest) -> list[list]:
+    """Load the models args name, then decode each source to its n-best."""
+    decode = _load_decoder(args)
+    return [decode(s, weights, nbest) for s in sentences]
+
+
+def _format_nbest(results) -> str:
+    """One `index ||| tokens ||| name=value ... ||| score` line per hypothesis."""
+    lines = []
+    for index, hyps in enumerate(results):
+        for hyp in hyps:
+            features = " ".join(f"{k}={hyp.features[k]!r}" for k in sorted(hyp.features))
+            lines.append(f"{index} ||| {' '.join(hyp.tokens)} ||| {features} ||| {hyp.score!r}\n")
+    return "".join(lines)
+
+
 def _decode_inputs(args) -> list:
-    if args.kind == "tree":
-        return _parse_trees(_read(args.input))
-    return [line.split() for line in _read(args.input).splitlines()]
+    return _read_sources(args.kind, _read(args.input), _split_lines)
 
 
 def cmd_decode(args) -> int:
     sentences = _decode_inputs(args)
     weights = _load_weights(args.weights)
-    results = _decode_sentences(sentences, args, weights, args.nbest)
-    lines = []
-    for index, hyps in enumerate(results):
-        for hyp in hyps:
-            features = " ".join(f"{k}={hyp.features[k]!r}" for k in sorted(hyp.features))
-            lines.append(f"{index} ||| {' '.join(hyp.tokens)} ||| {features} ||| {hyp.score!r}")
-    _write(args.output, "\n".join(lines) + "\n" if lines else "")
+    _write(args.output, _format_nbest(_decode_sentences(sentences, args, weights, args.nbest)))
     return EXIT_OK
 
 
@@ -385,14 +468,12 @@ def cmd_translate(args) -> int:
     if not text.strip():
         _write(args.output, "")
         return EXIT_OK
-    if args.kind == "tree":
-        sentences = _parse_trees(text)
-    else:
-        sentences = corpus.tokenize(text, args.lang)
+    sentences = _read_sources(args.kind, text, lambda t: corpus.tokenize(t, args.lang))
     weights = _load_weights(args.weights)
-    out_lines = []
-    for sent, hyps in zip(sentences, _decode_sentences(sentences, args, weights, 1)):
-        out_lines.append(corpus.detokenize(list(hyps[0].tokens), args.target_lang))
+    out_lines = [
+        corpus.detokenize(list(hyps[0].tokens), args.target_lang)
+        for hyps in _decode_sentences(sentences, args, weights, 1)
+    ]
     _write(args.output, "\n".join(out_lines) + "\n")
     return EXIT_OK
 
@@ -405,16 +486,8 @@ def cmd_tune(args) -> int:
         max_iterations=args.iterations,
         seed=args.seed,
     )
-    if args.kind == "tree":
-        dev_sources = deptree.parse_conllu(corpus.read_text(args.dev_source))
-    else:
-        dev_sources = _read_tokenized(args.dev_source)
-
-    def decoder_fn(index, source, current_weights, nbest):
-        hyps = _decode_sentences([source], args, current_weights, nbest)[0]
-        return [(h.tokens, h.features) for h in hyps]
-
-    result = tune.mert(dev_sources, dev_refs, decoder_fn, weights, config)
+    dev_sources = _read_sources(args.kind, corpus.read_text(args.dev_source), _split_lines)
+    result = tune.mert(dev_sources, dev_refs, _mert_decoder(_load_decoder(args)), weights, config)
     _write(args.output, format_weights(result.weights, result.history))
     return EXIT_OK
 
@@ -487,10 +560,6 @@ def cmd_compare(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _pipeline_tokenize(config: PipelineConfig, path: str, profile: str) -> list[list[str]]:
-    return corpus.tokenize(corpus.read_text(path), profile)
-
-
 def cmd_pipeline(args) -> int:
     config_text = corpus.read_text(args.config)
     config = PipelineConfig.parse(config_text)
@@ -502,24 +571,18 @@ def cmd_pipeline(args) -> int:
 
     # corpus preparation; trees attach before cleaning so filtering keeps
     # pairs and their parses aligned
-    train_src = _pipeline_tokenize(config, config.train_source, config.source_profile)
-    train_tgt = _pipeline_tokenize(config, config.train_target, config.target_profile)
-    raw_pairs = [corpus.SentencePair(s, t) for s, t in zip(train_src, train_tgt)]
+    raw_pairs = corpus.read_parallel(
+        config.train_source, config.train_target, config.source_profile, config.target_profile
+    )
     if config.decoder_kind == "tree":
-        trees = deptree.parse_conllu(corpus.read_text(config.train_trees))
-        if len(trees) != len(raw_pairs):
-            raise deptree.ConlluError(
-                f"{config.train_trees}: {len(trees)} trees for {len(raw_pairs)} pairs"
-            )
-        for pair, tree in zip(raw_pairs, trees):
-            pair.source_tree = tree
+        _attach_trees(raw_pairs, config.train_trees)
     pairs = corpus.clean(raw_pairs, config.max_len)
     artifacts: dict[str, str] = {}
 
     # language model over target side plus optional monolingual data
     lm_corpus = [p.target for p in pairs]
     if config.mono_target:
-        lm_corpus += _pipeline_tokenize(config, config.mono_target, config.target_profile)
+        lm_corpus += corpus.read_sentences(config.mono_target, config.target_profile)
     model = lm.train_lm(lm_corpus, order=config.lm_order, discount_mode=config.lm_discount_mode)
     arpa = lm.write_arpa(model)
     _write(out("lm.arpa"), arpa)
@@ -535,52 +598,38 @@ def cmd_pipeline(args) -> int:
     artifacts["alignments"] = "alignments.txt"
 
     # translation model
+    reordering = None
     if config.decoder_kind == "phrase":
         table = phrasetab.build_phrase_table(pairs, links, fwd, bwd, config.phrase_max_len)
         _write(out("phrase-table.txt"), phrasetab.write_phrase_table(table))
         artifacts["phrase_table"] = "phrase-table.txt"
-        phrase_models = PhraseModels(
-            table,
-            model,
-            _pipeline_reordering(config, pairs, links, out, artifacts),
-        )
+        reordering = _pipeline_reordering(config, pairs, links, out, artifacts)
     elif config.decoder_kind == "hier":
-        rule_table = ruletab.build_rule_table(pairs, links, fwd, bwd)
-        _write(out("rule-table.txt"), ruletab.write_rule_table(rule_table))
+        table = ruletab.build_rule_table(pairs, links, fwd, bwd)
+        _write(out("rule-table.txt"), ruletab.write_rule_table(table))
         artifacts["rule_table"] = "rule-table.txt"
-        chart_models = ChartModels(rule_table, model)
     else:
-        tree_table, skipped = ruletab.build_tree_rule_table(pairs, links)
+        table, skipped = ruletab.build_tree_rule_table(pairs, links)
         if skipped:
             print(f"warning: skipped {skipped} non-projective sentences", file=sys.stderr)
-        _write(out("tree-rule-table.txt"), ruletab.write_tree_rule_table(tree_table))
+        _write(out("tree-rule-table.txt"), ruletab.write_tree_rule_table(table))
         artifacts["rule_table"] = "tree-rule-table.txt"
-        tree_models = TreeModels(tree_table, model)
+    backend = _BACKENDS[config.decoder_kind]
+    models = backend.models(table, model, reordering)
+    decode = _decoder(backend, models, config.decoder_stack_size, config.decoder_distortion_limit)
 
-    def decode_fn(source, weights, nbest):
-        if config.decoder_kind == "phrase":
-            cfg = DecodeConfig(config.decoder_stack_size, config.decoder_distortion_limit, nbest)
-            return decode_phrase(source, phrase_models, weights, cfg)
-        if config.decoder_kind == "hier":
-            return decode_chart(source, chart_models, weights, ChartConfig(nbest=nbest))
-        return decode_tree(source, tree_models, weights, TreeConfig(nbest=nbest))
+    def sources(trees_path: str, text_path: str) -> list:
+        if backend.reads_trees:
+            return _parse_trees(corpus.read_text(trees_path))
+        return corpus.read_sentences(text_path, config.source_profile)
 
     # tuning
     weights = FeatureWeights()
     if config.tune_enabled:
-        dev_refs = _pipeline_tokenize(config, config.dev_target, config.target_profile)
-        if config.decoder_kind == "tree":
-            dev_sources = deptree.parse_conllu(corpus.read_text(config.dev_trees))
-        else:
-            dev_sources = _pipeline_tokenize(config, config.dev_source, config.source_profile)
-
-        def mert_decoder(index, source, current_weights, nbest):
-            return [(h.tokens, h.features) for h in decode_fn(source, current_weights, nbest)]
-
         result = tune.mert(
-            dev_sources,
-            dev_refs,
-            mert_decoder,
+            sources(config.dev_trees, config.dev_source),
+            corpus.read_sentences(config.dev_target, config.target_profile),
+            _mert_decoder(decode),
             weights,
             tune.MertConfig(
                 nbest=config.tune_nbest,
@@ -595,22 +644,11 @@ def cmd_pipeline(args) -> int:
     artifacts["weights"] = "weights.txt"
 
     # decode the test split
-    if config.decoder_kind == "tree":
-        test_sources = deptree.parse_conllu(corpus.read_text(config.test_trees))
-    else:
-        test_sources = _pipeline_tokenize(config, config.test_source, config.source_profile)
-    test_refs = _pipeline_tokenize(config, config.test_target, config.target_profile)
-    hyps = []
-    nbest_lines = []
-    for index, source in enumerate(test_sources):
-        results = decode_fn(source, weights, config.decoder_nbest)
-        hyps.append(list(results[0].tokens))
-        for hyp in results:
-            features = " ".join(f"{k}={hyp.features[k]!r}" for k in sorted(hyp.features))
-            nbest_lines.append(
-                f"{index} ||| {' '.join(hyp.tokens)} ||| {features} ||| {hyp.score!r}"
-            )
-    _write(out("test.nbest"), "\n".join(nbest_lines) + "\n")
+    test_sources = sources(config.test_trees, config.test_source)
+    test_refs = corpus.read_sentences(config.test_target, config.target_profile)
+    results = [decode(source, weights, config.decoder_nbest) for source in test_sources]
+    hyps = [list(nbest[0].tokens) for nbest in results]
+    _write(out("test.nbest"), _format_nbest(results))
     _write(out("test.hyp"), _format_sentences(hyps))
     _write(
         out("test.detok"),

@@ -1,7 +1,10 @@
-"""Log-linear decoders: stack beam search, CKY chart, tree-to-string, oracle."""
+"""Log-linear decoders: stack beam search, CKY chart and tree-to-string.
+
+The exhaustive reference decoder that certifies the beam search lives with
+the tests (`tests/decoder_oracle.py`), apart from the code it checks.
+"""
 
 from .chart import ChartConfig, ChartModels, decode_chart
-from .oracle import decode_oracle
 from .phrase import (
     DecodeConfig,
     DecodeError,
@@ -27,7 +30,6 @@ __all__ = [
     "TreeConfig",
     "TreeModels",
     "decode_chart",
-    "decode_oracle",
     "decode_phrase",
     "decode_tree",
     "derivation_features",

@@ -10,12 +10,11 @@ which cannot fail thanks to verbatim pass-through for uncovered words.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from ..lm import NGramModel
 from ..ruletab import NT, RuleEntry
-from .phrase import SCORE_NAMES, DecodeError, DecodedHypothesis
+from .phrase import OOV_FEATURES, DecodeError, DecodedHypothesis, rank_nbest, translation_features
 from .weights import FeatureWeights, add_features
 
 
@@ -76,15 +75,6 @@ class ChartItem:
     score: float = 0.0  # weights.dot(features) + lm weight * prefix_lm
 
 
-def _rule_features(rule: RuleEntry) -> dict[str, float]:
-    feats = {
-        name: math.log10(max(score, 1e-30)) for name, score in zip(SCORE_NAMES, rule.scores)
-    }
-    feats["phrase_penalty"] = -1.0
-    feats["word_penalty"] = -float(sum(1 for s in rule.tgt_rhs if not isinstance(s, NT)))
-    return feats
-
-
 class _ItemFactory:
     """Builds scored items, rescoring only junction words on composition."""
 
@@ -120,7 +110,7 @@ class _ItemFactory:
         return ChartItem(lhs, tokens, features, rules, total, head, score)
 
     def compose(self, rule: RuleEntry, sub_items: dict[int, "ChartItem"]) -> ChartItem:
-        features = _rule_features(rule)
+        features = translation_features(rule.scores, rule.tgt_rhs)
         rules: tuple[RuleEntry, ...] = (rule,)
         parts: list = []
         for symbol in rule.tgt_rhs:
@@ -140,7 +130,7 @@ class _ItemFactory:
         return self.build("S", [left, right], features, left.rules + right.rules)
 
     def oov(self, word: str) -> ChartItem:
-        return self.build("X", [word], {"oov": -1.0, "word_penalty": -1.0}, ())
+        return self.build("X", [word], dict(OOV_FEATURES), ())
 
     def as_glue(self, item: ChartItem) -> ChartItem:
         features = dict(item.features)
@@ -240,20 +230,8 @@ def decode_chart(
         if candidates:
             glue[j] = _prune(candidates, order, config.cell_beam)
 
-    finals = list(glue.get(n, []))
-    if not finals:
-        finals = [_fallback(sentence, models, factory)]
-
-    ranked: dict[tuple[str, ...], DecodedHypothesis] = {}
-    for item in finals:
-        features = dict(item.features)
-        features["lm"], _ = models.lm.score_sentence(list(item.tokens))
-        score = weights.dot(features)
-        existing = ranked.get(item.tokens)
-        if existing is None or score > existing.score:
-            ranked[item.tokens] = DecodedHypothesis(item.tokens, score, features, item.rules)
-    ordered = sorted(ranked.values(), key=lambda h: (-h.score, h.tokens))
-    return ordered[: max(config.nbest, 1)]
+    finals = glue.get(n) or [_fallback(sentence, models, factory)]
+    return rank_nbest(finals, models.lm, weights, config.nbest)
 
 
 def _fallback(sentence: list[str], models: ChartModels, factory: _ItemFactory) -> ChartItem:

@@ -20,6 +20,7 @@ from ..phrasetab import PhraseEntry, ReorderingEntry
 from .weights import FeatureWeights, add_features
 
 SCORE_NAMES = ("phi_s_given_t", "lex_s_given_t", "phi_t_given_s", "lex_t_given_s")
+OOV_FEATURES = {"oov": -1.0, "word_penalty": -1.0}  # one verbatim-copied unknown word
 
 
 class DecodeError(ValueError):
@@ -119,15 +120,34 @@ class DecodedHypothesis:
     steps: tuple[Step, ...]
 
 
-def _entry_features(entry: PhraseEntry) -> tuple[tuple[str, float], ...]:
-    feats = [(name, math.log10(max(s, 1e-30))) for name, s in zip(SCORE_NAMES, entry.scores)]
-    feats.append(("phrase_penalty", -1.0))
-    feats.append(("word_penalty", -float(len(entry.tgt))))
-    return tuple(feats)
+def translation_features(scores, target: tuple) -> dict[str, float]:
+    """Features of one applied phrase or rule: the log10 of its four scores,
+    one phrase, and the words (str items) of its target side."""
+    feats = {name: math.log10(max(s, 1e-30)) for name, s in zip(SCORE_NAMES, scores)}
+    feats["phrase_penalty"] = -1.0
+    feats["word_penalty"] = -float(sum(1 for t in target if isinstance(t, str)))
+    return feats
 
 
-def _oov_features() -> tuple[tuple[str, float], ...]:
-    return (("oov", -1.0), ("word_penalty", -1.0))
+def rank_nbest(
+    items, lm: NGramModel, weights: FeatureWeights, nbest: int
+) -> list[DecodedHypothesis]:
+    """The n-best tail of the chart and tree decoders.
+
+    `items` carry `tokens`, LM-free `features` and `rules`. Each distinct
+    output keeps its best derivation after rescoring the LM with sentence
+    boundaries; the result is sorted by (-score, tokens).
+    """
+    ranked: dict[tuple[str, ...], DecodedHypothesis] = {}
+    for item in items:
+        features = dict(item.features)
+        features["lm"], _ = lm.score_sentence(list(item.tokens))
+        score = weights.dot(features)
+        existing = ranked.get(item.tokens)
+        if existing is None or score > existing.score:
+            ranked[item.tokens] = DecodedHypothesis(item.tokens, score, features, item.rules)
+    ordered = sorted(ranked.values(), key=lambda h: (-h.score, h.tokens))
+    return ordered[: max(nbest, 1)]
 
 
 def build_options(
@@ -143,14 +163,16 @@ def build_options(
             entries = models.options(src)
             if entries:
                 options[(i, j)] = [
-                    Step(i, j, e.tgt, _entry_features(e), (e.src, e.tgt)) for e in entries
+                    Step(i, j, e.tgt, tuple(translation_features(e.scores, e.tgt).items()),
+                         (e.src, e.tgt))
+                    for e in entries
                 ]
                 for k in range(i, j):
                     covered[k] = True
     for i in range(n):
         if not covered[i]:
             options.setdefault((i, i + 1), []).append(
-                Step(i, i + 1, (sentence[i],), _oov_features(), None)
+                Step(i, i + 1, (sentence[i],), tuple(OOV_FEATURES.items()), None)
             )
     return options
 

@@ -9,13 +9,19 @@ head word and keeps the children in surface order.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from ..deptree import DepSentence, is_projective
 from ..lm import NGramModel
-from ..ruletab import Fragment, TreeRule, Var
-from .phrase import SCORE_NAMES, DecodeError, DecodedHypothesis, lm_prefix_score
+from ..ruletab import Fragment, TreeRule, Var, _node_label
+from .phrase import (
+    OOV_FEATURES,
+    DecodeError,
+    DecodedHypothesis,
+    lm_prefix_score,
+    rank_nbest,
+    translation_features,
+)
 from .weights import FeatureWeights, add_features
 
 
@@ -41,11 +47,6 @@ class TreeItem:
     tokens: tuple[str, ...]
     features: dict[str, float]  # without lm
     rules: tuple[TreeRule, ...]
-
-
-def _node_label(sent: DepSentence, tok_id: int) -> str:
-    tok = sent.tokens[tok_id - 1]
-    return "root" if tok.head == 0 else tok.deprel
 
 
 def _match_fragment(
@@ -77,15 +78,6 @@ def _match_fragment(
             if constituent.id != tok_id or item != tok.form:
                 return None
     return binding
-
-
-def _rule_features(rule: TreeRule) -> dict[str, float]:
-    feats = {
-        name: math.log10(max(score, 1e-30)) for name, score in zip(SCORE_NAMES, rule.scores)
-    }
-    feats["phrase_penalty"] = -1.0
-    feats["word_penalty"] = -float(sum(1 for t in rule.target if not isinstance(t, Var)))
-    return feats
 
 
 def decode_tree(
@@ -135,7 +127,7 @@ def decode_tree(
                 ]
             for combo in combos:
                 tokens: list[str] = []
-                features = _rule_features(rule)
+                features = translation_features(rule.scores, rule.target)
                 rules: tuple[TreeRule, ...] = (rule,)
                 for t in rule.target:
                     if isinstance(t, Var):
@@ -149,7 +141,7 @@ def decode_tree(
             # pass-through: children in surface order around the copied head
             tok = sent.tokens[tok_id - 1]
             constituents = sorted(sent.children(tok_id) + [tok], key=lambda t: t.id)
-            combos: list[tuple[tuple[str, ...], dict[str, float], tuple]] = [((), {"oov": -1.0, "word_penalty": -1.0}, ())]
+            combos: list[tuple[tuple[str, ...], dict[str, float], tuple]] = [((), dict(OOV_FEATURES), ())]
             for c in constituents:
                 if c.id == tok_id:
                     combos = [(t + (tok.form,), f, r) for t, f, r in combos]
@@ -167,13 +159,4 @@ def decode_tree(
         return ranked
 
     root_items = decode_node(sent.root().id)
-    out: dict[tuple[str, ...], DecodedHypothesis] = {}
-    for item in root_items:
-        features = dict(item.features)
-        features["lm"], _ = lm.score_sentence(list(item.tokens))
-        score = weights.dot(features)
-        existing = out.get(item.tokens)
-        if existing is None or score > existing.score:
-            out[item.tokens] = DecodedHypothesis(item.tokens, score, features, item.rules)
-    ordered = sorted(out.values(), key=lambda h: (-h.score, h.tokens))
-    return ordered[: max(config.nbest, 1)]
+    return rank_nbest(root_items, lm, weights, config.nbest)

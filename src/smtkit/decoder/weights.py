@@ -21,6 +21,10 @@ from dataclasses import dataclass, fields
 FEATURE_FORMAT_VERSION = 1
 
 
+class WeightsError(ValueError):
+    """Raised for a malformed feature-weights file."""
+
+
 @dataclass
 class FeatureWeights:
     lm: float = 0.5
@@ -76,12 +80,15 @@ def format_weights(weights: FeatureWeights, history: list[str] | None = None) ->
 
 def parse_weights(text: str) -> FeatureWeights:
     values: dict[str, float] = {}
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         name, _, value = line.partition("\t")
         if name not in FeatureWeights.names():
-            raise ValueError(f"unknown feature weight name: {name!r}")
-        values[name] = float(value)
+            raise WeightsError(f"line {lineno}: unknown feature weight name: {name!r}")
+        try:
+            values[name] = float(value)
+        except ValueError:
+            raise WeightsError(f"line {lineno}: non-numeric weight {value!r}") from None
     return FeatureWeights(**values)

@@ -72,37 +72,34 @@ def _ngrams(tokens: list[str], n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
-def bleu(
-    hyps: list[list[str]],
-    refs: list[list[str]],
-    max_n: int = 4,
-    mode: str = "corpus",
-) -> BleuResult:
-    """Modified n-gram precision BLEU with brevity penalty.
+def bleu_stats(hyp: list[str], ref: list[str], max_n: int = 4) -> tuple[int, ...]:
+    """BLEU sufficient statistics of one sentence pair.
 
-    Corpus mode aggregates clipped counts over the corpus. Sentence mode
-    adds +1 smoothing to numerator and denominator for n >= 2, the usual
-    convention for per-sentence tables.
+    (hyp length, ref length, clipped n-gram matches for n = 1..max_n,
+    hypothesis n-gram totals for n = 1..max_n). A corpus's statistics are
+    the element-wise sum over its sentences.
     """
-    if len(hyps) != len(refs):
-        raise EvalError(f"corpus length mismatch: {len(hyps)} hyps vs {len(refs)} refs")
-    if mode not in ("corpus", "sentence"):
-        raise EvalError(f"unknown BLEU mode: {mode!r}")
-    matches = [0] * (max_n + 1)
-    totals = [0] * (max_n + 1)
-    hyp_len = 0
-    ref_len = 0
-    for hyp, ref in zip(hyps, refs):
-        hyp_len += len(hyp)
-        ref_len += len(ref)
-        for n in range(1, max_n + 1):
-            hyp_counts = _ngrams(hyp, n)
-            ref_counts = _ngrams(ref, n)
-            matches[n] += sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
-            totals[n] += max(len(hyp) - n + 1, 0)
+    matches = []
+    totals = []
+    for n in range(1, max_n + 1):
+        hyp_counts = _ngrams(hyp, n)
+        ref_counts = _ngrams(ref, n)
+        matches.append(sum(min(c, ref_counts[g]) for g, c in hyp_counts.items()))
+        totals.append(max(len(hyp) - n + 1, 0))
+    return (len(hyp), len(ref), *matches, *totals)
+
+
+def bleu_from_stats(stats, mode: str = "corpus") -> BleuResult:
+    """BLEU of summed `bleu_stats`.
+
+    Sentence mode adds +1 smoothing to numerator and denominator for
+    n >= 2, the usual convention for per-sentence tables.
+    """
+    max_n = (len(stats) - 2) // 2
+    hyp_len, ref_len = stats[0], stats[1]
     precisions = []
     for n in range(1, max_n + 1):
-        num, den = matches[n], totals[n]
+        num, den = stats[1 + n], stats[1 + max_n + n]
         if mode == "sentence" and n >= 2:
             num, den = num + 1, den + 1
         precisions.append(num / den if den > 0 else 0.0)
@@ -112,6 +109,28 @@ def bleu(
         geo = 0.0
     bp = min(1.0, math.exp(1.0 - ref_len / hyp_len)) if hyp_len > 0 else 0.0
     return BleuResult(geo * bp, precisions, bp, hyp_len, ref_len)
+
+
+def bleu(
+    hyps: list[list[str]],
+    refs: list[list[str]],
+    max_n: int = 4,
+    mode: str = "corpus",
+) -> BleuResult:
+    """Modified n-gram precision BLEU with brevity penalty.
+
+    Corpus mode aggregates clipped counts over the corpus; sentence mode
+    smooths as `bleu_from_stats` describes.
+    """
+    if len(hyps) != len(refs):
+        raise EvalError(f"corpus length mismatch: {len(hyps)} hyps vs {len(refs)} refs")
+    if mode not in ("corpus", "sentence"):
+        raise EvalError(f"unknown BLEU mode: {mode!r}")
+    totals = [0] * (2 + 2 * max_n)
+    for hyp, ref in zip(hyps, refs):
+        for k, value in enumerate(bleu_stats(hyp, ref, max_n)):
+            totals[k] += value
+    return bleu_from_stats(totals, mode)
 
 
 @dataclass

@@ -14,8 +14,6 @@ from .corpus import BOS, EOS, NULL, UNK, Vocabulary
 
 LOG10_ZERO = -99.0  # conventional ARPA stand-in for log10(0)
 
-BINARY_MAGIC = b"KSLM1\n"
-
 
 class LmError(ValueError):
     """Raised for invalid training input or malformed ARPA data."""
@@ -340,16 +338,3 @@ def read_arpa(text: str) -> NGramModel:
             )
     return model
 
-
-def write_binary(model: NGramModel, path: str) -> None:
-    with open(path, "wb") as fh:
-        fh.write(BINARY_MAGIC)
-        fh.write(write_arpa(model).encode("utf-8"))
-
-
-def read_binary(path: str) -> NGramModel:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if not blob.startswith(BINARY_MAGIC):
-        raise LmError(f"{path}: bad magic bytes, not a cached model")
-    return read_arpa(blob[len(BINARY_MAGIC):].decode("utf-8"))

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
 
 from .decoder.weights import FeatureWeights
-from .evaluate import EvalError, bleu
+from .evaluate import EvalError, bleu, bleu_from_stats, bleu_stats
 
 
 @dataclass
@@ -71,32 +70,6 @@ def pool_bleu(pool: NBestPool, weights: FeatureWeights, references: list[list[st
     return bleu(selected, references).score
 
 
-_MAX_N = 4
-
-
-def _bleu_stats(hyp: list[str], ref: list[str]) -> tuple:
-    matches = []
-    totals = []
-    for n in range(1, _MAX_N + 1):
-        hyp_counts = Counter(tuple(hyp[i : i + n]) for i in range(len(hyp) - n + 1))
-        ref_counts = Counter(tuple(ref[i : i + n]) for i in range(len(ref) - n + 1))
-        matches.append(sum(min(c, ref_counts[g]) for g, c in hyp_counts.items()))
-        totals.append(max(len(hyp) - n + 1, 0))
-    return tuple(matches), tuple(totals), len(hyp), len(ref)
-
-
-def _bleu_from_totals(agg) -> float:
-    matches, totals, hyp_len, ref_len = agg
-    if hyp_len == 0:
-        return 0.0
-    precisions = [m / t if t > 0 else 0.0 for m, t in zip(matches, totals)]
-    if any(p <= 0 for p in precisions):
-        return 0.0
-    geo = math.exp(sum(math.log(p) for p in precisions) / _MAX_N)
-    bp = min(1.0, math.exp(1.0 - ref_len / hyp_len))
-    return geo * bp
-
-
 def _envelope(lines: list[tuple[float, float, int]]) -> list[tuple[float, int]]:
     """Upper envelope of (slope, intercept, id) lines.
 
@@ -133,26 +106,17 @@ def line_search(
 ) -> tuple[float, float]:
     """Best value for one weight and the pool BLEU it achieves."""
     events: list[tuple[float, int, tuple, tuple]] = []  # (x, sentence, old stats, new stats)
-    agg = [
-        [0] * _MAX_N,
-        [0] * _MAX_N,
-        0,
-        0,
-    ]
+    agg = [0] * len(bleu_stats([], []))  # summed stats of the current selection
 
     def stats_of(index, tokens):
         key = (index, tokens)
         if key not in stats_cache:
-            stats_cache[key] = _bleu_stats(list(tokens), references[index])
+            stats_cache[key] = bleu_stats(list(tokens), references[index])
         return stats_cache[key]
 
     def add(stats, sign):
-        matches, totals, hyp_len, ref_len = stats
-        for n in range(_MAX_N):
-            agg[0][n] += sign * matches[n]
-            agg[1][n] += sign * totals[n]
-        agg[2] += sign * hyp_len
-        agg[3] += sign * ref_len
+        for k, value in enumerate(stats):
+            agg[k] += sign * value
 
     for index, hyps in enumerate(pool.sentences):
         token_list = sorted(hyps)
@@ -175,7 +139,7 @@ def line_search(
     # interval boundaries are the distinct switch points
     thresholds = sorted({e[0] for e in events})
 
-    best_bleu = _bleu_from_totals((tuple(agg[0]), tuple(agg[1]), agg[2], agg[3]))
+    best_bleu = bleu_from_stats(agg).score
     best_interval = 0
     pos = 0
     interval = 0
@@ -186,7 +150,7 @@ def line_search(
             add(events[pos][3], +1)
             pos += 1
         interval += 1
-        value = _bleu_from_totals((tuple(agg[0]), tuple(agg[1]), agg[2], agg[3]))
+        value = bleu_from_stats(agg).score
         if value > best_bleu + 1e-12:
             best_bleu = value
             best_interval = interval

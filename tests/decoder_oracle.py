@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 from itertools import permutations
 
-from ..phrasetab import MSD, MSLR
-from .phrase import DecodeError, PhraseModels, Step, build_options
-from .weights import FeatureWeights
+from smtkit.decoder.phrase import DecodeError, PhraseModels, Step, build_options
+from smtkit.decoder.weights import FeatureWeights
+from smtkit.phrasetab import MSD, MSLR
 
 _SCORES = ("phi_s_given_t", "lex_s_given_t", "phi_t_given_s", "lex_t_given_s")
 

@@ -11,6 +11,7 @@ import time
 import pytest
 
 from conftest import A_STONE_CONLLU, A_STONE_NESTED, FIG_3_8_CONLLU
+from decoder_oracle import decode_oracle
 from oracles import consistent_span_pairs, corpus_bleu_reference, ibm1_em_reference
 from smtkit.align import TTable, train_ibm1
 from smtkit.corpus import SentencePair
@@ -22,7 +23,6 @@ from smtkit.decoder import (
     PhraseModels,
     TreeModels,
     decode_chart,
-    decode_oracle,
     decode_phrase,
     decode_tree,
     score_derivation,

@@ -2,6 +2,7 @@ import io
 
 import pytest
 
+from smtkit import cli, lm, phrasetab, ruletab, tune
 from smtkit.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, PipelineConfig, main
 from smtkit.synthdata import write_fixture_tree
 
@@ -285,6 +286,7 @@ class TestDataErrorExitCodes:
         )
         assert code == EXIT_DATA, err
         assert where in err
+        assert str(bad_lm) in err
 
     def test_evaluate_empty_files_is_data_error(self, tmp_path):
         (tmp_path / "empty.hyp").write_text("", encoding="utf-8")
@@ -443,3 +445,245 @@ decoder.kind = tree
         )
         assert code == EXIT_OK, err
         assert "(root" in out.read_text(encoding="utf-8")
+
+
+def write_pipeline_config(path, fixture, model_dir, kind, *extra):
+    lines = [
+        f"paths.train_source = {fixture}/train.src",
+        f"paths.train_target = {fixture}/train.tgt",
+        f"paths.dev_source = {fixture}/dev.src",
+        f"paths.dev_target = {fixture}/dev.tgt",
+        f"paths.test_source = {fixture}/test.src",
+        f"paths.test_target = {fixture}/test.tgt",
+        f"paths.model_dir = {model_dir}",
+        "align.iterations = 3",
+        f"decoder.kind = {kind}",
+    ]
+    if kind == "tree":
+        lines += [f"paths.{split}_trees = {fixture}/{split}.conllu" for split in ("train", "dev", "test")]
+    path.write_text("\n".join(lines + list(extra)) + "\n", encoding="utf-8")
+    return path
+
+
+def decode_argv(kind, model, fixture, *extra):
+    """`smtkit decode` arguments for the model files a pipeline wrote."""
+    argv = ["decode", "--kind", kind, "--lm", str(model / "lm.arpa"),
+            "--weights", str(model / "weights.txt")]
+    if kind == "phrase":
+        argv += ["--phrase-table", str(model / "phrase-table.txt"),
+                 "--input", f"{fixture}/test.src"]
+        if (model / "reordering-table.txt").exists():
+            argv += ["--reordering", str(model / "reordering-table.txt")]
+    else:
+        table = "rule-table.txt" if kind == "hier" else "tree-rule-table.txt"
+        source = "test.src" if kind == "hier" else "test.conllu"
+        argv += ["--rule-table", str(model / table), "--input", f"{fixture}/{source}"]
+    return argv + list(extra)
+
+
+class TestDecoderSettings:
+    def test_pipeline_stack_size_reaches_tree_decoder(self, tiny_fixture, tmp_path):
+        config = write_pipeline_config(
+            tmp_path / "tree.cfg", tiny_fixture, tmp_path / "out", "tree",
+            "tune.enabled = false", "decoder.stack_size = 1", "decoder.nbest = 3",
+        )
+        code, _, err = run(["pipeline", "--config", str(config)])
+        assert code == EXIT_OK, err
+        lines = (tmp_path / "out" / "test.nbest").read_text(encoding="utf-8").splitlines()
+        assert [line.split(" ||| ")[0] for line in lines] == [str(i) for i in range(5)]
+
+    @pytest.mark.parametrize("kind", ["phrase", "hier", "tree"])
+    def test_decode_reproduces_pipeline_nbest(self, tiny_fixture, tmp_path, kind):
+        config = write_pipeline_config(
+            tmp_path / "p.cfg", tiny_fixture, tmp_path / "out", kind,
+            "tune.enabled = false", "decoder.stack_size = 4", "decoder.nbest = 3",
+        )
+        code, _, err = run(["pipeline", "--config", str(config)])
+        assert code == EXIT_OK, err
+        model = tmp_path / "out"
+        code, out, err = run(decode_argv(kind, model, tiny_fixture, "--stack-size", "4", "--nbest", "3"))
+        assert code == EXIT_OK, err
+        # the model files store rounded scores, so scores agree to 1e-9 rather
+        # than bitwise, and a derivation tied with another at that precision
+        # may show the other's features
+        expected = (model / "test.nbest").read_text(encoding="utf-8").splitlines()
+        assert len(out.splitlines()) == len(expected) > 5
+        for line, want in zip(out.splitlines(), expected):
+            got, want = line.split(" ||| "), want.split(" ||| ")
+            assert got[:2] == want[:2]
+            assert float(got[3]) == pytest.approx(float(want[3]), abs=1e-9)
+
+    def test_tune_reads_each_model_file_once(self, fixture_dir, trained, tmp_path, monkeypatch):
+        calls = {"read_arpa": 0, "read_phrase_table": 0}
+        for module, name in ((lm, "read_arpa"), (phrasetab, "read_phrase_table")):
+            def counted(text, _real=getattr(module, name), _name=name):
+                calls[_name] += 1
+                return _real(text)
+
+            monkeypatch.setattr(module, name, counted)
+        code, _, err = run(
+            [
+                "tune",
+                "--phrase-table", str(trained / "phrase-table.txt"),
+                "--lm", str(trained / "lm.arpa"),
+                "--dev-source", f"{fixture_dir}/dev.src",
+                "--dev-target", f"{fixture_dir}/dev.tgt",
+                "--iterations", "2",
+                "--nbest", "5",
+                "--output", str(tmp_path / "tuned.txt"),
+            ]
+        )
+        assert code == EXIT_OK, err
+        assert calls == {"read_arpa": 1, "read_phrase_table": 1}
+
+
+def _exit_code_cases():
+    """(name, argv builder, expected exit code, texts stderr must contain)."""
+    cases = []
+    for command in ("decode", "translate", "tune"):
+        for kind, flag in (("phrase", "--phrase-table"), ("hier", "--rule-table"), ("tree", "--rule-table")):
+            def argv(paths, command=command, kind=kind):
+                source = paths["trees" if kind == "tree" else "in"]
+                extra = {
+                    "decode": ["--input", source],
+                    "translate": ["--input", source],
+                    "tune": ["--dev-source", source, "--dev-target", paths["in"]],
+                }[command]
+                return [command, "--kind", kind, "--lm", paths["lm"]] + extra
+
+            cases.append((f"{command}-{kind}-no-table", argv, EXIT_USAGE, [flag]))
+    cases.append((
+        "non-numeric-weight",
+        lambda p: ["decode", "--phrase-table", p["table"], "--lm", p["lm"], "--input", p["in"],
+                   "--weights", p["bad_weights"]],
+        EXIT_DATA, ["bad.weights", "line 2", "'abc'"],
+    ))
+    cases.append((
+        "non-numeric-phrase-score",
+        lambda p: ["decode", "--phrase-table", p["bad_table"], "--lm", p["lm"], "--input", p["in"]],
+        EXIT_DATA, ["bad-table.txt"],
+    ))
+    cases.append((
+        "train-align-short-target",
+        lambda p: ["train-align", "--source", p["train_src"], "--target", p["short_tgt"],
+                   "--iterations", "1", "--output", p["out"]],
+        EXIT_DATA, ["train.src has 40", "short.tgt has 20"],
+    ))
+    cases.append((
+        "extract-phrases-short-alignments",
+        lambda p: ["extract-phrases", "--source", p["train_src"], "--target", p["train_tgt"],
+                   "--alignments", p["short_links"], "--ttable-fwd", p["ttable"],
+                   "--ttable-bwd", p["ttable"], "--output", p["out"]],
+        EXIT_DATA, ["short.links has 20"],
+    ))
+    cases.append((
+        "pipeline-short-target",
+        lambda p: ["pipeline", "--config", p["short_config"]],
+        EXIT_DATA, ["train.src has 40", "short.tgt has 20"],
+    ))
+    return cases
+
+
+EXIT_CODE_CASES = _exit_code_cases()
+
+
+class TestExitCodeTable:
+    @pytest.fixture(scope="class")
+    def paths(self, tiny_fixture, trained, tmp_path_factory):
+        root = tmp_path_factory.mktemp("exit-codes")
+        table = (trained / "phrase-table.txt").read_text(encoding="utf-8")
+        first, _, rest = table.partition("\n")
+        fields = first.split(" ||| ")
+        fields[2] = "abc " + fields[2].split(" ", 1)[1]
+        (root / "bad-table.txt").write_text(" ||| ".join(fields) + "\n" + rest, encoding="utf-8")
+        (root / "bad.weights").write_text("# weights\nlm\tabc\n", encoding="utf-8")
+        (root / "in.txt").write_text("the dog sees the house .\n", encoding="utf-8")
+        train_tgt = (tiny_fixture / "train.tgt").read_text(encoding="utf-8").splitlines()
+        (root / "short.tgt").write_text("\n".join(train_tgt[:20]) + "\n", encoding="utf-8")
+        (root / "short.links").write_text("0-0\n" * 20, encoding="utf-8")
+        write_pipeline_config(root / "pipeline.cfg", tiny_fixture, root / "model", "phrase",
+                              "tune.enabled = false")
+        text = (root / "pipeline.cfg").read_text(encoding="utf-8")
+        (root / "short.cfg").write_text(
+            text.replace(f"{tiny_fixture}/train.tgt", str(root / "short.tgt")), encoding="utf-8"
+        )
+        return {
+            "lm": str(trained / "lm.arpa"),
+            "table": str(trained / "phrase-table.txt"),
+            "ttable": str(trained / "ttable-fwd.txt"),
+            "bad_table": str(root / "bad-table.txt"),
+            "bad_weights": str(root / "bad.weights"),
+            "in": str(root / "in.txt"),
+            "trees": f"{tiny_fixture}/test.conllu",
+            "train_src": f"{tiny_fixture}/train.src",
+            "train_tgt": f"{tiny_fixture}/train.tgt",
+            "short_tgt": str(root / "short.tgt"),
+            "short_links": str(root / "short.links"),
+            "short_config": str(root / "short.cfg"),
+            "out": str(root / "out.txt"),
+        }
+
+    @pytest.mark.parametrize(
+        "argv,expected,texts",
+        [case[1:] for case in EXIT_CODE_CASES],
+        ids=[case[0] for case in EXIT_CODE_CASES],
+    )
+    def test_exit_code(self, paths, argv, expected, texts):
+        code, _, err = run(argv(paths))
+        assert code == expected, err
+        for text in texts:
+            assert text in err
+
+
+class TestBenchmarkHooks:
+    """The benchmark in `bench/` reaches into `cli` by name: it builds models
+    through `cli._decode_sentences([], ...)` and keeps what `cli.PhraseModels`
+    or `cli.TreeModels` returned, times the decoders through `cli.decode_phrase`
+    and `cli.decode_tree`, and times the file readers and MERT steps as module
+    attributes. Each of those names must be looked up when it is called."""
+
+    def _count(self, monkeypatch, module, names):
+        calls = dict.fromkeys(names, 0)
+        built = []
+        for name in names:
+            def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                result = _real(*args, **kwargs)
+                built.append(result)
+                return result
+
+            monkeypatch.setattr(module, name, counted)
+        return calls, built
+
+    def test_hooks_are_hit(self, tiny_fixture, tmp_path, monkeypatch):
+        for name in ("_decode_inputs", "_load_weights", "build_parser", "DecodeConfig", "TreeConfig"):
+            assert callable(getattr(cli, name))
+        model_calls, built = self._count(monkeypatch, cli, ["PhraseModels", "TreeModels"])
+        decode_calls, _ = self._count(monkeypatch, cli, ["decode_phrase", "decode_tree"])
+        reader_calls, _ = self._count(monkeypatch, lm, ["read_arpa"])
+        table_calls, _ = self._count(
+            monkeypatch, phrasetab, ["read_phrase_table", "read_reordering_table"]
+        )
+        tree_table_calls, _ = self._count(monkeypatch, ruletab, ["read_tree_rule_table"])
+        tune_calls, _ = self._count(monkeypatch, tune, ["line_search", "pool_bleu", "optimize_pool"])
+
+        for kind, extra in (("phrase", ["reorder.enabled = true"]),
+                            ("tree", ["tune.iterations = 1", "tune.nbest = 5"])):
+            model = tmp_path / kind
+            config = write_pipeline_config(
+                tmp_path / f"{kind}.cfg", tiny_fixture, model, kind,
+                "tune.enabled = " + ("true" if kind == "tree" else "false"), *extra,
+            )
+            code, _, err = run(["pipeline", "--config", str(config)])
+            assert code == EXIT_OK, err
+            args = cli.build_parser().parse_args(decode_argv(kind, model, tiny_fixture))
+            weights = cli._load_weights(args.weights)
+            assert cli._decode_sentences([], args, weights, 1) == []
+            assert type(built[-1]).__name__ == ("PhraseModels" if kind == "phrase" else "TreeModels")
+            assert cli._decode_inputs(args)
+
+        assert all(model_calls.values()), model_calls
+        assert all(decode_calls.values()), decode_calls
+        assert all(reader_calls.values()) and all(table_calls.values()), (reader_calls, table_calls)
+        assert all(tree_table_calls.values()), tree_table_calls
+        assert all(tune_calls.values()), tune_calls

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from decoder_oracle import decode_oracle
 from smtkit.corpus import SentencePair
 from smtkit.decoder import (
     ChartConfig,
@@ -13,7 +14,6 @@ from smtkit.decoder import (
     PhraseModels,
     TreeModels,
     decode_chart,
-    decode_oracle,
     decode_phrase,
     decode_tree,
     score_derivation,

@@ -4,7 +4,7 @@ import pytest
 
 from oracles import arpa_tables, backoff_reference_logprob, kn_reference_prob
 from smtkit.corpus import BOS, EOS, NULL, UNK
-from smtkit.lm import LmError, read_arpa, read_binary, train_lm, write_arpa, write_binary
+from smtkit.lm import LmError, read_arpa, train_lm, write_arpa
 
 
 def predictable_vocab(model):
@@ -203,21 +203,6 @@ class TestArpa:
         assert text.startswith("\\data\\\n")
         for k, count in enumerate(trigram.ngram_counts(), start=1):
             assert f"ngram {k}={count}" in text
-
-    def test_binary_cache_round_trip(self, trigram, tmp_path):
-        path = str(tmp_path / "model.kslm")
-        write_binary(trigram, path)
-        again = read_binary(path)
-        assert again.ngram_counts() == trigram.ngram_counts()
-        with open(path, "rb") as fh:
-            assert fh.read(5) == b"KSLM1"
-
-    def test_binary_bad_magic(self, tmp_path):
-        path = str(tmp_path / "junk.kslm")
-        with open(path, "wb") as fh:
-            fh.write(b"NOPE!\n")
-        with pytest.raises(LmError, match="magic"):
-            read_binary(path)
 
 
 class TestUnk:
