@@ -73,6 +73,18 @@ class DistortionTable:
         return row.get(i, 0.0)
 
 
+def _check_corpus(pairs: list[SentencePair], iterations: int) -> None:
+    if iterations < 1:
+        raise AlignError(f"iterations must be >= 1, got {iterations}")
+    if not pairs:
+        raise AlignError("empty training corpus")
+    for number, pair in enumerate(pairs, start=1):
+        if not pair.target:
+            raise AlignError(
+                f"sentence pair {number} has an empty side; drop such pairs with `smtkit clean`"
+            )
+
+
 def _normalize_rows(counts: dict[str, dict[str, float]]) -> dict[str, dict[str, float]]:
     table: dict[str, dict[str, float]] = {}
     for src, row in counts.items():
@@ -94,10 +106,7 @@ def train_ibm1(
     Initialization is uniform over co-occurring pairs. Stops early once the
     log-likelihood gain drops below epsilon.
     """
-    if iterations < 1:
-        raise AlignError(f"iterations must be >= 1, got {iterations}")
-    if not pairs:
-        raise AlignError("empty training corpus")
+    _check_corpus(pairs, iterations)
 
     # uniform init over co-occurring (source+NULL, target) pairs
     t: dict[str, dict[str, float]] = {}
@@ -117,13 +126,17 @@ def train_ibm1(
         log_likelihood = 0.0
         for pair in pairs:
             sources = pair.source + [NULL_WORD]
+            rows = [t[src] for src in sources]
+            # every pair has a target word, so this creates the count rows in
+            # the order the per-cell updates would
+            count_rows = [counts.setdefault(src, {}) for src in sources]
+            log_len = math.log(len(sources))
             for tgt in pair.target:
-                denom = sum(t[src][tgt] for src in sources)
-                log_likelihood += math.log(denom) - math.log(len(sources))
-                for src in sources:
-                    counts.setdefault(src, {})[tgt] = (
-                        counts.get(src, {}).get(tgt, 0.0) + t[src][tgt] / denom
-                    )
+                probs = [row[tgt] for row in rows]
+                denom = sum(probs)
+                log_likelihood += math.log(denom) - log_len
+                for p, crow in zip(probs, count_rows):
+                    crow[tgt] = crow.get(tgt, 0.0) + p / denom
         t = _normalize_rows(counts)
         likelihoods.append(log_likelihood)
         if len(likelihoods) >= 2 and likelihoods[-1] - likelihoods[-2] < epsilon:
@@ -138,10 +151,7 @@ def train_ibm2(
     epsilon: float = 1e-6,
 ) -> tuple[TTable, DistortionTable, list[float]]:
     """Joint EM over lexical and absolute-position tables (IBM Model 2)."""
-    if iterations < 1:
-        raise AlignError(f"iterations must be >= 1, got {iterations}")
-    if not pairs:
-        raise AlignError("empty training corpus")
+    _check_corpus(pairs, iterations)
     for pair in pairs:
         for src in pair.source + [NULL_WORD]:
             if src not in ibm1_init.table:
@@ -162,19 +172,21 @@ def train_ibm2(
         for pair in pairs:
             sources = [NULL_WORD] + pair.source
             l_f, l_e = len(pair.target), len(pair.source)
+            rows = [t[src] for src in sources]
+            count_rows = [t_counts.setdefault(src, {}) for src in sources]
             for j, tgt in enumerate(pair.target):
-                row = a[(j, l_f, l_e)]
-                weights = [t[sources[i]].get(tgt, PROB_FLOOR) * row[i] for i in range(l_e + 1)]
+                key = (j, l_f, l_e)
+                # a distortion row holds positions 0..l_e in that order
+                weights = [
+                    row.get(tgt, PROB_FLOOR) * d for row, d in zip(rows, a[key].values())
+                ]
                 denom = sum(weights)
                 log_likelihood += math.log(denom)
-                for i in range(l_e + 1):
-                    share = weights[i] / denom
-                    t_counts.setdefault(sources[i], {})[tgt] = (
-                        t_counts.get(sources[i], {}).get(tgt, 0.0) + share
-                    )
-                    a_counts.setdefault((j, l_f, l_e), {})[i] = (
-                        a_counts.get((j, l_f, l_e), {}).get(i, 0.0) + share
-                    )
+                a_row = a_counts.setdefault(key, {})
+                for i, (w, crow) in enumerate(zip(weights, count_rows)):
+                    share = w / denom
+                    crow[tgt] = crow.get(tgt, 0.0) + share
+                    a_row[i] = a_row.get(i, 0.0) + share
         t = _normalize_rows(t_counts)
         a = {}
         for key, row in a_counts.items():
@@ -196,18 +208,19 @@ def viterbi_align(
     Ties go to the smallest source position (NULL, at position 0, wins ties).
     """
     links: set[tuple[int, int]] = set()
-    sources = [NULL_WORD] + pair.source
+    rows = [ttable.table.get(src, {}) for src in [NULL_WORD] + pair.source]
     l_f, l_e = len(pair.target), len(pair.source)
     for j, tgt in enumerate(pair.target):
-        best_i = 0
-        best_score = -1.0
-        for i, src in enumerate(sources):
-            score = ttable.prob(tgt, src)
-            if distortion is not None:
-                score *= distortion.prob(i, j, l_f, l_e)
-            if score > best_score:
-                best_score = score
-                best_i = i
+        scores = [row.get(tgt, 0.0) for row in rows]
+        if distortion is not None:
+            a_row = distortion.table.get((j, l_f, l_e))
+            if a_row is None:  # unseen geometry: uniform
+                uniform = 1.0 / (l_e + 1)
+                scores = [s * uniform for s in scores]
+            else:
+                scores = [s * a_row.get(i, 0.0) for i, s in enumerate(scores)]
+        best_score = max(scores)
+        best_i = scores.index(best_score)  # the first maximum
         if best_i > 0 and best_score > 0.0:
             links.add((best_i - 1, j))
     return links
@@ -286,7 +299,11 @@ def read_ttable(text: str) -> TTable:
         cols = line.split("\t")
         if len(cols) != 3:
             raise AlignError(f"line {lineno}: expected src<TAB>tgt<TAB>prob")
-        table.setdefault(cols[0], {})[cols[1]] = float(cols[2])
+        try:
+            prob = float(cols[2])
+        except ValueError:
+            raise AlignError(f"line {lineno}: probability {cols[2]!r} is not a number") from None
+        table.setdefault(cols[0], {})[cols[1]] = prob
     return TTable(table)
 
 
@@ -294,5 +311,19 @@ def parse_links(text: str) -> set[tuple[int, int]]:
     links = set()
     for part in text.split():
         i, _, j = part.partition("-")
-        links.add((int(i), int(j)))
+        try:
+            links.add((int(i), int(j)))
+        except ValueError:
+            raise AlignError(f"malformed link {part!r}, expected i-j") from None
     return links
+
+
+def read_links(text: str) -> list[set[tuple[int, int]]]:
+    """One link set per line of a Pharaoh-format alignment file."""
+    sets = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        try:
+            sets.append(parse_links(line))
+        except AlignError as exc:
+            raise AlignError(f"line {lineno}: {exc}") from None
+    return sets

@@ -1,16 +1,21 @@
 """Command-line surface: per-stage subcommands plus an end-to-end pipeline.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal invariant
-violation. All stochastic choices run off a single --seed, and results are
-independent of --jobs (stages run in a deterministic serialized order).
+violation. All stochastic choices run off a single --seed. With --jobs 2 or
+more, `train-align` and `pipeline` train the two alignment directions side by
+side, the backward one in a forked child process; no output byte depends on
+--jobs.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
+import marshal
 import os
+import signal
 import sys
 from dataclasses import dataclass
 from typing import Callable
@@ -96,10 +101,6 @@ def _read_file(reader, path: str):
         raise DataError(f"{path}: {exc}") from None
 
 
-def _read_alignments(path: str) -> list[set[tuple[int, int]]]:
-    return [align.parse_links(line) for line in corpus.read_text(path).splitlines()]
-
-
 def _read_pairs(args, with_alignments: bool = True):
     """Whitespace-tokenized --source/--target pairs and, optionally, their
     --alignments; every file must have one line per sentence pair."""
@@ -108,12 +109,19 @@ def _read_pairs(args, with_alignments: bool = True):
     counts = {args.source: len(src), args.target: len(tgt)}
     links = None
     if with_alignments:
-        links = _read_alignments(args.alignments)
+        links = _read_file(align.read_links, args.alignments)
         counts[args.alignments] = len(links)
     if len(set(counts.values())) > 1:
         found = ", ".join(f"{path} has {n}" for path, n in counts.items())
         raise corpus.CorpusError(f"line count mismatch: {found}")
     return [corpus.SentencePair(s, t) for s, t in zip(src, tgt)], links
+
+
+def _require(args, *options: str) -> None:
+    """A usage error naming the options (attribute names) that `--kind` needs but lacks."""
+    missing = ["--" + name.replace("_", "-") for name in options if not getattr(args, name)]
+    if missing:
+        raise UsageError(f"--kind {args.kind} needs {' and '.join(missing)}")
 
 
 def _format_sentences(sentences: list[list[str]]) -> str:
@@ -275,22 +283,115 @@ def _train_directional(pairs, iterations, model_kind):
     return t1, None
 
 
-def _alignments_for(pairs, iterations, model_kind, heuristic):
-    fwd_table, fwd_dist = _train_directional(pairs, iterations, model_kind)
+def _viterbi_rows(table, dist, pairs) -> list[tuple[int, ...]]:
+    """Each pair's Viterbi alignment as the source position of each target
+    word (-1 where unlinked). Held until symmetrization, a set of link
+    tuples per pair would take ~1 KB a pair."""
+    rows = []
+    for pair in pairs:
+        row = [-1] * len(pair.target)
+        for i, j in align.viterbi_align(table, pair, dist):
+            row[j] = i
+        rows.append(tuple(row))
+    return rows
+
+
+def _backward_direction(pairs, iterations, model_kind):
+    """The rows of the table trained on the swapped pairs, and their Viterbi
+    alignments."""
     swapped = [corpus.SentencePair(p.target, p.source) for p in pairs]
-    bwd_table, bwd_dist = _train_directional(swapped, iterations, model_kind)
-    links = []
-    for pair, swap in zip(pairs, swapped):
-        forward = align.viterbi_align(fwd_table, pair, fwd_dist)
-        backward_raw = align.viterbi_align(bwd_table, swap, bwd_dist)
-        backward = {(i, j) for j, i in backward_raw}
-        links.append(align.symmetrize(forward, backward, heuristic))
-    return fwd_table, bwd_table, links
+    table, dist = _train_directional(swapped, iterations, model_kind)
+    return table.table, _viterbi_rows(table, dist, swapped)
+
+
+def _child(fn, args, read_fd: int, write_fd: int) -> None:
+    """The forked child's whole life: run fn(*args), send (True, result) or
+    (False, pickled exception) through the pipe, and leave without
+    unwinding the parent's stack."""
+    status = 1
+    try:
+        os.close(read_fd)
+        try:
+            outcome = (True, fn(*args))
+        except Exception as exc:  # handed to the parent, which re-raises it
+            import pickle  # only a failure needs it; importing it costs ~0.4 MB
+
+            outcome = (False, pickle.dumps(exc))
+        with os.fdopen(write_fd, "wb") as fh:
+            fh.write(marshal.dumps(outcome))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+@contextlib.contextmanager
+def _beside(jobs: int, fn, *args):
+    """Run fn(*args) beside the `with` block and yield a function that
+    returns its result or raises its exception.
+
+    With jobs >= 2 and os.fork available, fn runs in one forked child that
+    sends its outcome back through a pipe, so its result must be built of
+    what `marshal` can carry (numbers, strings, lists, tuples, dicts).
+    Otherwise fn runs inline when the result is asked for. Leaving the block
+    always reaps the child, killing it first if its result was never read.
+    """
+    if jobs < 2 or not hasattr(os, "fork"):
+        yield lambda: fn(*args)
+        return
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        _child(fn, args, read_fd, write_fd)
+    os.close(write_fd)
+    reader = os.fdopen(read_fd, "rb")
+    done = False
+
+    def result():
+        nonlocal done
+        try:
+            ok, value = marshal.loads(reader.read())
+        except (EOFError, ValueError, TypeError):
+            raise RuntimeError("the child process ended without a result") from None
+        done = True
+        if ok:
+            return value
+        import pickle
+
+        raise pickle.loads(value)
+
+    try:
+        yield result
+    finally:
+        reader.close()
+        if not done:
+            os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+
+
+def _alignments_for(pairs, iterations, model_kind, heuristic, jobs=1):
+    """Both directions' tables and the symmetrized links; with jobs >= 2 the
+    backward direction trains in a child while this process does the forward."""
+    with _beside(jobs, _backward_direction, pairs, iterations, model_kind) as backward:
+        fwd_table, fwd_dist = _train_directional(pairs, iterations, model_kind)
+        fwd_viterbi = _viterbi_rows(fwd_table, fwd_dist, pairs)
+        bwd_rows, bwd_viterbi = backward()
+    # a backward row is indexed by source position and holds target positions
+    links = [
+        align.symmetrize(
+            {(i, j) for j, i in enumerate(f) if i >= 0},
+            {(i, j) for i, j in enumerate(b) if j >= 0},
+            heuristic,
+        )
+        for f, b in zip(fwd_viterbi, bwd_viterbi)
+    ]
+    return fwd_table, align.TTable(bwd_rows), links
 
 
 def cmd_train_align(args) -> int:
     pairs, _ = _read_pairs(args, with_alignments=False)
-    fwd, bwd, links = _alignments_for(pairs, args.iterations, args.model, args.symmetrization)
+    fwd, bwd, links = _alignments_for(
+        pairs, args.iterations, args.model, args.symmetrization, args.jobs
+    )
     _write(args.output, "".join(align.format_links(l) + "\n" for l in links))
     if args.ttable_fwd:
         _write(args.ttable_fwd, align.write_ttable(fwd))
@@ -318,6 +419,7 @@ def _attach_trees(pairs, path: str) -> None:
 
 
 def cmd_extract_rules(args) -> int:
+    _require(args, *(("ttable_fwd", "ttable_bwd") if args.kind == "hier" else ("trees",)))
     pairs, links = _read_pairs(args)
     if args.kind == "hier":
         fwd = _read_file(align.read_ttable, args.ttable_fwd)
@@ -406,11 +508,8 @@ def _read_sources(kind: str, text: str, read_lines) -> list:
 def _load_decoder(args):
     """decode(source, weights, nbest) over the LM, table and reordering files in args."""
     backend = _BACKENDS[args.kind]
-    table_path = getattr(args, backend.table_option)
-    if not table_path:
-        flag = "--" + backend.table_option.replace("_", "-")
-        raise UsageError(f"--kind {args.kind} needs {flag}")
-    table = _read_file(backend.read_table, table_path)
+    _require(args, backend.table_option)
+    table = _read_file(backend.read_table, getattr(args, backend.table_option))
     model = _read_file(lm.read_arpa, args.lm)
     reordering = None
     if getattr(args, "reordering", None):
@@ -590,7 +689,7 @@ def cmd_pipeline(args) -> int:
 
     # word alignment
     fwd, bwd, links = _alignments_for(
-        pairs, config.align_iterations, config.align_model, config.align_symmetrization
+        pairs, config.align_iterations, config.align_model, config.align_symmetrization, args.jobs
     )
     _write(out("alignments.txt"), "".join(align.format_links(l) + "\n" for l in links))
     _write(out("ttable-fwd.txt"), align.write_ttable(fwd))
@@ -703,7 +802,11 @@ def _add_decoder_args(parser, kinds=("phrase", "hier", "tree")):
 def build_parser() -> _Parser:
     parser = _Parser(prog="smtkit", description=__doc__)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--jobs", type=int, default=1, help="worker count; results never depend on it")
+    parser.add_argument(
+        "--jobs", type=int, default=1,
+        help="processes; 2 or more train the two alignment directions side by side "
+        "(outputs never depend on it)",
+    )
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("tokenize", help="tokenize raw text, one sentence per line")
@@ -824,6 +927,8 @@ def main(argv: list[str] | None = None) -> int:
         if not getattr(args, "command", None):
             parser.print_usage(sys.stderr)
             return EXIT_USAGE
+        if args.jobs < 1:
+            raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
         return args.func(args)
     except UsageError as exc:
         print(f"smtkit: error: {exc}", file=sys.stderr)

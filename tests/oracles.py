@@ -43,6 +43,71 @@ def ibm1_em_reference(pairs, iterations, null_word="<null>"):
     return t, likelihoods
 
 
+# --- IBM Model 2 EM, dense reference implementation -----------------------
+
+
+def ibm2_em_reference(pairs, t_init, iterations, null_word="<null>", floor=1e-12):
+    """(t, a, per-iteration log-likelihoods) by direct EM.
+
+    t_init and the returned t are keyed (source word, target word); a is keyed
+    (i, j, l_f, l_e) with i = 0 for NULL. A target word a source row lacks
+    gets probability `floor`.
+    """
+    t = dict(t_init)
+    a = {}
+    for src_sent, tgt_sent in pairs:
+        l_e, l_f = len(src_sent), len(tgt_sent)
+        for j in range(l_f):
+            for i in range(l_e + 1):
+                a[(i, j, l_f, l_e)] = 1.0 / (l_e + 1)
+
+    likelihoods = []
+    for _ in range(iterations):
+        t_counts, t_totals = Counter(), Counter()
+        a_counts, a_totals = Counter(), Counter()
+        ll = 0.0
+        for src_sent, tgt_sent in pairs:
+            sources = [null_word] + list(src_sent)
+            l_e, l_f = len(src_sent), len(tgt_sent)
+            for j, f in enumerate(tgt_sent):
+                weights = [
+                    t.get((sources[i], f), floor) * a[(i, j, l_f, l_e)] for i in range(l_e + 1)
+                ]
+                z = sum(weights)
+                ll += math.log(z)
+                for i in range(l_e + 1):
+                    share = weights[i] / z
+                    t_counts[(sources[i], f)] += share
+                    t_totals[sources[i]] += share
+                    a_counts[(i, j, l_f, l_e)] += share
+                    a_totals[(j, l_f, l_e)] += share
+        t = {(e, f): c / t_totals[e] for (e, f), c in t_counts.items()}
+        a = {(i, j, l_f, l_e): c / a_totals[(j, l_f, l_e)] for (i, j, l_f, l_e), c in a_counts.items()}
+        likelihoods.append(ll)
+    return t, a, likelihoods
+
+
+# --- Viterbi alignment by direct argmax -------------------------------------
+
+
+def viterbi_reference(ttable, pair, distortion=None, null_word="<null>"):
+    """Direct argmax over source positions through the tables' `prob`
+    methods; ties go to the smallest position, NULL (0) drops the link."""
+    sources = [null_word] + list(pair.source)
+    l_f, l_e = len(pair.target), len(pair.source)
+    links = set()
+    for j, tgt in enumerate(pair.target):
+        scores = [
+            ttable.prob(tgt, src)
+            * (distortion.prob(i, j, l_f, l_e) if distortion is not None else 1.0)
+            for i, src in enumerate(sources)
+        ]
+        best = max(range(len(scores)), key=lambda i: (scores[i], -i))
+        if best > 0 and scores[best] > 0.0:
+            links.add((best - 1, j))
+    return links
+
+
 # --- exhaustive consistent-phrase-pair enumeration -------------------------
 
 

@@ -4,13 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ibm1_em_reference
+from oracles import ibm1_em_reference, ibm2_em_reference, viterbi_reference
 from smtkit.align import (
     AlignError,
     NULL_WORD,
     TTable,
     format_links,
+    DistortionTable,
     parse_links,
+    read_links,
     read_ttable,
     symmetrize,
     train_ibm1,
@@ -24,6 +26,29 @@ from smtkit.corpus import SentencePair
 def assert_rows_normalized(ttable, tol=1e-9):
     for src in ttable.sources():
         assert sum(ttable.row(src).values()) == pytest.approx(1.0, abs=tol)
+
+
+# A source word repeated within a sentence ("the", "a"), a repeated target
+# word ("ein", "hund", "die") and five sentence lengths per side, so that the
+# E-step's repeated cells and its per-geometry distortion rows are exercised.
+EM_PAIRS = [
+    SentencePair(["the", "dog", "sees", "the", "cat"], ["der", "hund", "sieht", "die", "katze"]),
+    SentencePair(["the", "cat"], ["die", "katze"]),
+    SentencePair(["a", "dog", "a", "dog"], ["ein", "hund", "ein", "hund"]),
+    SentencePair(["dog"], ["hund"]),
+    SentencePair(["the", "cat", "sees"], ["die", "katze", "sieht", "die"]),
+    SentencePair(["a", "cat", "sees", "the", "dog", "."], ["eine", "katze", "sieht", "den", "hund"]),
+]
+
+
+def swapped(pairs):
+    return [SentencePair(p.target, p.source) for p in pairs]
+
+
+def assert_table_matches(table, ref_t):
+    assert {(e, f) for e in table.sources() for f in table.row(e)} == set(ref_t)
+    for (e, f), p in ref_t.items():
+        assert table.prob(f, e) == pytest.approx(p, abs=1e-9)
 
 
 class TestIbm1:
@@ -64,6 +89,19 @@ class TestIbm1:
         with pytest.raises(AlignError):
             train_ibm1([SentencePair(["a"], ["x"])], iterations=0)
 
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    def test_matches_dense_reference_with_repeated_words(self, direction):
+        pairs = EM_PAIRS if direction == "forward" else swapped(EM_PAIRS)
+        table, lls = train_ibm1(pairs, iterations=6, epsilon=0.0)
+        ref_t, ref_lls = ibm1_em_reference([(p.source, p.target) for p in pairs], 6)
+        assert_table_matches(table, ref_t)
+        assert lls == pytest.approx(ref_lls, abs=1e-9)
+
+    def test_empty_side_names_the_pair(self):
+        pairs = [SentencePair(["a"], ["x"]), SentencePair(["b"], ["y"]), SentencePair(["c"], [])]
+        with pytest.raises(AlignError, match=r"sentence pair 3 .*smtkit clean"):
+            train_ibm1(pairs, iterations=2)
+
 
 class TestIbm2:
     def test_monotone_corpus_prefers_diagonal(self):
@@ -101,8 +139,42 @@ class TestIbm2:
         for (j, l_f, l_e), row in dist.table.items():
             assert sum(row.values()) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    def test_matches_dense_reference_with_repeated_words(self, direction):
+        pairs = EM_PAIRS if direction == "forward" else swapped(EM_PAIRS)
+        t1, _ = train_ibm1(pairs, iterations=3, epsilon=0.0)
+        t_init = {(e, f): p for e in t1.sources() for f, p in t1.row(e).items()}
+        table, dist, lls = train_ibm2(pairs, t1, iterations=6, epsilon=0.0)
+        ref_t, ref_a, ref_lls = ibm2_em_reference(
+            [(p.source, p.target) for p in pairs], t_init, 6
+        )
+        assert_table_matches(table, ref_t)
+        assert {(i, *key) for key, row in dist.table.items() for i in row} == set(ref_a)
+        for (i, j, l_f, l_e), p in ref_a.items():
+            assert dist.prob(i, j, l_f, l_e) == pytest.approx(p, abs=1e-9)
+        assert lls == pytest.approx(ref_lls, abs=1e-9)
+
+    def test_empty_side_names_the_pair(self, toy_pairs):
+        t1, _ = train_ibm1(toy_pairs, iterations=1)
+        with pytest.raises(AlignError, match=r"sentence pair 2 .*smtkit clean"):
+            train_ibm2([toy_pairs[0], SentencePair(["the"], [])], t1, iterations=1)
+
 
 class TestViterbi:
+    def test_matches_direct_argmax(self):
+        t1, _ = train_ibm1(EM_PAIRS, iterations=3)
+        t2, dist, _ = train_ibm2(EM_PAIRS, t1, iterations=3)
+        unseen = SentencePair(["the", "dog", "sees", "a", "cat", "mystery", "the"], ["hund", "die", "?"])
+        tied = SentencePair(["b", "a"], ["x", "y"])
+        tied_table = TTable({NULL_WORD: {"y": 0.5}, "a": {"x": 0.5, "y": 0.5}, "b": {"x": 0.5}})
+        for pair in EM_PAIRS + [unseen]:
+            assert viterbi_align(t1, pair) == viterbi_reference(t1, pair)
+            assert viterbi_align(t2, pair, dist) == viterbi_reference(t2, pair, dist)
+        assert viterbi_align(tied_table, tied) == viterbi_reference(tied_table, tied) == {(0, 0)}
+        assert (0, 3, 7) not in dist.table  # `unseen` takes the uniform row
+        geometry = DistortionTable({(0, 2, 2): {0: 0.2, 1: 0.3, 2: 0.5}})
+        assert viterbi_align(tied_table, tied, geometry) == viterbi_reference(tied_table, tied, geometry)
+
     def test_identity_model(self):
         table = TTable({"a": {"a": 1.0}, "b": {"b": 1.0}, NULL_WORD: {}})
         pair = SentencePair(["a", "b"], ["a", "b"])
@@ -192,6 +264,16 @@ class TestLinkFormat:
     def test_pharaoh_layout(self):
         assert format_links({(2, 3), (0, 0)}) == "0-0 2-3"
 
+    @pytest.mark.parametrize("line", ["0-0 1-x", "3", "0-0 -1", "1-2-3"])
+    def test_malformed_link_rejected(self, line):
+        with pytest.raises(AlignError, match="malformed link"):
+            parse_links(line)
+
+    def test_read_links_names_the_line(self):
+        assert read_links("0-0 1-1\n\n2-0\n") == [{(0, 0), (1, 1)}, set(), {(2, 0)}]
+        with pytest.raises(AlignError, match=r"line 2: malformed link '1-x'"):
+            read_links("0-0\n0-0 1-x\n")
+
 
 class TestTTableSerialization:
     def test_round_trip(self, toy_pairs):
@@ -200,6 +282,10 @@ class TestTTableSerialization:
         for src in table.sources():
             for tgt, p in table.row(src).items():
                 assert again.prob(tgt, src) == p
+
+    def test_non_numeric_probability_names_the_line(self):
+        with pytest.raises(AlignError, match=r"line 2: probability 'zz' is not a number"):
+            read_ttable("a\tx\t0.5\nb\ty\tzz\n")
 
     def test_mle_from_counts_with_explicit_denominator(self):
         counts = {"good": {"अच्छा": 172.0, "नीक": 145.0}}

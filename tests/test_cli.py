@@ -1,8 +1,10 @@
 import io
+import os
+import time
 
 import pytest
 
-from smtkit import cli, lm, phrasetab, ruletab, tune
+from smtkit import align, cli, lm, phrasetab, ruletab, tune
 from smtkit.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, PipelineConfig, main
 from smtkit.synthdata import write_fixture_tree
 
@@ -581,6 +583,53 @@ def _exit_code_cases():
         lambda p: ["pipeline", "--config", p["short_config"]],
         EXIT_DATA, ["train.src has 40", "short.tgt has 20"],
     ))
+    for name, links, texts in (
+        ("non-numeric-link", "bad_links", ["bad.links: line 2:", "'1-x'"]),
+        ("dashless-link", "dashless_links", ["dashless.links: line 1:", "'3'"]),
+    ):
+        cases.append((
+            f"extract-phrases-{name}",
+            lambda p, links=links: [
+                "extract-phrases", "--source", p["train_src"], "--target", p["train_tgt"],
+                "--alignments", p[links], "--ttable-fwd", p["ttable"], "--ttable-bwd", p["ttable"],
+                "--output", p["out"]],
+            EXIT_DATA, texts,
+        ))
+    cases.append((
+        "extract-phrases-non-numeric-ttable",
+        lambda p: ["extract-phrases", "--source", p["train_src"], "--target", p["train_tgt"],
+                   "--alignments", p["links"], "--ttable-fwd", p["ttable"],
+                   "--ttable-bwd", p["bad_ttable"], "--output", p["out"]],
+        EXIT_DATA, ["bad-tt.txt: line 2:", "'zz'"],
+    ))
+    for side in ("source", "target"):
+        cases.append((
+            f"train-align-blank-{side}-line",
+            lambda p, side=side: [
+                "train-align", "--source", p["blank_src" if side == "source" else "train_src"],
+                "--target", p["blank_tgt" if side == "target" else "train_tgt"],
+                "--iterations", "1", "--output", p["out"]],
+            EXIT_DATA, ["sentence pair 3 has an empty side", "smtkit clean"],
+        ))
+    for name, kind, given, missing in (
+        ("no-ttables", "hier", [], "--ttable-fwd and --ttable-bwd"),
+        ("no-ttable-bwd", "hier", ["--ttable-fwd"], "--ttable-bwd"),
+        ("no-trees", "tree", [], "--trees"),
+    ):
+        cases.append((
+            f"extract-rules-{kind}-{name}",
+            lambda p, kind=kind, given=given: [
+                "extract-rules", "--kind", kind, "--source", p["train_src"],
+                "--target", p["train_tgt"], "--alignments", p["links"], "--output", p["out"],
+                *[arg for flag in given for arg in (flag, p["ttable"])]],
+            EXIT_USAGE, [f"--kind {kind} needs {missing}"],
+        ))
+    cases.append((
+        "jobs-below-one",
+        lambda p: ["--jobs", "0", "train-align", "--source", p["train_src"],
+                   "--target", p["train_tgt"], "--output", p["out"]],
+        EXIT_USAGE, ["--jobs must be >= 1"],
+    ))
     return cases
 
 
@@ -601,6 +650,16 @@ class TestExitCodeTable:
         train_tgt = (tiny_fixture / "train.tgt").read_text(encoding="utf-8").splitlines()
         (root / "short.tgt").write_text("\n".join(train_tgt[:20]) + "\n", encoding="utf-8")
         (root / "short.links").write_text("0-0\n" * 20, encoding="utf-8")
+        (root / "all.links").write_text("0-0\n" * 40, encoding="utf-8")
+        (root / "bad.links").write_text("0-0\n0-0 1-x\n", encoding="utf-8")
+        (root / "dashless.links").write_text("3\n", encoding="utf-8")
+        ttable = (trained / "ttable-fwd.txt").read_text(encoding="utf-8").splitlines()
+        ttable[1] = ttable[1].rsplit("\t", 1)[0] + "\tzz"
+        (root / "bad-tt.txt").write_text("\n".join(ttable) + "\n", encoding="utf-8")
+        for side in ("src", "tgt"):
+            lines = (tiny_fixture / f"train.{side}").read_text(encoding="utf-8").splitlines()
+            lines[2] = ""
+            (root / f"blank.{side}").write_text("\n".join(lines) + "\n", encoding="utf-8")
         write_pipeline_config(root / "pipeline.cfg", tiny_fixture, root / "model", "phrase",
                               "tune.enabled = false")
         text = (root / "pipeline.cfg").read_text(encoding="utf-8")
@@ -620,6 +679,12 @@ class TestExitCodeTable:
             "short_tgt": str(root / "short.tgt"),
             "short_links": str(root / "short.links"),
             "short_config": str(root / "short.cfg"),
+            "links": str(root / "all.links"),
+            "bad_links": str(root / "bad.links"),
+            "dashless_links": str(root / "dashless.links"),
+            "bad_ttable": str(root / "bad-tt.txt"),
+            "blank_src": str(root / "blank.src"),
+            "blank_tgt": str(root / "blank.tgt"),
             "out": str(root / "out.txt"),
         }
 
@@ -633,6 +698,78 @@ class TestExitCodeTable:
         assert code == expected, err
         for text in texts:
             assert text in err
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="--jobs 2 runs inline without os.fork")
+class TestAlignJobs:
+    """With --jobs 2 the backward alignment direction trains in a forked
+    child. Nothing written may depend on --jobs, a failure on either side
+    reads as with --jobs 1, and no child outlives the call."""
+
+    def assert_no_child_left(self):
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def train_align(self, jobs, source, target, out, *extra):
+        argv = ["--jobs", jobs, "train-align", "--source", str(source), "--target", str(target),
+                "--output", f"{out}.links", "--ttable-fwd", f"{out}.fwd",
+                "--ttable-bwd", f"{out}.bwd", *extra]
+        result = run(argv)
+        self.assert_no_child_left()
+        return result
+
+    @pytest.mark.parametrize("model", ["1", "2"])
+    def test_jobs_do_not_change_bytes(self, tiny_fixture, tmp_path, model):
+        written = {}
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            code, _, err = self.train_align(
+                jobs, tiny_fixture / "train.src", tiny_fixture / "train.tgt", out,
+                "--model", model, "--iterations", "3",
+            )
+            assert code == EXIT_OK, err
+            written[jobs] = [(tmp_path / f"jobs{jobs}.{ext}").read_bytes() for ext in ("links", "fwd", "bwd")]
+        assert written["1"] == written["2"]
+        links, fwd, bwd = written["2"]
+        assert links.count(b"\n") == 40 and b"-" in links and fwd != bwd
+
+    @pytest.mark.parametrize("case", ["zero-iterations", "blank-source-line"])
+    def test_failure_reads_as_serial(self, tiny_fixture, tmp_path, case):
+        """zero-iterations fails in both processes (the parent first, so the
+        child is killed); a blank source line fails only the backward
+        direction, so the child's error crosses the pipe."""
+        source = tiny_fixture / "train.src"
+        extra = ["--iterations", "1"]
+        if case == "zero-iterations":
+            extra = ["--iterations", "0"]
+        else:
+            lines = source.read_text(encoding="utf-8").splitlines()
+            lines[2] = ""
+            source = tmp_path / "blank.src"
+            source.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        results = [
+            self.train_align(jobs, source, tiny_fixture / "train.tgt", tmp_path / "out", *extra)
+            for jobs in ("1", "2")
+        ]
+        assert results[0] == results[1]
+        code, _, err = results[1]
+        assert code == EXIT_DATA and err.startswith("smtkit: data error: ")
+
+    def test_child_outcome_crosses_the_pipe(self):
+        with cli._beside(2, sorted, [3, 1, 2]) as result:
+            assert result() == [1, 2, 3]
+        with pytest.raises(ValueError, match="invalid literal for int"):
+            with cli._beside(2, int, "x") as result:
+                result()
+        with pytest.raises(RuntimeError, match="ended without a result"):
+            with cli._beside(2, os._exit, 0) as result:
+                result()
+        started = time.monotonic()
+        with pytest.raises(KeyError):  # the parent fails before reading: the child is killed
+            with cli._beside(2, time.sleep, 60):
+                raise KeyError("parent")
+        assert time.monotonic() - started < 30
+        self.assert_no_child_left()
 
 
 class TestBenchmarkHooks:
@@ -687,3 +824,22 @@ class TestBenchmarkHooks:
         assert all(reader_calls.values()) and all(table_calls.values()), (reader_calls, table_calls)
         assert all(tree_table_calls.values()), tree_table_calls
         assert all(tune_calls.values()), tune_calls
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="--jobs 2 runs inline without os.fork")
+    def test_alignment_hooks_seen_in_parent(self, tiny_fixture, tmp_path, monkeypatch):
+        """bench/spans.py times the alignment layer by wrapping these `align`
+        functions; with --jobs 2 the parent's direction still calls each,
+        and the backward direction's training calls happen in the child."""
+        calls, _ = self._count(monkeypatch, align, [
+            "train_ibm1", "train_ibm2", "viterbi_align", "symmetrize", "format_links", "write_ttable",
+        ])
+        code, _, err = run([
+            "--jobs", "2", "train-align", "--source", f"{tiny_fixture}/train.src",
+            "--target", f"{tiny_fixture}/train.tgt", "--model", "2", "--iterations", "2",
+            "--output", str(tmp_path / "out.links"), "--ttable-fwd", str(tmp_path / "fwd"),
+            "--ttable-bwd", str(tmp_path / "bwd"),
+        ])
+        assert code == EXIT_OK, err
+        assert calls["train_ibm1"] == calls["train_ibm2"] == 1, calls
+        assert calls["viterbi_align"] == calls["symmetrize"] == calls["format_links"] == 40, calls
+        assert calls["write_ttable"] == 2, calls
