@@ -1,19 +1,19 @@
 """Command-line surface: per-stage subcommands plus an end-to-end pipeline.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal invariant
-violation. All stochastic choices run off a single --seed. With --jobs 2 or
-more, `train-align` and `pipeline` train the two alignment directions side by
-side, the backward one in a forked child process; no output byte depends on
---jobs.
+violation. All stochastic choices run off a single --seed. --jobs N spreads
+independent work over N processes (`_fork_map`): the two alignment
+directions, and the sentences of the pipeline's test and MERT decodes and of
+`decode`, `translate` and `tune`. No output byte depends on --jobs.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import hashlib
 import json
 import marshal
+import math
 import os
 import signal
 import sys
@@ -296,85 +296,123 @@ def _viterbi_rows(table, dist, pairs) -> list[tuple[int, ...]]:
     return rows
 
 
-def _backward_direction(pairs, iterations, model_kind):
-    """The rows of the table trained on the swapped pairs, and their Viterbi
-    alignments."""
-    swapped = [corpus.SentencePair(p.target, p.source) for p in pairs]
-    table, dist = _train_directional(swapped, iterations, model_kind)
-    return table.table, _viterbi_rows(table, dist, swapped)
+def _direction(pairs, iterations, model_kind, backward: bool):
+    """One direction's trained table rows and its Viterbi alignments; the
+    backward direction trains on the swapped pairs."""
+    if backward:
+        pairs = [corpus.SentencePair(p.target, p.source) for p in pairs]
+    table, dist = _train_directional(pairs, iterations, model_kind)
+    return table.table, _viterbi_rows(table, dist, pairs)
 
 
-def _child(fn, args, read_fd: int, write_fd: int) -> None:
-    """The forked child's whole life: run fn(*args), send (True, result) or
-    (False, pickled exception) through the pipe, and leave without
-    unwinding the parent's stack."""
+def _apply(fn, items) -> tuple[list, Exception | None]:
+    """fn over items in order up to the first that raises: the results
+    before it and its exception (None when every item succeeded)."""
+    results = []
+    try:
+        for item in items:
+            results.append(fn(item))
+    except Exception as exc:  # handed to _fork_map, which re-raises it
+        return results, exc
+    return results, None
+
+
+def _child(fn, items, write_fd: int) -> None:
+    """A forked worker's whole life: _apply fn to its items, send the
+    results and the pickled exception (or None) through the pipe, and leave
+    without unwinding the parent's stack."""
     status = 1
     try:
-        os.close(read_fd)
-        try:
-            outcome = (True, fn(*args))
-        except Exception as exc:  # handed to the parent, which re-raises it
+        results, failure = _apply(fn, items)
+        if failure is not None:
             import pickle  # only a failure needs it; importing it costs ~0.4 MB
 
-            outcome = (False, pickle.dumps(exc))
+            failure = pickle.dumps(failure)
         with os.fdopen(write_fd, "wb") as fh:
-            fh.write(marshal.dumps(outcome))
+            fh.write(marshal.dumps((results, failure)))
         status = 0
     finally:
         os._exit(status)
 
 
-@contextlib.contextmanager
-def _beside(jobs: int, fn, *args):
-    """Run fn(*args) beside the `with` block and yield a function that
-    returns its result or raises its exception.
-
-    With jobs >= 2 and os.fork available, fn runs in one forked child that
-    sends its outcome back through a pipe, so its result must be built of
-    what `marshal` can carry (numbers, strings, lists, tuples, dicts).
-    Otherwise fn runs inline when the result is asked for. Leaving the block
-    always reaps the child, killing it first if its result was never read.
-    """
-    if jobs < 2 or not hasattr(os, "fork"):
-        yield lambda: fn(*args)
-        return
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        _child(fn, args, read_fd, write_fd)
-    os.close(write_fd)
-    reader = os.fdopen(read_fd, "rb")
-    done = False
-
-    def result():
-        nonlocal done
-        try:
-            ok, value = marshal.loads(reader.read())
-        except (EOFError, ValueError, TypeError):
-            raise RuntimeError("the child process ended without a result") from None
-        done = True
-        if ok:
-            return value
+def _receive(reader) -> tuple[list, Exception | None]:
+    """A child's (results, exception or None), read to the end of its pipe."""
+    try:
+        results, failure = marshal.loads(reader.read())
+    except (EOFError, ValueError, TypeError):
+        raise RuntimeError("a child process ended without a result") from None
+    if failure is not None:
         import pickle
 
-        raise pickle.loads(value)
+        failure = pickle.loads(failure)
+    return results, failure
 
+
+def _first_failure(outcomes: list, workers: int) -> tuple[float, Exception | None]:
+    """The lowest index of a failing item among the outcomes of workers 0,
+    1, ... and its exception; (inf, None) when none failed."""
+    failures = [
+        (worker + len(results) * workers, failure)
+        for worker, (results, failure) in enumerate(outcomes)
+        if failure is not None
+    ]
+    return min(failures, key=lambda f: f[0], default=(math.inf, None))
+
+
+def _fork_map(jobs: int, fn, items: list) -> list:
+    """[fn(item) for item in items], computed over min(jobs, len(items))
+    processes and returned in input order.
+
+    Worker w computes items[w::workers]: round robin, so that long and short
+    items spread evenly. This process is worker 0, so its results never
+    cross a pipe; every other worker is a forked child that sends its
+    results back with `marshal`, so they must be built of numbers, strings,
+    tuples, lists and dicts. Without os.fork, or with one worker, the loop
+    runs here. If items raise, the exception of the lowest-index failing
+    item is re-raised, as the serial loop would raise it. Every child is
+    reaped before this returns; one whose results can no longer matter, or
+    that is still running when this process fails, is killed first.
+    """
+    workers = min(jobs, len(items)) if hasattr(os, "fork") else 1
+    if workers < 2:
+        return [fn(item) for item in items]
+    children: list[tuple[int, object]] = []  # (pid, pipe reader) of workers 1, 2, ...
+    received = 0
     try:
-        yield result
+        for worker in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _child(fn, items[worker::workers], write_fd)
+            os.close(write_fd)
+            children.append((pid, os.fdopen(read_fd, "rb")))
+        outcomes = [_apply(fn, items[0::workers])]
+        for worker, (_, reader) in enumerate(children, start=1):
+            if worker > _first_failure(outcomes, workers)[0]:
+                break  # each of this worker's items comes after a failing one
+            outcomes.append(_receive(reader))
+            received += 1
+        failure = _first_failure(outcomes, workers)[1]
+        if failure is not None:
+            raise failure
+        ordered = [None] * len(items)
+        for worker, (results, _) in enumerate(outcomes):
+            ordered[worker::workers] = results
+        return ordered
     finally:
-        reader.close()
-        if not done:
-            os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
+        for worker, (pid, reader) in enumerate(children, start=1):
+            reader.close()
+            if worker > received:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _alignments_for(pairs, iterations, model_kind, heuristic, jobs=1):
     """Both directions' tables and the symmetrized links; with jobs >= 2 the
     backward direction trains in a child while this process does the forward."""
-    with _beside(jobs, _backward_direction, pairs, iterations, model_kind) as backward:
-        fwd_table, fwd_dist = _train_directional(pairs, iterations, model_kind)
-        fwd_viterbi = _viterbi_rows(fwd_table, fwd_dist, pairs)
-        bwd_rows, bwd_viterbi = backward()
+    (fwd_rows, fwd_viterbi), (bwd_rows, bwd_viterbi) = _fork_map(
+        jobs, lambda backward: _direction(pairs, iterations, model_kind, backward), [False, True]
+    )
     # a backward row is indexed by source position and holds target positions
     links = [
         align.symmetrize(
@@ -384,7 +422,7 @@ def _alignments_for(pairs, iterations, model_kind, heuristic, jobs=1):
         )
         for f, b in zip(fwd_viterbi, bwd_viterbi)
     ]
-    return fwd_table, align.TTable(bwd_rows), links
+    return align.TTable(fwd_rows), align.TTable(bwd_rows), links
 
 
 def cmd_train_align(args) -> int:
@@ -519,35 +557,57 @@ def _load_decoder(args):
 
 
 def _decoder(backend: _Backend, models, stack_size: int, distortion_limit: int):
-    """decode(source, weights, nbest) -> n-best, for one backend and its models."""
+    """decode(source, weights, nbest) -> n-best, for one backend and its models.
+
+    A hypothesis is a (tokens, score, features) tuple, the features in the
+    decoder's order (line_search sums in it), so that it crosses a pipe
+    unchanged and reads the same whichever process decoded it.
+    """
 
     def decode(source, weights, nbest):
         config = backend.config(stack_size, distortion_limit, nbest)
-        return backend.decode(source, models, weights, config)
+        return [
+            (h.tokens, h.score, h.features) for h in backend.decode(source, models, weights, config)
+        ]
 
     return decode
 
 
-def _mert_decoder(decode):
-    """`decode` as tune.mert calls it: (index, source, weights, nbest) -> [(tokens, features)]."""
-    return lambda index, source, weights, nbest: [
-        (h.tokens, h.features) for h in decode(source, weights, nbest)
-    ]
+def _decode_all(decode, jobs: int, sources: list, weights, nbest: int) -> list[list]:
+    """Each source's n-best, decoded across `jobs` processes, in input order."""
+    return _fork_map(jobs, lambda source: decode(source, weights, nbest), sources)
+
+
+def _mert_decoder(decode, jobs: int):
+    """`decode` as tune.mert's batch decoder, across `jobs` processes: a dev
+    sentence that fails raises tune.SentenceError naming it."""
+
+    def decode_batch(sources, weights, nbest):
+        def decode_dev(item):
+            index, source = item
+            try:
+                return decode(source, weights, nbest)
+            except Exception as exc:
+                raise tune.SentenceError(index, str(exc)) from exc
+
+        return _fork_map(jobs, decode_dev, list(enumerate(sources)))
+
+    return decode_batch
 
 
 def _decode_sentences(sentences, args, weights, nbest) -> list[list]:
-    """Load the models args name, then decode each source to its n-best."""
-    decode = _load_decoder(args)
-    return [decode(s, weights, nbest) for s in sentences]
+    """Load the models args name, then decode each source to its n-best
+    across --jobs processes."""
+    return _decode_all(_load_decoder(args), args.jobs, sentences, weights, nbest)
 
 
 def _format_nbest(results) -> str:
     """One `index ||| tokens ||| name=value ... ||| score` line per hypothesis."""
     lines = []
     for index, hyps in enumerate(results):
-        for hyp in hyps:
-            features = " ".join(f"{k}={hyp.features[k]!r}" for k in sorted(hyp.features))
-            lines.append(f"{index} ||| {' '.join(hyp.tokens)} ||| {features} ||| {hyp.score!r}\n")
+        for tokens, score, feats in hyps:
+            features = " ".join(f"{k}={feats[k]!r}" for k in sorted(feats))
+            lines.append(f"{index} ||| {' '.join(tokens)} ||| {features} ||| {score!r}\n")
     return "".join(lines)
 
 
@@ -570,7 +630,7 @@ def cmd_translate(args) -> int:
     sentences = _read_sources(args.kind, text, lambda t: corpus.tokenize(t, args.lang))
     weights = _load_weights(args.weights)
     out_lines = [
-        corpus.detokenize(list(hyps[0].tokens), args.target_lang)
+        corpus.detokenize(list(hyps[0][0]), args.target_lang)
         for hyps in _decode_sentences(sentences, args, weights, 1)
     ]
     _write(args.output, "\n".join(out_lines) + "\n")
@@ -586,7 +646,8 @@ def cmd_tune(args) -> int:
         seed=args.seed,
     )
     dev_sources = _read_sources(args.kind, corpus.read_text(args.dev_source), _split_lines)
-    result = tune.mert(dev_sources, dev_refs, _mert_decoder(_load_decoder(args)), weights, config)
+    decode = _mert_decoder(_load_decoder(args), args.jobs)
+    result = tune.mert(dev_sources, dev_refs, decode, weights, config)
     _write(args.output, format_weights(result.weights, result.history))
     return EXIT_OK
 
@@ -728,7 +789,7 @@ def cmd_pipeline(args) -> int:
         result = tune.mert(
             sources(config.dev_trees, config.dev_source),
             corpus.read_sentences(config.dev_target, config.target_profile),
-            _mert_decoder(decode),
+            _mert_decoder(decode, args.jobs),
             weights,
             tune.MertConfig(
                 nbest=config.tune_nbest,
@@ -745,8 +806,8 @@ def cmd_pipeline(args) -> int:
     # decode the test split
     test_sources = sources(config.test_trees, config.test_source)
     test_refs = corpus.read_sentences(config.test_target, config.target_profile)
-    results = [decode(source, weights, config.decoder_nbest) for source in test_sources]
-    hyps = [list(nbest[0].tokens) for nbest in results]
+    results = _decode_all(decode, args.jobs, test_sources, weights, config.decoder_nbest)
+    hyps = [list(nbest[0][0]) for nbest in results]
     _write(out("test.nbest"), _format_nbest(results))
     _write(out("test.hyp"), _format_sentences(hyps))
     _write(
@@ -805,7 +866,7 @@ def build_parser() -> _Parser:
     parser.add_argument(
         "--jobs", type=int, default=1,
         help="processes; 2 or more train the two alignment directions side by side "
-        "(outputs never depend on it)",
+        "and split every batch of sentences to decode (outputs never depend on it)",
     )
     sub = parser.add_subparsers(dest="command")
 

@@ -181,8 +181,22 @@ def write_phrase_table(entries: list[PhraseEntry]) -> str:
     return "\n".join(format_phrase_entry(e) for e in entries) + "\n"
 
 
+def parse_lines(text: str, parse_line) -> list:
+    """parse_line(line) for each non-blank line of a table file's text; a
+    ValueError it raises becomes a PhraseError naming the line."""
+    entries = []
+    lineno = 0
+    try:
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            if line.strip():
+                entries.append(parse_line(line))
+    except ValueError as exc:
+        raise PhraseError(f"line {lineno}: {exc}") from None
+    return entries
+
+
 def read_phrase_table(text: str) -> list[PhraseEntry]:
-    return [parse_phrase_entry(line) for line in text.splitlines() if line.strip()]
+    return parse_lines(text, parse_phrase_entry)
 
 
 @dataclass
@@ -284,31 +298,28 @@ def write_reordering_table(entries: list[ReorderingEntry]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def parse_reordering_entry(line: str) -> ReorderingEntry:
+    fields = line.split(" ||| ")
+    if len(fields) != 3:
+        raise PhraseError(f"expected 3 ||| fields: {line!r}")
+    values = [float(x) for x in fields[2].split()]
+    if len(values) == 6:
+        orientations = MSD
+    elif len(values) == 8:
+        orientations = MSLR
+    else:
+        raise PhraseError(f"expected 6 or 8 probabilities: {line!r}")
+    half = len(orientations)
+    return ReorderingEntry(
+        tuple(fields[0].split()),
+        tuple(fields[1].split()),
+        dict(zip(orientations, values[:half])),
+        dict(zip(orientations, values[half:])),
+    )
+
+
 def read_reordering_table(text: str) -> list[ReorderingEntry]:
-    entries = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        fields = line.split(" ||| ")
-        if len(fields) != 3:
-            raise PhraseError(f"expected 3 ||| fields: {line!r}")
-        values = [float(x) for x in fields[2].split()]
-        if len(values) == 6:
-            orientations = MSD
-        elif len(values) == 8:
-            orientations = MSLR
-        else:
-            raise PhraseError(f"expected 6 or 8 probabilities: {line!r}")
-        half = len(orientations)
-        entries.append(
-            ReorderingEntry(
-                tuple(fields[0].split()),
-                tuple(fields[1].split()),
-                dict(zip(orientations, values[:half])),
-                dict(zip(orientations, values[half:])),
-            )
-        )
-    return entries
+    return parse_lines(text, parse_reordering_entry)
 
 
 @dataclass

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .align import NULL_WORD, TTable
 from .corpus import SentencePair
 from .deptree import DepSentence, is_projective
-from .phrasetab import PhraseError, _fmt_num, extract_phrases
+from .phrasetab import PhraseError, _fmt_num, extract_phrases, parse_lines
 
 
 @dataclass(frozen=True)
@@ -310,7 +310,7 @@ def write_rule_table(rules: list[RuleEntry]) -> str:
 
 
 def read_rule_table(text: str) -> list[RuleEntry]:
-    return [parse_rule(line) for line in text.splitlines() if line.strip()]
+    return parse_lines(text, parse_rule)
 
 
 # ---------------------------------------------------------------------------
@@ -560,4 +560,4 @@ def write_tree_rule_table(rules: list[TreeRule]) -> str:
 
 
 def read_tree_rule_table(text: str) -> list[TreeRule]:
-    return [parse_tree_rule(line) for line in text.splitlines() if line.strip()]
+    return parse_lines(text, parse_tree_rule)

@@ -97,14 +97,31 @@ def _envelope(lines: list[tuple[float, float, int]]) -> list[tuple[float, int]]:
     return [(x, ident) for _, _, ident, x in hull]
 
 
+def weighted_terms(pool: NBestPool, weights: FeatureWeights) -> list[list[tuple]]:
+    """Per sentence, its hypotheses in token order as (tokens, features,
+    terms): terms are the (name, weight * value) products in feature order.
+
+    An intercept in line_search sums these products, so one table serves
+    every coordinate searched from the same `weights`.
+    """
+    return [
+        [
+            (tokens, hyps[tokens], [(f, weights.get(f) * v) for f, v in hyps[tokens].items()])
+            for tokens in sorted(hyps)
+        ]
+        for hyps in pool.sentences
+    ]
+
+
 def line_search(
-    pool: NBestPool,
+    terms: list[list[tuple]],
     references: list[list[str]],
     weights: FeatureWeights,
     name: str,
     stats_cache: dict,
 ) -> tuple[float, float]:
-    """Best value for one weight and the pool BLEU it achieves."""
+    """Best value for one weight and the pool BLEU it achieves, from the
+    pool's weighted_terms(pool, weights)."""
     events: list[tuple[float, int, tuple, tuple]] = []  # (x, sentence, old stats, new stats)
     agg = [0] * len(bleu_stats([], []))  # summed stats of the current selection
 
@@ -118,21 +135,18 @@ def line_search(
         for k, value in enumerate(stats):
             agg[k] += sign * value
 
-    for index, hyps in enumerate(pool.sentences):
-        token_list = sorted(hyps)
-        lines = []
-        for ident, tokens in enumerate(token_list):
-            feats = hyps[tokens]
-            slope = feats.get(name, 0.0)
-            intercept = sum(
-                weights.get(f) * v for f, v in feats.items() if f != name
-            )
-            lines.append((slope, intercept, ident))
+    for index, hyps in enumerate(terms):
+        # summed in feature order, each intercept is the very float that a
+        # sum of weights.get(f) * v over the features gives
+        lines = [
+            (feats.get(name, 0.0), sum([p for f, p in products if f != name]), ident)
+            for ident, (_, feats, products) in enumerate(hyps)
+        ]
         segments = _envelope(lines)
-        add(stats_of(index, token_list[segments[0][1]]), +1)
+        add(stats_of(index, hyps[segments[0][1]][0]), +1)
         for (x, ident), (_, prev_ident) in zip(segments[1:], segments[:-1]):
             events.append(
-                (x, index, stats_of(index, token_list[prev_ident]), stats_of(index, token_list[ident]))
+                (x, index, stats_of(index, hyps[prev_ident][0]), stats_of(index, hyps[ident][0]))
             )
 
     events.sort(key=lambda e: e[0])
@@ -187,8 +201,9 @@ def optimize_pool(
         while True:
             best_candidate = None
             best_bleu = current_bleu
+            terms = weighted_terms(pool, current)
             for name in FeatureWeights.names():
-                value, predicted = line_search(pool, references, current, name, stats_cache)
+                value, predicted = line_search(terms, references, current, name, stats_cache)
                 if predicted <= best_bleu + 1e-12:
                     continue
                 candidate = current.replaced(name, value)
@@ -222,8 +237,18 @@ class MertResult:
     history: list[str]
 
 
-DecoderFn = Callable[[int, "object", FeatureWeights, int], list]
-"""(sentence index, source, weights, nbest) -> [(tokens, features), ...]"""
+DecoderFn = Callable[[list, FeatureWeights, int], list]
+"""(sources, weights, nbest) -> per source its n-best [(tokens, score, features), ...];
+a source it cannot decode raises SentenceError"""
+
+
+class SentenceError(Exception):
+    """A batch decoder's failure on the sentence at `index`."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(index, message)
+        self.index = index
+        self.message = message
 
 
 def mert(
@@ -247,13 +272,13 @@ def mert(
     final_pool_bleu = 0.0
 
     for iteration in range(config.max_iterations):
+        try:
+            nbests = decoder_fn(dev_sources, weights, config.nbest)
+        except SentenceError as exc:
+            raise RuntimeError(f"decoder failed on dev sentence {exc.index}: {exc.message}") from exc
         firsts = []
-        for index, source in enumerate(dev_sources):
-            try:
-                hyps = decoder_fn(index, source, weights, config.nbest)
-            except Exception as exc:
-                raise RuntimeError(f"decoder failed on dev sentence {index}: {exc}") from exc
-            for tokens, features in hyps:
+        for index, hyps in enumerate(nbests):
+            for tokens, _, features in hyps:
                 pool.add(index, tuple(tokens), dict(features))
             firsts.append(list(hyps[0][0]))
         dev_bleu = bleu(firsts, dev_references).score

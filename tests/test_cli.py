@@ -565,6 +565,25 @@ def _exit_code_cases():
         lambda p: ["decode", "--phrase-table", p["bad_table"], "--lm", p["lm"], "--input", p["in"]],
         EXIT_DATA, ["bad-table.txt"],
     ))
+    # each table reader names the line of a non-numeric score
+    for name, argv, texts in (
+        ("phrase-table", lambda p: ["--phrase-table", p["bad_phrases"], "--input", p["in"]],
+         ["bad-phrases.txt: line 3:", "'abc'"]),
+        ("reordering-table", lambda p: ["--phrase-table", p["table"], "--reordering",
+                                        p["bad_reordering"], "--input", p["in"]],
+         ["bad-reordering.txt: line 2:", "'abc'"]),
+        ("rule-table", lambda p: ["--kind", "hier", "--rule-table", p["bad_rules"],
+                                  "--input", p["in"]],
+         ["bad-rules.txt: line 2:", "'abc'"]),
+        ("tree-rule-table", lambda p: ["--kind", "tree", "--rule-table", p["bad_tree_rules"],
+                                       "--input", p["trees"]],
+         ["bad-tree-rules.txt: line 2:", "'abc'"]),
+    ):
+        cases.append((
+            f"non-numeric-{name}-line",
+            lambda p, argv=argv: ["decode", "--lm", p["lm"], *argv(p)],
+            EXIT_DATA, texts,
+        ))
     cases.append((
         "train-align-short-target",
         lambda p: ["train-align", "--source", p["train_src"], "--target", p["short_tgt"],
@@ -646,6 +665,24 @@ class TestExitCodeTable:
         fields[2] = "abc " + fields[2].split(" ", 1)[1]
         (root / "bad-table.txt").write_text(" ||| ".join(fields) + "\n" + rest, encoding="utf-8")
         (root / "bad.weights").write_text("# weights\nlm\tabc\n", encoding="utf-8")
+        lines = table.splitlines()
+        fields = lines[2].split(" ||| ")
+        fields[2] = "abc " + fields[2].split(" ", 1)[1]
+        lines[2] = " ||| ".join(fields)
+        (root / "bad-phrases.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        (root / "bad-reordering.txt").write_text(
+            "a ||| b ||| 0.5 0.25 0.25 0.5 0.25 0.25\nc ||| d ||| 0.5 abc 0.25 0.5 0.25 0.25\n",
+            encoding="utf-8",
+        )
+        (root / "bad-rules.txt").write_text(
+            "a [X] ||| b [X] ||| 0.5 0.5 0.5 0.5 ||| 0-0 ||| 1 1 1\n"
+            "c [X] ||| d [X] ||| 0.5 abc 0.5 0.5 ||| 0-0 ||| 1 1 1\n",
+            encoding="utf-8",
+        )
+        (root / "bad-tree-rules.txt").write_text(
+            "(root w:a) ||| b ||| 0.5 0.5 ||| 1 1\n(root w:c) ||| d ||| abc 0.5 ||| 1 1\n",
+            encoding="utf-8",
+        )
         (root / "in.txt").write_text("the dog sees the house .\n", encoding="utf-8")
         train_tgt = (tiny_fixture / "train.tgt").read_text(encoding="utf-8").splitlines()
         (root / "short.tgt").write_text("\n".join(train_tgt[:20]) + "\n", encoding="utf-8")
@@ -672,6 +709,10 @@ class TestExitCodeTable:
             "ttable": str(trained / "ttable-fwd.txt"),
             "bad_table": str(root / "bad-table.txt"),
             "bad_weights": str(root / "bad.weights"),
+            "bad_phrases": str(root / "bad-phrases.txt"),
+            "bad_reordering": str(root / "bad-reordering.txt"),
+            "bad_rules": str(root / "bad-rules.txt"),
+            "bad_tree_rules": str(root / "bad-tree-rules.txt"),
             "in": str(root / "in.txt"),
             "trees": f"{tiny_fixture}/test.conllu",
             "train_src": f"{tiny_fixture}/train.src",
@@ -700,22 +741,23 @@ class TestExitCodeTable:
             assert text in err
 
 
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="--jobs 2 runs inline without os.fork")
 class TestAlignJobs:
     """With --jobs 2 the backward alignment direction trains in a forked
     child. Nothing written may depend on --jobs, a failure on either side
     reads as with --jobs 1, and no child outlives the call."""
 
-    def assert_no_child_left(self):
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
     def train_align(self, jobs, source, target, out, *extra):
         argv = ["--jobs", jobs, "train-align", "--source", str(source), "--target", str(target),
                 "--output", f"{out}.links", "--ttable-fwd", f"{out}.fwd",
                 "--ttable-bwd", f"{out}.bwd", *extra]
         result = run(argv)
-        self.assert_no_child_left()
+        assert_no_child_left()
         return result
 
     @pytest.mark.parametrize("model", ["1", "2"])
@@ -756,20 +798,158 @@ class TestAlignJobs:
         assert code == EXIT_DATA and err.startswith("smtkit: data error: ")
 
     def test_child_outcome_crosses_the_pipe(self):
-        with cli._beside(2, sorted, [3, 1, 2]) as result:
-            assert result() == [1, 2, 3]
+        # item 0 is this process's, item 1 the child's
+        assert cli._fork_map(2, sorted, [[3, 1, 2], [5, 4]]) == [[1, 2, 3], [4, 5]]
         with pytest.raises(ValueError, match="invalid literal for int"):
-            with cli._beside(2, int, "x") as result:
-                result()
+            cli._fork_map(2, int, ["1", "x"])
         with pytest.raises(RuntimeError, match="ended without a result"):
-            with cli._beside(2, os._exit, 0) as result:
-                result()
-        started = time.monotonic()
-        with pytest.raises(KeyError):  # the parent fails before reading: the child is killed
-            with cli._beside(2, time.sleep, 60):
+            cli._fork_map(2, lambda item: os._exit(0) if item else item, [0, 1])
+
+        def parent_fails(item):
+            if item == 0:
                 raise KeyError("parent")
+            time.sleep(60)
+
+        started = time.monotonic()
+        with pytest.raises(KeyError):  # no child item precedes item 0: the child is killed
+            cli._fork_map(2, parent_fails, [0, 1])
         assert time.monotonic() - started < 30
-        self.assert_no_child_left()
+        assert_no_child_left()
+
+
+class Interrupted(BaseException):
+    """Not an Exception, so _fork_map does not hold it for a lower-index failure."""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="--jobs 2 runs inline without os.fork")
+class TestForkMap:
+    """`cli._fork_map` spreads items round robin over --jobs processes. What
+    it returns or raises may not depend on --jobs, and no child outlives it."""
+
+    @pytest.mark.parametrize("failing", [(), (0,), (3, 5), (5, 3), (4, 6), (1, 2), (6,)])
+    def test_lowest_failing_index_wins(self, failing):
+        def fn(item):
+            if item in failing:
+                raise ValueError(f"item {item}")
+            return [item, str(item), {"square": item * item}]
+
+        for jobs in (1, 2, 3, 4, 9):
+            if failing:
+                with pytest.raises(ValueError, match=f"^item {min(failing)}$"):
+                    cli._fork_map(jobs, fn, list(range(7)))
+            else:
+                assert cli._fork_map(jobs, fn, list(range(7))) == [fn(i) for i in range(7)]
+            assert_no_child_left()
+
+    def test_forks_at_most_one_less_than_items(self, monkeypatch):
+        forks = []
+        real_fork = os.fork
+
+        def counted_fork():
+            forks.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        for jobs, items, expected in ((8, [1, -2, 3], 2), (8, [-5], 0), (1, [1, -2, 3], 0),
+                                      (2, list(range(-9, 0)), 1), (8, [], 0)):
+            forks.clear()
+            assert cli._fork_map(jobs, abs, items) == [abs(i) for i in items]
+            assert len(forks) == expected, (jobs, items)
+        assert_no_child_left()
+
+    def test_interrupted_parent_kills_children(self):
+        def fn(item):
+            if item == 2:
+                raise Interrupted()
+            if item == 1:
+                time.sleep(60)
+            return item
+
+        started = time.monotonic()
+        with pytest.raises(Interrupted):  # item 2 is this process's; the child sleeps on item 1
+            cli._fork_map(2, fn, [0, 1, 2, 3])
+        assert time.monotonic() - started < 30
+        assert_no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="--jobs 2 runs inline without os.fork")
+class TestDecodeJobs:
+    """Test, MERT and decode/translate/tune batches decode across --jobs
+    processes; every byte written and every error must read as with
+    --jobs 1, and no child outlives a call."""
+
+    JOBS = ("1", "2", "3")
+
+    def run_jobs(self, argv, jobs):
+        result = run(["--jobs", jobs, *argv])
+        assert_no_child_left()
+        return result
+
+    def written(self, directory):
+        return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+    @pytest.mark.parametrize("kind,extra", [
+        ("phrase", ("reorder.enabled = true", "reorder.orientation_set = msd",
+                    "tune.iterations = 2", "tune.nbest = 10", "decoder.nbest = 3")),
+        ("tree", ("tune.iterations = 2", "tune.nbest = 5", "decoder.nbest = 3")),
+        ("hier", ("tune.enabled = false", "decoder.stack_size = 10", "decoder.nbest = 3")),
+    ], ids=["phrase-msd-tuned", "tree-tuned", "hier"])
+    def test_pipeline_bytes_do_not_depend_on_jobs(self, tiny_fixture, tmp_path, kind, extra):
+        model = tmp_path / "model"
+        config = write_pipeline_config(tmp_path / "p.cfg", tiny_fixture, model, kind, *extra)
+        outputs = {}
+        for jobs in self.JOBS:
+            code, _, err = self.run_jobs(["pipeline", "--config", str(config)], jobs)
+            assert code == EXIT_OK, err
+            outputs[jobs] = self.written(model)
+            for path in model.iterdir():
+                path.unlink()
+        assert outputs["1"] == outputs["2"] == outputs["3"]
+        assert outputs["1"]["test.nbest"].count(b"\n") > 5  # an n-best list, not one line each
+
+    def test_decode_translate_tune_bytes_do_not_depend_on_jobs(self, trained, fixture_dir, tmp_path):
+        model = ["--lm", str(trained / "lm.arpa"), "--phrase-table", str(trained / "phrase-table.txt")]
+        commands = {
+            "decode": ["decode", *model, "--weights", str(trained / "weights.txt"), "--nbest", "5",
+                       "--input", f"{fixture_dir}/test.src"],
+            "translate": ["translate", *model, "--input", f"{fixture_dir}/test.src"],
+            "tune": ["tune", *model, "--dev-source", f"{fixture_dir}/dev.src",
+                     "--dev-target", f"{fixture_dir}/dev.tgt", "--iterations", "2", "--nbest", "10"],
+        }
+        for name, argv in commands.items():
+            outputs = []
+            for jobs in self.JOBS:
+                out = tmp_path / f"{name}-{jobs}.txt"
+                code, _, err = self.run_jobs([*argv, "--output", str(out)], jobs)
+                assert code == EXIT_OK, err
+                outputs.append(out.read_bytes())
+            assert outputs[0] == outputs[1] == outputs[2], name
+            assert outputs[0].count(b"\n") >= 10, name
+
+    @pytest.mark.parametrize("blank", [(1, 2), (2, 3)], ids=["child-first", "parent-first"])
+    def test_failing_sentence_reads_as_serial(self, trained, fixture_dir, tmp_path, blank):
+        """A blank line cannot be decoded. With --jobs 2, sentence 1 and 3 are
+        the child's and 2 the parent's, so the lowest failing sentence is the
+        child's in one case and the parent's in the other."""
+        lines = (fixture_dir / "dev.src").read_text(encoding="utf-8").splitlines()
+        for index in blank:
+            lines[index] = ""
+        source = tmp_path / "blank.src"
+        source.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        model = ["--lm", str(trained / "lm.arpa"), "--phrase-table", str(trained / "phrase-table.txt")]
+        commands = {
+            "decode": ["decode", *model, "--input", str(source), "--output", str(tmp_path / "out")],
+            "tune": ["tune", *model, "--dev-source", str(source),
+                     "--dev-target", f"{fixture_dir}/dev.tgt", "--output", str(tmp_path / "out")],
+        }
+        for name, argv in commands.items():
+            results = [self.run_jobs(argv, jobs) for jobs in self.JOBS]
+            assert results[0] == results[1] == results[2], name
+            code, _, err = results[0]
+            assert code != EXIT_OK and "cannot decode an empty sentence" in err, err
+            if name == "decode":
+                assert code == EXIT_DATA
+        assert f"decoder failed on dev sentence {blank[0]}: " in results[0][2]
 
 
 class TestBenchmarkHooks:
@@ -824,6 +1004,20 @@ class TestBenchmarkHooks:
         assert all(reader_calls.values()) and all(table_calls.values()), (reader_calls, table_calls)
         assert all(tree_table_calls.values()), tree_table_calls
         assert all(tune_calls.values()), tune_calls
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="--jobs 2 runs inline without os.fork")
+    def test_decoder_hooks_seen_in_parent(self, tiny_fixture, tmp_path, monkeypatch):
+        """bench/spans.py times decoding by wrapping `cli.decode_phrase` and
+        `cli.decode_tree`; with --jobs 2 the parent decodes sentences 0, 2
+        and 4 of the five test sentences itself, through those names."""
+        calls, _ = self._count(monkeypatch, cli, ["decode_phrase", "decode_tree"])
+        for kind in ("phrase", "tree"):
+            config = write_pipeline_config(
+                tmp_path / f"{kind}.cfg", tiny_fixture, tmp_path / kind, kind, "tune.enabled = false",
+            )
+            code, _, err = run(["--jobs", "2", "pipeline", "--config", str(config)])
+            assert code == EXIT_OK, err
+        assert calls == {"decode_phrase": 3, "decode_tree": 3}, calls
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="--jobs 2 runs inline without os.fork")
     def test_alignment_hooks_seen_in_parent(self, tiny_fixture, tmp_path, monkeypatch):

@@ -5,7 +5,16 @@ import pytest
 
 from smtkit.decoder.weights import FeatureWeights
 from smtkit.evaluate import EvalError
-from smtkit.tune import MertConfig, NBestPool, line_search, mert, optimize_pool, pool_bleu
+from smtkit.tune import (
+    MertConfig,
+    NBestPool,
+    SentenceError,
+    line_search,
+    mert,
+    optimize_pool,
+    pool_bleu,
+    weighted_terms,
+)
 
 
 def zero_weights(**overrides):
@@ -101,7 +110,7 @@ class TestLineSearch:
                     {"lm": rng.uniform(-3, 0), "phi_t_given_s": rng.uniform(-3, 0)},
                 )
         weights = FeatureWeights()
-        value, predicted = line_search(pool, refs, weights, "lm", {})
+        value, predicted = line_search(weighted_terms(pool, weights), refs, weights, "lm", {})
         grid_best = max(
             pool_bleu(pool, weights.replaced("lm", x), refs)
             for x in np.linspace(-20.0, 20.0, 10001)
@@ -114,7 +123,7 @@ class TestLineSearch:
     def test_unused_feature_is_flat(self):
         pool, refs = ratio_pool()
         weights = zero_weights(phi_t_given_s=1.0, lm=1.0)
-        value, predicted = line_search(pool, refs, weights, "glue", {})
+        value, predicted = line_search(weighted_terms(pool, weights), refs, weights, "glue", {})
         assert value == weights.glue
         assert predicted == pytest.approx(pool_bleu(pool, weights, refs))
 
@@ -163,19 +172,20 @@ class TestOptimizePool:
 
 
 class FixtureDecoder:
-    """Chooses from a fixed hypothesis set by current weights, like a decoder."""
+    """Chooses from a fixed hypothesis set by current weights, like a batch decoder."""
 
     def __init__(self, options):
         self.options = options  # per sentence: list of (tokens, features)
         self.calls = 0
 
-    def __call__(self, index, source, weights, nbest):
+    def __call__(self, sources, weights, nbest):
         self.calls += 1
-        ranked = sorted(
-            self.options[index],
-            key=lambda o: (-weights.dot(o[1]), o[0]),
-        )
-        return ranked[:nbest]
+        assert len(sources) == len(self.options)
+        nbests = []
+        for options in self.options:
+            ranked = sorted(options, key=lambda o: (-weights.dot(o[1]), o[0]))
+            nbests.append([(tokens, weights.dot(feats), feats) for tokens, feats in ranked[:nbest]])
+        return nbests
 
 
 class TestMert:
@@ -206,11 +216,12 @@ class TestMert:
         assert result.history
 
     def test_decoder_failure_names_sentence(self):
-        def broken(index, source, weights, nbest):
-            raise RuntimeError("boom")
+        def broken(sources, weights, nbest):
+            raise SentenceError(1, "boom")
 
-        with pytest.raises(RuntimeError, match="dev sentence 0"):
-            mert(["s"], [["r", "e", "f", "s"]], broken, FeatureWeights(), MertConfig(max_iterations=1))
+        refs = [["r", "e", "f", "s"]] * 2
+        with pytest.raises(RuntimeError, match="^decoder failed on dev sentence 1: boom$"):
+            mert(["s", "t"], refs, broken, FeatureWeights(), MertConfig(max_iterations=1))
 
     def test_empty_dev_set_rejected(self):
         with pytest.raises(EvalError):
