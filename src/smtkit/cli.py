@@ -580,14 +580,15 @@ def _decode_all(decode, jobs: int, sources: list, weights, nbest: int) -> list[l
 
 def _mert_decoder(decode, jobs: int):
     """`decode` as tune.mert's batch decoder, across `jobs` processes: a dev
-    sentence that fails raises tune.SentenceError naming it."""
+    sentence the decoder rejects as input raises tune.SentenceError naming
+    it; any other failure is a bug and propagates as it is."""
 
     def decode_batch(sources, weights, nbest):
         def decode_dev(item):
             index, source = item
             try:
                 return decode(source, weights, nbest)
-            except Exception as exc:
+            except DATA_ERRORS as exc:
                 raise tune.SentenceError(index, str(exc)) from exc
 
         return _fork_map(jobs, decode_dev, list(enumerate(sources)))

@@ -1,16 +1,22 @@
 """Stack-based beam search for phrase models.
 
 Hypotheses are organized into stacks by the number of covered source words.
-Recombination keys on (coverage, LM context, end of last phrase); with a
-lexicalized reordering model the identity and span of the last phrase join
-the key, because the pending backward orientation depends on them. With an
-unlimited stack and no distortion limit the search is exhaustive dynamic
-programming, which is what the oracle-equivalence tests rely on.
+Recombination keys on (coverage, LM state, end of last phrase, reordering
+id). The LM state is the hypothesis's LM context interned as a small int for
+the length of one decode. With a lexicalized reordering model the reordering
+id names the (src, tgt) entry of the last phrase, because the pending
+backward orientation depends on it; without one it is the same for every
+hypothesis. With an unlimited stack and no distortion limit the search is
+exhaustive dynamic programming, which is what the oracle-equivalence tests
+rely on.
+
+A hypothesis points back to its parent and to the option it applied; its
+output tokens are built only once it survives its stack's beam, and the
+steps of a derivation only for the returned n-best.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -98,21 +104,6 @@ class Step:
 
 
 @dataclass
-class Hypothesis:
-    coverage: int  # bit mask
-    covered: int
-    last_end: int  # exclusive source position after last phrase
-    ctx: tuple[int, ...]  # LM context ids
-    tokens: tuple[str, ...]
-    score: float  # accumulated weighted score
-    future: float
-    steps: tuple[Step, ...]
-
-    def sort_key(self):
-        return (-(self.score + self.future), self.tokens, self.coverage, self.last_end)
-
-
-@dataclass
 class DecodedHypothesis:
     tokens: tuple[str, ...]
     score: float
@@ -186,22 +177,77 @@ def lm_prefix_score(lm: NGramModel, tokens: tuple[str, ...]) -> float:
     return total
 
 
+class _LmStates:
+    """The LM contexts of one decode as small ints, with memoized transitions.
+
+    Each distinct context tuple is interned once; `word` scores a word after
+    a state once per distinct (state, word) pair and returns the state it
+    leads to. `rows` holds, per state, the (LM delta, next state) of every
+    distinct target side of the translation options, each filled when the
+    search first applies it after that state. An instance lives for one
+    `decode_phrase` call.
+    """
+
+    def __init__(self, lm: NGramModel):
+        self.lm = lm
+        self.cut = lm.order - 1
+        self.eos_id = lm.vocab.id_of(EOS)
+        self.contexts: list[tuple[int, ...]] = []
+        self.ids: dict[tuple[int, ...], int] = {}
+        self.transitions: dict[tuple[int, int], tuple[float, int]] = {}
+        self.eos: list[float | None] = []
+        self.rows: list[list | None] = []
+
+    def state(self, ctx: tuple[int, ...]) -> int:
+        state = self.ids.get(ctx)
+        if state is None:
+            state = self.ids[ctx] = len(self.contexts)
+            self.contexts.append(ctx)
+            self.eos.append(None)
+            self.rows.append(None)
+        return state
+
+    def word(self, state: int, wid: int) -> tuple[float, int]:
+        """log10 p(wid | state) and the state after it."""
+        key = (state, wid)
+        hit = self.transitions.get(key)
+        if hit is None:
+            ctx = self.contexts[state]
+            hit = self.transitions[key] = (
+                self.lm.score_ids(ctx, wid),
+                self.state((ctx + (wid,))[-self.cut:]),
+            )
+        return hit
+
+    def advance(self, state: int, ids: tuple[int, ...]) -> tuple[float, int]:
+        """Summed log10 score of `ids` after `state`, and the state they reach."""
+        transitions = self.transitions
+        total = 0.0
+        for wid in ids:
+            score, state = transitions.get((state, wid)) or self.word(state, wid)
+            total += score
+        return total, state
+
+    def end(self, state: int) -> float:
+        """log10 p(</s> | state)."""
+        score = self.eos[state]
+        if score is None:
+            score = self.eos[state] = self.word(state, self.eos_id)[0]
+        return score
+
+
 def future_cost_table(
-    sentence: list[str],
-    options: dict[tuple[int, int], list[Step]],
-    models: PhraseModels,
-    weights: FeatureWeights,
+    n: int, estimates: dict[tuple[int, int], list[float]]
 ) -> dict[tuple[int, int], float]:
-    """Best-case span estimates: phrase-local features plus context-free LM."""
-    n = len(sentence)
+    """Best-case span scores: the best option estimate of a span (its
+    phrase-local score plus its context-free LM score), or the best split of
+    the span in two."""
     table: dict[tuple[int, int], float] = {}
     for width in range(1, n + 1):
         for i in range(0, n - width + 1):
             j = i + width
             best = -math.inf
-            for step in options.get((i, j), []):
-                score = sum(weights.get(name) * v for name, v in step.features)
-                score += weights.lm * lm_prefix_score(models.lm, step.tgt)
+            for score in estimates.get((i, j), ()):
                 best = max(best, score)
             for k in range(i + 1, j):
                 combined = table[(i, k)] + table[(k, j)]
@@ -254,13 +300,40 @@ def _backward_log(models: PhraseModels, step: Step, next_start: int, next_end: i
     return logs[1][_orientation_name(next_start, next_end, step.start, step.end)]
 
 
-def _final_reordering_for(
-    models: PhraseModels, weights: FeatureWeights, step: Step, n: int
-) -> float:
-    """Weighted backward score of the last phrase against the sentence end."""
-    if models.reordering_logs(step.entry_key) is None:
-        return 0.0
-    return weights.reordering * _backward_log(models, step, n, n + 1)
+# A search hypothesis is a list [total, score, coverage, last_end, state,
+# parent, option, tokens]: `total` is `score` plus the future cost of the
+# uncovered words, `state` the interned LM context, `parent` the hypothesis
+# it extends by `option` (an index into the decode's options), and `tokens`
+# its output, None until it survives a stack's beam.
+_TOTAL, _SCORE, _COVERAGE, _LAST_END, _STATE, _PARENT, _OPTION, _TOKENS = range(8)
+
+
+def _survivors(stack: dict, beam_width: int | None, steps: list[Step]) -> list[list]:
+    """The hypotheses of a stack that its beam keeps, best first.
+
+    Equal to sorting the whole stack (in insertion order) by the key
+    (-total, tokens, coverage, last_end) and keeping `beam_width`: a
+    hypothesis whose total is below the beam's worst total cannot make the
+    cut, so output tokens are built and compared only for the rest.
+    """
+    hyps = list(stack.values())
+    if beam_width is not None and len(hyps) > beam_width:
+        cut = sorted([hyp[_TOTAL] for hyp in hyps], reverse=True)[beam_width - 1]
+        hyps = [hyp for hyp in hyps if hyp[_TOTAL] >= cut]
+    for hyp in hyps:
+        if hyp[_TOKENS] is None:
+            hyp[_TOKENS] = hyp[_PARENT][_TOKENS] + steps[hyp[_OPTION]].tgt
+    hyps.sort(key=lambda hyp: (-hyp[_TOTAL], hyp[_TOKENS], hyp[_COVERAGE], hyp[_LAST_END]))
+    return hyps[:beam_width]
+
+
+def _derivation_steps(hyp: list, option: int, steps: list[Step]) -> tuple[Step, ...]:
+    """The steps of the derivation that applies `option` to `hyp`."""
+    derivation = [steps[option]]
+    while hyp[_PARENT] is not None:
+        derivation.append(steps[hyp[_OPTION]])
+        hyp = hyp[_PARENT]
+    return tuple(reversed(derivation))
 
 
 def decode_phrase(
@@ -271,19 +344,26 @@ def decode_phrase(
 ) -> list[DecodedHypothesis]:
     """Beam-search decode; returns up to nbest hypotheses, best first.
 
-    Recombination keeps a single survivor per key; n-best variety comes
-    from widening the per-stack beam to at least 2*nbest keys and from
-    every distinct completed derivation encountered along the way.
+    Recombination keeps a single survivor per key (coverage, LM state, end
+    of the last phrase, reordering id); n-best variety comes from widening
+    the per-stack beam to at least 2*nbest keys and from every distinct
+    completed derivation encountered along the way. The reordering id is
+    the interned `entry_key` of the last phrase when a reordering model is
+    loaded (its pending backward orientation depends on the entry) and the
+    same for every option otherwise.
 
-    Each decode computes once, for its own options and weights: the weighted
-    phrase-local score and the LM ids of every option, LM deltas by
-    (context, target ids), the </s> score by context and future costs by
-    coverage. Orientation log-scores are memoized per phrase entry on
-    `models`; an expansion's orientations follow from the previous phrase's
-    span and the new span alone, so they are resolved once per span and
-    each option adds only its own forward log-score. A completed derivation
-    keeps only its score and steps; the full feature vector is computed for
-    the returned n-best alone.
+    Everything below is computed per decode and dropped when it returns.
+    The weighted phrase-local score, LM ids and reordering scores of every
+    option are computed once. LM contexts are interned as small ints, and
+    `NGramModel.score_ids` runs once per distinct (context, word): each
+    state keeps a row of (LM delta, next state) per distinct option target
+    side, so extending a hypothesis costs one list lookup. Future costs are memoized by coverage.
+    An expansion's orientations follow from the previous phrase's span and
+    the new span alone, so they are resolved once per span. A hypothesis
+    holds a back-pointer to its parent and the option it applied: output
+    tokens are built only for the hypotheses that survive a stack's beam
+    and for completions, the derivation's steps and full feature vector
+    only for the returned n-best.
     """
     weights = weights or FeatureWeights()
     config = config or DecodeConfig()
@@ -294,17 +374,51 @@ def decode_phrase(
 
     n = len(sentence)
     lm = models.lm
-    order_cut = lm.order - 1
-    options = build_options(sentence, models)
-    future = future_cost_table(sentence, options, models, weights)
+    lm_states = _LmStates(lm)
+    empty_state = lm_states.state(())
+    bos_state = lm_states.state((lm.vocab.id_of(BOS),))
+    track_reorder = bool(models.reordering)
+    distortion_weight = weights.distortion
+    lm_weight = weights.lm
+    reordering_weight = weights.reordering
+    limit = config.distortion_limit
     beam_width = config.stack_size
     if beam_width is not None and config.nbest > 1:
         beam_width = max(beam_width, 2 * config.nbest)
 
-    # per-decode caches: LM deltas by (context, target ids), </s> scores by
-    # context and future costs by coverage mask
-    lm_cache: dict[tuple, tuple[float, tuple[int, ...]]] = {}
-    eos_cache: dict[tuple[int, ...], float] = {}
+    # per option, indexed across all spans: its step, its weighted
+    # phrase-local score, the index of its LM ids among the distinct target
+    # sides, its reordering log-scores, its reordering id and its weighted
+    # backward score against the sentence end; per span: its coverage mask,
+    # width and options
+    steps: list[Step] = []
+    target_ids: dict[tuple[int, ...], int] = {}
+    span_options = []
+    estimates: dict[tuple[int, int], list[float]] = {}
+    reorder_ids: dict[tuple | None, int] = {}
+    for (i, j), span_steps in sorted(build_options(sentence, models).items()):
+        scored = []
+        for step in span_steps:
+            local = sum(weights.get(name) * v for name, v in step.features)
+            ids = tuple(lm.vocab.id_of(w) for w in step.tgt)
+            estimate = local
+            estimate += lm_weight * lm_states.advance(empty_state, ids)[0]
+            estimates.setdefault((i, j), []).append(estimate)
+            reorder_logs = models.reordering_logs(step.entry_key)
+            final = 0.0
+            reorder_id = 0
+            if track_reorder:
+                reorder_id = reorder_ids.setdefault(step.entry_key, len(reorder_ids))
+                if reorder_logs is not None:
+                    final = reordering_weight * reorder_logs[1][_orientation_name(n, n + 1, i, j)]
+            target = target_ids.setdefault(ids, len(target_ids))
+            scored.append((len(steps), step, local, target, reorder_logs, reorder_id, final))
+            steps.append(step)
+        span_options.append((i, j, ((1 << (j - i)) - 1) << i, j - i, scored))
+    target_count = len(target_ids)
+    ids_of = list(target_ids)
+
+    future = future_cost_table(n, estimates)
     future_cache: dict[int, float] = {}
 
     def future_of(coverage: int) -> float:
@@ -314,124 +428,74 @@ def decode_phrase(
             future_cache[coverage] = cached
         return cached
 
-    def lm_delta(ctx: tuple[int, ...], ids: tuple[int, ...]) -> tuple[float, tuple[int, ...]]:
-        total = 0.0
-        cur = ctx
-        for wid in ids:
-            total += lm.score_ids(cur, wid)
-            cur = (cur + (wid,))[-order_cut:]
-        lm_cache[(ctx, ids)] = (total, cur)
-        return total, cur
-
-    def eos_score(ctx: tuple[int, ...]) -> float:
-        cached = eos_cache.get(ctx)
-        if cached is None:
-            cached = lm.score_ids(ctx, eos_id)
-            eos_cache[ctx] = cached
-        return cached
-
-    bos_ctx = (lm.vocab.id_of(BOS),)
-    eos_id = lm.vocab.id_of(EOS)
-    init = Hypothesis(
-        coverage=0,
-        covered=0,
-        last_end=0,
-        ctx=bos_ctx,
-        tokens=(),
-        score=0.0,
-        future=future_of(0),
-        steps=(),
-    )
-    stacks: list[dict[tuple, Hypothesis]] = [dict() for _ in range(n + 1)]
-    stacks[0][(0, bos_ctx, 0, None)] = init
-    # best (score, steps) per distinct output
-    completed: dict[tuple[str, ...], tuple[float, tuple[Step, ...]]] = {}
+    rows = lm_states.rows
+    advance = lm_states.advance
+    end = lm_states.end
+    stacks: list[dict[tuple, list]] = [dict() for _ in range(n + 1)]
+    stacks[0][(0, bos_state, 0, None)] = [future_of(0), 0.0, 0, 0, bos_state, None, None, ()]
+    # best (score, hypothesis, last option) per distinct output
+    completed: dict[tuple[str, ...], tuple[float, list, int]] = {}
     full_mask = (1 << n) - 1
-    # per span: its coverage mask and, per option, the weighted phrase-local
-    # score, the LM ids of the target words and the reordering log-scores
-    span_options = [
-        (
-            i,
-            j,
-            ((1 << (j - i)) - 1) << i,
-            [
-                (
-                    step,
-                    sum(weights.get(name) * v for name, v in step.features),
-                    tuple(lm.vocab.id_of(w) for w in step.tgt),
-                    models.reordering_logs(step.entry_key),
-                )
-                for step in steps
-            ],
-        )
-        for (i, j), steps in sorted(options.items())
-    ]
-    track_reorder = bool(models.reordering)
-    distortion_weight = weights.distortion
-    lm_weight = weights.lm
-    reordering_weight = weights.reordering
-    limit = config.distortion_limit
 
     for count in range(n):
         stack = stacks[count]
         if not stack:
             continue
-        if beam_width is None:
-            survivors = sorted(stack.values(), key=Hypothesis.sort_key)
-        else:
-            survivors = heapq.nsmallest(beam_width, stack.values(), key=Hypothesis.sort_key)
-        for hyp in survivors:
-            coverage = hyp.coverage
-            last_end = hyp.last_end
-            hyp_ctx = hyp.ctx
-            prev = hyp.steps[-1] if hyp.steps else None
-            prev_start = prev.start if prev is not None else 0
-            for i, j, mask, scored in span_options:
+        for hyp in _survivors(stack, beam_width, steps):
+            _, score, coverage, last_end, state, _, prev, tokens = hyp
+            row = rows[state]
+            if row is None:
+                row = rows[state] = [None] * target_count
+            prev_start = 0
+            prev_logs = None
+            if prev is not None:
+                prev_start = steps[prev].start
+                prev_logs = models.reordering_logs(steps[prev].entry_key)
+            for i, j, mask, width, scored in span_options:
                 if coverage & mask:
                     continue
                 jump = i - last_end if i >= last_end else last_end - i
                 if limit is not None and jump > limit:
                     continue
-                base = hyp.score + distortion_weight * -float(jump)
+                base = score + distortion_weight * -float(jump)
                 new_coverage = coverage | mask
+                complete = new_coverage == full_mask
                 if track_reorder:
                     # the span fixes both orientations: the new phrase's
                     # forward one and the previous phrase's backward one
                     forward_orient = _orientation_name(prev_start, last_end, i, j)
                     backward = 0.0
-                    if prev is not None:
-                        backward = _backward_log(models, prev, i, j)
-                for step, local, ids, reorder_logs in scored:
+                    if prev_logs is not None:
+                        backward = prev_logs[1][_orientation_name(i, j, prev_start, last_end)]
+                if not complete:
+                    target_stack = stacks[count + width]
+                    new_future = future_of(new_coverage)
+                for option, step, local, target, reorder_logs, reorder_id, final in scored:
                     inc = base + local
-                    delta, ctx = lm_cache.get((hyp_ctx, ids)) or lm_delta(hyp_ctx, ids)
+                    transition = row[target]
+                    if transition is None:
+                        transition = row[target] = advance(state, ids_of[target])
+                    delta, next_state = transition
                     inc += lm_weight * delta
                     if track_reorder:
                         forward = reorder_logs[0][forward_orient] if reorder_logs else 0.0
                         inc += reordering_weight * (forward + backward)
-                    if new_coverage == full_mask:
-                        score = inc + lm_weight * eos_score(ctx)
+                    if complete:
+                        done = inc + lm_weight * end(next_state)
                         if track_reorder:
-                            score += _final_reordering_for(models, weights, step, n)
-                        tokens = hyp.tokens + step.tgt
-                        existing = completed.get(tokens)
-                        if existing is None or score > existing[0]:
-                            completed[tokens] = (score, hyp.steps + (step,))
+                            done += final
+                        output = tokens + step.tgt
+                        existing = completed.get(output)
+                        if existing is None or done > existing[0]:
+                            completed[output] = (done, hyp, option)
                         continue
-                    key = (new_coverage, ctx, j, step.entry_key if track_reorder else None)
-                    target_stack = stacks[hyp.covered + (j - i)]
+                    key = (new_coverage, next_state, j, reorder_id)
                     other = target_stack.get(key)
-                    if other is not None and other.score >= inc:
+                    if other is not None and other[_SCORE] >= inc:
                         continue
-                    target_stack[key] = Hypothesis(
-                        coverage=new_coverage,
-                        covered=hyp.covered + (j - i),
-                        last_end=j,
-                        ctx=ctx,
-                        tokens=hyp.tokens + step.tgt,
-                        score=inc,
-                        future=future_of(new_coverage),
-                        steps=hyp.steps + (step,),
-                    )
+                    target_stack[key] = [
+                        inc + new_future, inc, new_coverage, j, next_state, hyp, option, None
+                    ]
 
     if not completed:
         if config.distortion_limit == 0:
@@ -440,18 +504,21 @@ def decode_phrase(
         return decode_phrase(sentence, models, weights, fallback)
 
     ranked = sorted(completed.items(), key=lambda item: (-item[1][0], item[0]))
-    return [
-        DecodedHypothesis(tokens, score, derivation_features(steps, models, n), steps)
-        for tokens, (score, steps) in ranked[: max(config.nbest, 1)]
-    ]
+    results = []
+    for tokens, (score, hyp, option) in ranked[: max(config.nbest, 1)]:
+        derivation = _derivation_steps(hyp, option, steps)
+        features = _phrase_and_order_features(derivation, models, n)
+        delta, state = advance(bos_state, tuple(lm.vocab.id_of(w) for w in tokens))
+        features["lm"] = delta + end(state)
+        results.append(DecodedHypothesis(tokens, score, features, derivation))
+    return results
 
 
-def derivation_features(
+def _phrase_and_order_features(
     steps: tuple[Step, ...], models: PhraseModels, n: int
 ) -> dict[str, float]:
-    """Recompute the full feature vector of a derivation from scratch."""
+    """The feature vector of a derivation without its LM score."""
     features: dict[str, float] = {}
-    tokens: tuple[str, ...] = ()
     last_start, last_end = 0, 0
     prev: Step | None = None
     distortion = 0.0
@@ -463,7 +530,6 @@ def derivation_features(
             reorder += _forward_log(models, step, last_start, last_end)
             if prev is not None:
                 reorder += _backward_log(models, prev, step.start, step.end)
-        tokens += step.tgt
         last_start, last_end = step.start, step.end
         prev = step
     if models.reordering and prev is not None:
@@ -471,8 +537,16 @@ def derivation_features(
     features["distortion"] = -distortion
     if models.reordering:
         features["reordering"] = reorder
-    total_lm, _ = models.lm.score_sentence(list(tokens))
-    features["lm"] = total_lm
+    return features
+
+
+def derivation_features(
+    steps: tuple[Step, ...], models: PhraseModels, n: int
+) -> dict[str, float]:
+    """Recompute the full feature vector of a derivation from scratch."""
+    features = _phrase_and_order_features(steps, models, n)
+    tokens = [w for step in steps for w in step.tgt]
+    features["lm"], _ = models.lm.score_sentence(tokens)
     return features
 
 

@@ -503,11 +503,11 @@ def format_tree_rule(rule: TreeRule) -> str:
 
 
 def _parse_fragment(text: str, pos: int) -> tuple[Fragment, int]:
-    if text[pos] != "(":
+    if pos >= len(text) or text[pos] != "(":
         raise PhraseError(f"expected '(' at offset {pos}")
     pos += 1
     end = pos
-    while text[end] not in " )":
+    while end < len(text) and text[end] not in " )":
         end += 1
     label = text[pos:end]
     pos = end

@@ -275,7 +275,7 @@ def mert(
         try:
             nbests = decoder_fn(dev_sources, weights, config.nbest)
         except SentenceError as exc:
-            raise RuntimeError(f"decoder failed on dev sentence {exc.index}: {exc.message}") from exc
+            raise EvalError(f"decoder failed on dev sentence {exc.index}: {exc.message}") from exc
         firsts = []
         for index, hyps in enumerate(nbests):
             for tokens, _, features in hyps:

@@ -585,6 +585,12 @@ def _exit_code_cases():
             EXIT_DATA, texts,
         ))
     cases.append((
+        "unterminated-tree-rule-fragment",
+        lambda p: ["decode", "--lm", p["lm"], "--kind", "tree", "--rule-table", p["cut_tree_rules"],
+                   "--input", p["trees"]],
+        EXIT_DATA, ["cut-tree-rules.txt: line 2:", "unterminated fragment"],
+    ))
+    cases.append((
         "train-align-short-target",
         lambda p: ["train-align", "--source", p["train_src"], "--target", p["short_tgt"],
                    "--iterations", "1", "--output", p["out"]],
@@ -683,6 +689,9 @@ class TestExitCodeTable:
             "(root w:a) ||| b ||| 0.5 0.5 ||| 1 1\n(root w:c) ||| d ||| abc 0.5 ||| 1 1\n",
             encoding="utf-8",
         )
+        (root / "cut-tree-rules.txt").write_text(
+            "(root w:a) ||| b ||| 0.5 0.5 ||| 1 1\n(root ||| b ||| 0.5 ||| 1\n", encoding="utf-8"
+        )
         (root / "in.txt").write_text("the dog sees the house .\n", encoding="utf-8")
         train_tgt = (tiny_fixture / "train.tgt").read_text(encoding="utf-8").splitlines()
         (root / "short.tgt").write_text("\n".join(train_tgt[:20]) + "\n", encoding="utf-8")
@@ -713,6 +722,7 @@ class TestExitCodeTable:
             "bad_reordering": str(root / "bad-reordering.txt"),
             "bad_rules": str(root / "bad-rules.txt"),
             "bad_tree_rules": str(root / "bad-tree-rules.txt"),
+            "cut_tree_rules": str(root / "cut-tree-rules.txt"),
             "in": str(root / "in.txt"),
             "trees": f"{tiny_fixture}/test.conllu",
             "train_src": f"{tiny_fixture}/train.src",
@@ -937,19 +947,23 @@ class TestDecodeJobs:
         source = tmp_path / "blank.src"
         source.write_text("\n".join(lines) + "\n", encoding="utf-8")
         model = ["--lm", str(trained / "lm.arpa"), "--phrase-table", str(trained / "phrase-table.txt")]
+        pipeline = tmp_path / "tuned.cfg"
+        write_pipeline_config(pipeline, fixture_dir, tmp_path / "model", "phrase",
+                              f"paths.dev_source = {source}", "align.iterations = 1",
+                              "tune.iterations = 1", "tune.nbest = 2")
         commands = {
             "decode": ["decode", *model, "--input", str(source), "--output", str(tmp_path / "out")],
             "tune": ["tune", *model, "--dev-source", str(source),
                      "--dev-target", f"{fixture_dir}/dev.tgt", "--output", str(tmp_path / "out")],
+            "pipeline": ["pipeline", "--config", str(pipeline)],
         }
         for name, argv in commands.items():
             results = [self.run_jobs(argv, jobs) for jobs in self.JOBS]
             assert results[0] == results[1] == results[2], name
             code, _, err = results[0]
-            assert code != EXIT_OK and "cannot decode an empty sentence" in err, err
-            if name == "decode":
-                assert code == EXIT_DATA
-        assert f"decoder failed on dev sentence {blank[0]}: " in results[0][2]
+            assert code == EXIT_DATA and "cannot decode an empty sentence" in err, (name, err)
+            if name != "decode":
+                assert f"decoder failed on dev sentence {blank[0]}: " in err, (name, err)
 
 
 class TestBenchmarkHooks:

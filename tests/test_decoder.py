@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -20,7 +21,7 @@ from smtkit.decoder import (
 )
 from smtkit.decoder.weights import format_weights, parse_weights
 from smtkit.deptree import parse_conllu
-from smtkit.lm import train_lm
+from smtkit.lm import NGramModel, train_lm
 from smtkit.phrasetab import MSD, MSLR, PhraseEntry, ReorderingEntry, extract_reordering
 from smtkit.ruletab import Fragment, NT, RuleEntry, TreeRule, Var, glue_rules
 
@@ -245,6 +246,163 @@ class TestDecodePhrase:
             again = decode_phrase(sent, phrase_models, FeatureWeights(), DecodeConfig(nbest=5))
             assert [h.tokens for h in again] == [h.tokens for h in first]
             assert [h.score for h in again] == [h.score for h in first]
+
+
+# Digests of every decode_phrase result over configurations whose scores sum
+# exactly in binary floating point: every phrase score is a power of ten (an
+# integer log10), every weight is dyadic, and the LM, distortion and
+# reordering terms are added with `+=`. The digests therefore do not depend on
+# how a Python version rounds `sum()`, and pin the search's results byte for
+# byte, ties at the beam cut, recombination and n-best order included.
+EXACT_WEIGHTS = FeatureWeights(
+    lm=0.5,
+    phi_s_given_t=0.25,
+    lex_s_given_t=0.25,
+    phi_t_given_s=0.25,
+    lex_t_given_s=0.25,
+    phrase_penalty=0.25,
+    word_penalty=0.125,
+    distortion=0.375,
+    reordering=0.5,
+    oov=8.0,
+)
+SEARCH_CONFIGS = [
+    DecodeConfig(stack_size=stack, nbest=nbest)
+    for stack in (1, 2, 100, None)
+    for nbest in (1, 5)
+]
+
+
+def _entry(src, tgt, scores):
+    return PhraseEntry(tuple(src), tuple(tgt), scores, frozenset({(0, 0)}), (1, 1, 1))
+
+
+def tie_models(orientations=None):
+    """Every phrase scores the same and the LM is symmetric in its words, so
+    many hypotheses tie exactly, also at the beam cut."""
+    words = TGT[:4]
+    lm = train_lm([[a, b] for a in words for b in words], order=2)
+    flat = (0.1, 0.1, 0.1, 0.1)
+    entries = [_entry((s,), (t,), flat) for s in SRC[:4] for t in words[:3]]
+    # a two-word phrase scores what its two one-word halves score together
+    # (four times log10 0.1 and one phrase penalty each), so that derivations
+    # that split differently tie on the whole search key
+    halves = (0.01, 0.01, 0.01, 0.001)
+    entries += [_entry((SRC[0], SRC[1]), (words[3],), flat), _entry((SRC[2], SRC[3]), (words[0], words[1]), halves)]
+    reorder = None
+    if orientations:
+        even = {o: 1.0 for o in orientations}
+        reorder = [ReorderingEntry(e.src, e.tgt, dict(even), dict(even)) for e in entries]
+    return PhraseModels(entries, lm, reorder)
+
+
+def exact_models(orientations=None, seed=13, duplicates=False):
+    """Random table with power-of-ten scores, optionally with duplicated
+    (src, tgt) lines, and reordering statistics on most entries."""
+    rng = random.Random(seed)
+    powers = (1.0, 0.1, 0.01, 0.001)
+    entries = []
+    for s in SRC[:5]:
+        for t in rng.sample(TGT[:5], 2):
+            entries.append(_entry((s,), (t,), tuple(rng.choice(powers) for _ in range(4))))
+    for _ in range(6):
+        src = rng.sample(SRC[:5], 2)
+        tgt = rng.sample(TGT[:5], rng.randint(1, 2))
+        entries.append(_entry(src, tgt, tuple(rng.choice(powers) for _ in range(4))))
+    if duplicates:
+        # a second line for an existing (src, tgt): a copy, whose derivations
+        # tie with the original's, or one with other scores
+        for e in rng.sample(entries, 8):
+            scores = e.scores if rng.random() < 0.5 else tuple(rng.choice(powers) for _ in range(4))
+            entries.append(_entry(e.src, e.tgt, scores))
+    reorder = None
+    if orientations:
+        reorder = [
+            ReorderingEntry(
+                e.src,
+                e.tgt,
+                {o: rng.choice((0.5, 0.25, 0.125)) for o in orientations},
+                {o: rng.choice((0.5, 0.25, 0.125)) for o in orientations},
+            )
+            for e in entries
+            if rng.random() < 0.8
+        ]
+    lm_rng = random.Random(seed + 1)
+    corpus = [[lm_rng.choice(TGT[:5]) for _ in range(lm_rng.randint(2, 5))] for _ in range(60)]
+    return PhraseModels(entries, train_lm(corpus, order=3), reorder)
+
+
+def search_digest(models, sentences):
+    digest = hashlib.sha256()
+    for sent in sentences:
+        for config in SEARCH_CONFIGS:
+            for hyp in decode_phrase(sent, models, EXACT_WEIGHTS, config):
+                record = (
+                    hyp.tokens,
+                    repr(hyp.score),
+                    sorted(hyp.features.items()),
+                    [(step.start, step.end) for step in hyp.steps],
+                )
+                digest.update(repr(record).encode())
+            digest.update(b"|")
+    return digest.hexdigest()
+
+
+SEARCH_SENTENCES = [
+    ["s0", "s1", "s2", "s3"],
+    ["s2", "s3", "s0", "s1", "s2"],
+    ["s3", "oov-word", "s1", "s0"],
+    ["s4", "s0", "s1", "s4", "s2", "s3"],
+    ["s1"],
+]
+
+SEARCH_CASES = {
+    "ties": (tie_models, (), "6065d5d406062f5deae93e6f7f228343f755a907a598f15a345364b2a4645623"),
+    "ties-msd": (tie_models, (MSD,), "20f47298ff8f7767e1b2d9d90adb72204458e1f9c7138353ef85f46110e93423"),
+    "exact": (exact_models, (), "425e1ec291561be2ff30fdedba07f59fc175dc2180deb7d29a5553d10c415431"),
+    "exact-msd": (exact_models, (MSD,), "bf0285756a4f0965cfd8e965d1dcdf227db4dbae3a6699b3f83cde7c5a66693f"),
+    "exact-mslr": (exact_models, (MSLR, 17), "fffc8af7ba7ba3e3204d51a3417286a6a38b86b28a0c76cbcb7daa6a5e231ce8"),
+    "duplicates-msd": (exact_models, (MSD, 19, True), "65934ac446144b2b52aa310eb75d95478ec4220a6de8f59a593611e971ba1f76"),
+    "duplicates-mslr": (exact_models, (MSLR, 23, True), "54b2cc8441e8a040d64b6cb60a5efd3163e56cef1e534feaaac8d0f8db57452c"),
+}
+
+
+class TestPhraseSearchBytes:
+    @pytest.mark.parametrize("case", sorted(SEARCH_CASES))
+    def test_results_match_recorded_digest(self, case):
+        make, args, expected = SEARCH_CASES[case]
+        assert search_digest(make(*args), SEARCH_SENTENCES) == expected
+
+    def test_duplicated_lines_recombine_as_one_entry(self):
+        # the duplicate-line tables really hold repeated (src, tgt) pairs
+        models = exact_models(MSD, 19, True)
+        keys = [(e.src, e.tgt) for e in models.phrase_table]
+        assert len(set(keys)) < len(keys)
+
+
+class TestLmCalls:
+    def test_one_score_ids_call_per_distinct_context_and_word(self, monkeypatch):
+        models = exact_models(MSLR, 17)
+        calls = []
+        score_ids = NGramModel.score_ids
+
+        def counting(self, history, word):
+            calls.append((tuple(history), word))
+            return score_ids(self, history, word)
+
+        monkeypatch.setattr(NGramModel, "score_ids", counting)
+        sent = ["s4", "s0", "s1", "oov-word", "s2", "s3"]
+        config = DecodeConfig(stack_size=10, nbest=5)
+        first = decode_phrase(sent, models, EXACT_WEIGHTS, config)
+        first_calls = len(calls)
+        assert first_calls == len(set(calls)) > 0
+        # nothing is cached across calls: an identical decode asks again
+        calls.clear()
+        again = decode_phrase(sent, models, EXACT_WEIGHTS, config)
+        assert len(calls) == first_calls
+        assert [(h.tokens, h.score, h.features) for h in again] == [
+            (h.tokens, h.score, h.features) for h in first
+        ]
 
 
 def reorder_rule_fixture():

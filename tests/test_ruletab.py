@@ -225,6 +225,18 @@ class TestTreeRuleTable:
         assert [r.key() for r in again] == [r.key() for r in table]
         assert write_tree_rule_table(again) == text
 
+    @pytest.mark.parametrize("line", [
+        "(root ||| b ||| 0.5 ||| 1",
+        "(root w:a ||| b ||| 0.5 ||| 1",
+        " ||| b ||| 0.5 ||| 1",
+    ], ids=["label-to-end", "items-to-end", "empty-fragment"])
+    def test_unterminated_fragment_names_line(self, line):
+        from smtkit.phrasetab import PhraseError
+
+        text = "(root w:a) ||| b ||| 0.5 0.5 ||| 1 1\n" + line + "\n"
+        with pytest.raises(PhraseError, match="^line 2: "):
+            read_tree_rule_table(text)
+
     def test_nested_fragment_round_trip(self):
         rule = TreeRule(
             Fragment("root", (Fragment("d2", (Var(1, "d1"), "t2")), "t3")),

@@ -220,7 +220,8 @@ class TestMert:
             raise SentenceError(1, "boom")
 
         refs = [["r", "e", "f", "s"]] * 2
-        with pytest.raises(RuntimeError, match="^decoder failed on dev sentence 1: boom$"):
+        # an input error (exit 2 from the CLI), not an internal one
+        with pytest.raises(EvalError, match="^decoder failed on dev sentence 1: boom$"):
             mert(["s", "t"], refs, broken, FeatureWeights(), MertConfig(max_iterations=1))
 
     def test_empty_dev_set_rejected(self):
