@@ -357,13 +357,13 @@ def decode_phrase(
     option are computed once. LM contexts are interned as small ints, and
     `NGramModel.score_ids` runs once per distinct (context, word): each
     state keeps a row of (LM delta, next state) per distinct option target
-    side, so extending a hypothesis costs one list lookup. Future costs are memoized by coverage.
-    An expansion's orientations follow from the previous phrase's span and
-    the new span alone, so they are resolved once per span. A hypothesis
-    holds a back-pointer to its parent and the option it applied: output
-    tokens are built only for the hypotheses that survive a stack's beam
-    and for completions, the derivation's steps and full feature vector
-    only for the returned n-best.
+    side, so extending a hypothesis costs one list lookup. Future costs are
+    memoized by coverage. An expansion's orientations follow from the
+    previous phrase's span and the new span alone, so they are resolved
+    once per span. A hypothesis holds a back-pointer to its parent and the
+    option it applied: output tokens are built only for the hypotheses that
+    survive a stack's beam and for completions, the derivation's steps and
+    full feature vector only for the returned n-best.
     """
     weights = weights or FeatureWeights()
     config = config or DecodeConfig()
