@@ -166,8 +166,9 @@ def _match_positions(pattern: tuple, sentence: list[str], i: int, j: int):
 def _prune(items: list[ChartItem], order: int, beam: int) -> list[ChartItem]:
     # recombine by boundary words, keep the better survivor
     best: dict[tuple, ChartItem] = {}
+    cut = order - 1
     for item in items:
-        key = (item.lhs, item.tokens[: order - 1], item.tokens[-(order - 1):])
+        key = (item.lhs, item.tokens[:cut], item.tokens[-cut:] if cut else ())
         other = best.get(key)
         if other is None or item.score > other.score:
             best[key] = item

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from heapq import heapreplace
 
 from ..corpus import BOS, EOS
 from ..lm import NGramModel
@@ -215,7 +216,7 @@ class _LmStates:
             ctx = self.contexts[state]
             hit = self.transitions[key] = (
                 self.lm.score_ids(ctx, wid),
-                self.state((ctx + (wid,))[-self.cut:]),
+                self.state((ctx + (wid,))[-self.cut:] if self.cut else ()),
             )
         return hit
 
@@ -311,8 +312,11 @@ _TOTAL, _SCORE, _COVERAGE, _LAST_END, _STATE, _PARENT, _OPTION, _TOKENS = range(
 def _survivors(stack: dict, beam_width: int | None, steps: list[Step]) -> list[list]:
     """The hypotheses of a stack that its beam keeps, best first.
 
-    Equal to sorting the whole stack (in insertion order) by the key
-    (-total, tokens, coverage, last_end) and keeping `beam_width`: a
+    Equal to sorting the whole stack by the key (-total, tokens, coverage,
+    last_end, option) and keeping `beam_width`. The key is a total order:
+    two recombination keys that tie on the first four differ in the entry
+    of their last phrase, so in their last option; the result therefore
+    does not depend on the order in which the stack was filled. A
     hypothesis whose total is below the beam's worst total cannot make the
     cut, so output tokens are built and compared only for the rest.
     """
@@ -323,7 +327,9 @@ def _survivors(stack: dict, beam_width: int | None, steps: list[Step]) -> list[l
     for hyp in hyps:
         if hyp[_TOKENS] is None:
             hyp[_TOKENS] = hyp[_PARENT][_TOKENS] + steps[hyp[_OPTION]].tgt
-    hyps.sort(key=lambda hyp: (-hyp[_TOTAL], hyp[_TOKENS], hyp[_COVERAGE], hyp[_LAST_END]))
+    hyps.sort(
+        key=lambda hyp: (-hyp[_TOTAL], hyp[_TOKENS], hyp[_COVERAGE], hyp[_LAST_END], hyp[_OPTION])
+    )
     return hyps[:beam_width]
 
 
@@ -351,6 +357,15 @@ def decode_phrase(
     the interned `entry_key` of the last phrase when a reordering model is
     loaded (its pending backward orientation depends on the entry) and the
     same for every option otherwise.
+
+    With a limited beam each stack has a floor: a min-heap of the highest
+    first totals of `beam_width` distinct keys that entered the stack, -inf
+    until that many have. A key's total only rises, so the floor never
+    exceeds the total the beam finally cuts at, and a candidate strictly
+    below it is dropped before its recombination key is built: neither it
+    nor any entry it would replace can survive the beam, so the survivors
+    are those of the search without a floor. With an unlimited beam the
+    floor stays -inf.
 
     Everything below is computed per decode and dropped when it returns.
     The weighted phrase-local score, LM ids and reordering scores of every
@@ -432,6 +447,11 @@ def decode_phrase(
     advance = lm_states.advance
     end = lm_states.end
     stacks: list[dict[tuple, list]] = [dict() for _ in range(n + 1)]
+    bounded = beam_width is not None
+    if bounded:
+        floors = [[-math.inf] * beam_width for _ in range(n + 1)]
+    else:
+        floors = [[-math.inf]] * (n + 1)
     stacks[0][(0, bos_state, 0, None)] = [future_of(0), 0.0, 0, 0, bos_state, None, None, ()]
     # best (score, hypothesis, last option) per distinct output
     completed: dict[tuple[str, ...], tuple[float, list, int]] = {}
@@ -469,6 +489,7 @@ def decode_phrase(
                         backward = prev_logs[1][_orientation_name(i, j, prev_start, last_end)]
                 if not complete:
                     target_stack = stacks[count + width]
+                    floor = floors[count + width]
                     new_future = future_of(new_coverage)
                 for option, step, local, target, reorder_logs, reorder_id, final in scored:
                     inc = base + local
@@ -489,12 +510,18 @@ def decode_phrase(
                         if existing is None or done > existing[0]:
                             completed[output] = (done, hyp, option)
                         continue
+                    total = inc + new_future
+                    if total < floor[0]:
+                        continue
                     key = (new_coverage, next_state, j, reorder_id)
                     other = target_stack.get(key)
-                    if other is not None and other[_SCORE] >= inc:
+                    if other is None:
+                        if bounded and total > floor[0]:
+                            heapreplace(floor, total)
+                    elif other[_SCORE] >= inc:
                         continue
                     target_stack[key] = [
-                        inc + new_future, inc, new_coverage, j, next_state, hyp, option, None
+                        total, inc, new_coverage, j, next_state, hyp, option, None
                     ]
 
     if not completed:

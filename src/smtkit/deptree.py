@@ -199,9 +199,11 @@ def parse_conllu(text: str) -> list[DepSentence]:
                 f"sentence {current.sent_id or '<unknown>'}, line {lineno}: "
                 f"non-integer id or head"
             ) from exc
-        if tok_id < 1:
+        if tok_id != len(current.tokens) + 1:
             raise ConlluError(
-                f"sentence {current.sent_id or '<unknown>'}, line {lineno}: id must be >= 1"
+                f"sentence {current.sent_id or '<unknown>'}, line {lineno}: "
+                f"token id {tok_id} where {len(current.tokens) + 1} was expected "
+                f"(ids must run 1..n in order)"
             )
         current.tokens.append(
             DepToken(tok_id, cols[1], cols[2], cols[3], cols[4], cols[5], head, cols[7], cols[8], cols[9])
@@ -231,10 +233,9 @@ def _arcs(sent: DepSentence) -> list[tuple[int, int]]:
     return [(min(t.head, t.id), max(t.head, t.id)) for t in sent.tokens]
 
 
-def crossing_arcs(sent: DepSentence) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-    """All pairs of crossing arcs; arcs sharing an endpoint never cross."""
+def _crossings(sent: DepSentence):
+    """Yield each pair of crossing arcs; arcs sharing an endpoint never cross."""
     arcs = _arcs(sent)
-    bad = []
     for a in range(len(arcs)):
         lo1, hi1 = arcs[a]
         for b in range(a + 1, len(arcs)):
@@ -243,12 +244,17 @@ def crossing_arcs(sent: DepSentence) -> list[tuple[tuple[int, int], tuple[int, i
                 continue
             inside = (lo1 < lo2 < hi1) + (lo1 < hi2 < hi1)
             if inside == 1:
-                bad.append((arcs[a], arcs[b]))
-    return bad
+                yield arcs[a], arcs[b]
+
+
+def crossing_arcs(sent: DepSentence) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """All pairs of crossing arcs; arcs sharing an endpoint never cross."""
+    return list(_crossings(sent))
 
 
 def is_projective(sent: DepSentence) -> bool:
-    return not crossing_arcs(sent)
+    """No two arcs cross; stops at the first crossing."""
+    return next(_crossings(sent), None) is None
 
 
 def _escape(text: str) -> str:
@@ -275,9 +281,9 @@ def _render_subtree(sent: DepSentence, tok: DepToken) -> str:
 
 def to_nested_tree(sent: DepSentence) -> str:
     """Serialize a projective sentence to the nested-tree decoder input."""
-    bad = crossing_arcs(sent)
-    if bad:
-        (a, b) = bad[0]
+    crossing = next(_crossings(sent), None)
+    if crossing is not None:
+        a, b = crossing
         raise ConlluError(
             f"sentence {sent.sent_id or '<unknown>'} is non-projective: "
             f"arc {a[0]}-{a[1]} crosses arc {b[0]}-{b[1]}"

@@ -114,7 +114,7 @@ class NGramModel:
         for tok in tokens:
             wid = self.vocab.id_of(tok)
             total += self.score_ids(ctx, wid)
-            ctx = (ctx + (wid,))[-(self.order - 1):]
+            ctx = (ctx + (wid,))[-(self.order - 1):] if self.order > 1 else ()
         total += self.score_ids(ctx, eos)
         ppl = 10.0 ** (-total / (len(tokens) + 1))
         return total, ppl

@@ -374,11 +374,18 @@ def extract_tree_rules(
 
     Skips (returns nothing for) non-projective trees; the caller warns.
     """
+    if pair.source_tree is not None and not is_projective(pair.source_tree):
+        return []
+    return _projective_tree_rules(pair, links)
+
+
+def _projective_tree_rules(
+    pair: SentencePair, links: set[tuple[int, int]]
+) -> list[TreeRule]:
+    """`extract_tree_rules` for a pair whose tree is known to be projective."""
     sent: DepSentence = pair.source_tree
     if sent is None:
         raise PhraseError("sentence pair carries no source tree")
-    if not is_projective(sent):
-        return []
     yields = _yields(sent)
     n_tgt = len(pair.target)
 
@@ -451,11 +458,10 @@ def build_tree_rule_table(
     tgt_totals: dict[tuple, float] = {}
     skipped = 0
     for pair, links in zip(pairs, link_sets):
-        extracted = extract_tree_rules(pair, links)
-        if not extracted and pair.source_tree is not None and not is_projective(pair.source_tree):
+        if pair.source_tree is not None and not is_projective(pair.source_tree):
             skipped += 1
             continue
-        for rule in extracted:
+        for rule in _projective_tree_rules(pair, links):
             joint[rule.key()] = joint.get(rule.key(), 0.0) + 1.0
             label_totals[rule.fragment.label] = label_totals.get(rule.fragment.label, 0.0) + 1.0
             tgt_totals[rule.target] = tgt_totals.get(rule.target, 0.0) + 1.0

@@ -650,6 +650,13 @@ def _exit_code_cases():
             EXIT_USAGE, [f"--kind {kind} needs {missing}"],
         ))
     cases.append((
+        "extract-rules-tree-id-gap",
+        lambda p: ["extract-rules", "--kind", "tree", "--source", p["train_src"],
+                   "--target", p["train_tgt"], "--alignments", p["links"],
+                   "--trees", p["gap_trees"], "--output", p["out"]],
+        EXIT_DATA, ["gap.conllu: sentence gap, line 3:", "token id 5 where 2 was expected"],
+    ))
+    cases.append((
         "jobs-below-one",
         lambda p: ["--jobs", "0", "train-align", "--source", p["train_src"],
                    "--target", p["train_tgt"], "--output", p["out"]],
@@ -692,6 +699,12 @@ class TestExitCodeTable:
         (root / "cut-tree-rules.txt").write_text(
             "(root w:a) ||| b ||| 0.5 0.5 ||| 1 1\n(root ||| b ||| 0.5 ||| 1\n", encoding="utf-8"
         )
+        # token ids 1 and 5: token 1's head 2 is in range but names no token
+        (root / "gap.conllu").write_text(
+            "# sent_id = gap\n1\ta\t_\t_\t_\t_\t2\tdep\t_\t_\n"
+            "5\tb\t_\t_\t_\t_\t0\troot\t_\t_\n\n",
+            encoding="utf-8",
+        )
         (root / "in.txt").write_text("the dog sees the house .\n", encoding="utf-8")
         train_tgt = (tiny_fixture / "train.tgt").read_text(encoding="utf-8").splitlines()
         (root / "short.tgt").write_text("\n".join(train_tgt[:20]) + "\n", encoding="utf-8")
@@ -725,6 +738,7 @@ class TestExitCodeTable:
             "cut_tree_rules": str(root / "cut-tree-rules.txt"),
             "in": str(root / "in.txt"),
             "trees": f"{tiny_fixture}/test.conllu",
+            "gap_trees": str(root / "gap.conllu"),
             "train_src": f"{tiny_fixture}/train.src",
             "train_tgt": f"{tiny_fixture}/train.tgt",
             "short_tgt": str(root / "short.tgt"),

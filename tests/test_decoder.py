@@ -19,9 +19,11 @@ from smtkit.decoder import (
     decode_tree,
     score_derivation,
 )
+from smtkit.decoder import phrase as phrase_module
+from smtkit.decoder.phrase import _COVERAGE, _LAST_END, _OPTION, _TOKENS, _TOTAL
 from smtkit.decoder.weights import format_weights, parse_weights
 from smtkit.deptree import parse_conllu
-from smtkit.lm import NGramModel, train_lm
+from smtkit.lm import NGramModel, read_arpa, train_lm
 from smtkit.phrasetab import MSD, MSLR, PhraseEntry, ReorderingEntry, extract_reordering
 from smtkit.ruletab import Fragment, NT, RuleEntry, TreeRule, Var, glue_rules
 
@@ -335,10 +337,10 @@ def exact_models(orientations=None, seed=13, duplicates=False):
     return PhraseModels(entries, train_lm(corpus, order=3), reorder)
 
 
-def search_digest(models, sentences):
+def search_digest(models, sentences, configs=SEARCH_CONFIGS):
     digest = hashlib.sha256()
     for sent in sentences:
-        for config in SEARCH_CONFIGS:
+        for config in configs:
             for hyp in decode_phrase(sent, models, EXACT_WEIGHTS, config):
                 record = (
                     hyp.tokens,
@@ -380,11 +382,79 @@ SEARCH_DIGESTS = {
 }
 
 
+# Longer sentences and small beams, so that most stacks hold more keys than
+# the beam keeps: the cases where a stack's floor prunes candidates.
+FLOOR_SENTENCES = [
+    ["s0", "s1", "s2", "s3", "s0", "s1", "s2"],
+    ["s2", "s3", "s0", "s1", "oov-word", "s2", "s3", "s0"],
+    ["s4", "s0", "s1", "s4", "s2", "s3", "s1", "s0", "s2"],
+]
+FLOOR_CONFIGS = [
+    DecodeConfig(stack_size=stack, nbest=nbest) for stack in (3, 5, 10) for nbest in (1, 5)
+]
+# recorded from the decoder before stacks had a floor
+FLOOR_DIGESTS = {
+    "ties": "db66d457ac5c1490ea0a4624ad586a8b304f19b109b5853de847db04daa63783",
+    "ties-msd": "4939b9e03e0bb2eef79afd3e5678f78ea7592bef630fab27b4821015551a6fd8",
+    "exact": "53cf7aa7404ac4c77a4de5a57ecbdd1f62cf48499f4c9bebe07d63e0c28dcdbc",
+    "exact-msd": "e2de9892ba94e8ea75dc654f3ab29ca2b8ce191a254214890b72c9f5d360f0ec",
+    "exact-mslr": "dc322de39e0e82c5c66e4ea9e093373756c863908977702b3deb1d2fd50ac5f3",
+    "duplicates-msd": "0639ed5fc8800c7b25af13afd92ed509a616d266a90b9908abcbf94fb1766d52",
+    "duplicates-mslr": "8f164213bd48e42e4a97b6d8be9a424702f79e5a0cad4960043c8565d0a52d38",
+}
+# per case, over FLOOR_SENTENCES x FLOOR_CONFIGS, recorded from the decoder
+# before stacks had a floor: the summed size of every stack `_survivors` cut,
+# and the digest of what it kept
+FLOOR_STACKS = {
+    "ties": (5979, "09c3444fab211bcf8065503dc7565852fcf9d049f4e5bb930614c5f5b03d352a"),
+    "ties-msd": (5951, "afbf6576ef3edbb4bfb130729b5ad1ad8a747995e18a329ef65e9d6df8337a95"),
+    "exact": (6649, "726f11b098f0e8a5474878e8c576f0293f2b02dcd589004d6784d9ffb768a493"),
+    "exact-msd": (6917, "807f170fa0003bda16346a7b4a10437c59cb0d2a5af7d169e2b52af6eedfed32"),
+    "exact-mslr": (7532, "a569c3eccaafc1b93140e2977dbf64ccc8f3d8999d75f46168e69d9f01731323"),
+    "duplicates-msd": (7431, "fa3e479dcd1328a7a7b4fdfc30b26890ce1e839871f100bfa51357684c8ea2e7"),
+    "duplicates-mslr": (7061, "ea9f4beecaeaea717c57385d0ab011cd80eee12e5473b95af63398aca6fb8f35"),
+}
+
+
 class TestPhraseSearchBytes:
     @pytest.mark.parametrize("case", sorted(SEARCH_CASES))
     def test_results_match_recorded_digest(self, case):
         make, args = SEARCH_CASES[case]
         assert search_digest(make(*args), SEARCH_SENTENCES) == SEARCH_DIGESTS[case]
+
+    @pytest.mark.parametrize("case", sorted(SEARCH_CASES))
+    def test_overflowing_stacks_match_recorded_digest(self, case):
+        make, args = SEARCH_CASES[case]
+        digest = search_digest(make(*args), FLOOR_SENTENCES, FLOOR_CONFIGS)
+        assert digest == FLOOR_DIGESTS[case]
+
+    @pytest.mark.parametrize("case", sorted(SEARCH_CASES))
+    def test_floor_prunes_only_what_the_beam_drops(self, case, monkeypatch):
+        # the stacks hold fewer entries than before the floor, and every
+        # beam keeps the same hypotheses
+        make, args = SEARCH_CASES[case]
+        models = make(*args)
+        survivors = phrase_module._survivors
+        sizes = []
+        kept_digest = hashlib.sha256()
+
+        def recording(stack, beam_width, steps):
+            kept = survivors(stack, beam_width, steps)
+            sizes.append(len(stack))
+            record = [
+                (repr(hyp[_TOTAL]), hyp[_TOKENS], hyp[_COVERAGE], hyp[_LAST_END], hyp[_OPTION])
+                for hyp in kept
+            ]
+            kept_digest.update(repr(record).encode())
+            return kept
+
+        monkeypatch.setattr(phrase_module, "_survivors", recording)
+        for sent in FLOOR_SENTENCES:
+            for config in FLOOR_CONFIGS:
+                decode_phrase(sent, models, EXACT_WEIGHTS, config)
+        entries_before, kept_before = FLOOR_STACKS[case]
+        assert kept_digest.hexdigest() == kept_before
+        assert sum(sizes) < entries_before
 
     def test_duplicate_tables_repeat_entries(self):
         # the duplicate-line tables really hold repeated (src, tgt) pairs
@@ -416,6 +486,40 @@ class TestLmCalls:
         assert [(h.tokens, h.score, h.features) for h in again] == [
             (h.tokens, h.score, h.features) for h in first
         ]
+
+
+def unigram_lm(seed=43):
+    """An order-1 LM, as read from an ARPA file that holds only 1-grams."""
+    rng = random.Random(seed)
+    lines = ["\\data\\", f"ngram 1={len(TGT) + 3}", "", "\\1-grams:", "-99\t<s>"]
+    for word in TGT + ["</s>", "<unk>"]:
+        lines.append(f"{-rng.uniform(0.2, 1.5):.4f}\t{word}")
+    return read_arpa("\n".join(lines + ["", "\\end\\", ""]))
+
+
+class TestOrderOneLm:
+    def test_contexts_stay_constant_and_search_is_exact(self, monkeypatch):
+        # every context after <s> is empty: the LM's history is cut to ()
+        models = PhraseModels(random_phrase_table(), unigram_lm())
+        assert models.lm.order == 1
+        made = []
+
+        class Recorded(phrase_module._LmStates):
+            def __init__(self, lm):
+                super().__init__(lm)
+                made.append(self)
+
+        monkeypatch.setattr(phrase_module, "_LmStates", Recorded)
+        rng = random.Random(47)
+        for _ in range(15):
+            sent = [rng.choice(SRC + ["oov-word"]) for _ in range(rng.randint(1, 4))]
+            beam = decode_phrase(sent, models, FeatureWeights(), UNLIMITED)[0]
+            _, oracle_score = decode_oracle(sent, models, FeatureWeights())
+            assert beam.score == pytest.approx(oracle_score, abs=1e-9)
+            assert made[-1].contexts == [(), (models.lm.vocab.id_of("<s>"),)]
+        long = ["s0", "s1", "s2", "s3", "s4", "s5"]
+        decode_phrase(long, models, FeatureWeights(), DecodeConfig(stack_size=100, nbest=5))
+        assert len(made[-1].contexts) == 2
 
 
 def reorder_rule_fixture():

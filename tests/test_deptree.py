@@ -62,6 +62,18 @@ class TestParseConllu:
         with pytest.raises(ConlluError, match="dangling"):
             parse_conllu("1\tx\t_\t_\t_\t_\t9\tdep\t_\t_\n")
 
+    @pytest.mark.parametrize("ids", [(1, 5), (2, 1), (1, 1), (0, 1)], ids=str)
+    def test_ids_must_run_one_to_n(self, ids):
+        # token 1's head 2 is in range; with ids (1, 5) no token 2 exists
+        block = (
+            "# sent_id = gap\n"
+            f"{ids[0]}\ta\t_\t_\t_\t_\t2\tdep\t_\t_\n"
+            f"{ids[1]}\tb\t_\t_\t_\t_\t0\troot\t_\t_\n"
+        )
+        line = 2 if ids[0] != 1 else 3
+        with pytest.raises(ConlluError, match=f"sentence gap, line {line}: token id"):
+            parse_conllu(block)
+
     def test_column_count_error_has_location(self):
         with pytest.raises(ConlluError, match="line 1"):
             parse_conllu("1\tx\tmissing\n")
