@@ -335,7 +335,9 @@ def parse_nested_tree(line: str) -> BracketNode:
         if not line.startswith(open_tag, pos):
             raise ConlluError(f"expected <tree> at offset {pos}")
         pos += len(open_tag)
-        end = line.index('">', pos)
+        end = line.find('">', pos)
+        if end < 0:
+            raise ConlluError(f"unterminated label at offset {pos}")
         label = _unescape(line[pos:end])
         pos = end + 2
         node = BracketNode(label)
@@ -343,10 +345,12 @@ def parse_nested_tree(line: str) -> BracketNode:
         while not line.startswith("</tree>", pos):
             if line.startswith(open_tag, pos):
                 node.children.append(parse_node())
-            else:
-                nxt = line.index("<", pos)
-                text_buf.append(line[pos:nxt])
-                pos = nxt
+                continue
+            nxt = line.find("<", pos)
+            if nxt <= pos:
+                raise ConlluError(f"expected </tree> at offset {pos}")
+            text_buf.append(line[pos:nxt])
+            pos = nxt
         pos += len("</tree>")
         text = "".join(text_buf)
         if text:

@@ -650,6 +650,12 @@ def _exit_code_cases():
             EXIT_USAGE, [f"--kind {kind} needs {missing}"],
         ))
     cases.append((
+        "decode-nested-tree-stray-tag",
+        lambda p: ["decode", "--lm", p["lm"], "--kind", "tree", "--rule-table", p["tree_rules"],
+                   "--input", p["stray_nested"]],
+        EXIT_DATA, ["expected </tree> at offset"],
+    ))
+    cases.append((
         "extract-rules-tree-id-gap",
         lambda p: ["extract-rules", "--kind", "tree", "--source", p["train_src"],
                    "--target", p["train_tgt"], "--alignments", p["links"],
@@ -705,6 +711,11 @@ class TestExitCodeTable:
             "5\tb\t_\t_\t_\t_\t0\troot\t_\t_\n\n",
             encoding="utf-8",
         )
+        (root / "tree-rules.txt").write_text("(root w:a) ||| b ||| 0.5 0.5 ||| 1 1\n", encoding="utf-8")
+        # an unknown tag inside a nested tree, which once made the reader loop forever
+        (root / "stray.nested").write_text(
+            '<tree label="sent"><tree label="root"><x></tree></tree>\n', encoding="utf-8"
+        )
         (root / "in.txt").write_text("the dog sees the house .\n", encoding="utf-8")
         train_tgt = (tiny_fixture / "train.tgt").read_text(encoding="utf-8").splitlines()
         (root / "short.tgt").write_text("\n".join(train_tgt[:20]) + "\n", encoding="utf-8")
@@ -739,6 +750,8 @@ class TestExitCodeTable:
             "in": str(root / "in.txt"),
             "trees": f"{tiny_fixture}/test.conllu",
             "gap_trees": str(root / "gap.conllu"),
+            "tree_rules": str(root / "tree-rules.txt"),
+            "stray_nested": str(root / "stray.nested"),
             "train_src": f"{tiny_fixture}/train.src",
             "train_tgt": f"{tiny_fixture}/train.tgt",
             "short_tgt": str(root / "short.tgt"),

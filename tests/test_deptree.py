@@ -198,6 +198,15 @@ class TestNestedTree:
         assert [t.deprel for t in rebuilt.tokens] == [t.deprel for t in a_stone_sentence.tokens]
         assert to_nested_tree(rebuilt) == rendered
 
+    @pytest.mark.parametrize(
+        "line",
+        ['<tree label="sent', '<tree label="sent">a', '<tree label="sent"><x></tree>'],
+        ids=["open-label", "open-tree", "stray-tag"],
+    )
+    def test_malformed_nested_tree_rejected(self, line):
+        with pytest.raises(ConlluError, match="offset"):
+            parse_nested_tree(line)
+
     def test_nested_tree_file_reader(self, fig_3_8, a_stone_sentence):
         text = to_nested_tree(fig_3_8) + "\n" + to_nested_tree(a_stone_sentence) + "\n"
         sentences = parse_nested_tree_file(text)

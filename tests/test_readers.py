@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from smtkit.align import AlignError, read_links, read_ttable
 from smtkit.decoder.weights import WeightsError, parse_weights
-from smtkit.deptree import ConlluError, parse_conllu
+from smtkit.deptree import ConlluError, parse_conllu, parse_nested_tree_file, to_nested_tree
 from smtkit.lm import LmError, read_arpa, train_lm, write_arpa
 from smtkit.phrasetab import PhraseError, read_phrase_table, read_reordering_table
 from smtkit.ruletab import read_rule_table, read_tree_rule_table
@@ -66,6 +66,11 @@ READERS = {
         "(nsubj w:b) ||| z ||| 1 1 ||| 1 1\n",
     ),
     "conllu": (parse_conllu, ConlluError, CONLLU),
+    "nested-tree": (
+        parse_nested_tree_file,
+        ConlluError,
+        "".join(to_nested_tree(sent) + "\n" for sent in parse_conllu(CONLLU)),
+    ),
     "weights": (
         parse_weights,
         WeightsError,
@@ -75,7 +80,7 @@ READERS = {
 }
 
 # characters that carry structure in at least one of the formats
-_SYMBOLS = "0123456789 \t\n-.|#()[]:=\\_abeSX"
+_SYMBOLS = "0123456789 \t\n-.|#()[]:=\\_abeSX<>/\""
 
 
 @st.composite
