@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal invariant
 violation. All stochastic choices run off a single --seed. --jobs N spreads
 independent work over N processes (`_fork_map`): the two alignment
-directions, and the sentences of the pipeline's test and MERT decodes and of
-`decode`, `translate` and `tune`. No output byte depends on --jobs.
+directions, the rule counts of tree-rule extraction, and the sentences of
+the pipeline's test and MERT decodes and of `decode`, `translate` and
+`tune`. No output byte depends on --jobs.
 """
 
 from __future__ import annotations
@@ -92,18 +93,21 @@ def _read_tokenized(path: str) -> list[list[str]]:
     return _split_lines(corpus.read_text(path))
 
 
-def _read_file(reader, path: str):
-    """Parse the file at `path` with `reader`; a parse error names the file."""
-    text = corpus.read_text(path)
+def _read_file(reader, path: str | None):
+    """Parse the file at `path` (standard input when None or "-") with
+    `reader`; a parse error names the file."""
+    text = _read(path)
     try:
         return reader(text)
     except ValueError as exc:  # every reader's own error is a ValueError
-        raise DataError(f"{path}: {exc}") from None
+        name = "<stdin>" if path is None or path == "-" else path
+        raise DataError(f"{name}: {exc}") from None
 
 
 def _read_pairs(args, with_alignments: bool = True):
     """Whitespace-tokenized --source/--target pairs and, optionally, their
-    --alignments; every file must have one line per sentence pair."""
+    --alignments; every file must have one line per sentence pair, and every
+    link must join a word of its source line to one of its target line."""
     src = _read_tokenized(args.source)
     tgt = _read_tokenized(args.target)
     counts = {args.source: len(src), args.target: len(tgt)}
@@ -114,6 +118,13 @@ def _read_pairs(args, with_alignments: bool = True):
     if len(set(counts.values())) > 1:
         found = ", ".join(f"{path} has {n}" for path, n in counts.items())
         raise corpus.CorpusError(f"line count mismatch: {found}")
+    for lineno, (s, t, pair_links) in enumerate(zip(src, tgt, links or ()), start=1):
+        for i, j in sorted(pair_links):
+            if not (0 <= i < len(s) and 0 <= j < len(t)):
+                raise align.AlignError(
+                    f"{args.alignments}: line {lineno}: link {i}-{j} lies outside the "
+                    f"sentence pair of {len(s)} source and {len(t)} target words"
+                )
     return [corpus.SentencePair(s, t) for s, t in zip(src, tgt)], links
 
 
@@ -448,12 +459,29 @@ def cmd_extract_phrases(args) -> int:
 
 
 def _attach_trees(pairs, path: str) -> None:
-    """Give each sentence pair its source tree from the CoNLL-U file at `path`."""
+    """Give each sentence pair its source tree from the CoNLL-U file at `path`,
+    which must have one token per source word."""
     trees = _read_file(deptree.parse_conllu, path)
     if len(trees) != len(pairs):
         raise deptree.ConlluError(f"{path}: {len(trees)} trees for {len(pairs)} sentence pairs")
-    for pair, tree in zip(pairs, trees):
+    for number, (pair, tree) in enumerate(zip(pairs, trees), start=1):
+        if len(tree.tokens) != len(pair.source):
+            raise deptree.ConlluError(
+                f"{path}: sentence {tree.sent_id or number} has {len(tree.tokens)} tokens, "
+                f"but source sentence {number} has {len(pair.source)} words"
+            )
         pair.source_tree = tree
+
+
+def _tree_rule_table(pairs, links, jobs: int) -> list:
+    """The tree-rule table of the pairs, counted across `jobs` processes;
+    warns of the non-projective sentences it skipped."""
+    table, skipped = ruletab.build_tree_rule_table(
+        pairs, links, jobs, lambda count, shards: _fork_map(jobs, count, shards)
+    )
+    if skipped:
+        print(f"warning: skipped {skipped} non-projective sentences", file=sys.stderr)
+    return table
 
 
 def cmd_extract_rules(args) -> int:
@@ -466,10 +494,7 @@ def cmd_extract_rules(args) -> int:
         _write(args.output, ruletab.write_rule_table(table))
     else:
         _attach_trees(pairs, args.trees)
-        table, skipped = ruletab.build_tree_rule_table(pairs, links)
-        if skipped:
-            print(f"warning: skipped {skipped} non-projective sentences", file=sys.stderr)
-        _write(args.output, ruletab.write_tree_rule_table(table))
+        _write(args.output, ruletab.write_tree_rule_table(_tree_rule_table(pairs, links, args.jobs)))
     return EXIT_OK
 
 
@@ -538,9 +563,11 @@ _BACKENDS = {
 }
 
 
-def _read_sources(kind: str, text: str, read_lines) -> list:
-    """Decoder inputs: trees for a tree decoder, else `read_lines(text)`."""
-    return _parse_trees(text) if _BACKENDS[kind].reads_trees else read_lines(text)
+def _read_sources(kind: str, path: str | None, read_lines=_split_lines) -> list:
+    """Decoder inputs from the file at `path` (standard input when None):
+    trees for a tree decoder, else `read_lines(text)`; a parse error names
+    the file."""
+    return _read_file(_parse_trees if _BACKENDS[kind].reads_trees else read_lines, path)
 
 
 def _load_decoder(args):
@@ -613,7 +640,7 @@ def _format_nbest(results) -> str:
 
 
 def _decode_inputs(args) -> list:
-    return _read_sources(args.kind, _read(args.input), _split_lines)
+    return _read_sources(args.kind, args.input)
 
 
 def cmd_decode(args) -> int:
@@ -624,11 +651,12 @@ def cmd_decode(args) -> int:
 
 
 def cmd_translate(args) -> int:
-    text = _read(args.input)
-    if not text.strip():
+    sentences = _read_sources(
+        args.kind, args.input, lambda text: corpus.tokenize(text, args.lang) if text.strip() else []
+    )
+    if not sentences:
         _write(args.output, "")
         return EXIT_OK
-    sentences = _read_sources(args.kind, text, lambda t: corpus.tokenize(t, args.lang))
     weights = _load_weights(args.weights)
     out_lines = [
         corpus.detokenize(list(hyps[0][0]), args.target_lang)
@@ -646,7 +674,7 @@ def cmd_tune(args) -> int:
         max_iterations=args.iterations,
         seed=args.seed,
     )
-    dev_sources = _read_sources(args.kind, corpus.read_text(args.dev_source), _split_lines)
+    dev_sources = _read_sources(args.kind, args.dev_source)
     decode = _mert_decoder(_load_decoder(args), args.jobs)
     result = tune.mert(dev_sources, dev_refs, decode, weights, config)
     _write(args.output, format_weights(result.weights, result.history))
@@ -770,9 +798,7 @@ def cmd_pipeline(args) -> int:
         _write(out("rule-table.txt"), ruletab.write_rule_table(table))
         artifacts["rule_table"] = "rule-table.txt"
     else:
-        table, skipped = ruletab.build_tree_rule_table(pairs, links)
-        if skipped:
-            print(f"warning: skipped {skipped} non-projective sentences", file=sys.stderr)
+        table = _tree_rule_table(pairs, links, args.jobs)
         _write(out("tree-rule-table.txt"), ruletab.write_tree_rule_table(table))
         artifacts["rule_table"] = "tree-rule-table.txt"
     backend = _BACKENDS[config.decoder_kind]
@@ -781,7 +807,7 @@ def cmd_pipeline(args) -> int:
 
     def sources(trees_path: str, text_path: str) -> list:
         if backend.reads_trees:
-            return _parse_trees(corpus.read_text(trees_path))
+            return _read_file(_parse_trees, trees_path)
         return corpus.read_sentences(text_path, config.source_profile)
 
     # tuning
@@ -867,7 +893,8 @@ def build_parser() -> _Parser:
     parser.add_argument(
         "--jobs", type=int, default=1,
         help="processes; 2 or more train the two alignment directions side by side "
-        "and split every batch of sentences to decode (outputs never depend on it)",
+        "and split tree-rule extraction and every batch of sentences to decode "
+        "(outputs never depend on it)",
     )
     sub = parser.add_subparsers(dest="command")
 

@@ -400,12 +400,16 @@ def nested_to_sentence(tree: BracketNode, sent_id: str = "") -> DepSentence:
 
 
 def parse_nested_tree_file(text: str) -> list[DepSentence]:
-    """One nested tree per line, converted back to dependency sentences."""
+    """One nested tree per line, converted back to dependency sentences; an
+    error names the line."""
     sentences = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        sentences.append(nested_to_sentence(parse_nested_tree(line.strip()), str(lineno)))
+        try:
+            sentences.append(nested_to_sentence(parse_nested_tree(line.strip()), str(lineno)))
+        except ConlluError as exc:
+            raise ConlluError(f"line {lineno}: {exc}") from None
     return sentences
 
 

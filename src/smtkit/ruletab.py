@@ -9,11 +9,13 @@ side, at most 5 source symbols, at least one source terminal.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from typing import Callable
 
 from .align import NULL_WORD, TTable
 from .corpus import SentencePair
-from .deptree import DepSentence, is_projective
+from .deptree import DepSentence
 from .phrasetab import PhraseError, _fmt_num, extract_phrases, parse_lines
 
 
@@ -352,19 +354,120 @@ def _node_label(sent: DepSentence, tok_id: int) -> str:
     return "root" if tok.head == 0 else tok.deprel
 
 
-def _yields(sent: DepSentence) -> dict[int, set[int]]:
-    out: dict[int, set[int]] = {t.id: {t.id} for t in sent.tokens}
-    # repeated passes are fine at sentence scale
-    changed = True
-    while changed:
-        changed = False
-        for tok in sent.tokens:
-            if tok.head != 0:
-                parent = out[tok.head]
-                before = len(parent)
-                parent |= out[tok.id]
-                changed = changed or len(parent) != before
-    return out
+def _word_text(word: str) -> str:
+    """A fragment's terminal word as written: `w:word`, or, for a word with a
+    parenthesis (which would end the fragment), `w=` and the word with `%`,
+    `(` and `)` percent-encoded."""
+    if "(" in word or ")" in word:
+        return "w=" + word.replace("%", "%25").replace("(", "%28").replace(")", "%29")
+    return "w:" + word
+
+
+_ESCAPED = re.compile("%2[589]")
+
+
+def _tree_rule_keys(pair: SentencePair, links) -> list[tuple[str, tuple]] | None:
+    """The minimal frontier-node rules of one sentence pair, in token order,
+    each keyed as (its fragment's text, its target side with each variable
+    as its index); None when the source tree is not projective.
+
+    One bottom-up pass gives each node the source extent and size of its
+    yield, and the number and target span of the links from inside it. The
+    tree is projective iff every yield is contiguous (its extent equals its
+    size). A node is a frontier node iff it has inside links and no other
+    link falls in their target span, i.e. iff the links into that span are
+    as many as its inside links. A link from beyond the tree is inside no
+    yield.
+    """
+    sent: DepSentence = pair.source_tree
+    if sent is None:
+        raise PhraseError("sentence pair carries no source tree")
+    tokens = sent.tokens
+    n = len(tokens)
+    target = pair.target
+    heads = [0] + [tok.head for tok in tokens]
+    children: list[list[int]] = [[] for _ in range(n + 1)]  # children[0] holds the root
+    for tok in tokens:
+        children[tok.head].append(tok.id)
+    order = list(children[0])
+    for node in order:  # breadth first, so every node comes after its head
+        order.extend(children[node])
+
+    inside = [0] * (n + 1)
+    lo = [len(target)] * (n + 1)
+    hi = [-1] * (n + 1)
+    before = [0] * (len(target) + 1)  # before[j]: links into target positions < j
+    for i, j in links:
+        if i < 0 or not 0 <= j < len(target):
+            raise PhraseError(f"link {i}-{j} lies outside the sentence pair")
+        before[j + 1] += 1
+        if i < n:
+            inside[i + 1] += 1
+            lo[i + 1] = min(lo[i + 1], j)
+            hi[i + 1] = max(hi[i + 1], j)
+    for j in range(len(target)):
+        before[j + 1] += before[j]
+
+    first = list(range(n + 1))
+    last = list(range(n + 1))
+    size = [1] * (n + 1)
+    for node in reversed(order):
+        if last[node] - first[node] + 1 != size[node]:
+            return None
+        head = heads[node]
+        if head:
+            inside[head] += inside[node]
+            lo[head] = min(lo[head], lo[node])
+            hi[head] = max(hi[head], hi[node])
+            first[head] = min(first[head], first[node])
+            last[head] = max(last[head], last[node])
+            size[head] += size[node]
+    frontier = [
+        inside[node] > 0 and before[hi[node] + 1] - before[lo[node]] == inside[node]
+        for node in range(n + 1)
+    ]
+
+    def fragment(node: int, variables: list[int]) -> str:
+        parts = ["(" + _node_label(sent, node)]
+        for item in sorted(children[node] + [node]):
+            if item == node:
+                parts.append(_word_text(tokens[node - 1].form))
+            elif frontier[item]:
+                variables.append(item)
+                parts.append(f"#{len(variables)}:{_node_label(sent, item)}")
+            else:
+                parts.append(fragment(item, variables))
+        return " ".join(parts) + ")"
+
+    keys = []
+    for node in range(1, n + 1):
+        if not frontier[node]:
+            continue
+        variables: list[int] = []
+        text = fragment(node, variables)
+        j, end = (0, len(target) - 1) if heads[node] == 0 else (lo[node], hi[node])
+        # the variables' target spans are disjoint: each one's links lie
+        # outside every other one's yield
+        slots = {lo[v]: (hi[v], index) for index, v in enumerate(variables, start=1)}
+        rhs: list = []
+        while j <= end:
+            slot = slots.get(j)
+            if slot is None:
+                rhs.append(target[j])
+                j += 1
+            else:
+                rhs.append(slot[1])
+                j = slot[0] + 1
+        keys.append((text, tuple(rhs)))
+    return keys
+
+
+def _tree_rule(key: tuple[str, tuple]) -> TreeRule:
+    """The rule a `_tree_rule_keys` key stands for."""
+    text, target = key
+    return TreeRule(
+        _read_fragment(text), tuple(Var(t, "") if isinstance(t, int) else t for t in target)
+    )
 
 
 def extract_tree_rules(
@@ -374,113 +477,70 @@ def extract_tree_rules(
 
     Skips (returns nothing for) non-projective trees; the caller warns.
     """
-    if pair.source_tree is not None and not is_projective(pair.source_tree):
-        return []
-    return _projective_tree_rules(pair, links)
+    return [_tree_rule(key) for key in _tree_rule_keys(pair, links) or ()]
 
 
-def _projective_tree_rules(
-    pair: SentencePair, links: set[tuple[int, int]]
-) -> list[TreeRule]:
-    """`extract_tree_rules` for a pair whose tree is known to be projective."""
-    sent: DepSentence = pair.source_tree
-    if sent is None:
-        raise PhraseError("sentence pair carries no source tree")
-    yields = _yields(sent)
-    n_tgt = len(pair.target)
-
-    span: dict[int, tuple[int, int] | None] = {}
-    complement: dict[int, set[int]] = {}
-    for tok in sent.tokens:
-        yield_pos = {tid - 1 for tid in yields[tok.id]}
-        inside = [j for i, j in links if i in yield_pos]
-        span[tok.id] = (min(inside), max(inside)) if inside else None
-        complement[tok.id] = {j for i, j in links if i not in yield_pos}
-
-    def frontier(tok_id: int) -> bool:
-        s = span[tok_id]
-        if s is None:
-            return False
-        return not any(s[0] <= j <= s[1] for j in complement[tok_id])
-
-    root = sent.root()
-
-    def build_fragment(tok_id: int, variables: list[int]) -> Fragment:
-        tok = sent.tokens[tok_id - 1]
-        items: list = []
-        constituents = sorted(sent.children(tok_id) + [tok], key=lambda t: t.id)
-        for c in constituents:
-            if c.id == tok_id:
-                items.append(c.form)
-            elif frontier(c.id):
-                variables.append(c.id)
-                items.append(Var(len(variables), _node_label(sent, c.id)))
-            else:
-                items.append(build_fragment(c.id, variables))
-        return Fragment(_node_label(sent, tok_id), tuple(items))
-
-    rules: list[TreeRule] = []
-    for tok in sent.tokens:
-        if not frontier(tok.id):
+def _count_tree_rules(
+    pairs: list[SentencePair], link_sets: list[set[tuple[int, int]]]
+) -> tuple[dict[tuple[str, tuple], int], int]:
+    """How often each rule key occurs in the pairs, and the number of
+    non-projective pairs skipped: plain data, so that it can cross a pipe."""
+    counts: dict[tuple[str, tuple], int] = {}
+    skipped = 0
+    for pair, links in zip(pairs, link_sets):
+        keys = _tree_rule_keys(pair, links)
+        if keys is None:
+            skipped += 1
             continue
-        variables: list[int] = []
-        fragment = build_fragment(tok.id, variables)
-        if tok.id == root.id:
-            lo, hi = 0, n_tgt - 1
-        else:
-            lo, hi = span[tok.id]
-        var_spans = sorted(
-            ((span[v], idx + 1) for idx, v in enumerate(variables)), key=lambda x: x[0]
-        )
-        target: list = []
-        j = lo
-        while j <= hi:
-            covered = next((v for v in var_spans if v[0][0] == j), None)
-            if covered is not None:
-                target.append(Var(covered[1], ""))
-                j = covered[0][1] + 1
-            else:
-                target.append(pair.target[j])
-                j += 1
-        rules.append(TreeRule(fragment, tuple(target)))
-    return rules
+        for key in keys:
+            counts[key] = counts.get(key, 0) + 1
+    return counts, skipped
 
 
 def build_tree_rule_table(
-    pairs: list[SentencePair], link_sets: list[set[tuple[int, int]]]
+    pairs: list[SentencePair],
+    link_sets: list[set[tuple[int, int]]],
+    shards: int = 1,
+    map_shards: Callable | None = None,
 ) -> tuple[list[TreeRule], int]:
     """Aggregate tree rules; relative frequency over root labels.
 
     Returns the table and the number of skipped non-projective sentences.
+    The pairs are counted in `shards` round-robin slices by
+    `map_shards(count, slices)`, which returns [count(s) for s in slices]
+    (in this process when None; the CLI passes one that spreads the slices
+    over processes). Counts are whole numbers and the table is sorted by its
+    text, so the table does not depend on the slicing.
     """
-    joint: dict[tuple, float] = {}
-    label_totals: dict[str, float] = {}
-    tgt_totals: dict[tuple, float] = {}
+    shards = max(1, min(shards, len(pairs)))
+
+    def count_shard(shard: int):
+        return _count_tree_rules(pairs[shard::shards], link_sets[shard::shards])
+
+    joint: dict[tuple[str, tuple], int] = {}
     skipped = 0
-    for pair, links in zip(pairs, link_sets):
-        if pair.source_tree is not None and not is_projective(pair.source_tree):
-            skipped += 1
-            continue
-        for rule in _projective_tree_rules(pair, links):
-            joint[rule.key()] = joint.get(rule.key(), 0.0) + 1.0
-            label_totals[rule.fragment.label] = label_totals.get(rule.fragment.label, 0.0) + 1.0
-            tgt_totals[rule.target] = tgt_totals.get(rule.target, 0.0) + 1.0
+    for counts, shard_skipped in (map_shards or map)(count_shard, list(range(shards))):
+        skipped += shard_skipped
+        for key, n in counts.items():
+            joint[key] = joint.get(key, 0) + n
+    rules = {key: _tree_rule(key) for key in joint}
+    label_totals: dict[str, int] = {}
+    tgt_totals: dict[tuple, int] = {}
+    for key, n in joint.items():
+        label = rules[key].fragment.label
+        label_totals[label] = label_totals.get(label, 0) + n
+        tgt_totals[key[1]] = tgt_totals.get(key[1], 0) + n
     table = []
-    for key in sorted(joint, key=lambda k: format_tree_rule(TreeRule(*k))):
-        fragment, target = key
-        count = joint[key]
-        label = fragment.label
+    for key in sorted(joint, key=lambda k: format_tree_rule(rules[k])):
+        rule = rules[key]
+        count = float(joint[key])
+        label_total = float(label_totals[rule.fragment.label])
         table.append(
             TreeRule(
-                fragment,
-                target,
-                scores=(
-                    count / tgt_totals[target],
-                    1.0,
-                    count / label_totals[label],
-                    1.0,
-                ),
-                counts=(count, label_totals[label]),
+                rule.fragment,
+                rule.target,
+                scores=(count / tgt_totals[key[1]], 1.0, count / label_total, 1.0),
+                counts=(count, label_total),
             )
         )
     return table, skipped
@@ -494,7 +554,7 @@ def _fragment_to_text(fragment: Fragment) -> str:
         elif isinstance(item, Var):
             parts.append(f"#{item.index}:{item.label}")
         else:
-            parts.append(f"w:{item}")
+            parts.append(_word_text(item))
     return "(" + " ".join(parts) + ")"
 
 
@@ -539,15 +599,25 @@ def _parse_fragment(text: str, pos: int) -> tuple[Fragment, int]:
             items.append(Var(int(idx), label_part))
         elif token.startswith("w:"):
             items.append(token[2:])
+        elif token.startswith("w="):
+            items.append(_ESCAPED.sub(lambda m: chr(int(m.group()[1:], 16)), token[2:]))
         else:
             raise PhraseError(f"unexpected fragment item {token!r}")
+
+
+def _read_fragment(text: str) -> Fragment:
+    """The fragment `text` holds, and nothing after it."""
+    fragment, end = _parse_fragment(text, 0)
+    if end != len(text):
+        raise PhraseError(f"unexpected text after the fragment: {text[end:]!r}")
+    return fragment
 
 
 def parse_tree_rule(line: str) -> TreeRule:
     fields = line.split(" ||| ")
     if len(fields) != 4:
         raise PhraseError(f"expected 4 ||| fields, found {len(fields)}: {line!r}")
-    fragment, _ = _parse_fragment(fields[0], 0)
+    fragment = _read_fragment(fields[0])
     target: list = []
     for tok in fields[1].split():
         if tok.startswith("w:"):

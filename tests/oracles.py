@@ -271,3 +271,76 @@ def projective_by_yields(heads):
         if max(span) - min(span) + 1 != len(span):
             return False
     return True
+
+
+# --- frontier-node tree-to-string rules, by yield sets ---------------------
+
+
+def frontier_rules_reference(heads, labels, forms, target, links):
+    """Minimal frontier-node rules of one sentence pair, by definition.
+
+    heads, labels and forms describe tokens 1..n (index 0 is token 1; head 0
+    is the root); links are (source position, target position) pairs, and a
+    source position beyond the tree is outside every yield. None when two
+    arcs cross (the root's arc starts at position 0). Otherwise the rules in
+    token order, each (fragment, target): a fragment is (label, items) with
+    items ("w", form), ("var", index, label) or ("frag", fragment); a target
+    is a tuple of ("w", word) and ("var", index).
+    """
+    n = len(heads)
+    arcs = [(min(h, t), max(h, t)) for t, h in enumerate(heads, start=1)]
+    for a, (lo1, hi1) in enumerate(arcs):
+        for lo2, hi2 in arcs[a + 1:]:
+            if len({lo1, hi1, lo2, hi2}) == 4 and (lo1 < lo2 < hi1) != (lo1 < hi2 < hi1):
+                return None
+
+    yields = {t: set() for t in range(1, n + 1)}
+    for tok in range(1, n + 1):
+        node = tok
+        while node != 0:  # tok is in the yield of each of its ancestors
+            yields[node].add(tok)
+            node = heads[node - 1]
+
+    def span(tok):
+        inside = [j for i, j in links if i + 1 in yields[tok]]
+        return (min(inside), max(inside)) if inside else None
+
+    def frontier(tok):
+        s = span(tok)
+        if s is None:
+            return False
+        outside = {j for i, j in links if i + 1 not in yields[tok]}
+        return not any(s[0] <= j <= s[1] for j in outside)
+
+    def label(tok):
+        return "root" if heads[tok - 1] == 0 else labels[tok - 1]
+
+    def fragment(tok, variables):
+        constituents = sorted([tok] + [c for c in range(1, n + 1) if heads[c - 1] == tok])
+        items = []
+        for c in constituents:
+            if c == tok:
+                items.append(("w", forms[tok - 1]))
+            elif frontier(c):
+                variables.append(c)
+                items.append(("var", len(variables), label(c)))
+            else:
+                items.append(("frag", fragment(c, variables)))
+        return (label(tok), tuple(items))
+
+    rules = []
+    for tok in range(1, n + 1):
+        if not frontier(tok):
+            continue
+        variables = []
+        frag = fragment(tok, variables)
+        lo, hi = (0, len(target) - 1) if heads[tok - 1] == 0 else span(tok)
+        rhs = []
+        for j in range(lo, hi + 1):
+            owner = [k for k, v in enumerate(variables, start=1) if span(v)[0] <= j <= span(v)[1]]
+            if not owner:
+                rhs.append(("w", target[j]))
+            elif j == span(variables[owner[0] - 1])[0]:
+                rhs.append(("var", owner[0]))
+        rules.append((frag, tuple(rhs)))
+    return rules

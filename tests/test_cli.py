@@ -55,6 +55,18 @@ tune.enabled = false
 
 
 class TestBasicCommands:
+    def test_python_m_smtkit_help(self):
+        import subprocess
+        import sys
+
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        done = subprocess.run([sys.executable, "-m", "smtkit", "--help"], capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("usage: smtkit ") and "pipeline" in done.stdout
+
     def test_unknown_subcommand_usage_error(self):
         code, _, err = run(["frobnicate"])
         assert code == EXIT_USAGE
@@ -649,11 +661,35 @@ def _exit_code_cases():
                 *[arg for flag in given for arg in (flag, p["ttable"])]],
             EXIT_USAGE, [f"--kind {kind} needs {missing}"],
         ))
+    # a malformed decoder input names its file and line
+    for command, source in (("decode", "--input"), ("translate", "--input"), ("tune", "--dev-source")):
+        cases.append((
+            f"{command}-nested-tree-stray-tag",
+            lambda p, command=command, source=source: [
+                command, "--lm", p["lm"], "--kind", "tree", "--rule-table", p["tree_rules"],
+                source, p["stray_nested"], *(["--dev-target", p["in"]] if command == "tune" else [])],
+            EXIT_DATA, ["stray.nested: line 1: expected </tree> at offset"],
+        ))
     cases.append((
-        "decode-nested-tree-stray-tag",
+        "decode-conllu-id-gap",
         lambda p: ["decode", "--lm", p["lm"], "--kind", "tree", "--rule-table", p["tree_rules"],
-                   "--input", p["stray_nested"]],
-        EXIT_DATA, ["expected </tree> at offset"],
+                   "--input", p["gap_trees"]],
+        EXIT_DATA, ["gap.conllu: sentence gap, line 3:"],
+    ))
+    cases.append((
+        "extract-rules-tree-length-mismatch",
+        lambda p: ["extract-rules", "--kind", "tree", "--source", p["len_src"],
+                   "--target", p["len_tgt"], "--alignments", p["len_links"],
+                   "--trees", p["len_trees"], "--output", p["out"]],
+        EXIT_DATA, ["len.conllu: sentence s2 has 2 tokens, but source sentence 2 has 3 words"],
+    ))
+    cases.append((
+        "extract-rules-link-outside-pair",
+        lambda p: ["extract-rules", "--kind", "tree", "--source", p["len_src"],
+                   "--target", p["len_tgt"], "--alignments", p["outside_links"],
+                   "--trees", p["len_trees"], "--output", p["out"]],
+        EXIT_DATA, ["outside.links: line 2: link 1-3 lies outside the sentence pair "
+                    "of 3 source and 3 target words"],
     ))
     cases.append((
         "extract-rules-tree-id-gap",
@@ -717,6 +753,15 @@ class TestExitCodeTable:
             '<tree label="sent"><tree label="root"><x></tree></tree>\n', encoding="utf-8"
         )
         (root / "in.txt").write_text("the dog sees the house .\n", encoding="utf-8")
+        # the second tree has one token fewer than its source sentence
+        (root / "len.src").write_text("a b\na b c\n", encoding="utf-8")
+        (root / "len.tgt").write_text("x y\nx y z\n", encoding="utf-8")
+        (root / "len.links").write_text("0-0 1-1\n0-0 1-1 2-2\n", encoding="utf-8")
+        (root / "outside.links").write_text("0-0 1-1\n0-0 1-3\n", encoding="utf-8")
+        two_tokens = "1\ta\t_\t_\t_\t_\t2\tnsubj\t_\t_\n2\tb\t_\t_\t_\t_\t0\troot\t_\t_\n"
+        (root / "len.conllu").write_text(
+            f"# sent_id = s1\n{two_tokens}\n# sent_id = s2\n{two_tokens}\n", encoding="utf-8"
+        )
         train_tgt = (tiny_fixture / "train.tgt").read_text(encoding="utf-8").splitlines()
         (root / "short.tgt").write_text("\n".join(train_tgt[:20]) + "\n", encoding="utf-8")
         (root / "short.links").write_text("0-0\n" * 20, encoding="utf-8")
@@ -763,6 +808,11 @@ class TestExitCodeTable:
             "bad_ttable": str(root / "bad-tt.txt"),
             "blank_src": str(root / "blank.src"),
             "blank_tgt": str(root / "blank.tgt"),
+            "len_src": str(root / "len.src"),
+            "len_tgt": str(root / "len.tgt"),
+            "len_links": str(root / "len.links"),
+            "len_trees": str(root / "len.conllu"),
+            "outside_links": str(root / "outside.links"),
             "out": str(root / "out.txt"),
         }
 
@@ -943,6 +993,26 @@ class TestDecodeJobs:
                 path.unlink()
         assert outputs["1"] == outputs["2"] == outputs["3"]
         assert outputs["1"]["test.nbest"].count(b"\n") > 5  # an n-best list, not one line each
+        if kind == "tree":
+            assert outputs["1"]["tree-rule-table.txt"].count(b"\n") > 5
+
+    def test_tree_rule_extraction_bytes_do_not_depend_on_jobs(self, fixture_dir, tmp_path):
+        links = tmp_path / "train.links"
+        code, _, err = run(["train-align", "--source", f"{fixture_dir}/train.src",
+                            "--target", f"{fixture_dir}/train.tgt", "--iterations", "2",
+                            "--output", str(links)])
+        assert code == EXIT_OK, err
+        outputs = []
+        for jobs in self.JOBS:
+            out = tmp_path / f"rules-{jobs}.txt"
+            code, _, err = self.run_jobs([
+                "extract-rules", "--kind", "tree", "--source", f"{fixture_dir}/train.src",
+                "--target", f"{fixture_dir}/train.tgt", "--alignments", str(links),
+                "--trees", f"{fixture_dir}/train.conllu", "--output", str(out)], jobs)
+            assert code == EXIT_OK, err
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0].count(b"\n") > 10 and b"(root " in outputs[0]
 
     def test_decode_translate_tune_bytes_do_not_depend_on_jobs(self, trained, fixture_dir, tmp_path):
         model = ["--lm", str(trained / "lm.arpa"), "--phrase-table", str(trained / "phrase-table.txt")]
@@ -997,8 +1067,9 @@ class TestBenchmarkHooks:
     """The benchmark in `bench/` reaches into `cli` by name: it builds models
     through `cli._decode_sentences([], ...)` and keeps what `cli.PhraseModels`
     or `cli.TreeModels` returned, times the decoders through `cli.decode_phrase`
-    and `cli.decode_tree`, and times the file readers and MERT steps as module
-    attributes. Each of those names must be looked up when it is called."""
+    and `cli.decode_tree`, and times the file readers, tree-rule extraction
+    and MERT steps as module attributes. Each of those names must be looked
+    up when it is called."""
 
     def _count(self, monkeypatch, module, names):
         calls = dict.fromkeys(names, 0)
@@ -1022,7 +1093,9 @@ class TestBenchmarkHooks:
         table_calls, _ = self._count(
             monkeypatch, phrasetab, ["read_phrase_table", "read_reordering_table"]
         )
-        tree_table_calls, _ = self._count(monkeypatch, ruletab, ["read_tree_rule_table"])
+        tree_table_calls, _ = self._count(
+            monkeypatch, ruletab, ["read_tree_rule_table", "build_tree_rule_table"]
+        )
         tune_calls, _ = self._count(monkeypatch, tune, ["line_search", "pool_bleu", "optimize_pool"])
 
         for kind, extra in (("phrase", ["reorder.enabled = true"]),

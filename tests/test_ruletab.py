@@ -1,8 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import frontier_rules_reference
 
 from smtkit.align import TTable
 from smtkit.corpus import SentencePair
-from smtkit.deptree import parse_conllu
+from smtkit.deptree import DepSentence, DepToken, parse_conllu
 from smtkit.phrasetab import extract_phrases
 from smtkit.ruletab import (
     Fragment,
@@ -10,6 +13,7 @@ from smtkit.ruletab import (
     NT,
     TreeRule,
     Var,
+    _count_tree_rules,
     build_rule_table,
     build_tree_rule_table,
     extract_hier_rules,
@@ -24,6 +28,7 @@ from smtkit.ruletab import (
     write_rule_table,
     write_tree_rule_table,
 )
+from smtkit.phrasetab import PhraseError
 
 
 def reorder_fixture():
@@ -203,8 +208,6 @@ class TestTreeExtraction:
         assert skipped == 1
 
     def test_missing_tree_rejected(self):
-        from smtkit.phrasetab import PhraseError
-
         with pytest.raises(PhraseError):
             extract_tree_rules(SentencePair(["a"], ["b"]), set())
 
@@ -231,8 +234,6 @@ class TestTreeRuleTable:
         " ||| b ||| 0.5 ||| 1",
     ], ids=["label-to-end", "items-to-end", "empty-fragment"])
     def test_unterminated_fragment_names_line(self, line):
-        from smtkit.phrasetab import PhraseError
-
         text = "(root w:a) ||| b ||| 0.5 0.5 ||| 1 1\n" + line + "\n"
         with pytest.raises(PhraseError, match="^line 2: "):
             read_tree_rule_table(text)
@@ -243,3 +244,147 @@ class TestTreeRuleTable:
             (Var(1, ""), "u2", "u3"),
         )
         assert parse_tree_rule(format_tree_rule(rule)).key() == rule.key()
+
+    def test_parenthesis_word_round_trip(self):
+        rule = TreeRule(Fragment("root", ("a", Fragment("punct", (")",)), Var(1, "obj"))), ("b", Var(1, "")))
+        line = format_tree_rule(rule)
+        assert line.startswith("(root w:a (punct w=%29) #1:obj) ||| b #1 ||| ")
+        assert parse_tree_rule(line) == rule
+
+    def test_text_after_fragment_names_line(self):
+        # written before ')' words were escaped, this line read back as
+        # (root w:a (punct w:)) and dropped '#1:obj' without a word
+        text = "(root w:a) ||| b ||| 1 1 1 1 ||| 1 1\n(root w:a (punct w:)) #1:obj) ||| b ||| 1 1 1 1 ||| 1 1\n"
+        with pytest.raises(PhraseError, match="^line 2: unexpected text after the fragment: ' #1:obj\\)'"):
+            read_tree_rule_table(text)
+
+
+LABELS = ("nsubj", "obj", "amod", "punct")
+# words heavy in the characters the tree-rule format gives a meaning to
+WORDS = st.text(alphabet="ab()%:#w=|-.", min_size=1, max_size=4)
+VARS = st.builds(Var, st.integers(1, 9), st.sampled_from(LABELS))
+FRAGMENTS = st.recursive(
+    st.builds(Fragment, st.sampled_from(LABELS), st.tuples(WORDS)),
+    lambda inner: st.builds(
+        Fragment,
+        st.sampled_from(LABELS),
+        st.lists(st.one_of(WORDS, VARS, inner), min_size=1, max_size=3).map(tuple),
+    ),
+    max_leaves=8,
+)
+# a target word '|||' would split the line's fields; no table format can hold it
+TARGETS = st.lists(
+    st.one_of(WORDS.filter(lambda w: w != "|||"), st.builds(Var, st.integers(1, 9), st.just(""))),
+    min_size=1, max_size=4,
+).map(tuple)
+SCORES = st.tuples(*[st.sampled_from((0.5, 1.0, 0.25, 1e-05, 0.3333333333333333))] * 4)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(FRAGMENTS, TARGETS, SCORES)
+def test_tree_rule_round_trip(fragment, target, scores):
+    rule = TreeRule(fragment, target, scores, (3.0, 4.0))
+    line = format_tree_rule(rule)
+    assert parse_tree_rule(line) == rule
+    assert format_tree_rule(parse_tree_rule(line)) == line
+
+
+@st.composite
+def tree_pairs(draw):
+    """A random tree over 1-7 tokens (often non-projective), a target of 1-7
+    words and random links, some from beyond the tree."""
+    n = draw(st.integers(1, 7))
+    order = draw(st.permutations(range(1, n + 1)))
+    heads = [0] * n
+    for k, tok in enumerate(order[1:], start=1):  # each token hangs below an earlier one
+        heads[tok - 1] = order[draw(st.integers(0, k - 1))]
+    labels = [draw(st.sampled_from(LABELS)) for _ in range(n)]
+    forms = [draw(WORDS) for _ in range(n)]
+    target = draw(st.lists(WORDS, min_size=1, max_size=7))
+    links = draw(st.sets(st.tuples(st.integers(0, n + 1), st.integers(0, len(target) - 1)),
+                         max_size=3 * n))
+    return heads, labels, forms, target, links
+
+
+def as_pair(heads, labels, forms, target):
+    tokens = [DepToken(t, forms[t - 1], head=heads[t - 1], deprel=labels[t - 1])
+              for t in range(1, len(heads) + 1)]
+    return SentencePair(list(forms), list(target), source_tree=DepSentence(tokens=tokens))
+
+
+def neutral(rule):
+    """A TreeRule in the oracle's terms."""
+    def fragment(frag):
+        return (frag.label, tuple(
+            ("frag", fragment(item)) if isinstance(item, Fragment)
+            else ("var", item.index, item.label) if isinstance(item, Var)
+            else ("w", item)
+            for item in frag.items
+        ))
+
+    return fragment(rule.fragment), tuple(
+        ("var", t.index) if isinstance(t, Var) else ("w", t) for t in rule.target
+    )
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(tree_pairs())
+def test_tree_rules_match_oracle(case):
+    heads, labels, forms, target, links = case
+    expected = frontier_rules_reference(heads, labels, forms, target, links)
+    pair = as_pair(heads, labels, forms, target)
+    assert [neutral(r) for r in extract_tree_rules(pair, links)] == (expected or [])
+    table, skipped = build_tree_rule_table([pair], [links])
+    assert skipped == (expected is None)
+    assert sorted(neutral(r) for r in table) == sorted(set(expected or []))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(tree_pairs(), min_size=1, max_size=8))
+def test_tree_rule_table_matches_oracle_counts(cases):
+    pairs = [as_pair(*case[:4]) for case in cases]
+    link_sets = [case[4] for case in cases]
+    joint, label_totals, target_totals, skipped = {}, {}, {}, 0
+    for case in cases:
+        rules = frontier_rules_reference(*case)
+        skipped += rules is None
+        for frag, rhs in rules or []:
+            joint[frag, rhs] = joint.get((frag, rhs), 0) + 1
+            label_totals[frag[0]] = label_totals.get(frag[0], 0) + 1
+            target_totals[rhs] = target_totals.get(rhs, 0) + 1
+    table, table_skipped = build_tree_rule_table(pairs, link_sets)
+    assert table_skipped == skipped
+    assert {neutral(r): (r.scores, r.counts) for r in table} == {
+        (frag, rhs): (
+            (count / target_totals[rhs], 1.0, count / label_totals[frag[0]], 1.0),
+            (count, label_totals[frag[0]]),
+        )
+        for (frag, rhs), count in joint.items()
+    }
+    lines = [format_tree_rule(r) for r in table]
+    assert lines == sorted(lines)
+    # slicing the pairs into shards, counted in any order, gives the same table
+    for shards in (2, 3, 11):
+        calls = []
+
+        def reversed_map(count, slices):
+            calls.append(list(slices))
+            return [count(s) for s in slices][::-1]
+
+        assert build_tree_rule_table(pairs, link_sets, shards, reversed_map) == (table, skipped)
+        assert calls == [list(range(min(shards, len(pairs))))]
+
+
+def test_shard_counts_are_plain_data():
+    import marshal
+
+    pair, links = chain_tree(links_monotone=False)
+    counts, skipped = _count_tree_rules([pair, pair], [links, links])
+    assert marshal.loads(marshal.dumps((counts, skipped))) == (counts, skipped)
+    assert skipped == 0 and set(counts.values()) == {2}
+
+
+def test_link_outside_pair_rejected():
+    pair, _ = chain_tree()
+    with pytest.raises(PhraseError, match="link 0-3 lies outside the sentence pair"):
+        extract_tree_rules(pair, {(0, 0), (0, 3)})
