@@ -228,7 +228,10 @@ class PipelineConfig:
                     raise corpus.CorpusError(f"config line {lineno}: bad boolean {value!r}")
                 parsed = value.lower() in ("true", "1", "yes")
             elif kind is int:
-                parsed = int(value)
+                try:
+                    parsed = int(value)
+                except ValueError:
+                    raise corpus.CorpusError(f"config line {lineno}: bad integer {value!r}") from None
             else:
                 parsed = value
             setattr(config, attr, parsed)
@@ -684,7 +687,7 @@ def cmd_tune(args) -> int:
 def cmd_evaluate(args) -> int:
     lines = []
     if args.human_scores:
-        table = evaluate.parse_human_scores(corpus.read_text(args.human_scores))
+        table = _read_file(evaluate.parse_human_scores, args.human_scores)
         summary = evaluate.aggregate_human(table)
         lines.append(f"fluency_mean\t{summary.fluency_mean:.6f}")
         lines.append(f"adequacy_mean\t{summary.adequacy_mean:.6f}")
@@ -750,8 +753,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    config_text = corpus.read_text(args.config)
-    config = PipelineConfig.parse(config_text)
+    config_text, config = _read_file(lambda text: (text, PipelineConfig.parse(text)), args.config)
     model_dir = config.model_dir
     os.makedirs(model_dir, exist_ok=True)
 

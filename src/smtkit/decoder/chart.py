@@ -1,7 +1,10 @@
 """CKY-style chart decoding over a hierarchical rule table with glue rules.
 
 Items are LM-integrated and keyed per cell by (lhs, boundary words); each
-cell keeps a beam. Compositions rescore only the junction words, so item
+cell keeps a beam. A rule is composed with every combination of the best
+sub-items of its gaps (one `itertools.product`, which cube pruning would
+replace), and one ranking step, `phrase.rank_best`, recombines each cell and
+cuts it to the beam. Compositions rescore only the junction words, so item
 scores stay O(LM order) to combine. Glue derivations are left-anchored: S
 covers a prefix and grows monotonically to the right. Sentences that fail
 to parse fall back to glue-concatenating the best per-word lexical rules,
@@ -11,10 +14,19 @@ which cannot fail thanks to verbatim pass-through for uncovered words.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
+from operator import attrgetter
 
 from ..lm import NGramModel
 from ..ruletab import NT, RuleEntry
-from .phrase import OOV_FEATURES, DecodeError, DecodedHypothesis, rank_nbest, translation_features
+from .phrase import (
+    OOV_FEATURES,
+    DecodeError,
+    DecodedHypothesis,
+    rank_best,
+    rank_nbest,
+    translation_features,
+)
 from .weights import FeatureWeights, add_features
 
 
@@ -24,7 +36,6 @@ class ChartModels:
     lm: NGramModel
 
     def __post_init__(self):
-        self.by_lhs: dict[str, list[RuleEntry]] = {}
         # rules grouped by their first terminal (or NT-initial) so a cell
         # only tries plausible candidates
         self.by_first_word: dict[str, list[RuleEntry]] = {}
@@ -34,7 +45,6 @@ class ChartModels:
             if rule.lhs == "S":
                 has_glue = True
                 continue  # glue applications are built in, not matched
-            self.by_lhs.setdefault(rule.lhs, []).append(rule)
             if isinstance(rule.src_rhs[0], NT):
                 self.nt_initial.append(rule)
             else:
@@ -43,25 +53,14 @@ class ChartModels:
             raise DecodeError("rule table is missing the glue rules")
 
     def candidates(self, first_word: str, width: int) -> list[RuleEntry]:
-        found = [
-            r for r in self.by_first_word.get(first_word, []) if len(r.src_rhs) <= width
-        ]
-        found.extend(r for r in self.nt_initial if len(r.src_rhs) <= width)
-        return found
+        rules = self.by_first_word.get(first_word, []) + self.nt_initial
+        return [r for r in rules if len(r.src_rhs) <= width]
 
 
 @dataclass
 class ChartConfig:
     cell_beam: int = 100
     nbest: int = 1
-    # sub-items tried per nonterminal when composing; keeps two-gap rules
-    # from multiplying whole cell beams together (no cube pruning here)
-    compose_beam: int | None = None
-
-    def effective_compose_beam(self) -> int:
-        if self.compose_beam is not None:
-            return max(self.compose_beam, 1)
-        return max(int(self.cell_beam ** 0.5), 1)
 
 
 @dataclass
@@ -163,19 +162,6 @@ def _match_positions(pattern: tuple, sentence: list[str], i: int, j: int):
     yield from rec(0, i, [])
 
 
-def _prune(items: list[ChartItem], order: int, beam: int) -> list[ChartItem]:
-    # recombine by boundary words, keep the better survivor
-    best: dict[tuple, ChartItem] = {}
-    cut = order - 1
-    for item in items:
-        key = (item.lhs, item.tokens[:cut], item.tokens[-cut:] if cut else ())
-        other = best.get(key)
-        if other is None or item.score > other.score:
-            best[key] = item
-    survivors = sorted(best.values(), key=lambda it: (-it.score, it.tokens))
-    return survivors[:beam]
-
-
 def decode_chart(
     sentence: list[str],
     models: ChartModels,
@@ -188,32 +174,35 @@ def decode_chart(
         raise DecodeError("cannot decode an empty sentence")
     n = len(sentence)
     factory = _ItemFactory(models.lm, weights)
-    order = models.lm.order
+    cut = models.lm.order - 1
+
+    def boundary(item: ChartItem) -> tuple:  # items that share it recombine
+        return (item.lhs, item.tokens[:cut], item.tokens[-cut:] if cut else ())
 
     cells: dict[tuple[int, int], dict[str, list[ChartItem]]] = {}
     glue: dict[int, list[ChartItem]] = {}  # S items over [0, j)
-    compose_beam = config.effective_compose_beam()
+    # sub-items tried per nonterminal when composing; keeps two-gap rules
+    # from multiplying whole cell beams together
+    compose_beam = max(int(config.cell_beam ** 0.5), 1)
 
     for width in range(1, n + 1):
         for i in range(0, n - width + 1):
             j = i + width
             found: list[ChartItem] = []
             for rule in models.candidates(sentence[i], width):
+                nts = [s for s in rule.src_rhs if isinstance(s, NT)]
                 for spans in _match_positions(rule.src_rhs, sentence, i, j):
-                    nts = [s for s in rule.src_rhs if isinstance(s, NT)]
-                    combos = [[]]
-                    for nt, (a, b) in zip(nts, spans):
-                        sub_lists = cells.get((a, b), {}).get(nt.label, [])[:compose_beam]
-                        if not sub_lists:
-                            combos = []
-                            break
-                        combos = [c + [(nt.index, s)] for c in combos for s in sub_lists]
-                    for combo in combos:
-                        found.append(factory.compose(rule, dict(combo)))
+                    sub_lists = [
+                        cells.get(span, {}).get(nt.label, [])[:compose_beam]
+                        for nt, span in zip(nts, spans)
+                    ]
+                    for combo in product(*sub_lists):
+                        subs = {nt.index: sub for nt, sub in zip(nts, combo)}
+                        found.append(factory.compose(rule, subs))
             if width == 1 and not any(item.lhs == "X" for item in found):
                 found.append(factory.oov(sentence[i]))
             if found:
-                pruned = _prune(found, order, config.cell_beam)
+                pruned = rank_best(found, boundary, attrgetter("score"), config.cell_beam)
                 by_label: dict[str, list[ChartItem]] = {}
                 for item in pruned:
                     by_label.setdefault(item.lhs, []).append(item)
@@ -221,15 +210,12 @@ def decode_chart(
 
     # left-anchored glue pass: S(0,j) = X(0,j) | S(0,k) + X(k,j)
     for j in range(1, n + 1):
-        candidates: list[ChartItem] = []
-        for item in cells.get((0, j), {}).get("X", []):
-            candidates.append(factory.as_glue(item))
+        candidates = [factory.as_glue(item) for item in cells.get((0, j), {}).get("X", [])]
         for k in range(1, j):
-            for left in glue.get(k, []):
-                for right in cells.get((k, j), {}).get("X", []):
-                    candidates.append(factory.glue_join(left, right))
+            pairs = product(glue.get(k, []), cells.get((k, j), {}).get("X", []))
+            candidates += [factory.glue_join(left, right) for left, right in pairs]
         if candidates:
-            glue[j] = _prune(candidates, order, config.cell_beam)
+            glue[j] = rank_best(candidates, boundary, attrgetter("score"), config.cell_beam)
 
     finals = glue.get(n) or [_fallback(sentence, models, factory)]
     return rank_nbest(finals, models.lm, weights, config.nbest)

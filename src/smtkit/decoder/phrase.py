@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from heapq import heapreplace
+from operator import attrgetter
 
 from ..corpus import BOS, EOS
 from ..lm import NGramModel
@@ -121,25 +122,31 @@ def translation_features(scores, target: tuple) -> dict[str, float]:
     return feats
 
 
+def rank_best(items, key, score, limit: int) -> list:
+    """The ranking step of the chart and tree decoders: the best item per
+    `key(item)` (the first of equals), sorted by (-score, tokens) and cut to
+    `limit`."""
+    best: dict = {}
+    for item in items:
+        value, slot = score(item), key(item)
+        if slot not in best or value > best[slot][0]:
+            best[slot] = (value, item)
+    ranked = sorted(best.values(), key=lambda pair: (-pair[0], pair[1].tokens))
+    return [item for _, item in ranked[:limit]]
+
+
 def rank_nbest(
     items, lm: NGramModel, weights: FeatureWeights, nbest: int
 ) -> list[DecodedHypothesis]:
-    """The n-best tail of the chart and tree decoders.
-
-    `items` carry `tokens`, LM-free `features` and `rules`. Each distinct
-    output keeps its best derivation after rescoring the LM with sentence
-    boundaries; the result is sorted by (-score, tokens).
-    """
-    ranked: dict[tuple[str, ...], DecodedHypothesis] = {}
+    """The n-best tail of the chart and tree decoders: `items` (with `tokens`,
+    LM-free `features` and `rules`) ranked after rescoring the LM with
+    sentence boundaries, each distinct output with its best derivation."""
+    hyps = []
     for item in items:
         features = dict(item.features)
         features["lm"], _ = lm.score_sentence(list(item.tokens))
-        score = weights.dot(features)
-        existing = ranked.get(item.tokens)
-        if existing is None or score > existing.score:
-            ranked[item.tokens] = DecodedHypothesis(item.tokens, score, features, item.rules)
-    ordered = sorted(ranked.values(), key=lambda h: (-h.score, h.tokens))
-    return ordered[: max(nbest, 1)]
+        hyps.append(DecodedHypothesis(item.tokens, weights.dot(features), features, item.rules))
+    return rank_best(hyps, attrgetter("tokens"), attrgetter("score"), max(nbest, 1))
 
 
 def build_options(

@@ -5,13 +5,20 @@ derivations of its subtree: tree rules whose fragments match the local
 structure compose child derivations into target strings; nodes without a
 matching rule fall back to a synthesized pass-through rule that copies the
 head word and keeps the children in surface order.
+
+Both kinds of rule are composed by one step, `compose`, which builds the
+full product of the k-best lists of the rule's variables. One ranking step,
+`phrase.rank_best`, keeps each node's k best distinct strings; a lazy k-best
+combiner would replace the product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
+from operator import attrgetter
 
-from ..deptree import DepSentence, is_projective
+from ..deptree import DepSentence, DepToken, is_projective
 from ..lm import NGramModel
 from ..ruletab import Fragment, TreeRule, Var, _node_label
 from .phrase import (
@@ -19,6 +26,7 @@ from .phrase import (
     DecodeError,
     DecodedHypothesis,
     lm_prefix_score,
+    rank_best,
     rank_nbest,
     translation_features,
 )
@@ -50,33 +58,33 @@ class TreeItem:
 
 
 def _match_fragment(
-    sent: DepSentence, fragment: Fragment, tok_id: int
+    sent: DepSentence,
+    constituents: dict[int, list[DepToken]],
+    fragment: Fragment,
+    tok_id: int,
 ) -> dict[int, int] | None:
     """Match a rule fragment at a node; returns variable -> token id."""
     if fragment.label != _node_label(sent, tok_id):
         return None
-    tok = sent.tokens[tok_id - 1]
-    constituents = sorted(sent.children(tok_id) + [tok], key=lambda t: t.id)
-    if len(fragment.items) != len(constituents):
+    here = constituents[tok_id]
+    if len(fragment.items) != len(here):
         return None
     binding: dict[int, int] = {}
-    for item, constituent in zip(fragment.items, constituents):
-        if isinstance(item, Var):
-            if constituent.id == tok_id:
+    for item, constituent in zip(fragment.items, here):
+        if isinstance(item, str):
+            if constituent.id != tok_id or item != constituent.form:
                 return None
+        elif constituent.id == tok_id:
+            return None
+        elif isinstance(item, Var):
             if item.label != _node_label(sent, constituent.id):
                 return None
             binding[item.index] = constituent.id
-        elif isinstance(item, Fragment):
-            if constituent.id == tok_id:
-                return None
-            sub = _match_fragment(sent, item, constituent.id)
+        else:
+            sub = _match_fragment(sent, constituents, item, constituent.id)
             if sub is None:
                 return None
             binding.update(sub)
-        else:
-            if constituent.id != tok_id or item != tok.form:
-                return None
     return binding
 
 
@@ -97,66 +105,56 @@ def decode_tree(
 
     lm = models.lm
     k = max(config.k_best_per_node, 1)
+    constituents = sent.constituents()
     best: dict[int, list[TreeItem]] = {}
 
-    def rank(items: list[TreeItem]) -> list[TreeItem]:
-        scored: dict[tuple[str, ...], tuple[float, TreeItem]] = {}
-        for item in items:
-            score = weights.dot(item.features) + weights.lm * lm_prefix_score(lm, item.tokens)
-            other = scored.get(item.tokens)
-            if other is None or score > other[0]:
-                scored[item.tokens] = (score, item)
-        ordered = sorted(scored.items(), key=lambda kv: (-kv[1][0], kv[0]))
-        return [item for _, (_, item) in ordered][:k]
+    def compose(rule: TreeRule, binding: dict[int, int], base: dict, applied: tuple):
+        """Yield an item per combination of the k-best lists of the rule's
+        variables, the last varying fastest. `base` holds the rule's own
+        features and `applied` its part of the derivation."""
+        slots = [t.index for t in rule.target if isinstance(t, Var)]
+        for combo in product(*(decode_node(binding[index]) for index in slots)):
+            subs = dict(zip(slots, combo))
+            tokens: list[str] = []
+            features = dict(base)
+            rules = applied
+            for t in rule.target:
+                if isinstance(t, Var):
+                    sub = subs[t.index]
+                    tokens.extend(sub.tokens)
+                    add_features(features, sub.features)
+                    rules = rules + sub.rules
+                else:
+                    tokens.append(t)
+            yield TreeItem(tuple(tokens), features, rules)
 
     def decode_node(tok_id: int) -> list[TreeItem]:
-        cached = best.get(tok_id)
-        if cached is not None:
-            return cached
+        if tok_id in best:
+            return best[tok_id]
+        label = _node_label(sent, tok_id)
         candidates: list[TreeItem] = []
-        for rule in models.by_label.get(_node_label(sent, tok_id), []):
-            binding = _match_fragment(sent, rule.fragment, tok_id)
-            if binding is None:
-                continue
-            slots = [t.index for t in rule.target if isinstance(t, Var)]
-            combos: list[dict[int, TreeItem]] = [{}]
-            for index in slots:
-                sub_items = decode_node(binding[index])
-                combos = [
-                    {**combo, index: item} for combo in combos for item in sub_items
-                ]
-            for combo in combos:
-                tokens: list[str] = []
-                features = translation_features(rule.scores, rule.target)
-                rules: tuple[TreeRule, ...] = (rule,)
-                for t in rule.target:
-                    if isinstance(t, Var):
-                        tokens.extend(combo[t.index].tokens)
-                        add_features(features, combo[t.index].features)
-                        rules = rules + combo[t.index].rules
-                    else:
-                        tokens.append(t)
-                candidates.append(TreeItem(tuple(tokens), features, rules))
+        for rule in models.by_label.get(label, []):
+            binding = _match_fragment(sent, constituents, rule.fragment, tok_id)
+            if binding is not None:
+                base = translation_features(rule.scores, rule.target)
+                candidates += compose(rule, binding, base, (rule,))
         if not candidates:
-            # pass-through: children in surface order around the copied head
-            tok = sent.tokens[tok_id - 1]
-            constituents = sorted(sent.children(tok_id) + [tok], key=lambda t: t.id)
-            combos: list[tuple[tuple[str, ...], dict[str, float], tuple]] = [((), dict(OOV_FEATURES), ())]
-            for c in constituents:
-                if c.id == tok_id:
-                    combos = [(t + (tok.form,), f, r) for t, f, r in combos]
-                else:
-                    new_combos = []
-                    for t, f, r in combos:
-                        for item in decode_node(c.id):
-                            merged = dict(f)
-                            add_features(merged, item.features)
-                            new_combos.append((t + item.tokens, merged, r + item.rules))
-                    combos = new_combos
-            candidates = [TreeItem(t, f, r) for t, f, r in combos]
-        ranked = rank(candidates)
-        best[tok_id] = ranked
-        return ranked
+            # pass-through: a synthesized rule, not part of the derivation,
+            # that copies the head word among its children, each a variable
+            # named by its token id
+            items = tuple(
+                t.form if t.id == tok_id else Var(t.id, _node_label(sent, t.id))
+                for t in constituents[tok_id]
+            )
+            binding = {t.id: t.id for t in constituents[tok_id]}
+            candidates += compose(TreeRule(Fragment(label, items), items), binding, OOV_FEATURES, ())
+        best[tok_id] = rank_best(
+            candidates,
+            attrgetter("tokens"),
+            lambda it: weights.dot(it.features) + weights.lm * lm_prefix_score(lm, it.tokens),
+            k,
+        )
+        return best[tok_id]
 
     root_items = decode_node(sent.root().id)
     return rank_nbest(root_items, lm, weights, config.nbest)

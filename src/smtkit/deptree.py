@@ -120,8 +120,14 @@ class DepSentence:
     def root(self) -> DepToken:
         return next(t for t in self.tokens if t.head == 0)
 
-    def children(self, head_id: int) -> list[DepToken]:
-        return [t for t in self.tokens if t.head == head_id]
+    def constituents(self) -> dict[int, list[DepToken]]:
+        """Each token's dependents and the token itself, in surface order."""
+        out: dict[int, list[DepToken]] = {tok.id: [] for tok in self.tokens}
+        for tok in self.tokens:  # in id order, so every list comes out sorted
+            if tok.head:
+                out[tok.head].append(tok)
+            out[tok.id].append(tok)
+        return out
 
 
 def _validate_tree(sent: DepSentence, line_of: dict[int, int]) -> None:
@@ -138,19 +144,20 @@ def _validate_tree(sent: DepSentence, line_of: dict[int, int]) -> None:
     roots = [t for t in sent.tokens if t.head == 0]
     if len(roots) != 1:
         raise ConlluError(f"sentence {ident}: expected exactly 1 root, found {len(roots)}")
-    # every token must reach the root without revisiting a node
-    heads = {t.id: t.head for t in sent.tokens}
+    # one pass down the children lists from the root reaches every token
+    # whose heads lead to it; a token it misses is on or below a cycle
+    children: list[list[int]] = [[] for _ in range(n + 1)]
     for tok in sent.tokens:
-        seen = set()
-        cur = tok.id
-        while cur != 0:
-            if cur in seen:
-                raise ConlluError(
-                    f"sentence {ident}, line {line_of.get(tok.id, 0)}: "
-                    f"cycle involving token {tok.id}"
-                )
-            seen.add(cur)
-            cur = heads[cur]
+        children[tok.head].append(tok.id)
+    reached = [0]
+    for node in reached:
+        reached += children[node]
+    if len(reached) <= n:
+        found = set(reached)
+        missed = next(tok.id for tok in sent.tokens if tok.id not in found)
+        raise ConlluError(
+            f"sentence {ident}, line {line_of.get(missed, 0)}: cycle involving token {missed}"
+        )
 
 
 def parse_conllu(text: str) -> list[DepSentence]:
@@ -267,15 +274,15 @@ def _escape(text: str) -> str:
     )
 
 
-def _render_subtree(sent: DepSentence, tok: DepToken) -> str:
+def _render_subtree(constituents: dict[int, list[DepToken]], tok: DepToken) -> str:
     """Head word in surface position among its dependents, each wrapped."""
-    items = sorted(sent.children(tok.id) + [tok], key=lambda t: t.id)
     parts = []
-    for item in items:
+    for item in constituents[tok.id]:
         if item.id == tok.id:
             parts.append(f'<tree label="{_escape(tok.xpos)}">{_escape(tok.form)}</tree>')
         else:
-            parts.append(f'<tree label="{_escape(item.deprel)}">{_render_subtree(sent, item)}</tree>')
+            sub = _render_subtree(constituents, item)
+            parts.append(f'<tree label="{_escape(item.deprel)}">{sub}</tree>')
     return "".join(parts)
 
 
@@ -288,8 +295,8 @@ def to_nested_tree(sent: DepSentence) -> str:
             f"sentence {sent.sent_id or '<unknown>'} is non-projective: "
             f"arc {a[0]}-{a[1]} crosses arc {b[0]}-{b[1]}"
         )
-    root = sent.root()
-    return f'<tree label="sent"><tree label="root">{_render_subtree(sent, root)}</tree></tree>'
+    root = _render_subtree(sent.constituents(), sent.root())
+    return f'<tree label="sent"><tree label="root">{root}</tree></tree>'
 
 
 @dataclass

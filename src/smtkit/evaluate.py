@@ -357,7 +357,10 @@ def parse_human_scores(text: str) -> HumanScoreTable:
         parts = [p.strip() for p in (line.split("\t") if "\t" in line else line.split(","))]
         if len(parts) != 3:
             raise EvalError(f"line {lineno}: expected sentence_id, fluency, adequacy")
-        rows.append((parts[0], int(parts[1]), int(parts[2])))
+        try:
+            rows.append((parts[0], int(parts[1]), int(parts[2])))
+        except ValueError:
+            raise EvalError(f"line {lineno}: non-integer score in {line!r}") from None
     return HumanScoreTable(rows)
 
 

@@ -70,15 +70,18 @@ class PhraseEntry:
 
 
 def _lex_weight(
-    tgt: tuple[str, ...],
-    src: tuple[str, ...],
-    links: frozenset[tuple[int, int]],
+    tgt: tuple,
+    src: tuple,
+    links: frozenset[tuple[int, int]] | list[tuple[int, int]],
     ttable: TTable,
 ) -> float:
     """Koehn-style lexical weight: product over target words of the mean
-    translation probability of their aligned source words (NULL when none)."""
+    translation probability of their aligned source words (NULL when none);
+    a rule's nonterminals are skipped."""
     weight = 1.0
     for j, tgt_word in enumerate(tgt):
+        if not isinstance(tgt_word, str):
+            continue
         aligned = [i for i, jj in links if jj == j]
         if aligned:
             total = sum(ttable.prob(tgt_word, src[i]) for i in aligned)

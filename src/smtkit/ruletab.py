@@ -13,10 +13,10 @@ import re
 from dataclasses import dataclass
 from typing import Callable
 
-from .align import NULL_WORD, TTable
+from .align import TTable
 from .corpus import SentencePair
 from .deptree import DepSentence
-from .phrasetab import PhraseError, _fmt_num, extract_phrases, parse_lines
+from .phrasetab import PhraseError, _fmt_num, _lex_weight, extract_phrases, parse_lines
 
 
 @dataclass(frozen=True)
@@ -184,21 +184,8 @@ def _rule_lex_weights(
         if not isinstance(rule.src_rhs[i], NT) and not isinstance(rule.tgt_rhs[j], NT)
     ]
 
-    def one_side(out_side, in_side, links, table):
-        weight = 1.0
-        for j, word in enumerate(out_side):
-            if isinstance(word, NT):
-                continue
-            aligned = [i for i, jj in links if jj == j]
-            if aligned:
-                total = sum(table.prob(word, in_side[i]) for i in aligned)
-                weight *= total / len(aligned)
-            else:
-                weight *= table.prob(word, NULL_WORD)
-        return max(weight, 1e-30)
-
-    lex_t_given_s = one_side(rule.tgt_rhs, rule.src_rhs, term_links, ttable_fwd)
-    lex_s_given_t = one_side(
+    lex_t_given_s = _lex_weight(rule.tgt_rhs, rule.src_rhs, term_links, ttable_fwd)
+    lex_s_given_t = _lex_weight(
         rule.src_rhs, rule.tgt_rhs, [(j, i) for i, j in term_links], ttable_bwd
     )
     return lex_s_given_t, lex_t_given_s
@@ -559,8 +546,12 @@ def _fragment_to_text(fragment: Fragment) -> str:
 
 
 def format_tree_rule(rule: TreeRule) -> str:
+    # `w:` marks a target word that would read as a variable, a marked word
+    # or the field separator
     tgt = " ".join(
-        f"#{t.index}" if isinstance(t, Var) else (f"w:{t}" if t.startswith(("#", "w:")) else t)
+        f"#{t.index}" if isinstance(t, Var)
+        else f"w:{t}" if t.startswith(("#", "w:")) or t == "|||"
+        else t
         for t in rule.target
     )
     scores = " ".join(_fmt_num(s) for s in rule.scores)

@@ -699,6 +699,16 @@ def _exit_code_cases():
         EXIT_DATA, ["gap.conllu: sentence gap, line 3:", "token id 5 where 2 was expected"],
     ))
     cases.append((
+        "evaluate-non-integer-human-score",
+        lambda p: ["evaluate", "--human-scores", p["bad_scores"]],
+        EXIT_DATA, ["bad-scores.csv: line 2:", "'2, x, 3'"],
+    ))
+    cases.append((
+        "pipeline-non-integer-config-value",
+        lambda p: ["pipeline", "--config", p["bad_int_config"]],
+        EXIT_DATA, ["bad-int.cfg: config line 2:", "'abc'"],
+    ))
+    cases.append((
         "jobs-below-one",
         lambda p: ["--jobs", "0", "train-align", "--source", p["train_src"],
                    "--target", p["train_tgt"], "--output", p["out"]],
@@ -781,6 +791,10 @@ class TestExitCodeTable:
         (root / "short.cfg").write_text(
             text.replace(f"{tiny_fixture}/train.tgt", str(root / "short.tgt")), encoding="utf-8"
         )
+        (root / "bad-int.cfg").write_text(
+            "decoder.kind = phrase\ndecoder.stack_size = abc\n", encoding="utf-8"
+        )
+        (root / "bad-scores.csv").write_text("1, 4, 5\n2, x, 3\n", encoding="utf-8")
         return {
             "lm": str(trained / "lm.arpa"),
             "table": str(trained / "phrase-table.txt"),
@@ -802,6 +816,8 @@ class TestExitCodeTable:
             "short_tgt": str(root / "short.tgt"),
             "short_links": str(root / "short.links"),
             "short_config": str(root / "short.cfg"),
+            "bad_int_config": str(root / "bad-int.cfg"),
+            "bad_scores": str(root / "bad-scores.csv"),
             "links": str(root / "all.links"),
             "bad_links": str(root / "bad.links"),
             "dashless_links": str(root / "dashless.links"),

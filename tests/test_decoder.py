@@ -13,6 +13,7 @@ from smtkit.decoder import (
     DecodeError,
     FeatureWeights,
     PhraseModels,
+    TreeConfig,
     TreeModels,
     decode_chart,
     decode_phrase,
@@ -666,6 +667,194 @@ class TestDecodeTree:
         models = TreeModels(rules, random_lm())
         hyp = decode_tree(tree_fixture(), models, weights)[0]
         assert weights.dot(hyp.features) == pytest.approx(hyp.score, abs=1e-9)
+
+
+# Digests of every decode_chart and decode_tree n-best over grammars whose
+# scores sum exactly in binary floating point, as the phrase digests above:
+# every rule score is a power of ten, every LM log10 probability and back-off
+# and every weight is dyadic. They pin each n-best byte for byte (tokens,
+# score, features, derivation and tie order) at small and large beams.
+CHART_TREE_WEIGHTS = EXACT_WEIGHTS.replaced("glue", 0.25)
+
+
+def dyadic_lm(seed, words=tuple(TGT[:5]), order=2):
+    """An ARPA LM over `words` whose log10 probabilities and back-offs are
+    multiples of 1/8; seed None makes every word equally likely."""
+    rng = random.Random(seed)
+    vocab = list(words) + ["</s>", "<unk>"]
+    unigrams = [f"-99\t<s>\t{-0.5 if seed is None else -rng.choice((0.25, 0.5))}"]
+    for word in vocab:
+        logp = -0.75 if seed is None else -rng.choice((0.5, 0.75, 1.0, 1.25))
+        unigrams.append(f"{logp}\t{word}\t{-0.5 if seed is None else -rng.choice((0.25, 0.5))}")
+    bigrams = []
+    if seed is not None:
+        for prev in ["<s>"] + list(words):
+            for word in rng.sample(list(words) + ["</s>"], 3):
+                bigrams.append(f"{-rng.choice((0.125, 0.25, 0.375))}\t{prev} {word}")
+    lines = ["\\data\\", f"ngram 1={len(unigrams)}", f"ngram 2={len(bigrams)}", ""]
+    lines += ["\\1-grams:"] + unigrams + ["", "\\2-grams:"] + bigrams + ["", "\\end\\", ""]
+    assert order == 2
+    return read_arpa("\n".join(lines))
+
+
+def _rule(src, tgt, scores):
+    return RuleEntry("X", tuple(src), tuple(tgt), scores, frozenset(), (1, 1, 1))
+
+
+def chart_digest_models(seed):
+    """Lexical, one-gap, two-gap and reordering rules over s0-s3; seed None
+    gives every rule the same scores and the LM no preference."""
+    rng = random.Random(seed)
+    powers = (1.0, 0.1, 0.01)
+
+    def scores():
+        return (0.1,) * 4 if seed is None else tuple(rng.choice(powers) for _ in range(4))
+
+    x1, x2 = NT(1), NT(2)
+    rules = [_rule((s,), (t,), scores()) for s in SRC[:4] for t in TGT[:3]]
+    rules += [
+        _rule(("s0", "s1"), ("t3", "t4"), scores()),
+        _rule(("s0", x1), ("t1", x1), scores()),
+        _rule((x1, "s1", x2), (x2, x1), scores()),
+        _rule((x1, "s1", x2), (x1, "t4", x2), scores()),
+        _rule((x1, "s2"), (x1, "t3"), scores()),
+        _rule(("s3", x1, "s0"), (x1, "t2"), scores()),
+        _rule((x1, x2), (x2, x1), scores()),
+    ]
+    return ChartModels(rules + glue_rules(), dyadic_lm(seed))
+
+
+DIGEST_TREES = parse_conllu(
+    # det under nsubj, an advmod chain and a word no rule covers
+    "1\tthe\t_\t_\t_\t_\t2\tdet\t_\t_\n"
+    "2\tdog\t_\t_\t_\t_\t3\tnsubj\t_\t_\n"
+    "3\truns\t_\t_\t_\t_\t0\troot\t_\t_\n"
+    "4\tvery\t_\t_\t_\t_\t5\tadvmod\t_\t_\n"
+    "5\tfast\t_\t_\t_\t_\t3\tadvmod\t_\t_\n"
+    "6\toov-word\t_\t_\t_\t_\t3\tpunct\t_\t_\n"
+    "\n"
+    # no rule for its root: the whole sentence is passed through
+    "1\tthe\t_\t_\t_\t_\t2\tdet\t_\t_\n"
+    "2\tdog\t_\t_\t_\t_\t3\tnsubj\t_\t_\n"
+    "3\tsleeps\t_\t_\t_\t_\t0\troot\t_\t_\n"
+    "4\tfast\t_\t_\t_\t_\t3\tadvmod\t_\t_\n"
+    "\n"
+    "1\truns\t_\t_\t_\t_\t0\troot\t_\t_\n"
+    "\n"
+    "1\tdog\t_\t_\t_\t_\t2\tnsubj\t_\t_\n"
+    "2\truns\t_\t_\t_\t_\t0\troot\t_\t_\n"
+    "3\tthe\t_\t_\t_\t_\t4\tdet\t_\t_\n"
+    "4\tdog\t_\t_\t_\t_\t2\tobj\t_\t_\n"
+    "5\tfast\t_\t_\t_\t_\t2\tadvmod\t_\t_\n"
+    "\n"
+    # a passed-through root whose variables are adjacent
+    "1\tdog\t_\t_\t_\t_\t3\tnsubj\t_\t_\n"
+    "2\tfast\t_\t_\t_\t_\t3\tadvmod\t_\t_\n"
+    "3\truns\t_\t_\t_\t_\t0\troot\t_\t_\n"
+)
+
+
+def tree_digest_models(seed):
+    """Rules with variables, inlined fragments and several targets per
+    fragment; seed None gives every rule the same scores."""
+    rng = random.Random(seed)
+    powers = (1.0, 0.1, 0.01)
+
+    def rule(fragment, target):
+        scores = (0.1,) * 4 if seed is None else tuple(rng.choice(powers) for _ in range(4))
+        return TreeRule(fragment, target, scores)
+
+    v1, v2, v3 = Var(1, ""), Var(2, ""), Var(3, "")
+    root = Fragment("root", (Var(1, "nsubj"), "runs", Var(2, "advmod"), Var(3, "punct")))
+    rules = [
+        rule(root, (v2, v1, "t0", v3)),
+        rule(root, (v1, "t0", v2, v3)),
+        rule(Fragment("root", ("runs",)), ("t0",)),
+        rule(Fragment("root", ("runs",)), ("t1",)),
+        rule(Fragment("root", (Var(1, "nsubj"), "runs", Var(2, "obj"), Var(3, "advmod"))),
+             (v1, v3, "t0", v2)),
+        rule(Fragment("nsubj", (Var(1, "det"), "dog")), ("t2", v1)),
+        rule(Fragment("nsubj", (Var(1, "det"), "dog")), (v1, "t2")),
+        rule(Fragment("nsubj", (Fragment("det", ("the",)), "dog")), ("t3",)),
+        rule(Fragment("nsubj", ("dog",)), ("t2",)),
+        # with the last advmod rule, two derivations make 't2 t4 t4' of adjacent
+        # nsubj and advmod variables
+        rule(Fragment("nsubj", ("dog",)), ("t2", "t4")),
+        rule(Fragment("obj", (Var(1, "det"), "dog")), (v1, "t4")),
+        rule(Fragment("det", ("the",)), ("t1",)),
+        rule(Fragment("det", ("the",)), ("t4",)),
+        rule(Fragment("advmod", ("fast",)), ("t3",)),
+        rule(Fragment("advmod", ("fast",)), ("t4", "t4")),
+        rule(Fragment("advmod", ("fast",)), ("t4",)),
+        rule(Fragment("advmod", ("very",)), ("t1",)),
+    ]
+    return TreeModels(rules, dyadic_lm(seed))
+
+
+def nbest_digest(decode, models, sentences, configs):
+    digest = hashlib.sha256()
+    for sent in sentences:
+        for config in configs:
+            for hyp in decode(sent, models, CHART_TREE_WEIGHTS, config):
+                record = (
+                    hyp.tokens,
+                    repr(hyp.score),
+                    sorted(hyp.features.items()),
+                    [rule.key() for rule in hyp.steps],
+                )
+                digest.update(repr(record).encode())
+            digest.update(b"|")
+    return digest.hexdigest()
+
+
+CHART_SENTENCES = [
+    ["s0", "s1", "s2", "s3"],
+    ["s3", "s2", "s0", "s1", "s0"],
+    ["s2", "oov-word", "s1", "s0", "s3"],
+    ["s1", "s1", "s0", "s2", "s1", "s3"],
+    ["oov-word"],
+]
+CHART_CONFIGS = [ChartConfig(cell_beam=b, nbest=n) for b in (1, 2, 100) for n in (1, 5)]
+TREE_CONFIGS = [TreeConfig(k_best_per_node=b, nbest=n) for b in (1, 2, 100) for n in (1, 5)]
+CHART_TREE_SEEDS = {"ties": None, "exact": 29, "exact-2": 31}
+# recorded from the decoders before they shared one ranking step and built
+# their products with itertools.product
+CHART_DIGESTS = {
+    "ties": "3d657b2b557b64ef112e59726c3623ef1e6d27d3539b3e39b1235c5407fcd2fd",
+    "exact": "9f6a0bf09dabbbeb7a5ac9f0c8c4671143d440c91a8dc551a720bf0d052dc8c4",
+    "exact-2": "99b625f9307f4a481e5a22b4b7acddf6bda7b26c6d37cccbd68ab320aaa6a879",
+}
+TREE_DIGESTS = {
+    "ties": "c6eac27a57de983c175dde748f9d2ccfcc07d39f9ad496c7e296607c9bcae78f",
+    "exact": "7f11bc2c5f67060b4f14d487980621acab9bb8c55626ee86ecf056ca46b3b1f4",
+    "exact-2": "7635192b185ff351ac7b0796094950f3333d89507c6b1cc8d7d8f31c7116885e",
+}
+
+
+class TestChartTreeBytes:
+    @pytest.mark.parametrize("case", sorted(CHART_TREE_SEEDS))
+    def test_chart_results_match_recorded_digest(self, case):
+        models = chart_digest_models(CHART_TREE_SEEDS[case])
+        digest = nbest_digest(decode_chart, models, CHART_SENTENCES, CHART_CONFIGS)
+        assert digest == CHART_DIGESTS[case]
+
+    @pytest.mark.parametrize("case", sorted(CHART_TREE_SEEDS))
+    def test_tree_results_match_recorded_digest(self, case):
+        models = tree_digest_models(CHART_TREE_SEEDS[case])
+        digest = nbest_digest(decode_tree, models, DIGEST_TREES, TREE_CONFIGS)
+        assert digest == TREE_DIGESTS[case]
+
+    def test_cases_tie_and_pass_through(self):
+        # the flat grammars tie at the cuts, and every tree decode has a
+        # passed-through node
+        chart = decode_chart(CHART_SENTENCES[0], chart_digest_models(None), CHART_TREE_WEIGHTS,
+                             ChartConfig(cell_beam=100, nbest=5))
+        assert len({h.score for h in chart}) < len(chart)
+        tree_models = tree_digest_models(None)
+        for sent in DIGEST_TREES[:2]:
+            hyps = decode_tree(sent, tree_models, CHART_TREE_WEIGHTS, TREE_CONFIGS[-1])
+            assert all(h.features["oov"] < 0 for h in hyps)
+            assert len({h.score for h in hyps}) < len(hyps)
 
 
 class TestWeightsFile:

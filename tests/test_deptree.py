@@ -53,6 +53,21 @@ class TestParseConllu:
         with pytest.raises(ConlluError, match="cycle"):
             parse_conllu(block)
 
+    @pytest.mark.parametrize(
+        "heads, named",
+        [
+            ((0, 4, 1, 5, 4), "line 3: cycle involving token 2"),  # 2 leads into 4 <-> 5
+            ((3, 0, 4, 5, 4), "line 2: cycle involving token 1"),
+            ((0, 1, 5, 3, 4), "line 4: cycle involving token 3"),  # 3 -> 5 -> 4 -> 3
+        ],
+    )
+    def test_cycle_names_the_first_token_off_the_root(self, heads, named):
+        block = "# sent_id = loop\n" + "".join(
+            f"{i}\tw{i}\t_\t_\t_\t_\t{head}\tdep\t_\t_\n" for i, head in enumerate(heads, start=1)
+        )
+        with pytest.raises(ConlluError, match=f"^sentence loop, {named}$"):
+            parse_conllu(block)
+
     def test_multiple_roots_rejected(self):
         block = "1\ta\t_\t_\t_\t_\t0\troot\t_\t_\n2\tb\t_\t_\t_\t_\t0\troot\t_\t_\n"
         with pytest.raises(ConlluError, match="root"):

@@ -14,8 +14,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from smtkit.align import AlignError, read_links, read_ttable
+from smtkit.cli import PipelineConfig
+from smtkit.corpus import CorpusError
 from smtkit.decoder.weights import WeightsError, parse_weights
 from smtkit.deptree import ConlluError, parse_conllu, parse_nested_tree_file, to_nested_tree
+from smtkit.evaluate import EvalError, parse_human_scores
 from smtkit.lm import LmError, read_arpa, train_lm, write_arpa
 from smtkit.phrasetab import PhraseError, read_phrase_table, read_reordering_table
 from smtkit.ruletab import read_rule_table, read_tree_rule_table
@@ -70,6 +73,13 @@ READERS = {
         parse_nested_tree_file,
         ConlluError,
         "".join(to_nested_tree(sent) + "\n" for sent in parse_conllu(CONLLU)),
+    ),
+    "human-scores": (parse_human_scores, EvalError, "# id, fluency, adequacy\n1, 4, 5\n2\t2\t3\n"),
+    "pipeline-config": (
+        PipelineConfig.parse,
+        CorpusError,
+        "decoder.kind = hier  # the chart decoder\ndecoder.stack_size = 10\nlm.order = 4\n"
+        "tune.enabled = false\nreorder.enabled = yes\neval.metrics = bleu\n",
     ),
     "weights": (
         parse_weights,
