@@ -3,6 +3,24 @@
 Conventions: the NULL token occupies source position 0 and takes part in
 both E-steps. Alignment functions map target positions to source positions.
 Link sets are 0-based (source index, target index) pairs.
+
+EM runs over integer cell ids (Och & Ney 2003, "A Systematic Comparison of
+Various Statistical Alignment Models"). Each co-occurring (source word,
+target word) cell is numbered once, in the order a pass over the pairs
+first meets it. t(f|e) and the expected counts are flat float lists indexed
+by cell id, and each pair holds, per target word, the cell ids of its
+sources: NULL last for Model 1 and first for Model 2. Each source word keeps
+its {target word: id} row in first-met order, and each (j, l_f, l_e)
+geometry has one distortion row, a list over positions 0..l_e. The trained
+tables come back as `TTable` and `DistortionTable` dicts in that order.
+
+Summation order is part of the output. Denominators, row totals and the
+floor rescale are `sum()` calls, counts accumulate by `+=` in traversal
+order, and a share is `p / denom`. Python 3.12's float `sum()` is
+compensated, so turning a `sum()` into a `+=` loop, or the reverse, changes
+the tables' bytes on 3.12 even where 3.11 gives equal floats.
+`tests/em_reference.py` keeps the dict-based EM that these functions must
+match exactly.
 """
 
 from __future__ import annotations
@@ -85,15 +103,52 @@ def _check_corpus(pairs: list[SentencePair], iterations: int) -> None:
             )
 
 
-def _normalize_rows(counts: dict[str, dict[str, float]]) -> dict[str, dict[str, float]]:
-    table: dict[str, dict[str, float]] = {}
-    for src, row in counts.items():
-        total = sum(row.values())
-        floored = {tgt: max(c / total, PROB_FLOOR) for tgt, c in row.items()}
+def _cell_layout(
+    pairs: list[SentencePair], null_first: bool
+) -> tuple[dict[str, dict[str, int]], list[list[list[int]]]]:
+    """Number each co-occurring (source word, target word) cell in the order
+    a pass over the pairs first meets it.
+
+    Returns the cells, each source word's {target word: cell id} in
+    first-met order, and for each pair, per target word, the cell ids of its
+    sources, with NULL first or last as `null_first` says.
+    """
+    cells: dict[str, dict[str, int]] = {}
+    layout: list[list[list[int]]] = []
+    n = 0
+    for pair in pairs:
+        sources = [NULL_WORD] + pair.source if null_first else pair.source + [NULL_WORD]
+        rows = [cells.setdefault(src, {}) for src in sources]
+        targets = []
+        for tgt in pair.target:
+            try:
+                targets.append([row[tgt] for row in rows])
+            except KeyError:  # a cell not met before, rare after the first pairs
+                for row in rows:
+                    if tgt not in row:
+                        row[tgt] = n
+                        n += 1
+                targets.append([row[tgt] for row in rows])
+        layout.append(targets)
+    return cells, layout
+
+
+def _normalize_rows(counts: list[float], rows: list[list[int]]) -> list[float]:
+    """t over cell ids: each row's counts over their sum, floored, then
+    rescaled; `rows` holds each source word's cell ids in first-met order."""
+    t = [0.0] * len(counts)
+    for ids in rows:
+        total = sum([counts[c] for c in ids])
+        floored = [max(counts[c] / total, PROB_FLOOR) for c in ids]
         # flooring may overshoot 1; renormalize so every row sums to exactly 1
-        scale = sum(floored.values())
-        table[src] = {tgt: v / scale for tgt, v in floored.items()}
-    return table
+        scale = sum(floored)
+        for c, v in zip(ids, floored):
+            t[c] = v / scale
+    return t
+
+
+def _ttable(cells: dict[str, dict[str, int]], t: list[float]) -> TTable:
+    return TTable({src: {tgt: t[c] for tgt, c in row.items()} for src, row in cells.items()})
 
 
 def train_ibm1(
@@ -107,41 +162,31 @@ def train_ibm1(
     log-likelihood gain drops below epsilon.
     """
     _check_corpus(pairs, iterations)
-
-    # uniform init over co-occurring (source+NULL, target) pairs
-    t: dict[str, dict[str, float]] = {}
-    for pair in pairs:
-        for src in pair.source + [NULL_WORD]:
-            row = t.setdefault(src, {})
-            for tgt in pair.target:
-                row[tgt] = 1.0
-    for src, row in t.items():
-        uniform = 1.0 / len(row)
-        for tgt in row:
-            row[tgt] = uniform
+    cells, layout = _cell_layout(pairs, null_first=False)
+    rows = [list(row.values()) for row in cells.values()]
+    t = [0.0] * sum(len(ids) for ids in rows)
+    for ids in rows:
+        uniform = 1.0 / len(ids)
+        for c in ids:
+            t[c] = uniform
+    log_lens = [math.log(len(pair.source) + 1) for pair in pairs]
 
     likelihoods: list[float] = []
     for _ in range(iterations):
-        counts: dict[str, dict[str, float]] = {}
+        counts = [0.0] * len(t)
         log_likelihood = 0.0
-        for pair in pairs:
-            sources = pair.source + [NULL_WORD]
-            rows = [t[src] for src in sources]
-            # every pair has a target word, so this creates the count rows in
-            # the order the per-cell updates would
-            count_rows = [counts.setdefault(src, {}) for src in sources]
-            log_len = math.log(len(sources))
-            for tgt in pair.target:
-                probs = [row[tgt] for row in rows]
+        for log_len, targets in zip(log_lens, layout):
+            for ids in targets:
+                probs = [t[c] for c in ids]
                 denom = sum(probs)
                 log_likelihood += math.log(denom) - log_len
-                for p, crow in zip(probs, count_rows):
-                    crow[tgt] = crow.get(tgt, 0.0) + p / denom
-        t = _normalize_rows(counts)
+                for p, c in zip(probs, ids):
+                    counts[c] += p / denom
+        t = _normalize_rows(counts, rows)
         likelihoods.append(log_likelihood)
         if len(likelihoods) >= 2 and likelihoods[-1] - likelihoods[-2] < epsilon:
             break
-    return TTable(t), likelihoods
+    return _ttable(cells, t), likelihoods
 
 
 def train_ibm2(
@@ -157,45 +202,55 @@ def train_ibm2(
             if src not in ibm1_init.table:
                 raise AlignError(f"model-1 table does not cover source word {src!r}")
 
-    t = {src: dict(row) for src, row in ibm1_init.table.items()}
-    a: dict[tuple[int, int, int], dict[int, float]] = {}
+    cells, layout = _cell_layout(pairs, null_first=True)
+    rows = [list(row.values()) for row in cells.values()]
+    t = [0.0] * sum(len(ids) for ids in rows)
+    for src, row in cells.items():
+        init = ibm1_init.table[src]
+        for tgt, c in row.items():
+            t[c] = init.get(tgt, PROB_FLOOR)
+    # the distortion rows of one (l_f, l_e) shape are first met together, for
+    # j = 0..l_f - 1, so row base + j holds geometry (j, l_f, l_e)
+    shapes: dict[tuple[int, int], int] = {}
+    a: list[list[float]] = []
+    bases = []
     for pair in pairs:
         l_f, l_e = len(pair.target), len(pair.source)
-        for j in range(l_f):
-            a.setdefault((j, l_f, l_e), {i: 1.0 / (l_e + 1) for i in range(l_e + 1)})
+        if (l_f, l_e) not in shapes:
+            shapes[l_f, l_e] = len(a)
+            a.extend([1.0 / (l_e + 1)] * (l_e + 1) for _ in range(l_f))
+        bases.append(shapes[l_f, l_e])
 
     likelihoods: list[float] = []
     for _ in range(iterations):
-        t_counts: dict[str, dict[str, float]] = {}
-        a_counts: dict[tuple[int, int, int], dict[int, float]] = {}
+        t_counts = [0.0] * len(t)
+        a_counts = [[0.0] * len(row) for row in a]
         log_likelihood = 0.0
-        for pair in pairs:
-            sources = [NULL_WORD] + pair.source
-            l_f, l_e = len(pair.target), len(pair.source)
-            rows = [t[src] for src in sources]
-            count_rows = [t_counts.setdefault(src, {}) for src in sources]
-            for j, tgt in enumerate(pair.target):
-                key = (j, l_f, l_e)
+        for base, targets in zip(bases, layout):
+            for g, ids in enumerate(targets, base):
                 # a distortion row holds positions 0..l_e in that order
-                weights = [
-                    row.get(tgt, PROB_FLOOR) * d for row, d in zip(rows, a[key].values())
-                ]
+                weights = [t[c] * d for c, d in zip(ids, a[g])]
                 denom = sum(weights)
                 log_likelihood += math.log(denom)
-                a_row = a_counts.setdefault(key, {})
-                for i, (w, crow) in enumerate(zip(weights, count_rows)):
+                a_row = a_counts[g]
+                for i, (w, c) in enumerate(zip(weights, ids)):
                     share = w / denom
-                    crow[tgt] = crow.get(tgt, 0.0) + share
-                    a_row[i] = a_row.get(i, 0.0) + share
-        t = _normalize_rows(t_counts)
-        a = {}
-        for key, row in a_counts.items():
-            total = sum(row.values())
-            a[key] = {i: c / total for i, c in row.items()}
+                    t_counts[c] += share
+                    a_row[i] += share
+        t = _normalize_rows(t_counts, rows)
+        a = []
+        for row in a_counts:
+            total = sum(row)
+            a.append([c / total for c in row])
         likelihoods.append(log_likelihood)
         if len(likelihoods) >= 2 and likelihoods[-1] - likelihoods[-2] < epsilon:
             break
-    return TTable(t), DistortionTable(a), likelihoods
+    distortion = {
+        (j, l_f, l_e): dict(enumerate(a[base + j]))
+        for (l_f, l_e), base in shapes.items()
+        for j in range(l_f)
+    }
+    return _ttable(cells, t), DistortionTable(distortion), likelihoods
 
 
 def viterbi_align(

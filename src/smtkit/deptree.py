@@ -8,6 +8,7 @@ mapping between them.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 
@@ -275,14 +276,26 @@ def _escape(text: str) -> str:
 
 
 def _render_subtree(constituents: dict[int, list[DepToken]], tok: DepToken) -> str:
-    """Head word in surface position among its dependents, each wrapped."""
+    """Head word in surface position among its dependents, each wrapped.
+
+    Depth-first with an explicit stack, so that a deep chain of heads does
+    not exhaust Python's recursion limit.
+    """
     parts = []
-    for item in constituents[tok.id]:
-        if item.id == tok.id:
-            parts.append(f'<tree label="{_escape(tok.xpos)}">{_escape(tok.form)}</tree>')
+    stack = [(tok, iter(constituents[tok.id]))]
+    while stack:
+        head, items = stack[-1]
+        for item in items:
+            if item.id == head.id:
+                parts.append(f'<tree label="{_escape(head.xpos)}">{_escape(head.form)}</tree>')
+            else:
+                parts.append(f'<tree label="{_escape(item.deprel)}">')
+                stack.append((item, iter(constituents[item.id])))
+                break
         else:
-            sub = _render_subtree(constituents, item)
-            parts.append(f'<tree label="{_escape(item.deprel)}">{sub}</tree>')
+            stack.pop()
+            if stack:  # `tok` itself is wrapped by the caller
+                parts.append("</tree>")
     return "".join(parts)
 
 
@@ -333,38 +346,41 @@ def _unescape(text: str) -> str:
 
 
 def parse_nested_tree(line: str) -> BracketNode:
-    """Parse one nested-tree line back into a labeled bracket tree."""
+    """Parse one nested-tree line back into a labeled bracket tree.
+
+    The open nodes are kept on an explicit stack, so that nesting depth is
+    not bounded by Python's recursion limit.
+    """
     pos = 0
     open_tag = '<tree label="'
-
-    def parse_node() -> BracketNode:
-        nonlocal pos
-        if not line.startswith(open_tag, pos):
+    stack: list[tuple[BracketNode, list[str]]] = []  # open nodes, each with its text
+    while True:
+        if line.startswith(open_tag, pos):
+            pos += len(open_tag)
+            end = line.find('">', pos)
+            if end < 0:
+                raise ConlluError(f"unterminated label at offset {pos}")
+            stack.append((BracketNode(_unescape(line[pos:end])), []))
+            pos = end + 2
+            continue
+        if not stack:  # only before the first tag: the loop ends when the tree closes
             raise ConlluError(f"expected <tree> at offset {pos}")
-        pos += len(open_tag)
-        end = line.find('">', pos)
-        if end < 0:
-            raise ConlluError(f"unterminated label at offset {pos}")
-        label = _unescape(line[pos:end])
-        pos = end + 2
-        node = BracketNode(label)
-        text_buf = []
-        while not line.startswith("</tree>", pos):
-            if line.startswith(open_tag, pos):
-                node.children.append(parse_node())
-                continue
-            nxt = line.find("<", pos)
-            if nxt <= pos:
-                raise ConlluError(f"expected </tree> at offset {pos}")
-            text_buf.append(line[pos:nxt])
-            pos = nxt
-        pos += len("</tree>")
-        text = "".join(text_buf)
-        if text:
-            node.word = _unescape(text)
-        return node
-
-    node = parse_node()
+        node, text_buf = stack[-1]
+        if line.startswith("</tree>", pos):
+            pos += len("</tree>")
+            stack.pop()
+            text = "".join(text_buf)
+            if text:
+                node.word = _unescape(text)
+            if not stack:
+                break
+            stack[-1][0].children.append(node)
+            continue
+        nxt = line.find("<", pos)
+        if nxt <= pos:
+            raise ConlluError(f"expected </tree> at offset {pos}")
+        text_buf.append(line[pos:nxt])
+        pos = nxt
     if pos != len(line.strip()):
         raise ConlluError(f"trailing data after tree at offset {pos}")
     return node
@@ -378,29 +394,35 @@ def nested_to_sentence(tree: BracketNode, sent_id: str = "") -> DepSentence:
     if tree.label != "sent" or len(tree.children) != 1 or tree.children[0].label != "root":
         raise ConlluError("nested tree must be <tree label=\"sent\"><tree label=\"root\">...")
     tokens: list[DepToken] = []
-
-    def walk(node: BracketNode, deprel: str) -> int:
-        head_id = None
-        sub_heads: list[int] = []
-        for child in node.children:
-            if child.word is not None:
-                if head_id is not None:
-                    raise ConlluError(f"two head words under one {node.label!r} node")
-                tok = DepToken(
-                    id=len(tokens) + 1, form=child.word, xpos=child.label, deprel=deprel
-                )
-                tokens.append(tok)
-                head_id = tok.id
+    # depth first with an explicit stack: per open node, its children still
+    # to visit, its head word's id once met, and its finished subtrees' heads
+    top = tree.children[0]
+    stack: list[tuple[BracketNode, Iterator[BracketNode], list[int], list[int]]] = [
+        (top, iter(top.children), [], [])
+    ]
+    while stack:
+        node, children, head, sub_heads = stack[-1]
+        for child in children:
+            if child.word is None:
+                stack.append((child, iter(child.children), [], []))
+                break
+            if head:
+                raise ConlluError(f"two head words under one {node.label!r} node")
+            # a word's deprel is its node's label: "root" on top, as checked
+            tokens.append(
+                DepToken(id=len(tokens) + 1, form=child.word, xpos=child.label, deprel=node.label)
+            )
+            head.append(len(tokens))
+        else:
+            stack.pop()
+            if not head:
+                raise ConlluError(f"node {node.label!r} has no head word")
+            for sub in sub_heads:
+                tokens[sub - 1].head = head[0]
+            if stack:
+                stack[-1][3].append(head[0])
             else:
-                sub_heads.append(walk(child, child.label))
-        if head_id is None:
-            raise ConlluError(f"node {node.label!r} has no head word")
-        for sub in sub_heads:
-            tokens[sub - 1].head = head_id
-        return head_id
-
-    root_id = walk(tree.children[0], "root")
-    tokens[root_id - 1].head = 0
+                tokens[head[0] - 1].head = 0
     sent = DepSentence(sent_id=sent_id, text=" ".join(t.form for t in tokens), tokens=tokens)
     _validate_tree(sent, {})
     return sent

@@ -68,7 +68,9 @@ class NGramModel:
 
     @property
     def unk_logprob(self) -> float:
-        return self.probs[1][(self.vocab.id_of(UNK),)]
+        """log10 p(<unk>); LOG10_ZERO for a closed-vocabulary model, one
+        with no <unk> unigram."""
+        return self.probs[1].get((self.vocab.id_of(UNK),), LOG10_ZERO)
 
     def ngram_counts(self) -> list[int]:
         return [len(self.probs[k]) for k in range(1, self.order + 1)]
@@ -97,7 +99,7 @@ class NGramModel:
             if stored is not None:
                 break
         else:
-            stored = probs[1][(self.vocab.id_of(UNK),)]
+            stored = self.unk_logprob
         for bow in reversed(bows):
             stored = bow + stored
         return stored

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import em_reference
 from oracles import ibm1_em_reference, ibm2_em_reference, viterbi_reference
+from smtkit import corpus
 from smtkit.align import (
     AlignError,
     NULL_WORD,
@@ -21,6 +23,7 @@ from smtkit.align import (
     write_ttable,
 )
 from smtkit.corpus import SentencePair
+from smtkit.synthdata import write_fixture_tree
 
 
 def assert_rows_normalized(ttable, tol=1e-9):
@@ -49,6 +52,84 @@ def assert_table_matches(table, ref_t):
     assert {(e, f) for e in table.sources() for f in table.row(e)} == set(ref_t)
     for (e, f), p in ref_t.items():
         assert table.prob(f, e) == pytest.approx(p, abs=1e-9)
+
+
+def assert_same_rows(table, expected):
+    """The same rows in the same order, each with the same keys in the same
+    order and equal floats."""
+    assert list(table) == list(expected)
+    for key, row in expected.items():
+        assert list(table[key].items()) == list(row.items()), key
+
+
+def assert_same_em(pairs, init_pairs=None, iterations=5, epsilon=0.0):
+    """Model 1 on `pairs`, then Model 2 on them from Model 1 trained on
+    `init_pairs` (default `pairs`), equal to em_reference's dict-based EM."""
+    table, lls = train_ibm1(pairs, iterations, epsilon)
+    ref_table, ref_lls = em_reference.train_ibm1(pairs, iterations, epsilon)
+    assert_same_rows(table.table, ref_table.table)
+    assert lls == ref_lls
+    init = table if init_pairs is None else train_ibm1(init_pairs, iterations, epsilon)[0]
+    table, dist, lls = train_ibm2(pairs, init, iterations, epsilon)
+    ref_table, ref_dist, ref_lls = em_reference.train_ibm2(pairs, init, iterations, epsilon)
+    assert_same_rows(table.table, ref_table.table)
+    assert_same_rows(dist.table, ref_dist.table)
+    assert lls == ref_lls
+
+
+def covered_by(table, pairs):
+    """The pairs whose every source word has a row in `table`."""
+    return [p for p in pairs if all(src in table.table for src in p.source)]
+
+
+def has_missing_cell(table, pairs):
+    return any(tgt not in table.row(src) for p in pairs for src in p.source for tgt in p.target)
+
+
+class TestExactOrderEm:
+    """The cell-id EM returns exactly the dict-based EM's floats, row order
+    and key order (em_reference.py), on whatever interpreter runs the test."""
+
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    def test_em_pairs(self, direction):
+        pairs = EM_PAIRS if direction == "forward" else swapped(EM_PAIRS)
+        assert_same_em(pairs, iterations=6)
+        assert_same_em(pairs, iterations=10, epsilon=1e-6)
+
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    def test_fixture_corpus(self, tmp_path, direction):
+        paths = write_fixture_tree(300, 5, 5, seed=41, root=str(tmp_path))
+        pairs = corpus.clean(corpus.read_parallel(paths["train.src"], paths["train.tgt"]))
+        if direction == "backward":
+            pairs = swapped(pairs)
+        assert len(pairs) == 300
+        assert_same_em(pairs, iterations=4, epsilon=1e-6)
+        # Model 1 from the first 100 pairs leaves cells that start at PROB_FLOOR
+        init, _ = train_ibm1(pairs[:100], 4)
+        rest = covered_by(init, pairs)
+        assert len(rest) > 100 and has_missing_cell(init, rest)
+        assert_same_em(rest, init_pairs=pairs[:100], iterations=4)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.sampled_from("abcd"), min_size=0, max_size=5),
+                st.lists(st.sampled_from("wxyz"), min_size=1, max_size=5),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        st.integers(1, 6),
+        st.sampled_from([0.0, 1e-6, 1e-2]),
+        st.integers(1, 8),
+    )
+    def test_random_corpora(self, raw, iterations, epsilon, prefix_len):
+        pairs = [SentencePair(s, t) for s, t in raw]
+        assert_same_em(pairs, iterations=iterations, epsilon=epsilon)
+        prefix = pairs[:prefix_len]
+        init, _ = train_ibm1(prefix, iterations, epsilon)
+        assert_same_em(covered_by(init, pairs), init_pairs=prefix, iterations=iterations, epsilon=epsilon)
 
 
 class TestIbm1:

@@ -708,6 +708,17 @@ def _exit_code_cases():
         lambda p: ["pipeline", "--config", p["bad_int_config"]],
         EXIT_DATA, ["bad-int.cfg: config line 2:", "'abc'"],
     ))
+    # a closed-vocabulary LM, one without an <unk> unigram, scores the
+    # unknown word "zz" as log10 0 instead of failing
+    for kind, flag, table, source in (
+        ("phrase", "--phrase-table", "a_table", "a_zz"), ("tree", "--rule-table", "tree_rules", "a_zz_tree"),
+    ):
+        cases.append((
+            f"decode-{kind}-lm-without-unk",
+            lambda p, kind=kind, flag=flag, table=table, source=source: [
+                "decode", "--lm", p["closed_lm"], "--kind", kind, flag, p[table], "--input", p[source]],
+            EXIT_OK, [],
+        ))
     cases.append((
         "jobs-below-one",
         lambda p: ["--jobs", "0", "train-align", "--source", p["train_src"],
@@ -763,6 +774,15 @@ class TestExitCodeTable:
             '<tree label="sent"><tree label="root"><x></tree></tree>\n', encoding="utf-8"
         )
         (root / "in.txt").write_text("the dog sees the house .\n", encoding="utf-8")
+        (root / "closed.arpa").write_text(
+            "\\data\\\nngram 1=3\n\n\\1-grams:\n-99\t<s>\n-0.3\t</s>\n-0.3\tb\n\n\\end\\\n",
+            encoding="utf-8",
+        )
+        (root / "a-table.txt").write_text("a ||| b ||| 0.5 0.5 0.5 0.5 ||| 0-0 ||| 1 1 1\n", encoding="utf-8")
+        (root / "a-zz.txt").write_text("a zz\n", encoding="utf-8")
+        (root / "a-zz.conllu").write_text(
+            "1\ta\t_\t_\t_\t_\t0\troot\t_\t_\n2\tzz\t_\t_\t_\t_\t1\tdep\t_\t_\n\n", encoding="utf-8"
+        )
         # the second tree has one token fewer than its source sentence
         (root / "len.src").write_text("a b\na b c\n", encoding="utf-8")
         (root / "len.tgt").write_text("x y\nx y z\n", encoding="utf-8")
@@ -807,6 +827,10 @@ class TestExitCodeTable:
             "bad_tree_rules": str(root / "bad-tree-rules.txt"),
             "cut_tree_rules": str(root / "cut-tree-rules.txt"),
             "in": str(root / "in.txt"),
+            "closed_lm": str(root / "closed.arpa"),
+            "a_table": str(root / "a-table.txt"),
+            "a_zz": str(root / "a-zz.txt"),
+            "a_zz_tree": str(root / "a-zz.conllu"),
             "trees": f"{tiny_fixture}/test.conllu",
             "gap_trees": str(root / "gap.conllu"),
             "tree_rules": str(root / "tree-rules.txt"),

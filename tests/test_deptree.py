@@ -213,6 +213,17 @@ class TestNestedTree:
         assert [t.deprel for t in rebuilt.tokens] == [t.deprel for t in a_stone_sentence.tokens]
         assert to_nested_tree(rebuilt) == rendered
 
+    def test_deep_chain_round_trip(self):
+        # 2,000 nested levels, past Python's default recursion limit of 1,000
+        sent = chain_sentence(2000)
+        rendered = to_nested_tree(sent)
+        assert rendered.count("<tree ") == 2 + 2 * 2000 - 1
+        (rebuilt,) = parse_nested_tree_file(rendered + "\n")
+        assert [(t.id, t.form, t.head, t.deprel, t.xpos) for t in rebuilt.tokens] == [
+            (t.id, t.form, t.head, t.deprel, t.xpos) for t in sent.tokens
+        ]
+        assert to_nested_tree(rebuilt) == rendered
+
     @pytest.mark.parametrize(
         "line",
         ['<tree label="sent', '<tree label="sent">a', '<tree label="sent"><x></tree>'],

@@ -4,7 +4,7 @@ import pytest
 
 from oracles import arpa_tables, backoff_reference_logprob, kn_reference_prob
 from smtkit.corpus import BOS, EOS, NULL, UNK
-from smtkit.lm import LmError, read_arpa, train_lm, write_arpa
+from smtkit.lm import LOG10_ZERO, LmError, read_arpa, train_lm, write_arpa
 
 
 def predictable_vocab(model):
@@ -212,3 +212,14 @@ class TestUnk:
 
     def test_unk_in_vocab(self, trigram):
         assert UNK in trigram.vocab.strings()
+
+    def test_closed_vocabulary_scores_unknown_words_as_zero(self):
+        # no <unk> unigram: an unknown word has probability 0, at any history
+        closed = read_arpa(
+            "\\data\\\nngram 1=3\nngram 2=1\n\n\\1-grams:\n-99\t<s>\t-0.5\n-0.3\t</s>\t0\n"
+            "-0.3\tb\t-0.2\n\n\\2-grams:\n-0.1\t<s> b\n\n\\end\\\n"
+        )
+        assert closed.unk_logprob == LOG10_ZERO
+        assert closed.score_word([], "zz") == LOG10_ZERO
+        assert closed.score_word(["b"], "zz") == -0.2 + LOG10_ZERO
+        assert closed.score_word([BOS], "b") == -0.1
