@@ -13,6 +13,11 @@ rely on.
 A hypothesis points back to its parent and to the option it applied; its
 output tokens are built only once it survives its stack's beam, and the
 steps of a derivation only for the returned n-best.
+
+With a limited beam each stack has an exact floor, and an extension is
+checked against it twice: first on an optimistic total that bounds its LM
+score by per-word ceilings, before any LM query, then on its real total.
+Both checks drop only what the beam would drop (see `decode_phrase`).
 """
 
 from __future__ import annotations
@@ -55,6 +60,22 @@ class PhraseModels:
                 self._reorder[(entry.src, entry.tgt)] = entry
         # filled on first use, so loading a model stays as cheap as indexing it
         self._reorder_logs: dict[tuple | None, tuple[dict[str, float], dict[str, float]] | None] = {}
+        self._ceilings: tuple[NGramModel, list[float] | None] | None = None
+
+    def lm_ceilings(self) -> list[float] | None:
+        """Per LM word id, the most its LM score can be
+        (`NGramModel.word_ceilings`); None when the LM gives no such bound or
+        an orientation probability is above 1 (or NaN), whose log10 could
+        raise a score. Computed on first use, as the reordering logs are, and
+        kept while `lm` is the same model."""
+        if self._ceilings is None or self._ceilings[0] is not self.lm:
+            ceilings = self.lm.word_ceilings()
+            for entry in self.reordering or ():
+                for probs in (entry.forward, entry.backward):
+                    if not all(p <= 1.0 for p in probs.values()):
+                        ceilings = None
+            self._ceilings = (self.lm, ceilings)
+        return self._ceilings[1]
 
     def options(self, src: tuple[str, ...]) -> list[PhraseEntry]:
         return self._options.get(src, [])
@@ -281,6 +302,12 @@ def _uncovered_future(
     return total
 
 
+def _top(values: list[float]) -> float:
+    """The largest of `values`, or +inf when one is NaN: a NaN bound drops
+    nothing, and neither may the bound of its span."""
+    return math.inf if any(v != v for v in values) else max(values)
+
+
 def _orientation_name(prev_start: int, prev_end: int, start: int, end: int) -> str:
     """Four-way orientation of [start, end) against [prev_start, prev_end)."""
     if prev_end == start:
@@ -374,18 +401,41 @@ def decode_phrase(
     are those of the search without a floor. With an unlimited beam the
     floor stays -inf.
 
+    A candidate that does not complete the sentence meets the floor first
+    on an optimistic total, before its LM transition and reordering scores
+    are looked up: ((base + local) + lmc) + future, where base is the
+    hypothesis's score with the distortion term, local the option's
+    weighted phrase-local score, and lmc the LM weight times the sum of the
+    ceilings of its target words (`NGramModel.word_ceilings`), added in the
+    order `_LmStates.advance` adds their scores. Its real total is
+    (((base + local) + lm) + reordering) + future. When the LM and
+    reordering weights are not negative, no back-off weight is positive and
+    no orientation log is above 0, lm is at most lmc and the reordering term
+    is at most 0. Rounded addition, and rounded multiplication by a weight
+    that is not negative, are monotone, so the optimistic total is never
+    below the real one: a candidate it drops would fail the floor test on
+    its real total too. A span whose ((base + largest local) + largest lmc)
+    + future is below the floor is skipped whole. The two maxima are taken
+    apart because a pre-summed local + lmc can round above the real sum.
+    Otherwise (a negative or non-finite LM or reordering weight, a positive
+    back-off weight, an orientation probability above 1) every ceiling is
+    +inf and nothing is dropped before the LM query. Completions have no
+    floor and no such check. The survivors, n-bests and bytes are those of
+    the search without the check.
+
     Everything below is computed per decode and dropped when it returns.
     The weighted phrase-local score, LM ids and reordering scores of every
     option are computed once. LM contexts are interned as small ints, and
     `NGramModel.score_ids` runs once per distinct (context, word): each
     state keeps a row of (LM delta, next state) per distinct option target
     side, so extending a hypothesis costs one list lookup. Future costs are
-    memoized by coverage. An expansion's orientations follow from the
+    memoized by coverage. An expansion's orientation names follow from the
     previous phrase's span and the new span alone, so they are resolved
-    once per span. A hypothesis holds a back-pointer to its parent and the
-    option it applied: output tokens are built only for the hypotheses that
-    survive a stack's beam and for completions, the derivation's steps and
-    full feature vector only for the returned n-best.
+    once per (previous span, span). A hypothesis holds a back-pointer to
+    its parent and the option it applied: output tokens are built only for
+    the hypotheses that survive a stack's beam and for completions, the
+    derivation's steps and full feature vector only for the returned
+    n-best.
     """
     weights = weights or FeatureWeights()
     config = config or DecodeConfig()
@@ -408,12 +458,18 @@ def decode_phrase(
     if beam_width is not None and config.nbest > 1:
         beam_width = max(beam_width, 2 * config.nbest)
 
+    ceilings = None
+    if 0.0 <= lm_weight < math.inf and 0.0 <= reordering_weight < math.inf:
+        ceilings = models.lm_ceilings()
+
     # per option, indexed across all spans: its step, its weighted
-    # phrase-local score, the index of its LM ids among the distinct target
-    # sides, its reordering log-scores, its reordering id and its weighted
-    # backward score against the sentence end; per span: its coverage mask,
-    # width and options
+    # phrase-local score, its weighted LM ceiling (+inf without ceilings),
+    # the index of its LM ids among the distinct target sides, its
+    # reordering log-scores, its reordering id and its weighted backward
+    # score against the sentence end; per span: its index, coverage mask,
+    # width, options and their largest local score and LM ceiling
     steps: list[Step] = []
+    option_logs: list = []
     target_ids: dict[tuple[int, ...], int] = {}
     span_options = []
     estimates: dict[tuple[int, int], list[float]] = {}
@@ -426,6 +482,12 @@ def decode_phrase(
             estimate = local
             estimate += lm_weight * lm_states.advance(empty_state, ids)[0]
             estimates.setdefault((i, j), []).append(estimate)
+            lmc = math.inf
+            if ceilings is not None:
+                ceiling = 0.0
+                for wid in ids:  # in the order of `_LmStates.advance`
+                    ceiling += ceilings[wid]
+                lmc = lm_weight * ceiling
             reorder_logs = models.reordering_logs(step.entry_key)
             final = 0.0
             reorder_id = 0
@@ -434,21 +496,21 @@ def decode_phrase(
                 if reorder_logs is not None:
                     final = reordering_weight * reorder_logs[1][_orientation_name(n, n + 1, i, j)]
             target = target_ids.setdefault(ids, len(target_ids))
-            scored.append((len(steps), step, local, target, reorder_logs, reorder_id, final))
+            scored.append((len(steps), step, local, lmc, target, reorder_logs, reorder_id, final))
             steps.append(step)
-        span_options.append((i, j, ((1 << (j - i)) - 1) << i, j - i, scored))
+            option_logs.append(reorder_logs)
+        span_options.append((
+            len(span_options), i, j, ((1 << (j - i)) - 1) << i, j - i, scored,
+            _top([option[2] for option in scored]), _top([option[3] for option in scored]),
+        ))
     target_count = len(target_ids)
     ids_of = list(target_ids)
 
     future = future_cost_table(n, estimates)
     future_cache: dict[int, float] = {}
-
-    def future_of(coverage: int) -> float:
-        cached = future_cache.get(coverage)
-        if cached is None:
-            cached = _uncovered_future(coverage, n, future)
-            future_cache[coverage] = cached
-        return cached
+    # per previous phrase (start, end), the (forward, backward) orientation
+    # names of every span after it
+    orientation_rows: dict[tuple[int, int], list[tuple[str, str]]] = {}
 
     rows = lm_states.rows
     advance = lm_states.advance
@@ -459,7 +521,9 @@ def decode_phrase(
         floors = [[-math.inf] * beam_width for _ in range(n + 1)]
     else:
         floors = [[-math.inf]] * (n + 1)
-    stacks[0][(0, bos_state, 0, None)] = [future_of(0), 0.0, 0, 0, bos_state, None, None, ()]
+    no_floor = [-math.inf]  # a completion is never dropped
+    first = [_uncovered_future(0, n, future), 0.0, 0, 0, bos_state, None, None, ()]
+    stacks[0][(0, bos_state, 0, None)] = first
     # best (score, hypothesis, last option) per distinct output
     completed: dict[tuple[str, ...], tuple[float, list, int]] = {}
     full_mask = (1 << n) - 1
@@ -477,8 +541,20 @@ def decode_phrase(
             prev_logs = None
             if prev is not None:
                 prev_start = steps[prev].start
-                prev_logs = models.reordering_logs(steps[prev].entry_key)
-            for i, j, mask, width, scored in span_options:
+                prev_logs = option_logs[prev]
+            if track_reorder:
+                # a span fixes both orientations: the new phrase's forward
+                # one and the previous phrase's backward one
+                orientations = orientation_rows.get((prev_start, last_end))
+                if orientations is None:
+                    orientations = orientation_rows[(prev_start, last_end)] = [
+                        (
+                            _orientation_name(prev_start, last_end, span[1], span[2]),
+                            _orientation_name(span[1], span[2], prev_start, last_end),
+                        )
+                        for span in span_options
+                    ]
+            for index, i, j, mask, width, scored, top_local, top_lmc in span_options:
                 if coverage & mask:
                     continue
                 jump = i - last_end if i >= last_end else last_end - i
@@ -487,19 +563,26 @@ def decode_phrase(
                 base = score + distortion_weight * -float(jump)
                 new_coverage = coverage | mask
                 complete = new_coverage == full_mask
-                if track_reorder:
-                    # the span fixes both orientations: the new phrase's
-                    # forward one and the previous phrase's backward one
-                    forward_orient = _orientation_name(prev_start, last_end, i, j)
-                    backward = 0.0
-                    if prev_logs is not None:
-                        backward = prev_logs[1][_orientation_name(i, j, prev_start, last_end)]
-                if not complete:
+                if complete:
+                    floor = no_floor
+                    new_future = 0.0
+                else:
                     target_stack = stacks[count + width]
                     floor = floors[count + width]
-                    new_future = future_of(new_coverage)
-                for option, step, local, target, reorder_logs, reorder_id, final in scored:
+                    new_future = future_cache.get(new_coverage)
+                    if new_future is None:
+                        new_future = future_cache[new_coverage] = _uncovered_future(
+                            new_coverage, n, future
+                        )
+                    if ((base + top_local) + top_lmc) + new_future < floor[0]:
+                        continue
+                if track_reorder:
+                    forward_orient, backward_orient = orientations[index]
+                    backward = 0.0 if prev_logs is None else prev_logs[1][backward_orient]
+                for option, step, local, lmc, target, reorder_logs, reorder_id, final in scored:
                     inc = base + local
+                    if (inc + lmc) + new_future < floor[0]:
+                        continue
                     transition = row[target]
                     if transition is None:
                         transition = row[target] = advance(state, ids_of[target])

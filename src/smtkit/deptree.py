@@ -257,12 +257,47 @@ def _crossings(sent: DepSentence):
 
 def crossing_arcs(sent: DepSentence) -> list[tuple[tuple[int, int], tuple[int, int]]]:
     """All pairs of crossing arcs; arcs sharing an endpoint never cross."""
-    return list(_crossings(sent))
+    return [] if is_projective(sent) else list(_crossings(sent))
+
+
+def _yields_contiguous(sent: DepSentence) -> bool | None:
+    """Whether every token's yield is contiguous, in one bottom-up pass that
+    gives each token its yield's extent and size; None when the tokens are
+    not a tree over ids 1..n."""
+    tokens = sent.tokens
+    n = len(tokens)
+    children: list[list[int]] = [[] for _ in range(n + 1)]  # children[0] holds the roots
+    for pos, tok in enumerate(tokens, 1):
+        if tok.id != pos or not 0 <= tok.head <= n:
+            return None
+        children[tok.head].append(pos)
+    order = list(children[0])
+    for node in order:  # breadth first, so every token comes after its head
+        order.extend(children[node])
+    if len(order) != n:  # a token on or below a cycle
+        return None
+    first = list(range(n + 1))
+    last = list(range(n + 1))
+    size = [1] * (n + 1)
+    for node in reversed(order):
+        if last[node] - first[node] + 1 != size[node]:
+            return False
+        head = tokens[node - 1].head
+        if head:
+            first[head] = min(first[head], first[node])
+            last[head] = max(last[head], last[node])
+            size[head] += size[node]
+    return True
 
 
 def is_projective(sent: DepSentence) -> bool:
-    """No two arcs cross; stops at the first crossing."""
-    return next(_crossings(sent), None) is None
+    """No two arcs cross. For a tree this holds iff every yield is
+    contiguous, which one bottom-up pass decides in linear time; anything
+    else goes through the pair search."""
+    contiguous = _yields_contiguous(sent)
+    if contiguous is None:
+        return next(_crossings(sent), None) is None
+    return contiguous
 
 
 def _escape(text: str) -> str:
@@ -301,9 +336,8 @@ def _render_subtree(constituents: dict[int, list[DepToken]], tok: DepToken) -> s
 
 def to_nested_tree(sent: DepSentence) -> str:
     """Serialize a projective sentence to the nested-tree decoder input."""
-    crossing = next(_crossings(sent), None)
-    if crossing is not None:
-        a, b = crossing
+    if not is_projective(sent):
+        a, b = next(_crossings(sent))
         raise ConlluError(
             f"sentence {sent.sent_id or '<unknown>'} is non-projective: "
             f"arc {a[0]}-{a[1]} crosses arc {b[0]}-{b[1]}"

@@ -104,6 +104,30 @@ class NGramModel:
             stored = bow + stored
         return stored
 
+    def word_ceilings(self) -> list[float] | None:
+        """Per word id, an upper bound on `score_ids(h, id)` over every history
+        h: the larger of `unk_logprob` and the largest stored log10 p of an
+        n-gram ending in the word.
+
+        `score_ids` returns one of those values plus the back-off weights met
+        on the way down, added one at a time; rounded addition is monotone, so
+        adding a weight that is not positive never raises the value. None when
+        that argument fails: a back-off weight is positive, or a stored value
+        is not finite.
+        """
+        for table in self.backoffs:
+            for bow in table.values():
+                if not (bow <= 0.0 and math.isfinite(bow)):
+                    return None
+        ceilings = [self.unk_logprob] * len(self.vocab)
+        for table in self.probs:
+            for gram, logp in table.items():
+                if not math.isfinite(logp):
+                    return None
+                if logp > ceilings[gram[-1]]:
+                    ceilings[gram[-1]] = logp
+        return ceilings
+
     def score_word(self, history: list[str] | tuple[str, ...], word: str) -> float:
         return self.score_ids(self._ids(history), self.vocab.id_of(word))
 

@@ -3,9 +3,12 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decoder_oracle import decode_oracle
-from smtkit.corpus import SentencePair
+from smtkit import cli
+from smtkit.corpus import SentencePair, clean, read_parallel, read_sentences
 from smtkit.decoder import (
     ChartConfig,
     ChartModels,
@@ -25,8 +28,16 @@ from smtkit.decoder.phrase import _COVERAGE, _LAST_END, _OPTION, _TOKENS, _TOTAL
 from smtkit.decoder.weights import format_weights, parse_weights
 from smtkit.deptree import parse_conllu
 from smtkit.lm import NGramModel, read_arpa, train_lm
-from smtkit.phrasetab import MSD, MSLR, PhraseEntry, ReorderingEntry, extract_reordering
+from smtkit.phrasetab import (
+    MSD,
+    MSLR,
+    PhraseEntry,
+    ReorderingEntry,
+    build_phrase_table,
+    extract_reordering,
+)
 from smtkit.ruletab import Fragment, NT, RuleEntry, TreeRule, Var, glue_rules
+from smtkit.synthdata import write_fixture_tree
 
 
 SRC = [f"s{i}" for i in range(8)]
@@ -338,11 +349,11 @@ def exact_models(orientations=None, seed=13, duplicates=False):
     return PhraseModels(entries, train_lm(corpus, order=3), reorder)
 
 
-def search_digest(models, sentences, configs=SEARCH_CONFIGS):
+def search_digest(models, sentences, configs=SEARCH_CONFIGS, weights=EXACT_WEIGHTS):
     digest = hashlib.sha256()
     for sent in sentences:
         for config in configs:
-            for hyp in decode_phrase(sent, models, EXACT_WEIGHTS, config):
+            for hyp in decode_phrase(sent, models, weights, config):
                 record = (
                     hyp.tokens,
                     repr(hyp.score),
@@ -489,6 +500,142 @@ class TestLmCalls:
         ]
 
 
+def traced_search(models, sentences, configs, weights=EXACT_WEIGHTS):
+    """(n-best digest, digest of what every stack's beam kept, summed
+    `NGramModel.score_ids` calls) of decoding each sentence under each
+    config."""
+    calls = [0]
+    score_ids = NGramModel.score_ids
+    survivors = phrase_module._survivors
+    kept = hashlib.sha256()
+
+    def counting(self, history, word):
+        calls[0] += 1
+        return score_ids(self, history, word)
+
+    def recording(stack, beam_width, steps):
+        hyps = survivors(stack, beam_width, steps)
+        record = [
+            (repr(hyp[_TOTAL]), hyp[_TOKENS], hyp[_COVERAGE], hyp[_LAST_END], hyp[_OPTION])
+            for hyp in hyps
+        ]
+        kept.update(repr(record).encode())
+        return hyps
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(NGramModel, "score_ids", counting)
+        patch.setattr(phrase_module, "_survivors", recording)
+        nbest = search_digest(models, sentences, configs, weights)
+    return nbest, kept.hexdigest(), calls[0]
+
+
+def no_ceilings(monkeypatch):
+    """Turn the LM-ceiling check off: every ceiling is +inf."""
+    monkeypatch.setattr(PhraseModels, "lm_ceilings", lambda self: None)
+
+
+@pytest.fixture(scope="module")
+def fixture_phrase_models(tmp_path_factory):
+    """A phrase model with msd reordering trained as the pipeline trains it,
+    on a small `write_fixture_tree` corpus, and its test sentences."""
+    paths = write_fixture_tree(200, 5, 12, seed=7, root=str(tmp_path_factory.mktemp("fixture")))
+    pairs = clean(read_parallel(paths["train.src"], paths["train.tgt"]))
+    fwd, bwd, links = cli._alignments_for(pairs, 4, 1, "grow-diag-final-and")
+    table = build_phrase_table(pairs, links, fwd, bwd, 7)
+    reordering = extract_reordering(pairs, links, "msd")
+    lm = train_lm([p.target for p in pairs] + read_sentences(paths["mono.tgt"]), order=3)
+    return PhraseModels(table, lm, reordering), read_sentences(paths["test.src"])
+
+
+NEGATIVE_WEIGHT_MODELS = exact_models(MSLR, 17)
+
+
+class TestLmCeiling:
+    """The check of a candidate's LM-ceiling total against its stack's floor
+    drops only candidates that the floor test on its real total drops."""
+
+    @pytest.mark.parametrize("case", sorted(SEARCH_CASES))
+    def test_same_results_and_beams_with_fewer_lm_queries(self, case, monkeypatch):
+        make, args = SEARCH_CASES[case]
+        models = make(*args)
+        assert models.lm_ceilings() is not None
+        runs = ((SEARCH_SENTENCES, SEARCH_CONFIGS), (FLOOR_SENTENCES, FLOOR_CONFIGS))
+        on = [traced_search(models, sentences, configs) for sentences, configs in runs]
+        no_ceilings(monkeypatch)
+        off = [traced_search(models, sentences, configs) for sentences, configs in runs]
+        assert [run[:2] for run in on] == [run[:2] for run in off]
+        assert (on[0][0], on[1][0]) == (SEARCH_DIGESTS[case], FLOOR_DIGESTS[case])
+        assert on[1][1] == off[1][1] == FLOOR_STACKS[case][1]
+        assert on[0][2] <= off[0][2]
+        assert on[1][2] < off[1][2]
+
+    def test_fixture_model_with_msd_reordering(self, fixture_phrase_models, monkeypatch):
+        models, sentences = fixture_phrase_models
+        assert models.lm_ceilings() is not None
+        configs = [DecodeConfig(stack_size=s, nbest=k) for s in (5, 100) for k in (1, 5)]
+        on = traced_search(models, sentences, configs, FeatureWeights())
+        no_ceilings(monkeypatch)
+        off = traced_search(models, sentences, configs, FeatureWeights())
+        assert on[:2] == off[:2]
+        assert on[2] < off[2]
+
+    @pytest.mark.parametrize("name", ["lm", "reordering"])
+    def test_negative_weight_turns_the_check_off(self, name, monkeypatch):
+        models = exact_models(MSD)
+        weights = EXACT_WEIGHTS.replaced(name, -0.5)
+        on = traced_search(models, FLOOR_SENTENCES, FLOOR_CONFIGS, weights)
+        no_ceilings(monkeypatch)
+        assert traced_search(models, FLOOR_SENTENCES, FLOOR_CONFIGS, weights) == on
+
+    def test_positive_backoff_or_orientation_above_one_turns_the_check_off(self):
+        models = exact_models(MSD)
+        assert models.lm_ceilings() is not None
+        lifted = train_lm([["t0", "t1"], ["t1", "t2"]], order=2)
+        lifted.backoffs[1][next(iter(lifted.backoffs[1]))] = 0.25
+        assert PhraseModels(models.phrase_table, lifted, models.reordering).lm_ceilings() is None
+        entry = models.reordering[0]
+        raised = ReorderingEntry(entry.src, entry.tgt, dict(entry.forward, swap=1.5), entry.backward)
+        reordering = [raised] + models.reordering[1:]
+        assert PhraseModels(models.phrase_table, models.lm, reordering).lm_ceilings() is None
+
+    def test_nan_phrase_score_is_dropped_by_neither(self, monkeypatch):
+        # a candidate whose total is NaN never fails the floor test, so no
+        # bound may drop it, nor the span it shares with finite options
+        models = exact_models(MSD)
+
+        def outcomes():
+            found = []
+            for pos, entry in enumerate(models.phrase_table):
+                table = list(models.phrase_table)
+                table[pos] = _entry(entry.src, entry.tgt, (math.nan,) + entry.scores[1:])
+                poisoned = PhraseModels(table, models.lm, models.reordering)
+                for sent in FLOOR_SENTENCES:
+                    for config in FLOOR_CONFIGS:
+                        try:
+                            hyps = decode_phrase(sent, poisoned, EXACT_WEIGHTS, config)
+                            found.append([(h.tokens, repr(h.score)) for h in hyps])
+                        except DecodeError as exc:
+                            found.append(str(exc))
+            return found
+
+        on = outcomes()
+        no_ceilings(monkeypatch)
+        assert outcomes() == on
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(["lm", "reordering"]),
+        st.sampled_from([-0.25, -3.0]),
+        st.lists(st.sampled_from(SRC[:5] + ["oov-word"]), min_size=1, max_size=4),
+    )
+    def test_negative_weight_search_stays_exact(self, name, value, sent):
+        models = NEGATIVE_WEIGHT_MODELS
+        weights = EXACT_WEIGHTS.replaced(name, value)
+        beam = decode_phrase(sent, models, weights, UNLIMITED)[0]
+        _, oracle_score = decode_oracle(sent, models, weights)
+        assert beam.score == pytest.approx(oracle_score, abs=1e-9)
+
+
 def unigram_lm(seed=43):
     """An order-1 LM, as read from an ARPA file that holds only 1-grams."""
     rng = random.Random(seed)
@@ -521,6 +668,63 @@ class TestOrderOneLm:
         long = ["s0", "s1", "s2", "s3", "s4", "s5"]
         decode_phrase(long, models, FeatureWeights(), DecodeConfig(stack_size=100, nbest=5))
         assert len(made[-1].contexts) == 2
+
+
+def extracted_orientations(n, derivation, orientation_set):
+    """The (forward, backward) orientation of each step of `derivation`, as
+    `phrasetab.extract_reordering` classifies its phrase pair in the word
+    alignment that the derivation implies: the steps' target words in output
+    order, each step's source words linked to each of its target words.
+    (Within a phrase the links are unknown; a diagonal there would make the
+    extractor's word-based corner tests read, say, a swap after a two-word
+    phrase as discontinuous.) Source position i is the word s@i and target
+    position j the word t@j, so every phrase pair is an entry of its own,
+    and without smoothing the orientation counted is the one with
+    probability 1."""
+    links = set()
+    spans = []
+    j = 0
+    for step in derivation:
+        b = len(step.tgt)
+        links |= {(i, k) for i in range(step.start, step.end) for k in range(j, j + b)}
+        spans.append((step.start, step.end, j, j + b))
+        j += b
+    pair = SentencePair([f"s@{i}" for i in range(n)], [f"t@{k}" for k in range(j)])
+    entries = extract_reordering([pair], [links], orientation_set, 0.0, max(n, j))
+    counted = {(e.src, e.tgt): e for e in entries}
+    found = []
+    for i1, i2, j1, j2 in spans:
+        entry = counted[(tuple(pair.source[i1:i2]), tuple(pair.target[j1:j2]))]
+        found.append(tuple(
+            next(o for o, p in probs.items() if p == 1.0) for probs in (entry.forward, entry.backward)
+        ))
+    return found
+
+
+class TestOrientationsAgainstExtraction:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="decoder/phrase.py reads the backward orientation with monotone and swap "
+        "exchanged against phrasetab.extract_reordering (FOUND in CHANGES.md)",
+    )
+    @pytest.mark.parametrize("orientations", [MSD, MSLR], ids=["msd", "mslr"])
+    def test_reordering_feature_matches_extracted_orientations(self, orientations):
+        models = random_reordering_models(orientations)
+        orientation_set = "msd" if orientations == MSD else "mslr"
+        weights = FeatureWeights(reordering=0.7, distortion=0.2)
+        config = DecodeConfig(stack_size=10, distortion_limit=None, nbest=5)
+        rng = random.Random(53)
+        for _ in range(20):
+            sent = [rng.choice(SRC + ["oov-word"]) for _ in range(rng.randint(1, 6))]
+            for hyp in decode_phrase(sent, models, weights, config):
+                expected = 0.0
+                found = extracted_orientations(len(sent), hyp.steps, orientation_set)
+                for step, (forward, backward) in zip(hyp.steps, found):
+                    entry = step.entry_key and models.reordering_entry(*step.entry_key)
+                    if entry:
+                        expected += math.log10(max(entry.forward[forward], 1e-30))
+                        expected += math.log10(max(entry.backward[backward], 1e-30))
+                assert hyp.features["reordering"] == pytest.approx(expected, abs=1e-9)
 
 
 def reorder_rule_fixture():

@@ -1,10 +1,11 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import A_STONE_NESTED
 from oracles import projective_by_yields
 from smtkit.deptree import (
+    _crossings,
     ConlluError,
     DepSentence,
     DepToken,
@@ -157,6 +158,40 @@ class TestProjectivity:
         ]
         sent = DepSentence(tokens=toks)
         assert is_projective(sent) == projective_by_yields(heads)
+
+    @settings(max_examples=300)
+    @given(
+        st.integers(min_value=1, max_value=12),
+        st.randoms(use_true_random=False),
+        st.sampled_from(["nested", "tree", "any"]),
+    )
+    def test_linear_check_agrees_with_pair_search(self, n, rng, shape):
+        # nested: a projective tree, each subtree built over an interval;
+        # tree: each token in a random order attached to one placed before
+        # it; any: a random head per token, cycles and several roots
+        # included, where the pair search decides
+        heads = [0] * (n + 1)
+        if shape == "nested":
+            intervals = [(1, n, 0)]
+            while intervals:
+                lo, hi, head = intervals.pop()
+                if lo <= hi:
+                    node = rng.randint(lo, hi)
+                    heads[node] = head
+                    intervals += [(lo, node - 1, node), (node + 1, hi, node)]
+        elif shape == "tree":
+            placed = [0]
+            for node in rng.sample(range(1, n + 1), n):
+                heads[node] = rng.choice(placed[1:]) if len(placed) > 1 else 0
+                placed.append(node)
+        else:
+            heads = [0] + [rng.randint(0, n) for _ in range(n)]
+        sent = DepSentence(tokens=[DepToken(i, f"w{i}", head=heads[i]) for i in range(1, n + 1)])
+        pairs = list(_crossings(sent))
+        assert is_projective(sent) == (not pairs)
+        assert crossing_arcs(sent) == pairs
+        if shape == "nested":
+            assert is_projective(sent)
 
 
 class TestNestedTree:

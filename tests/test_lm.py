@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import arpa_tables, backoff_reference_logprob, kn_reference_prob
 from smtkit.corpus import BOS, EOS, NULL, UNK
@@ -223,3 +225,84 @@ class TestUnk:
         assert closed.score_word([], "zz") == LOG10_ZERO
         assert closed.score_word(["b"], "zz") == -0.2 + LOG10_ZERO
         assert closed.score_word([BOS], "b") == -0.1
+
+
+def ngram_maxima(model):
+    """Per word id, the larger of unk_logprob and every stored log10 p of an
+    n-gram ending in the word: the ceiling by its definition."""
+    best = {}
+    for k in range(1, model.order + 1):
+        for gram, logp in model.probs[k].items():
+            best[gram[-1]] = max(best.get(gram[-1], logp), logp)
+    return [max(model.unk_logprob, best.get(w, model.unk_logprob)) for w in range(len(model.vocab))]
+
+
+def stored_histories(model):
+    return {()} | {gram for k in range(1, model.order) for gram in model.probs[k]}
+
+
+def assert_ceilings_hold(model, histories):
+    ceilings = model.word_ceilings()
+    assert ceilings == ngram_maxima(model)
+    for history in histories:
+        for word in range(len(model.vocab)):
+            assert model.score_ids(tuple(history), word) <= ceilings[word]
+
+
+def random_histories(model, rng, count=40):
+    ids = range(len(model.vocab))
+    return [[rng.choice(ids) for _ in range(rng.randint(0, model.order + 1))] for _ in range(count)]
+
+
+# order 1, as read from an ARPA file that holds only 1-grams
+UNIGRAM_ARPA = (
+    "\\data\\\nngram 1=5\n\n\\1-grams:\n-99\t<s>\n-0.7\t</s>\n-0.4\ta\n-1.1\tb\n"
+    "-2.5\t<unk>\n\n\\end\\\n"
+)
+# no <unk> unigram: an unknown word scores LOG10_ZERO plus back-off weights
+CLOSED_ARPA = (
+    "\\data\\\nngram 1=4\nngram 2=3\n\n\\1-grams:\n-99\t<s>\t-0.5\n-0.6\t</s>\t0\n"
+    "-0.3\ta\t-0.2\n-0.5\tb\t-0.1\n\n\\2-grams:\n-0.1\t<s> a\n-0.2\ta b\n-0.05\tb </s>\n"
+    "\n\\end\\\n"
+)
+# a positive back-off weight lifts p(b | a) above every stored value for b
+POSITIVE_BACKOFF_ARPA = (
+    "\\data\\\nngram 1=5\nngram 2=1\n\n\\1-grams:\n-99\t<s>\t0\n-0.5\t</s>\t0\n"
+    "-1.0\ta\t0.5\n-0.3\tb\t0\n-2\t<unk>\t0\n\n\\2-grams:\n-0.2\ta </s>\n\n\\end\\\n"
+)
+
+
+class TestWordCeilings:
+    """`word_ceilings` bounds `score_ids` at every history, or is None."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.lists(st.sampled_from("abcdef"), min_size=1, max_size=6), min_size=1, max_size=12),
+        st.integers(min_value=2, max_value=4),
+        st.sampled_from(["counts_of_counts", "fixed"]),
+        st.randoms(use_true_random=False),
+    )
+    def test_trained_models(self, corpus, order, discount_mode, rng):
+        model = train_lm(corpus, order=order, discount_mode=discount_mode)
+        assert_ceilings_hold(model, stored_histories(model) | {tuple(h) for h in random_histories(model, rng)})
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([UNIGRAM_ARPA, CLOSED_ARPA]), st.randoms(use_true_random=False))
+    def test_hand_written_models(self, text, rng):
+        model = read_arpa(text)
+        assert_ceilings_hold(model, stored_histories(model) | {tuple(h) for h in random_histories(model, rng)})
+
+    def test_closed_vocabulary_ceiling_of_unknown_words(self):
+        model = read_arpa(CLOSED_ARPA)
+        assert model.word_ceilings()[model.vocab.id_of("zz")] == LOG10_ZERO
+
+    def test_positive_backoff_gives_none(self):
+        model = read_arpa(POSITIVE_BACKOFF_ARPA)
+        a, b = model.vocab.id_of("a"), model.vocab.id_of("b")
+        assert model.score_ids((a,), b) > ngram_maxima(model)[b]
+        assert model.word_ceilings() is None
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_values_give_none(self, value):
+        assert read_arpa(UNIGRAM_ARPA.replace("-1.1", value)).word_ceilings() is None
+        assert read_arpa(CLOSED_ARPA.replace("\t-0.2\n", f"\t{value}\n")).word_ceilings() is None
