@@ -5,7 +5,8 @@ cell keeps a beam. A rule is composed with every combination of the best
 sub-items of its gaps (one `itertools.product`, which cube pruning would
 replace), and one ranking step, `phrase.rank_best`, recombines each cell and
 cuts it to the beam. Compositions rescore only the junction words, so item
-scores stay O(LM order) to combine. Glue derivations are left-anchored: S
+scores stay O(LM order) to combine; the decode's `lm.LmStates` scores them
+from the end state each item carries. Glue derivations are left-anchored: S
 covers a prefix and grows monotonically to the right. Sentences that fail
 to parse fall back to glue-concatenating the best per-word lexical rules,
 which cannot fail thanks to verbatim pass-through for uncovered words.
@@ -13,11 +14,11 @@ which cannot fail thanks to verbatim pass-through for uncovered words.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 from operator import attrgetter
 
-from ..lm import NGramModel
+from ..lm import LmStates, NGramModel
 from ..ruletab import NT, RuleEntry
 from .phrase import (
     OOV_FEATURES,
@@ -72,41 +73,44 @@ class ChartItem:
     prefix_lm: float = 0.0  # boundary-free log10 LM score of tokens
     head_lm: float = 0.0  # portion contributed by the first order-1 words
     score: float = 0.0  # weights.dot(features) + lm weight * prefix_lm
+    state: int = 0  # the LmStates state that tokens reach from the empty one
 
 
 class _ItemFactory:
     """Builds scored items, rescoring only junction words on composition."""
 
-    def __init__(self, lm: NGramModel, weights: FeatureWeights):
-        self.lm = lm
+    def __init__(self, lm_states: LmStates, weights: FeatureWeights):
+        self.lm_states = lm_states
         self.weights = weights
-        self.ctx_len = lm.order - 1
 
     def build(self, lhs, parts, features, rules) -> ChartItem:
-        lm_model = self.lm
+        word = self.lm_states.word
+        id_of = self.lm_states.lm.vocab.id_of
+        cut = self.lm_states.cut
         tokens: tuple[str, ...] = ()
+        state = self.lm_states.empty
         total = 0.0
         head = 0.0
         for part in parts:
             if isinstance(part, str):
-                delta = lm_model.score_word(tokens[-self.ctx_len:], part)
-                if len(tokens) < self.ctx_len:
+                delta, state = word(state, id_of(part))
+                if len(tokens) < cut:
                     head += delta
                 total += delta
                 tokens += (part,)
             else:
                 rescored = 0.0
-                cur = tokens
-                for word in part.tokens[: self.ctx_len]:
-                    delta = lm_model.score_word(cur[-self.ctx_len:], word)
-                    if len(cur) < self.ctx_len:
+                for position, token in enumerate(part.tokens[:cut], len(tokens)):
+                    delta, state = word(state, id_of(token))
+                    if position < cut:
                         head += delta
                     rescored += delta
-                    cur += (word,)
                 total += part.prefix_lm - part.head_lm + rescored
+                if len(part.tokens) >= cut:
+                    state = part.state
                 tokens += part.tokens
         score = self.weights.dot(features) + self.weights.lm * total
-        return ChartItem(lhs, tokens, features, rules, total, head, score)
+        return ChartItem(lhs, tokens, features, rules, total, head, score, state)
 
     def compose(self, rule: RuleEntry, sub_items: dict[int, "ChartItem"]) -> ChartItem:
         features = translation_features(rule.scores, rule.tgt_rhs)
@@ -134,10 +138,8 @@ class _ItemFactory:
     def as_glue(self, item: ChartItem) -> ChartItem:
         features = dict(item.features)
         features["glue"] = features.get("glue", 0.0) - 1.0
-        return ChartItem(
-            "S", item.tokens, features, item.rules, item.prefix_lm, item.head_lm,
-            item.score + self.weights.glue * -1.0,
-        )
+        score = item.score + self.weights.glue * -1.0
+        return replace(item, lhs="S", features=features, score=score)
 
 
 def _match_positions(pattern: tuple, sentence: list[str], i: int, j: int):
@@ -173,8 +175,9 @@ def decode_chart(
     if not sentence:
         raise DecodeError("cannot decode an empty sentence")
     n = len(sentence)
-    factory = _ItemFactory(models.lm, weights)
-    cut = models.lm.order - 1
+    lm_states = LmStates(models.lm)
+    factory = _ItemFactory(lm_states, weights)
+    cut = lm_states.cut
 
     def boundary(item: ChartItem) -> tuple:  # items that share it recombine
         return (item.lhs, item.tokens[:cut], item.tokens[-cut:] if cut else ())
@@ -218,7 +221,7 @@ def decode_chart(
             glue[j] = rank_best(candidates, boundary, attrgetter("score"), config.cell_beam)
 
     finals = glue.get(n) or [_fallback(sentence, models, factory)]
-    return rank_nbest(finals, models.lm, weights, config.nbest)
+    return rank_nbest(finals, lm_states, weights, config.nbest)
 
 
 def _fallback(sentence: list[str], models: ChartModels, factory: _ItemFactory) -> ChartItem:

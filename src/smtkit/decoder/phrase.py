@@ -2,13 +2,13 @@
 
 Hypotheses are organized into stacks by the number of covered source words.
 Recombination keys on (coverage, LM state, end of last phrase, reordering
-id). The LM state is the hypothesis's LM context interned as a small int for
-the length of one decode. With a lexicalized reordering model the reordering
-id names the (src, tgt) entry of the last phrase, because the pending
-backward orientation depends on it; without one it is the same for every
-hypothesis. With an unlimited stack and no distortion limit the search is
-exhaustive dynamic programming, which is what the oracle-equivalence tests
-rely on.
+id). The LM state is the hypothesis's LM context as an `lm.LmStates` state,
+which scores every LM query of the decode. With a lexicalized reordering
+model the reordering id names the (src, tgt) entry of the last phrase,
+because the pending backward orientation depends on it; without one it is
+the same for every hypothesis. With an unlimited stack and no distortion
+limit the search is exhaustive dynamic programming, which is what the
+oracle-equivalence tests rely on.
 
 A hypothesis points back to its parent and to the option it applied; its
 output tokens are built only once it survives its stack's beam, and the
@@ -27,8 +27,7 @@ from dataclasses import dataclass
 from heapq import heapreplace
 from operator import attrgetter
 
-from ..corpus import BOS, EOS
-from ..lm import NGramModel
+from ..lm import LmStates, NGramModel
 from ..phrasetab import PhraseEntry, ReorderingEntry
 from .weights import FeatureWeights, add_features
 
@@ -157,15 +156,14 @@ def rank_best(items, key, score, limit: int) -> list:
 
 
 def rank_nbest(
-    items, lm: NGramModel, weights: FeatureWeights, nbest: int
+    items, lm_states: LmStates, weights: FeatureWeights, nbest: int
 ) -> list[DecodedHypothesis]:
     """The n-best tail of the chart and tree decoders: `items` (with `tokens`,
     LM-free `features` and `rules`) ranked after rescoring the LM with
     sentence boundaries, each distinct output with its best derivation."""
     hyps = []
     for item in items:
-        features = dict(item.features)
-        features["lm"], _ = lm.score_sentence(list(item.tokens))
+        features = {**item.features, "lm": lm_states.sentence(item.tokens)}
         hyps.append(DecodedHypothesis(item.tokens, weights.dot(features), features, item.rules))
     return rank_best(hyps, attrgetter("tokens"), attrgetter("score"), max(nbest, 1))
 
@@ -195,74 +193,6 @@ def build_options(
                 Step(i, i + 1, (sentence[i],), tuple(OOV_FEATURES.items()), None)
             )
     return options
-
-
-def lm_prefix_score(lm: NGramModel, tokens: tuple[str, ...]) -> float:
-    """Boundary-free log10 LM score of a token sequence."""
-    total = 0.0
-    for i in range(len(tokens)):
-        history = tokens[max(0, i - lm.order + 1) : i]
-        total += lm.score_word(history, tokens[i])
-    return total
-
-
-class _LmStates:
-    """The LM contexts of one decode as small ints, with memoized transitions.
-
-    Each distinct context tuple is interned once; `word` scores a word after
-    a state once per distinct (state, word) pair and returns the state it
-    leads to. `rows` holds, per state, the (LM delta, next state) of every
-    distinct target side of the translation options, each filled when the
-    search first applies it after that state. An instance lives for one
-    `decode_phrase` call.
-    """
-
-    def __init__(self, lm: NGramModel):
-        self.lm = lm
-        self.cut = lm.order - 1
-        self.eos_id = lm.vocab.id_of(EOS)
-        self.contexts: list[tuple[int, ...]] = []
-        self.ids: dict[tuple[int, ...], int] = {}
-        self.transitions: dict[tuple[int, int], tuple[float, int]] = {}
-        self.eos: list[float | None] = []
-        self.rows: list[list | None] = []
-
-    def state(self, ctx: tuple[int, ...]) -> int:
-        state = self.ids.get(ctx)
-        if state is None:
-            state = self.ids[ctx] = len(self.contexts)
-            self.contexts.append(ctx)
-            self.eos.append(None)
-            self.rows.append(None)
-        return state
-
-    def word(self, state: int, wid: int) -> tuple[float, int]:
-        """log10 p(wid | state) and the state after it."""
-        key = (state, wid)
-        hit = self.transitions.get(key)
-        if hit is None:
-            ctx = self.contexts[state]
-            hit = self.transitions[key] = (
-                self.lm.score_ids(ctx, wid),
-                self.state((ctx + (wid,))[-self.cut:] if self.cut else ()),
-            )
-        return hit
-
-    def advance(self, state: int, ids: tuple[int, ...]) -> tuple[float, int]:
-        """Summed log10 score of `ids` after `state`, and the state they reach."""
-        transitions = self.transitions
-        total = 0.0
-        for wid in ids:
-            score, state = transitions.get((state, wid)) or self.word(state, wid)
-            total += score
-        return total, state
-
-    def end(self, state: int) -> float:
-        """log10 p(</s> | state)."""
-        score = self.eos[state]
-        if score is None:
-            score = self.eos[state] = self.word(state, self.eos_id)[0]
-        return score
 
 
 def future_cost_table(
@@ -317,22 +247,14 @@ def _orientation_name(prev_start: int, prev_end: int, start: int, end: int) -> s
     return "disc-left" if start >= prev_end else "disc-right"
 
 
-def _forward_log(models: PhraseModels, step: Step, prev_start: int, prev_end: int) -> float:
-    """log10 forward score of `step` after the phrase [prev_start, prev_end);
-    0.0 when its entry has no reordering statistics."""
+def _orientation_log(models: PhraseModels, step: Step, side: int, start: int, end: int) -> float:
+    """log10 forward (side 0) score of `step` after the phrase [start, end),
+    or backward (side 1) score before it; 0.0 when its entry has no
+    reordering statistics."""
     logs = models.reordering_logs(step.entry_key)
     if logs is None:
         return 0.0
-    return logs[0][_orientation_name(prev_start, prev_end, step.start, step.end)]
-
-
-def _backward_log(models: PhraseModels, step: Step, next_start: int, next_end: int) -> float:
-    """log10 backward score of `step` before the phrase [next_start, next_end);
-    0.0 when its entry has no reordering statistics."""
-    logs = models.reordering_logs(step.entry_key)
-    if logs is None:
-        return 0.0
-    return logs[1][_orientation_name(next_start, next_end, step.start, step.end)]
+    return logs[side][_orientation_name(start, end, step.start, step.end)]
 
 
 # A search hypothesis is a list [total, score, coverage, last_end, state,
@@ -407,7 +329,7 @@ def decode_phrase(
     hypothesis's score with the distortion term, local the option's
     weighted phrase-local score, and lmc the LM weight times the sum of the
     ceilings of its target words (`NGramModel.word_ceilings`), added in the
-    order `_LmStates.advance` adds their scores. Its real total is
+    order `LmStates.advance` adds their scores. Its real total is
     (((base + local) + lm) + reordering) + future. When the LM and
     reordering weights are not negative, no back-off weight is positive and
     no orientation log is above 0, lm is at most lmc and the reordering term
@@ -425,7 +347,7 @@ def decode_phrase(
 
     Everything below is computed per decode and dropped when it returns.
     The weighted phrase-local score, LM ids and reordering scores of every
-    option are computed once. LM contexts are interned as small ints, and
+    option are computed once. LM contexts are `LmStates` states, and
     `NGramModel.score_ids` runs once per distinct (context, word): each
     state keeps a row of (LM delta, next state) per distinct option target
     side, so extending a hypothesis costs one list lookup. Future costs are
@@ -446,9 +368,7 @@ def decode_phrase(
 
     n = len(sentence)
     lm = models.lm
-    lm_states = _LmStates(lm)
-    empty_state = lm_states.state(())
-    bos_state = lm_states.state((lm.vocab.id_of(BOS),))
+    lm_states = LmStates(lm)
     track_reorder = bool(models.reordering)
     distortion_weight = weights.distortion
     lm_weight = weights.lm
@@ -480,12 +400,12 @@ def decode_phrase(
             local = sum(weights.get(name) * v for name, v in step.features)
             ids = tuple(lm.vocab.id_of(w) for w in step.tgt)
             estimate = local
-            estimate += lm_weight * lm_states.advance(empty_state, ids)[0]
+            estimate += lm_weight * lm_states.advance(lm_states.empty, ids)[0]
             estimates.setdefault((i, j), []).append(estimate)
             lmc = math.inf
             if ceilings is not None:
                 ceiling = 0.0
-                for wid in ids:  # in the order of `_LmStates.advance`
+                for wid in ids:  # in the order of `LmStates.advance`
                     ceiling += ceilings[wid]
                 lmc = lm_weight * ceiling
             reorder_logs = models.reordering_logs(step.entry_key)
@@ -522,8 +442,8 @@ def decode_phrase(
     else:
         floors = [[-math.inf]] * (n + 1)
     no_floor = [-math.inf]  # a completion is never dropped
-    first = [_uncovered_future(0, n, future), 0.0, 0, 0, bos_state, None, None, ()]
-    stacks[0][(0, bos_state, 0, None)] = first
+    first = [_uncovered_future(0, n, future), 0.0, 0, 0, lm_states.bos, None, None, ()]
+    stacks[0][(0, lm_states.bos, 0, None)] = first
     # best (score, hypothesis, last option) per distinct output
     completed: dict[tuple[str, ...], tuple[float, list, int]] = {}
     full_mask = (1 << n) - 1
@@ -625,8 +545,7 @@ def decode_phrase(
     for tokens, (score, hyp, option) in ranked[: max(config.nbest, 1)]:
         derivation = _derivation_steps(hyp, option, steps)
         features = _phrase_and_order_features(derivation, models, n)
-        delta, state = advance(bos_state, tuple(lm.vocab.id_of(w) for w in tokens))
-        features["lm"] = delta + end(state)
+        features["lm"] = lm_states.sentence(tokens)
         results.append(DecodedHypothesis(tokens, score, features, derivation))
     return results
 
@@ -644,13 +563,13 @@ def _phrase_and_order_features(
         add_features(features, dict(step.features))
         distortion += abs(step.start - last_end)
         if models.reordering:
-            reorder += _forward_log(models, step, last_start, last_end)
+            reorder += _orientation_log(models, step, 0, last_start, last_end)
             if prev is not None:
-                reorder += _backward_log(models, prev, step.start, step.end)
+                reorder += _orientation_log(models, prev, 1, step.start, step.end)
         last_start, last_end = step.start, step.end
         prev = step
     if models.reordering and prev is not None:
-        reorder += _backward_log(models, prev, n, n + 1)
+        reorder += _orientation_log(models, prev, 1, n, n + 1)
     features["distortion"] = -distortion
     if models.reordering:
         features["reordering"] = reorder
@@ -663,7 +582,7 @@ def derivation_features(
     """Recompute the full feature vector of a derivation from scratch."""
     features = _phrase_and_order_features(steps, models, n)
     tokens = [w for step in steps for w in step.tgt]
-    features["lm"], _ = models.lm.score_sentence(tokens)
+    features["lm"] = LmStates(models.lm).sentence(tokens)
     return features
 
 

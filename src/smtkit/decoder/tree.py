@@ -6,10 +6,12 @@ structure compose child derivations into target strings; nodes without a
 matching rule fall back to a synthesized pass-through rule that copies the
 head word and keeps the children in surface order.
 
-Both kinds of rule are composed by one step, `compose`, which builds the
-full product of the k-best lists of the rule's variables. One ranking step,
-`phrase.rank_best`, keeps each node's k best distinct strings; a lazy k-best
-combiner would replace the product.
+Nodes are decoded bottom-up without recursion, only those that a rule
+variable or the pass-through reaches. Both kinds of rule are composed by one
+step, `compose`, which builds the full product of the k-best lists of the
+rule's variables. One ranking step, `phrase.rank_best`, keeps each node's k
+best distinct strings by their LM score from the decode's `lm.LmStates`; a
+lazy k-best combiner would replace the product.
 """
 
 from __future__ import annotations
@@ -19,13 +21,12 @@ from itertools import product
 from operator import attrgetter
 
 from ..deptree import DepSentence, DepToken, is_projective
-from ..lm import NGramModel
+from ..lm import LmStates, NGramModel
 from ..ruletab import Fragment, TreeRule, Var, _node_label
 from .phrase import (
     OOV_FEATURES,
     DecodeError,
     DecodedHypothesis,
-    lm_prefix_score,
     rank_best,
     rank_nbest,
     translation_features,
@@ -99,28 +100,54 @@ def decode_tree(
     if not sent.tokens:
         raise DecodeError("cannot decode an empty tree")
     if not is_projective(sent):
-        raise DecodeError(
-            f"sentence {sent.sent_id or '<unknown>'} is non-projective"
-        )
+        raise DecodeError(f"sentence {sent.sent_id or '<unknown>'} is non-projective")
 
-    lm = models.lm
+    lm_states = LmStates(models.lm)
+    empty, id_of = lm_states.empty, models.lm.vocab.id_of
     k = max(config.k_best_per_node, 1)
     constituents = sent.constituents()
+    root = sent.root().id
+
+    # breadth first, so top-down: at each node that a rule variable or the
+    # pass-through reaches from the root, what to compose (target side, its
+    # own features, its part of the derivation, the node of each variable)
+    order = [root]
+    plans: dict[int, list[tuple]] = {root: []}
+    for tok_id in order:
+        order += [t.id for t in constituents[tok_id] if t.id != tok_id]
+        plan = plans.get(tok_id)
+        if plan is None:
+            continue
+        for rule in models.by_label.get(_node_label(sent, tok_id), []):
+            binding = _match_fragment(sent, constituents, rule.fragment, tok_id)
+            if binding is not None:
+                features = translation_features(rule.scores, rule.target)
+                nodes = [binding[t.index] for t in rule.target if isinstance(t, Var)]
+                plan.append((rule.target, features, (rule,), nodes))
+        if not plan:
+            # pass-through, not part of the derivation: the head word among
+            # its children, each a variable
+            here = constituents[tok_id]
+            target = tuple(t.form if t.id == tok_id else Var(t.id, "") for t in here)
+            plan.append((target, OOV_FEATURES, (), [t.id for t in here if t.id != tok_id]))
+        for *_, nodes in plan:
+            for node in nodes:
+                plans.setdefault(node, [])
+
     best: dict[int, list[TreeItem]] = {}
 
-    def compose(rule: TreeRule, binding: dict[int, int], base: dict, applied: tuple):
-        """Yield an item per combination of the k-best lists of the rule's
-        variables, the last varying fastest. `base` holds the rule's own
-        features and `applied` its part of the derivation."""
-        slots = [t.index for t in rule.target if isinstance(t, Var)]
-        for combo in product(*(decode_node(binding[index]) for index in slots)):
-            subs = dict(zip(slots, combo))
+    def compose(target: tuple, base: dict, applied: tuple, nodes: list[int]):
+        """Yield an item per combination of the k-best lists of `nodes`, the
+        last varying fastest. `base` holds the rule's own features and
+        `applied` its part of the derivation."""
+        for combo in product(*(best[node] for node in nodes)):
+            subs = iter(combo)
             tokens: list[str] = []
             features = dict(base)
             rules = applied
-            for t in rule.target:
+            for t in target:
                 if isinstance(t, Var):
-                    sub = subs[t.index]
+                    sub = next(subs)
                     tokens.extend(sub.tokens)
                     add_features(features, sub.features)
                     rules = rules + sub.rules
@@ -128,33 +155,14 @@ def decode_tree(
                     tokens.append(t)
             yield TreeItem(tuple(tokens), features, rules)
 
-    def decode_node(tok_id: int) -> list[TreeItem]:
-        if tok_id in best:
-            return best[tok_id]
-        label = _node_label(sent, tok_id)
-        candidates: list[TreeItem] = []
-        for rule in models.by_label.get(label, []):
-            binding = _match_fragment(sent, constituents, rule.fragment, tok_id)
-            if binding is not None:
-                base = translation_features(rule.scores, rule.target)
-                candidates += compose(rule, binding, base, (rule,))
-        if not candidates:
-            # pass-through: a synthesized rule, not part of the derivation,
-            # that copies the head word among its children, each a variable
-            # named by its token id
-            items = tuple(
-                t.form if t.id == tok_id else Var(t.id, _node_label(sent, t.id))
-                for t in constituents[tok_id]
+    # bottom-up, the k best distinct strings of each reached node
+    for tok_id in reversed(order):
+        if tok_id in plans:
+            best[tok_id] = rank_best(
+                [item for entry in plans[tok_id] for item in compose(*entry)],
+                attrgetter("tokens"),
+                lambda it: weights.dot(it.features)
+                + weights.lm * lm_states.advance(empty, tuple(map(id_of, it.tokens)))[0],
+                k,
             )
-            binding = {t.id: t.id for t in constituents[tok_id]}
-            candidates += compose(TreeRule(Fragment(label, items), items), binding, OOV_FEATURES, ())
-        best[tok_id] = rank_best(
-            candidates,
-            attrgetter("tokens"),
-            lambda it: weights.dot(it.features) + weights.lm * lm_prefix_score(lm, it.tokens),
-            k,
-        )
-        return best[tok_id]
-
-    root_items = decode_node(sent.root().id)
-    return rank_nbest(root_items, lm, weights, config.nbest)
+    return rank_nbest(best[root], lm_states, weights, config.nbest)

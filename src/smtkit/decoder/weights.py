@@ -15,6 +15,7 @@ the dot product with the weights. Feature semantics:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 
@@ -91,4 +92,6 @@ def parse_weights(text: str) -> FeatureWeights:
             values[name] = float(value)
         except ValueError:
             raise WeightsError(f"line {lineno}: non-numeric weight {value!r}") from None
+        if not math.isfinite(values[name]):
+            raise WeightsError(f"line {lineno}: non-finite weight {value!r}")
     return FeatureWeights(**values)

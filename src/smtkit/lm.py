@@ -3,6 +3,8 @@
 Probabilities and backoff weights are log10 throughout, matching the ARPA
 text format. The model is exactly normalized: for every stored history h,
 summing p(w|h) over the full vocabulary (through backoff) gives 1.
+The decoders query a model through `LmStates`, one decode's interned
+contexts and memoized transitions.
 """
 
 from __future__ import annotations
@@ -154,6 +156,74 @@ class NGramModel:
             out.append((words, logp, bow))
         out.sort(key=lambda item: item[0])
         return out
+
+
+class LmStates:
+    """The LM contexts of one decode as small ints, with memoized transitions.
+
+    Each distinct context tuple is interned once; `word` scores a word after
+    a state once per distinct (state, word) pair and returns the state it
+    leads to. `rows` holds, per state, the (LM delta, next state) of every
+    distinct target side of the translation options, each filled when the
+    phrase search first applies it after that state. An instance lives for
+    one decode call. `empty` is the state of the empty context and `bos`
+    that of <s>.
+    """
+
+    def __init__(self, lm: NGramModel):
+        self.lm = lm
+        self.cut = lm.order - 1
+        self.eos_id = lm.vocab.id_of(EOS)
+        self.contexts: list[tuple[int, ...]] = []
+        self.ids: dict[tuple[int, ...], int] = {}
+        self.transitions: dict[tuple[int, int], tuple[float, int]] = {}
+        self.eos: list[float | None] = []
+        self.rows: list[list | None] = []
+        self.empty = self.state(())
+        self.bos = self.state((lm.vocab.id_of(BOS),))
+
+    def state(self, ctx: tuple[int, ...]) -> int:
+        state = self.ids.get(ctx)
+        if state is None:
+            state = self.ids[ctx] = len(self.contexts)
+            self.contexts.append(ctx)
+            self.eos.append(None)
+            self.rows.append(None)
+        return state
+
+    def word(self, state: int, wid: int) -> tuple[float, int]:
+        """log10 p(wid | state) and the state after it."""
+        key = (state, wid)
+        hit = self.transitions.get(key)
+        if hit is None:
+            ctx = self.contexts[state]
+            hit = self.transitions[key] = (
+                self.lm.score_ids(ctx, wid),
+                self.state((ctx + (wid,))[-self.cut:] if self.cut else ()),
+            )
+        return hit
+
+    def advance(self, state: int, ids: tuple[int, ...]) -> tuple[float, int]:
+        """Summed log10 score of `ids` after `state`, and the state they reach."""
+        transitions = self.transitions
+        total = 0.0
+        for wid in ids:
+            score, state = transitions.get((state, wid)) or self.word(state, wid)
+            total += score
+        return total, state
+
+    def end(self, state: int) -> float:
+        """log10 p(</s> | state)."""
+        score = self.eos[state]
+        if score is None:
+            score = self.eos[state] = self.word(state, self.eos_id)[0]
+        return score
+
+    def sentence(self, tokens) -> float:
+        """log10 score of `tokens` between <s> and </s>, summed in the order
+        of `NGramModel.score_sentence`, so the same float."""
+        total, state = self.advance(self.bos, self.lm._ids(tokens))
+        return total + self.end(state)
 
 
 def train_lm(

@@ -8,6 +8,7 @@ the [phi(s|t), lex(s|t), phi(t|s), lex(t|s)] column order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .align import NULL_WORD, TTable
@@ -162,19 +163,29 @@ def format_phrase_entry(entry: PhraseEntry) -> str:
     return f"{' '.join(entry.src)} ||| {' '.join(entry.tgt)} ||| {scores} ||| {links} ||| {counts}"
 
 
+def finite_floats(field: str) -> tuple[float, ...]:
+    """The numbers of a table field; nan and inf are data errors."""
+    values = tuple(map(float, field.split()))
+    if not math.isfinite(sum(values)):  # else every value is finite
+        for word, value in zip(field.split(), values):
+            if not math.isfinite(value):
+                raise PhraseError(f"non-finite number {word!r}")
+    return values
+
+
 def parse_phrase_entry(line: str) -> PhraseEntry:
     fields = line.split(" ||| ")
     if len(fields) != 5:
         raise PhraseError(f"expected 5 ||| fields, found {len(fields)}: {line!r}")
     src = tuple(fields[0].split())
     tgt = tuple(fields[1].split())
-    scores = tuple(float(x) for x in fields[2].split())
+    scores = finite_floats(fields[2])
     if len(scores) != 4:
         raise PhraseError(f"expected 4 scores, found {len(scores)}: {line!r}")
     alignment = frozenset(
         (int(a), int(b)) for a, b in (p.split("-") for p in fields[3].split())
     )
-    counts = tuple(float(x) for x in fields[4].split())
+    counts = finite_floats(fields[4])
     if len(counts) != 3:
         raise PhraseError(f"expected 3 counts, found {len(counts)}: {line!r}")
     return PhraseEntry(src, tgt, scores, alignment, counts)
@@ -305,7 +316,7 @@ def parse_reordering_entry(line: str) -> ReorderingEntry:
     fields = line.split(" ||| ")
     if len(fields) != 3:
         raise PhraseError(f"expected 3 ||| fields: {line!r}")
-    values = [float(x) for x in fields[2].split()]
+    values = finite_floats(fields[2])
     if len(values) == 6:
         orientations = MSD
     elif len(values) == 8:

@@ -16,7 +16,7 @@ from typing import Callable
 from .align import TTable
 from .corpus import SentencePair
 from .deptree import DepSentence
-from .phrasetab import PhraseError, _fmt_num, _lex_weight, extract_phrases, parse_lines
+from .phrasetab import PhraseError, _fmt_num, _lex_weight, extract_phrases, finite_floats, parse_lines
 
 
 @dataclass(frozen=True)
@@ -276,11 +276,11 @@ def parse_rule(line: str) -> RuleEntry:
     tgt_syms, lhs_t = _parse_side(fields[1])
     if lhs != lhs_t:
         raise PhraseError(f"source lhs {lhs!r} != target lhs {lhs_t!r}")
-    scores = tuple(float(x) for x in fields[2].split())
+    scores = finite_floats(fields[2])
     alignment = frozenset(
         (int(a), int(b)) for a, b in (p.split("-") for p in fields[3].split())
     )
-    counts = tuple(float(x) for x in fields[4].split())
+    counts = finite_floats(fields[4])
     # co-index nonterminals through the alignment, in source order
     index = 0
     for pos, sym in enumerate(src_syms):
@@ -617,8 +617,8 @@ def parse_tree_rule(line: str) -> TreeRule:
             target.append(Var(int(tok[1:]), ""))
         else:
             target.append(tok)
-    scores = tuple(float(x) for x in fields[2].split())
-    counts = tuple(float(x) for x in fields[3].split())
+    scores = finite_floats(fields[2])
+    counts = finite_floats(fields[3])
     return TreeRule(fragment, tuple(target), scores, counts)
 
 

@@ -6,7 +6,9 @@ import pytest
 
 from smtkit import align, cli, lm, phrasetab, ruletab, tune
 from smtkit.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, PipelineConfig, main
+from smtkit.deptree import write_conllu
 from smtkit.synthdata import write_fixture_tree
+from test_deptree import chain_sentence
 
 
 def run(argv, stdin=""):
@@ -596,6 +598,35 @@ def _exit_code_cases():
             lambda p, argv=argv: ["decode", "--lm", p["lm"], *argv(p)],
             EXIT_DATA, texts,
         ))
+    # ... and of a number that is not finite
+    for name, argv, texts in (
+        ("phrase-table", lambda p: ["--phrase-table", p["nan_phrases"], "--input", p["in"]],
+         ["nan-phrases.txt: line 3:", "non-finite number 'nan'"]),
+        ("reordering-table", lambda p: ["--phrase-table", p["table"], "--reordering",
+                                        p["inf_reordering"], "--input", p["in"]],
+         ["inf-reordering.txt: line 2:", "non-finite number 'inf'"]),
+        ("rule-table", lambda p: ["--kind", "hier", "--rule-table", p["inf_rules"],
+                                  "--input", p["in"]],
+         ["inf-rules.txt: line 2:", "non-finite number '-inf'"]),
+        ("tree-rule-table", lambda p: ["--kind", "tree", "--rule-table", p["nan_tree_rules"],
+                                       "--input", p["trees"]],
+         ["nan-tree-rules.txt: line 2:", "non-finite number 'NaN'"]),
+        ("weights", lambda p: ["--phrase-table", p["table"], "--input", p["in"],
+                               "--weights", p["inf_weights"]],
+         ["inf.weights: line 2:", "non-finite weight 'inf'"]),
+    ):
+        cases.append((
+            f"non-finite-{name}-line",
+            lambda p, argv=argv: ["decode", "--lm", p["lm"], *argv(p)],
+            EXIT_DATA, texts,
+        ))
+    # a tree deeper than Python's recursion limit, passed through at every node
+    cases.append((
+        "decode-tree-deep-chain",
+        lambda p: ["decode", "--lm", p["lm"], "--kind", "tree", "--rule-table", p["tree_rules"],
+                   "--input", p["chain"]],
+        EXIT_OK, [],
+    ))
     cases.append((
         "unterminated-tree-rule-fragment",
         lambda p: ["decode", "--lm", p["lm"], "--kind", "tree", "--rule-table", p["cut_tree_rules"],
@@ -759,6 +790,16 @@ class TestExitCodeTable:
             "(root w:a) ||| b ||| 0.5 0.5 ||| 1 1\n(root w:c) ||| d ||| abc 0.5 ||| 1 1\n",
             encoding="utf-8",
         )
+        for bad, value, name in (
+            ("bad-phrases.txt", "nan", "nan-phrases.txt"),
+            ("bad-reordering.txt", "inf", "inf-reordering.txt"),
+            ("bad-rules.txt", "-inf", "inf-rules.txt"),
+            ("bad-tree-rules.txt", "NaN", "nan-tree-rules.txt"),
+            ("bad.weights", "inf", "inf.weights"),
+        ):
+            text = (root / bad).read_text(encoding="utf-8")
+            (root / name).write_text(text.replace("abc", value), encoding="utf-8")
+        (root / "chain.conllu").write_text(write_conllu([chain_sentence(2000)]), encoding="utf-8")
         (root / "cut-tree-rules.txt").write_text(
             "(root w:a) ||| b ||| 0.5 0.5 ||| 1 1\n(root ||| b ||| 0.5 ||| 1\n", encoding="utf-8"
         )
@@ -826,6 +867,12 @@ class TestExitCodeTable:
             "bad_rules": str(root / "bad-rules.txt"),
             "bad_tree_rules": str(root / "bad-tree-rules.txt"),
             "cut_tree_rules": str(root / "cut-tree-rules.txt"),
+            "nan_phrases": str(root / "nan-phrases.txt"),
+            "inf_reordering": str(root / "inf-reordering.txt"),
+            "inf_rules": str(root / "inf-rules.txt"),
+            "nan_tree_rules": str(root / "nan-tree-rules.txt"),
+            "inf_weights": str(root / "inf.weights"),
+            "chain": str(root / "chain.conllu"),
             "in": str(root / "in.txt"),
             "closed_lm": str(root / "closed.arpa"),
             "a_table": str(root / "a-table.txt"),

@@ -27,7 +27,7 @@ from smtkit.decoder import phrase as phrase_module
 from smtkit.decoder.phrase import _COVERAGE, _LAST_END, _OPTION, _TOKENS, _TOTAL
 from smtkit.decoder.weights import format_weights, parse_weights
 from smtkit.deptree import parse_conllu
-from smtkit.lm import NGramModel, read_arpa, train_lm
+from smtkit.lm import LmStates, NGramModel, read_arpa, train_lm
 from smtkit.phrasetab import (
     MSD,
     MSLR,
@@ -475,29 +475,53 @@ class TestPhraseSearchBytes:
         assert len(set(keys)) < len(keys)
 
 
+def assert_one_query_per_context_and_word(decode, monkeypatch):
+    """One `decode()` asks `NGramModel.score_ids` once per distinct (context,
+    word), and an identical second call asks again: nothing is cached
+    across calls."""
+    calls = []
+    score_ids = NGramModel.score_ids
+
+    def counting(self, history, word):
+        calls.append((tuple(history), word))
+        return score_ids(self, history, word)
+
+    monkeypatch.setattr(NGramModel, "score_ids", counting)
+    first = decode()
+    first_calls = len(calls)
+    assert first_calls == len(set(calls)) > 0
+    calls.clear()
+    again = decode()
+    assert len(calls) == first_calls
+    assert [(h.tokens, h.score, h.features) for h in again] == [
+        (h.tokens, h.score, h.features) for h in first
+    ]
+
+
 class TestLmCalls:
     def test_one_score_ids_call_per_distinct_context_and_word(self, monkeypatch):
         models = exact_models(MSLR, 17)
-        calls = []
-        score_ids = NGramModel.score_ids
-
-        def counting(self, history, word):
-            calls.append((tuple(history), word))
-            return score_ids(self, history, word)
-
-        monkeypatch.setattr(NGramModel, "score_ids", counting)
         sent = ["s4", "s0", "s1", "oov-word", "s2", "s3"]
         config = DecodeConfig(stack_size=10, nbest=5)
-        first = decode_phrase(sent, models, EXACT_WEIGHTS, config)
-        first_calls = len(calls)
-        assert first_calls == len(set(calls)) > 0
-        # nothing is cached across calls: an identical decode asks again
-        calls.clear()
-        again = decode_phrase(sent, models, EXACT_WEIGHTS, config)
-        assert len(calls) == first_calls
-        assert [(h.tokens, h.score, h.features) for h in again] == [
-            (h.tokens, h.score, h.features) for h in first
-        ]
+        assert_one_query_per_context_and_word(
+            lambda: decode_phrase(sent, models, EXACT_WEIGHTS, config), monkeypatch
+        )
+
+    def test_chart_decoder_asks_once_per_context_and_word(self, monkeypatch):
+        # a trigram LM, so a junction rescores two words of a sub-item
+        models = ChartModels(chart_digest_models(29).rule_table, random_lm(order=3))
+        sent = ["s1", "s1", "s0", "s2", "s1", "s3"]
+        config = ChartConfig(cell_beam=100, nbest=5)
+        assert_one_query_per_context_and_word(
+            lambda: decode_chart(sent, models, CHART_TREE_WEIGHTS, config), monkeypatch
+        )
+
+    def test_tree_decoder_asks_once_per_context_and_word(self, monkeypatch):
+        models = TreeModels(tree_digest_models(29).tree_rules, random_lm(order=3))
+        config = TreeConfig(k_best_per_node=100, nbest=5)
+        assert_one_query_per_context_and_word(
+            lambda: decode_tree(DIGEST_TREES[3], models, CHART_TREE_WEIGHTS, config), monkeypatch
+        )
 
 
 def traced_search(models, sentences, configs, weights=EXACT_WEIGHTS):
@@ -652,12 +676,12 @@ class TestOrderOneLm:
         assert models.lm.order == 1
         made = []
 
-        class Recorded(phrase_module._LmStates):
+        class Recorded(LmStates):
             def __init__(self, lm):
                 super().__init__(lm)
                 made.append(self)
 
-        monkeypatch.setattr(phrase_module, "_LmStates", Recorded)
+        monkeypatch.setattr(phrase_module, "LmStates", Recorded)
         rng = random.Random(47)
         for _ in range(15):
             sent = [rng.choice(SRC + ["oov-word"]) for _ in range(rng.randint(1, 4))]

@@ -138,3 +138,40 @@ def test_reader_parses_or_raises_its_error(name):
             pass
 
     parses_or_raises()
+
+
+# a valid first line, then a line with one number that is not finite: the
+# reader, its error, the text with {x} for that number, and the message
+NON_FINITE = {
+    "phrase-score": (read_phrase_table, PhraseError,
+                     "a ||| x ||| 1 1 1 1 ||| 0-0 ||| 1 1 1\nb ||| y ||| 1 {x} 1 1 ||| 0-0 ||| 1 1 1\n",
+                     "line 2: non-finite number '{x}'"),
+    "phrase-count": (read_phrase_table, PhraseError,
+                     "a ||| x ||| 1 1 1 1 ||| 0-0 ||| 1 1 1\nb ||| y ||| 1 1 1 1 ||| 0-0 ||| 1 {x} 1\n",
+                     "line 2: non-finite number '{x}'"),
+    "reordering": (read_reordering_table, PhraseError,
+                   "a ||| x ||| 0.5 0.25 0.25 0.5 0.25 0.25\nc ||| y ||| 0.5 0.25 {x} 0.5 0.25 0.25\n",
+                   "line 2: non-finite number '{x}'"),
+    "rule": (read_rule_table, PhraseError,
+             "a [X] ||| x [X] ||| 1 1 1 1 ||| 0-0 ||| 1 1 1\nb [X] ||| y [X] ||| 1 1 {x} 1 ||| 0-0 ||| 1 1 1\n",
+             "line 2: non-finite number '{x}'"),
+    "tree-rule": (read_tree_rule_table, PhraseError,
+                  "(root w:a) ||| x ||| 1 1 ||| 1 1\n(nsubj w:b) ||| z ||| 1 1 ||| {x} 1\n",
+                  "line 2: non-finite number '{x}'"),
+    "weights": (parse_weights, WeightsError, "lm\t0.5\nglue\t{x}\n", "line 2: non-finite weight '{x}'"),
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", sorted(NON_FINITE))
+def test_non_finite_number_is_a_data_error(name, value):
+    read, error, text, message = NON_FINITE[name]
+    assert read(text.replace("{x}", "1"))
+    with pytest.raises(error, match=re.escape(message.replace("{x}", value))):
+        read(text.replace("{x}", value))
+
+
+def test_finite_numbers_whose_sum_overflows_are_read():
+    (entry,) = read_phrase_table("a ||| x ||| 1e308 1e308 1 1 ||| 0-0 ||| 1e308 1e308 1\n")
+    assert entry.scores == (1e308, 1e308, 1.0, 1.0)
+    assert entry.counts == (1e308, 1e308, 1.0)
