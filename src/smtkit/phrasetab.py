@@ -223,28 +223,30 @@ class ReorderingEntry:
 
 def _orientation(
     links: set[tuple[int, int]],
-    n_src: int,
-    n_tgt: int,
     i1: int,
     i2: int,
-    adjacent_tgt: int,
+    monotone: tuple[int, int],
+    swap: tuple[int, int],
+    corner: tuple[int, int],
+    row: int,
+    empty_row: str,
     orientations: tuple[str, ...],
 ) -> str:
-    """Word-based orientation against the target row above (or below) the
-    phrase. Sentence corners count as alignment points."""
-    corner = (-1, -1) if adjacent_tgt < 0 else (n_src, n_tgt)
-    top_left = (i1 - 1, adjacent_tgt)
-    top_right = (i2 + 1, adjacent_tgt)
-    if top_left in links or top_left == corner:
+    """Word-based orientation of source phrase i1..i2 against the adjacent
+    target `row`: monotone or swap when that point is linked or is the
+    sentence `corner`, else discontinuous, split by the side of the row's
+    nearest link (`empty_row` when it has none). The phrase's own words never
+    link into the row."""
+    if monotone in links or monotone == corner:
         return "monotone"
-    if top_right in links or top_right == corner:
+    if swap in links or swap == corner:
         return "swap"
     if len(orientations) == 3:
         return "discontinuous"
-    row = [i for i, j in links if j == adjacent_tgt]
-    if not row:
-        return "disc-left"
-    nearest = min(row, key=lambda i: (min(abs(i - i1), abs(i - i2)), i))
+    in_row = [i for i, j in links if j == row]
+    if not in_row:
+        return empty_row
+    nearest = min(in_row, key=lambda i: (min(abs(i - i1), abs(i - i2)), i))
     return "disc-left" if nearest < i1 else "disc-right"
 
 
@@ -266,24 +268,10 @@ def extract_reordering(
         n_src, n_tgt = len(pair.source), len(pair.target)
         for (i1, i2), (j1, j2) in extract_phrases(pair, links, max_phrase_len):
             key = (tuple(pair.source[i1 : i2 + 1]), tuple(pair.target[j1 : j2 + 1]))
-            fwd = _orientation(links, n_src, n_tgt, i1, i2, j1 - 1, orientations)
-            # backward mirrors against the following target row
-            corner = (n_src, n_tgt) if j2 + 1 >= n_tgt else None
-            bottom_right = (i2 + 1, j2 + 1)
-            bottom_left = (i1 - 1, j2 + 1)
-            if bottom_right in links or (corner and bottom_right == corner):
-                bwd = "monotone"
-            elif bottom_left in links:
-                bwd = "swap"
-            elif len(orientations) == 3:
-                bwd = "discontinuous"
-            else:
-                row = [i for i, j in links if j == j2 + 1]
-                if not row:
-                    bwd = "disc-right"
-                else:
-                    nearest = min(row, key=lambda i: (min(abs(i - i1), abs(i - i2)), i))
-                    bwd = "disc-right" if nearest > i2 else "disc-left"
+            fwd = _orientation(links, i1, i2, (i1 - 1, j1 - 1), (i2 + 1, j1 - 1), (-1, -1),
+                               j1 - 1, "disc-left", orientations)
+            bwd = _orientation(links, i1, i2, (i2 + 1, j2 + 1), (i1 - 1, j2 + 1), (n_src, n_tgt),
+                               j2 + 1, "disc-right", orientations)
             fwd_counts.setdefault(key, {o: 0.0 for o in orientations})[fwd] += 1.0
             bwd_counts.setdefault(key, {o: 0.0 for o in orientations})[bwd] += 1.0
 

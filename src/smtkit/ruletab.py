@@ -2,13 +2,15 @@
 tree-to-string rule extraction via frontier nodes.
 
 Hierarchical rules subtract one or two sub-phrase pairs from an initial
-phrase pair and replace them with co-indexed gap nonterminals, under the
-usual constraints: at most 2 nonterminals, never adjacent on the source
-side, at most 5 source symbols, at least one source terminal.
+phrase pair of at most MAX_SPAN (10) words a side and replace them with
+co-indexed gap nonterminals, under the usual constraints: at most MAX_NT (2)
+nonterminals, never adjacent on the source side, at most MAX_SRC_SYMBOLS (5)
+source symbols, at least one source terminal.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from typing import Callable
@@ -40,125 +42,74 @@ class RuleEntry:
         return (self.lhs, self.src_rhs, self.tgt_rhs)
 
 
-@dataclass
-class HierConfig:
-    max_nt: int = 2
-    max_src_symbols: int = 5
-    max_span: int = 10
+MAX_NT = 2  # gaps per rule
+MAX_SRC_SYMBOLS = 5  # terminals and gaps on the source side
+MAX_SPAN = 10  # longest initial phrase, on either side
 
 
-def _sub_spans(
-    initial: list[tuple[tuple[int, int], tuple[int, int]]],
-    outer: tuple[tuple[int, int], tuple[int, int]],
-) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-    (i1, i2), (j1, j2) = outer
-    subs = []
-    for (a1, a2), (b1, b2) in initial:
-        if (a1, a2, b1, b2) == (i1, i2, j1, j2):
-            continue
-        if i1 <= a1 and a2 <= i2 and j1 <= b1 and b2 <= j2:
-            subs.append(((a1, a2), (b1, b2)))
-    return subs
-
-
-def _make_rule(
-    pair: SentencePair,
-    links: set[tuple[int, int]],
-    outer: tuple[tuple[int, int], tuple[int, int]],
-    holes: list[tuple[tuple[int, int], tuple[int, int]]],
-    config: HierConfig,
-) -> RuleEntry | None:
-    (i1, i2), (j1, j2) = outer
-    src_rhs: list = []
-    src_pos_of: dict[int, int] = {}
-    nt_src_pos: dict[int, int] = {}
-    i = i1
-    while i <= i2:
-        hole = next((h for h, ((a1, a2), _) in enumerate(holes) if a1 == i), None)
-        if hole is not None:
-            nt_src_pos[hole + 1] = len(src_rhs)
-            src_rhs.append(NT(hole + 1))
-            i = holes[hole][0][1] + 1
+def _side(words: list[str], start: int, end: int, holes: dict[int, tuple[int, int]]):
+    """words[start..end] with each hole {start: (end, index)} written as
+    NT(index), and the position in that side of each kept word and hole."""
+    rhs: list = []
+    at: dict[int, int] = {}
+    p = start
+    while p <= end:
+        at[p] = len(rhs)
+        hole = holes.get(p)
+        if hole is None:
+            rhs.append(words[p])
+            p += 1
         else:
-            src_pos_of[i] = len(src_rhs)
-            src_rhs.append(pair.source[i])
-            i += 1
-    tgt_rhs: list = []
-    tgt_pos_of: dict[int, int] = {}
-    nt_tgt_pos: dict[int, int] = {}
-    j = j1
-    while j <= j2:
-        hole = next((h for h, (_, (b1, b2)) in enumerate(holes) if b1 == j), None)
-        if hole is not None:
-            nt_tgt_pos[hole + 1] = len(tgt_rhs)
-            tgt_rhs.append(NT(hole + 1))
-            j = holes[hole][1][1] + 1
-        else:
-            tgt_pos_of[j] = len(tgt_rhs)
-            tgt_rhs.append(pair.target[j])
-            j += 1
-
-    terminals = [s for s in src_rhs if not isinstance(s, NT)]
-    if not terminals:
-        return None
-    if len(src_rhs) > config.max_src_symbols:
-        return None
-    for a, b in zip(src_rhs, src_rhs[1:]):
-        if isinstance(a, NT) and isinstance(b, NT):
-            return None
-
-    alignment = set()
-    for idx in nt_src_pos:
-        alignment.add((nt_src_pos[idx], nt_tgt_pos[idx]))
-    for i, j in links:
-        if i in src_pos_of and j in tgt_pos_of:
-            alignment.add((src_pos_of[i], tgt_pos_of[j]))
-    return RuleEntry("X", tuple(src_rhs), tuple(tgt_rhs), alignment=frozenset(alignment))
+            rhs.append(NT(hole[1]))
+            p = hole[0] + 1
+    return tuple(rhs), at
 
 
-def extract_hier_rules(
-    pair: SentencePair,
-    links: set[tuple[int, int]],
-    config: HierConfig | None = None,
-) -> list[RuleEntry]:
+def extract_hier_rules(pair: SentencePair, links: set[tuple[int, int]]) -> list[RuleEntry]:
     """Hierarchical rules from one sentence pair, deduplicated."""
-    config = config or HierConfig()
-    initial = extract_phrases(pair, links, config.max_span)
+    initial = extract_phrases(pair, links, MAX_SPAN)
     rules: set[RuleEntry] = set()
     for outer in initial:
-        lexical = _make_rule(pair, links, outer, [], config)
-        if lexical is not None:
-            rules.add(lexical)
-        subs = _sub_spans(initial, outer)
-        for a in range(len(subs)):
-            rule = _make_rule(pair, links, outer, [subs[a]], config)
-            if rule is not None:
-                rules.add(rule)
-            if config.max_nt < 2:
+        (i1, i2), (j1, j2) = outer
+        # the other initial pairs inside this one, sorted as `initial` is, so
+        # that a pair's first hole starts first on the source side
+        subs = [
+            (s, t) for s, t in initial
+            if (s, t) != outer and i1 <= s[0] and s[1] <= i2 and j1 <= t[0] and t[1] <= j2
+        ]
+        hole_sets = [()] + [(sub,) for sub in subs] + [
+            (a, b) for a, b in itertools.combinations(subs, MAX_NT)
+            if a[0][1] + 1 < b[0][0] and (a[1][1] < b[1][0] or b[1][1] < a[1][0])
+        ]
+        for holes in hole_sets:
+            terminals = i2 - i1 + 1 - sum(s2 - s1 + 1 for (s1, s2), _ in holes)
+            if terminals < 1 or terminals + len(holes) > MAX_SRC_SYMBOLS:
                 continue
-            for b in range(len(subs)):
-                if a == b:
-                    continue
-                (sa, ta), (sb, tb) = (subs[a][0], subs[a][1]), (subs[b][0], subs[b][1])
-                if sa[1] >= sb[0] and sb[1] >= sa[0]:
-                    continue  # overlapping source spans
-                if ta[1] >= tb[0] and tb[1] >= ta[0]:
-                    continue  # overlapping target spans
-                if sa[0] > sb[0]:
-                    continue  # holes ordered by source start; avoid duplicates
-                rule = _make_rule(pair, links, outer, [subs[a], subs[b]], config)
-                if rule is not None:
-                    rules.add(rule)
+            src_rhs, src_at = _side(
+                pair.source, i1, i2, {s1: (s2, k) for k, ((s1, s2), _) in enumerate(holes, 1)}
+            )
+            tgt_rhs, tgt_at = _side(
+                pair.target, j1, j2, {t1: (t2, k) for k, (_, (t1, t2)) in enumerate(holes, 1)}
+            )
+            # a link from a hole's first word can only add the hole's own pair
+            alignment = {(src_at[s1], tgt_at[t1]) for (s1, _), (t1, _) in holes}
+            alignment.update(
+                (src_at[i], tgt_at[j]) for i, j in links if i in src_at and j in tgt_at
+            )
+            rules.add(RuleEntry("X", src_rhs, tgt_rhs, alignment=frozenset(alignment)))
     return sorted(rules, key=_rule_sort_key)
 
 
 def _rule_sort_key(rule: RuleEntry):
+    """Rules in key order; one key found with several alignments in a
+    sentence puts its smallest link list first, which the table keeps."""
+
     def side(symbols):
         return tuple(
             (1, s.index, s.label) if isinstance(s, NT) else (0, 0, s) for s in symbols
         )
 
-    return (rule.lhs, side(rule.src_rhs), side(rule.tgt_rhs))
+    return (rule.lhs, side(rule.src_rhs), side(rule.tgt_rhs), sorted(rule.alignment))
 
 
 def glue_rules() -> list[RuleEntry]:
@@ -196,17 +147,14 @@ def build_rule_table(
     link_sets: list[set[tuple[int, int]]],
     ttable_fwd: TTable,
     ttable_bwd: TTable,
-    config: HierConfig | None = None,
-    include_glue: bool = True,
 ) -> list[RuleEntry]:
-    """Aggregate per-sentence rules into a scored rule table."""
-    config = config or HierConfig()
+    """Aggregate per-sentence rules into a scored rule table, glue rules last."""
     joint: dict[tuple, float] = {}
     by_rule: dict[tuple, RuleEntry] = {}
     src_totals: dict[tuple, float] = {}
     tgt_totals: dict[tuple, float] = {}
     for pair, links in zip(pairs, link_sets):
-        for rule in extract_hier_rules(pair, links, config):
+        for rule in extract_hier_rules(pair, links):
             key = rule.key()
             joint[key] = joint.get(key, 0.0) + 1.0
             by_rule.setdefault(key, rule)
@@ -230,9 +178,7 @@ def build_rule_table(
                 counts=(count_tgt, count_src, count),
             )
         )
-    if include_glue:
-        table.extend(glue_rules())
-    return table
+    return table + glue_rules()
 
 
 def _side_to_text(symbols: tuple, lhs: str) -> str:
@@ -280,6 +226,9 @@ def parse_rule(line: str) -> RuleEntry:
     alignment = frozenset(
         (int(a), int(b)) for a, b in (p.split("-") for p in fields[3].split())
     )
+    for i, j in alignment:
+        if not (0 <= i < len(src_syms) and 0 <= j < len(tgt_syms)):
+            raise PhraseError(f"alignment point {i}-{j} lies outside the rule: {line!r}")
     counts = finite_floats(fields[4])
     # co-index nonterminals through the alignment, in source order
     index = 0
@@ -291,6 +240,8 @@ def parse_rule(line: str) -> RuleEntry:
             if tgt_pos is None or not isinstance(tgt_syms[tgt_pos], NT):
                 raise PhraseError(f"nonterminal at source position {pos} is unaligned: {line!r}")
             tgt_syms[tgt_pos] = NT(index, tgt_syms[tgt_pos].label)
+    if sorted(s.index for s in tgt_syms if isinstance(s, NT)) != list(range(1, index + 1)):
+        raise PhraseError(f"target nonterminals do not pair one to one with source ones: {line!r}")
     return RuleEntry(lhs, tuple(src_syms), tuple(tgt_syms), scores, alignment, counts)
 
 

@@ -6,6 +6,7 @@ sharing with the implementations under test beyond input data structures.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 
@@ -127,6 +128,61 @@ def consistent_span_pairs(n_src, n_tgt, links, max_len):
                         continue
                     out.append(((i1, i2), (j1, j2)))
     return sorted(out)
+
+
+# --- hierarchical rules by subtracting sub-phrase sets --------------------
+
+
+def hier_rules_reference(source, target, links, max_span=10, max_nt=2, max_src_symbols=5):
+    """Every hierarchical rule of one sentence pair, by definition: an
+    initial phrase pair minus a set of at most `max_nt` other initial pairs
+    inside it, pairwise disjoint on both sides, each written as a gap (its
+    number, counted in source order). A rule keeps a source word, has at
+    most `max_src_symbols` source symbols and no two gaps side by side in
+    the source. Returns a set of (source side, target side, alignment): a
+    side is a tuple of words and gap numbers, an alignment a frozenset of
+    (source index, target index) over the kept words' links and each gap's
+    pair."""
+    initial = consistent_span_pairs(len(source), len(target), links, max_span)
+    rules = set()
+    for outer in initial:
+        (i1, i2), (j1, j2) = outer
+        inner = [
+            ((a1, a2), (b1, b2)) for (a1, a2), (b1, b2) in initial
+            if i1 <= a1 <= a2 <= i2 and j1 <= b1 <= b2 <= j2 and ((a1, a2), (b1, b2)) != outer
+        ]
+        for k in range(max_nt + 1):
+            for holes in itertools.combinations(inner, k):
+                src_cover = [set(range(a1, a2 + 1)) for (a1, a2), _ in holes]
+                tgt_cover = [set(range(b1, b2 + 1)) for _, (b1, b2) in holes]
+                if any(x & y for covers in (src_cover, tgt_cover)
+                       for n, x in enumerate(covers) for y in covers[n + 1:]):
+                    continue
+                number = {h: n for n, h in enumerate(sorted(holes), start=1)}
+
+                def side(lo, hi, words, span_of):
+                    symbols, index_of = [], {}
+                    for pos in range(lo, hi + 1):
+                        hole = [h for h in holes if span_of(h)[0] <= pos <= span_of(h)[1]]
+                        if not hole:
+                            index_of[pos] = len(symbols)
+                            symbols.append(words[pos])
+                        elif pos == span_of(hole[0])[0]:
+                            index_of[hole[0]] = len(symbols)
+                            symbols.append(number[hole[0]])
+                    return tuple(symbols), index_of
+
+                src, src_index = side(i1, i2, source, lambda h: h[0])
+                tgt, tgt_index = side(j1, j2, target, lambda h: h[1])
+                if all(isinstance(s, int) for s in src) or len(src) > max_src_symbols:
+                    continue
+                if any(isinstance(x, int) and isinstance(y, int) for x, y in zip(src, src[1:])):
+                    continue
+                alignment = {(src_index[h], tgt_index[h]) for h in holes}
+                alignment |= {(src_index[i], tgt_index[j]) for i, j in links
+                              if i in src_index and j in tgt_index}
+                rules.add((src, tgt, frozenset(alignment)))
+    return rules
 
 
 # --- corpus BLEU by direct n-gram counting ---------------------------------

@@ -9,6 +9,7 @@ from smtkit.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, PipelineConfig, main
 from smtkit.deptree import write_conllu
 from smtkit.synthdata import write_fixture_tree
 from test_deptree import chain_sentence
+from test_readers import BAD_RULE_LINES
 
 
 def run(argv, stdin=""):
@@ -627,6 +628,15 @@ def _exit_code_cases():
                    "--input", p["chain"]],
         EXIT_OK, [],
     ))
+    # a rule line after a first one and before the glue rules, so that
+    # decoding "a a" reaches it
+    for name, (_, text) in BAD_RULE_LINES.items():
+        cases.append((
+            f"decode-hier-rule-{name}",
+            lambda p, name=name: ["decode", "--lm", p["lm"], "--kind", "hier", "--rule-table",
+                                  p[name], "--input", p["a_a"]],
+            EXIT_DATA, [f"{name}.txt: line 2: {text}"],
+        ))
     cases.append((
         "unterminated-tree-rule-fragment",
         lambda p: ["decode", "--lm", p["lm"], "--kind", "tree", "--rule-table", p["cut_tree_rules"],
@@ -821,6 +831,12 @@ class TestExitCodeTable:
         )
         (root / "a-table.txt").write_text("a ||| b ||| 0.5 0.5 0.5 0.5 ||| 0-0 ||| 1 1 1\n", encoding="utf-8")
         (root / "a-zz.txt").write_text("a zz\n", encoding="utf-8")
+        (root / "a-a.txt").write_text("a a\n", encoding="utf-8")
+        glue = ruletab.write_rule_table(ruletab.glue_rules())
+        for name, (rule, _) in BAD_RULE_LINES.items():
+            (root / f"{name}.txt").write_text(
+                "a [X] ||| b [X] ||| 1 1 1 1 ||| 0-0 ||| 1 1 1\n" + rule + "\n" + glue, encoding="utf-8"
+            )
         (root / "a-zz.conllu").write_text(
             "1\ta\t_\t_\t_\t_\t0\troot\t_\t_\n2\tzz\t_\t_\t_\t_\t1\tdep\t_\t_\n\n", encoding="utf-8"
         )
@@ -877,6 +893,8 @@ class TestExitCodeTable:
             "closed_lm": str(root / "closed.arpa"),
             "a_table": str(root / "a-table.txt"),
             "a_zz": str(root / "a-zz.txt"),
+            "a_a": str(root / "a-a.txt"),
+            **{name: str(root / f"{name}.txt") for name in BAD_RULE_LINES},
             "a_zz_tree": str(root / "a-zz.conllu"),
             "trees": f"{tiny_fixture}/test.conllu",
             "gap_trees": str(root / "gap.conllu"),

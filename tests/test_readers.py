@@ -175,3 +175,20 @@ def test_finite_numbers_whose_sum_overflows_are_read():
     (entry,) = read_phrase_table("a ||| x ||| 1e308 1e308 1 1 ||| 0-0 ||| 1e308 1e308 1\n")
     assert entry.scores == (1e308, 1e308, 1.0, 1.0)
     assert entry.counts == (1e308, 1e308, 1.0)
+
+
+# rule lines whose alignment leaves a nonterminal without its pair: the line
+# and the error it gives
+BAD_RULE_LINES = {
+    "link-past-target": ("[X][X] a [X] ||| b [X] ||| 1 1 1 1 ||| 0-5 ||| 1 1 1",
+                         "alignment point 0-5 lies outside the rule"),
+    "unpaired-target-nonterminal": ("a [X] ||| [X][X] b [X] ||| 1 1 1 1 ||| 0-1 ||| 1 1 1",
+                                    "target nonterminals do not pair one to one with source ones"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_RULE_LINES))
+def test_unpaired_rule_nonterminal_is_a_data_error(name):
+    line, message = BAD_RULE_LINES[name]
+    with pytest.raises(PhraseError, match="^line 2: " + re.escape(message)):
+        read_rule_table("a [X] ||| b [X] ||| 1 1 1 1 ||| 0-0 ||| 1 1 1\n" + line + "\n")

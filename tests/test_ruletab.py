@@ -1,7 +1,10 @@
+import hashlib
+import random
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import frontier_rules_reference
+from oracles import frontier_rules_reference, hier_rules_reference
 
 from smtkit.align import TTable
 from smtkit.corpus import SentencePair
@@ -9,7 +12,6 @@ from smtkit.deptree import DepSentence, DepToken, parse_conllu
 from smtkit.phrasetab import extract_phrases
 from smtkit.ruletab import (
     Fragment,
-    HierConfig,
     NT,
     TreeRule,
     Var,
@@ -64,7 +66,7 @@ class TestHierExtraction:
     def test_max_source_symbols(self):
         pair = SentencePair([f"s{i}" for i in range(7)], [f"t{i}" for i in range(7)])
         links = {(i, i) for i in range(7)}
-        for rule in extract_hier_rules(pair, links, HierConfig(max_src_symbols=5)):
+        for rule in extract_hier_rules(pair, links):
             assert len(rule.src_rhs) <= 5
 
     def test_substituting_holes_reconstitutes_initial_phrase(self):
@@ -110,7 +112,8 @@ class TestGlue:
 class TestRuleTable:
     def test_counts_normalize_per_source(self):
         pair, links = reorder_fixture()
-        table = build_rule_table([pair], [links], TTable({}), TTable({}), include_glue=False)
+        table = build_rule_table([pair], [links], TTable({}), TTable({}))
+        table = [rule for rule in table if rule.lhs != "S"]
         by_src = {}
         for rule in table:
             by_src.setdefault((rule.lhs, rule.src_rhs), 0.0)
@@ -120,9 +123,8 @@ class TestRuleTable:
 
     def test_counts_sum_identity(self):
         pair, links = reorder_fixture()
-        table = build_rule_table(
-            [pair, pair], [links, links], TTable({}), TTable({}), include_glue=False
-        )
+        table = build_rule_table([pair, pair], [links, links], TTable({}), TTable({}))
+        table = [rule for rule in table if rule.lhs != "S"]
         for rule in table:
             src_count = sum(r.counts[2] for r in table if (r.lhs, r.src_rhs) == (rule.lhs, rule.src_rhs))
             assert src_count == pytest.approx(rule.counts[1])
@@ -135,12 +137,73 @@ class TestRuleTable:
         assert [r.key() for r in again] == [r.key() for r in table]
         assert write_rule_table(again) == text
 
+    def test_key_with_two_alignments_keeps_the_smallest(self):
+        # "b b" -> "y" twice, with its link on either word
+        pair = SentencePair(["b", "b", "b"], ["y"])
+        table = build_rule_table([pair], [{(1, 0)}], TTable({}), TTable({}))
+        (rule,) = [rule for rule in table if rule.key() == ("X", ("b", "b"), ("y",))]
+        assert rule.alignment == {(0, 0)}
+
     def test_figure_style_line_parses(self):
         line = "[X][X] our flag [X] ||| [X][X] हमहन क झन्डा [X] ||| 1 0.0218876 1 0.00134698 ||| 0-0 1-1 2-2 2-3 ||| 1 1 1"
         rule = parse_rule(line)
         assert rule.lhs == "X"
         assert rule.src_rhs[0] == NT(1, "X")
         assert rule.src_rhs[1:] == ("our", "flag")
+
+
+@st.composite
+def hier_pairs(draw):
+    """A sentence pair of 1-8 words a side over a small vocabulary, so that
+    words repeat, with random links."""
+    source = draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=8))
+    target = draw(st.lists(st.sampled_from("xyz"), min_size=1, max_size=8))
+    links = draw(st.sets(st.tuples(st.integers(0, len(source) - 1), st.integers(0, len(target) - 1)),
+                         max_size=len(source) + len(target)))
+    return source, target, links
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(hier_pairs())
+@example((list("abcdef"), list("xyzuvw"), {(i, i) for i in range(6)}))
+def test_hier_rules_match_reference(case):
+    source, target, links = case
+
+    def side(symbols):
+        return tuple(s.index if isinstance(s, NT) else s for s in symbols)
+
+    rules = extract_hier_rules(SentencePair(source, target), links)
+    found = {(side(r.src_rhs), side(r.tgt_rhs), r.alignment) for r in rules if r.lhs == "X"}
+    assert len(found) == len(rules)
+    assert found == hier_rules_reference(source, target, links)
+
+
+def digest_corpus(seed=3, size=40):
+    """Random pairs as in `hier_pairs`, with lexical tables of dyadic
+    probabilities. Some of their rule keys are found twice in a sentence with
+    different alignments."""
+    rng = random.Random(seed)
+    pairs, link_sets = [], []
+    for _ in range(size):
+        source = [rng.choice("abc") for _ in range(rng.randint(1, 8))]
+        target = [rng.choice("xyz") for _ in range(rng.randint(1, 8))]
+        pairs.append(SentencePair(source, target))
+        link_sets.append({(rng.randrange(len(source)), rng.randrange(len(target)))
+                          for _ in range(rng.randint(1, len(source) + len(target)))})
+
+    def ttable(given, words):
+        return TTable({g: {w: rng.choice((0.5, 0.25, 0.125)) for w in words} for g in given})
+
+    return pairs, link_sets, ttable("abc", "xyz"), ttable("xyz", "abc")
+
+
+# sha256 of the rule table of `digest_corpus()`; it holds under any string-hash seed
+RULE_TABLE_DIGEST = "4e19f8f247821b87442390b209bd97f3fea77b6e92df562078c3858145a3d4dd"
+
+
+def test_rule_table_matches_recorded_digest():
+    text = write_rule_table(build_rule_table(*digest_corpus()))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == RULE_TABLE_DIGEST
 
 
 def chain_tree(links_monotone=True):
