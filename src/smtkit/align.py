@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass, field
 
 from .corpus import SentencePair
+from .gcpause import paused_gc
 
 PROB_FLOOR = 1e-12  # keeps later lexical weighting away from zero division
 
@@ -151,6 +152,7 @@ def _ttable(cells: dict[str, dict[str, int]], t: list[float]) -> TTable:
     return TTable({src: {tgt: t[c] for tgt, c in row.items()} for src, row in cells.items()})
 
 
+@paused_gc()
 def train_ibm1(
     pairs: list[SentencePair],
     iterations: int = 10,
@@ -189,6 +191,7 @@ def train_ibm1(
     return _ttable(cells, t), likelihoods
 
 
+@paused_gc()
 def train_ibm2(
     pairs: list[SentencePair],
     ibm1_init: TTable,

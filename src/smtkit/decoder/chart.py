@@ -5,11 +5,12 @@ cell keeps a beam. A rule is composed with every combination of the best
 sub-items of its gaps (one `itertools.product`, which cube pruning would
 replace), and one ranking step, `phrase.rank_best`, recombines each cell and
 cuts it to the beam. Compositions rescore only the junction words, so item
-scores stay O(LM order) to combine; the decode's `lm.LmStates` scores them
-from the end state each item carries. Glue derivations are left-anchored: S
-covers a prefix and grows monotonically to the right. Sentences that fail
-to parse fall back to glue-concatenating the best per-word lexical rules,
-which cannot fail thanks to verbatim pass-through for uncovered words.
+scores stay O(LM order) to combine; the models' shared `lm.LmStates` memo
+scores them from the end state each item carries. Glue derivations are
+left-anchored: S covers a prefix and grows monotonically to the right.
+Sentences that fail to parse fall back to glue-concatenating the best
+per-word lexical rules, which cannot fail thanks to verbatim pass-through
+for uncovered words.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from dataclasses import dataclass, replace
 from itertools import product
 from operator import attrgetter
 
-from ..lm import LmStates, NGramModel
+from ..gcpause import paused_gc
+from ..lm import LmMemo, LmStates, NGramModel
 from ..ruletab import NT, RuleEntry
 from .phrase import (
     OOV_FEATURES,
@@ -32,7 +34,7 @@ from .weights import FeatureWeights, add_features
 
 
 @dataclass
-class ChartModels:
+class ChartModels(LmMemo):
     rule_table: list[RuleEntry]
     lm: NGramModel
 
@@ -142,28 +144,27 @@ class _ItemFactory:
         return replace(item, lhs="S", features=features, score=score)
 
 
-def _match_positions(pattern: tuple, sentence: list[str], i: int, j: int):
-    """Yield NT span assignments matching pattern to sentence[i:j]."""
-
-    def rec(p: int, pos: int, spans: list[tuple[int, int]]):
-        if p == len(pattern):
-            if pos == j:
-                yield list(spans)
-            return
-        symbol = pattern[p]
-        if isinstance(symbol, NT):
-            remaining = len(pattern) - p - 1
-            for end in range(pos + 1, j - remaining + 1):
-                spans.append((pos, end))
-                yield from rec(p + 1, end, spans)
-                spans.pop()
-        else:
-            if pos < j and sentence[pos] == symbol:
-                yield from rec(p + 1, pos + 1, spans)
-
-    yield from rec(0, i, [])
+def _match_positions(
+    pattern: tuple, sentence: list[str], i: int, j: int, p: int = 0, spans: tuple = ()
+):
+    """Yield NT span assignments matching pattern to sentence[i:j]; inside,
+    those of pattern[p:] after `spans`, the assignment of pattern[:p]. (A
+    recursive closure would make a reference cycle per call, which the
+    paused collector would not free.)"""
+    if p == len(pattern):
+        if i == j:
+            yield spans
+        return
+    symbol = pattern[p]
+    if isinstance(symbol, NT):
+        remaining = len(pattern) - p - 1
+        for end in range(i + 1, j - remaining + 1):
+            yield from _match_positions(pattern, sentence, end, j, p + 1, spans + ((i, end),))
+    elif i < j and sentence[i] == symbol:
+        yield from _match_positions(pattern, sentence, i + 1, j, p + 1, spans)
 
 
+@paused_gc()
 def decode_chart(
     sentence: list[str],
     models: ChartModels,
@@ -175,7 +176,7 @@ def decode_chart(
     if not sentence:
         raise DecodeError("cannot decode an empty sentence")
     n = len(sentence)
-    lm_states = LmStates(models.lm)
+    lm_states = models.lm_states()
     factory = _ItemFactory(lm_states, weights)
     cut = lm_states.cut
 

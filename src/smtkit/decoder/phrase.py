@@ -2,11 +2,11 @@
 
 Hypotheses are organized into stacks by the number of covered source words.
 Recombination keys on (coverage, LM state, end of last phrase, reordering
-id). The LM state is the hypothesis's LM context as an `lm.LmStates` state,
-which scores every LM query of the decode. With a lexicalized reordering
-model the reordering id names the (src, tgt) entry of the last phrase,
-because the pending backward orientation depends on it; without one it is
-the same for every hypothesis. With an unlimited stack and no distortion
+id). The LM state is the hypothesis's LM context as a state of the models'
+shared `lm.LmStates` memo, which scores every LM query. With a lexicalized
+reordering model the reordering id names the (src, tgt) entry of the last
+phrase, because the pending backward orientation depends on it; without one
+it is the same for every hypothesis. With an unlimited stack and no distortion
 limit the search is exhaustive dynamic programming, which is what the
 oracle-equivalence tests rely on.
 
@@ -27,7 +27,8 @@ from dataclasses import dataclass
 from heapq import heapreplace
 from operator import attrgetter
 
-from ..lm import LmStates, NGramModel
+from ..gcpause import paused_gc
+from ..lm import LmMemo, LmStates, NGramModel
 from ..phrasetab import PhraseEntry, ReorderingEntry
 from .weights import FeatureWeights, add_features
 
@@ -40,7 +41,7 @@ class DecodeError(ValueError):
 
 
 @dataclass
-class PhraseModels:
+class PhraseModels(LmMemo):
     phrase_table: list[PhraseEntry]
     lm: NGramModel
     reordering: list[ReorderingEntry] | None = None
@@ -298,6 +299,7 @@ def _derivation_steps(hyp: list, option: int, steps: list[Step]) -> tuple[Step, 
     return tuple(reversed(derivation))
 
 
+@paused_gc()
 def decode_phrase(
     sentence: list[str],
     models: PhraseModels,
@@ -345,19 +347,20 @@ def decode_phrase(
     floor and no such check. The survivors, n-bests and bytes are those of
     the search without the check.
 
-    Everything below is computed per decode and dropped when it returns.
-    The weighted phrase-local score, LM ids and reordering scores of every
-    option are computed once. LM contexts are `LmStates` states, and
-    `NGramModel.score_ids` runs once per distinct (context, word): each
-    state keeps a row of (LM delta, next state) per distinct option target
-    side, so extending a hypothesis costs one list lookup. Future costs are
-    memoized by coverage. An expansion's orientation names follow from the
-    previous phrase's span and the new span alone, so they are resolved
-    once per (previous span, span). A hypothesis holds a back-pointer to
-    its parent and the option it applied: output tokens are built only for
-    the hypotheses that survive a stack's beam and for completions, the
-    derivation's steps and full feature vector only for the returned
-    n-best.
+    LM contexts are states of the models' `LmStates` memo, which every
+    decode with them shares, so `NGramModel.score_ids` runs once per
+    distinct (context, word) per loaded model. Everything else is computed
+    per decode and dropped when it returns. The weighted phrase-local
+    score, LM ids and reordering scores of every option are computed once.
+    Each state the search reaches gets a row of (LM delta, next state) per
+    distinct option target side, so extending a hypothesis costs one list
+    lookup. Future costs are memoized by coverage. An expansion's
+    orientation names follow from the previous phrase's span and the new
+    span alone, so they are resolved once per (previous span, span). A
+    hypothesis holds a back-pointer to its parent and the option it
+    applied: output tokens are built only for the hypotheses that survive a
+    stack's beam and for completions, the derivation's steps and full
+    feature vector only for the returned n-best.
     """
     weights = weights or FeatureWeights()
     config = config or DecodeConfig()
@@ -368,7 +371,7 @@ def decode_phrase(
 
     n = len(sentence)
     lm = models.lm
-    lm_states = LmStates(lm)
+    lm_states = models.lm_states()
     track_reorder = bool(models.reordering)
     distortion_weight = weights.distortion
     lm_weight = weights.lm
@@ -432,7 +435,8 @@ def decode_phrase(
     # names of every span after it
     orientation_rows: dict[tuple[int, int], list[tuple[str, str]]] = {}
 
-    rows = lm_states.rows
+    # per reached state, its (LM delta, next state) per distinct target side
+    rows: dict[int, list] = {}
     advance = lm_states.advance
     end = lm_states.end
     stacks: list[dict[tuple, list]] = [dict() for _ in range(n + 1)]
@@ -454,7 +458,7 @@ def decode_phrase(
             continue
         for hyp in _survivors(stack, beam_width, steps):
             _, score, coverage, last_end, state, _, prev, tokens = hyp
-            row = rows[state]
+            row = rows.get(state)
             if row is None:
                 row = rows[state] = [None] * target_count
             prev_start = 0
@@ -582,7 +586,7 @@ def derivation_features(
     """Recompute the full feature vector of a derivation from scratch."""
     features = _phrase_and_order_features(steps, models, n)
     tokens = [w for step in steps for w in step.tgt]
-    features["lm"] = LmStates(models.lm).sentence(tokens)
+    features["lm"] = models.lm_states().sentence(tokens)
     return features
 
 

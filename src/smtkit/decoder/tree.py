@@ -10,8 +10,8 @@ Nodes are decoded bottom-up without recursion, only those that a rule
 variable or the pass-through reaches. Both kinds of rule are composed by one
 step, `compose`, which builds the full product of the k-best lists of the
 rule's variables. One ranking step, `phrase.rank_best`, keeps each node's k
-best distinct strings by their LM score from the decode's `lm.LmStates`; a
-lazy k-best combiner would replace the product.
+best distinct strings by their LM score from the models' shared
+`lm.LmStates` memo; a lazy k-best combiner would replace the product.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from itertools import product
 from operator import attrgetter
 
 from ..deptree import DepSentence, DepToken, is_projective
-from ..lm import LmStates, NGramModel
+from ..gcpause import paused_gc
+from ..lm import LmMemo, NGramModel
 from ..ruletab import Fragment, TreeRule, Var, _node_label
 from .phrase import (
     OOV_FEATURES,
@@ -35,7 +36,7 @@ from .weights import FeatureWeights, add_features
 
 
 @dataclass
-class TreeModels:
+class TreeModels(LmMemo):
     tree_rules: list[TreeRule]
     lm: NGramModel
 
@@ -89,6 +90,7 @@ def _match_fragment(
     return binding
 
 
+@paused_gc()
 def decode_tree(
     sent: DepSentence,
     models: TreeModels,
@@ -102,7 +104,7 @@ def decode_tree(
     if not is_projective(sent):
         raise DecodeError(f"sentence {sent.sent_id or '<unknown>'} is non-projective")
 
-    lm_states = LmStates(models.lm)
+    lm_states = models.lm_states()
     empty, id_of = lm_states.empty, models.lm.vocab.id_of
     k = max(config.k_best_per_node, 1)
     constituents = sent.constituents()

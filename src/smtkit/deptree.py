@@ -11,6 +11,8 @@ from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
+from .gcpause import paused_gc
+
 
 class ConlluError(ValueError):
     """Raised for structurally invalid CoNLL-U input."""
@@ -161,6 +163,7 @@ def _validate_tree(sent: DepSentence, line_of: dict[int, int]) -> None:
         )
 
 
+@paused_gc()
 def parse_conllu(text: str) -> list[DepSentence]:
     """Parse CoNLL-U text into validated dependency sentences."""
     sentences: list[DepSentence] = []

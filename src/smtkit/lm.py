@@ -3,8 +3,10 @@
 Probabilities and backoff weights are log10 throughout, matching the ARPA
 text format. The model is exactly normalized: for every stored history h,
 summing p(w|h) over the full vocabulary (through backoff) gives 1.
-The decoders query a model through `LmStates`, one decode's interned
-contexts and memoized transitions.
+The decoders query a model through `LmStates`: its contexts interned as
+small ints and its (context, word) scores memoized. A decoder's models keep
+one such memo for their LM (`LmMemo`), shared by every decode with them, so
+a sentence reuses what earlier sentences asked.
 """
 
 from __future__ import annotations
@@ -159,15 +161,14 @@ class NGramModel:
 
 
 class LmStates:
-    """The LM contexts of one decode as small ints, with memoized transitions.
+    """LM contexts as small ints, with memoized transitions.
 
     Each distinct context tuple is interned once; `word` scores a word after
     a state once per distinct (state, word) pair and returns the state it
-    leads to. `rows` holds, per state, the (LM delta, next state) of every
-    distinct target side of the translation options, each filled when the
-    phrase search first applies it after that state. An instance lives for
-    one decode call. `empty` is the state of the empty context and `bos`
-    that of <s>.
+    leads to. A memo value is `NGramModel.score_ids` of its context and
+    word, the same float whichever decode asked first, so one instance can
+    serve every decode with one model (`LmMemo`). `empty` is the state of
+    the empty context and `bos` that of <s>.
     """
 
     def __init__(self, lm: NGramModel):
@@ -178,7 +179,6 @@ class LmStates:
         self.ids: dict[tuple[int, ...], int] = {}
         self.transitions: dict[tuple[int, int], tuple[float, int]] = {}
         self.eos: list[float | None] = []
-        self.rows: list[list | None] = []
         self.empty = self.state(())
         self.bos = self.state((lm.vocab.id_of(BOS),))
 
@@ -188,7 +188,6 @@ class LmStates:
             state = self.ids[ctx] = len(self.contexts)
             self.contexts.append(ctx)
             self.eos.append(None)
-            self.rows.append(None)
         return state
 
     def word(self, state: int, wid: int) -> tuple[float, int]:
@@ -224,6 +223,32 @@ class LmStates:
         of `NGramModel.score_sentence`, so the same float."""
         total, state = self.advance(self.bos, self.lm._ids(tokens))
         return total + self.end(state)
+
+
+# Transitions an `LmMemo` memo may hold when a decode starts; past it the
+# decode begins a fresh memo. A transition takes about 175 bytes with its
+# share of the interned contexts (tracemalloc, order-3 and order-4 models,
+# Python 3.11), so this keeps a memo under ~50 MB.
+MEMO_TRANSITIONS = 250_000
+
+
+class LmMemo:
+    """The one `LmStates` memo of a decoder's models, which hold their LM as
+    `lm`; mixed into `PhraseModels`, `ChartModels` and `TreeModels`.
+
+    Built on the first decode, not with the models, and kept while `lm` is
+    the same model and it holds at most `MEMO_TRANSITIONS` transitions when
+    a decode starts. The models hold the memo and the memo the LM, so
+    dropping the models frees both at once.
+    """
+
+    _lm_states: LmStates | None = None
+
+    def lm_states(self) -> LmStates:
+        memo = self._lm_states
+        if memo is None or memo.lm is not self.lm or len(memo.transitions) > MEMO_TRANSITIONS:
+            memo = self._lm_states = LmStates(self.lm)
+        return memo
 
 
 def train_lm(

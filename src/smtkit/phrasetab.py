@@ -9,10 +9,10 @@ the [phi(s|t), lex(s|t), phi(t|s), lex(t|s)] column order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .align import NULL_WORD, TTable
-from .corpus import SentencePair, Token
+from .corpus import SentencePair
 
 SpanPair = tuple[tuple[int, int], tuple[int, int]]  # ((i1,i2),(j1,j2)) inclusive
 
@@ -29,20 +29,35 @@ def extract_phrases(
     links: set[tuple[int, int]],
     max_phrase_len: int = 7,
 ) -> list[SpanPair]:
-    """All consistent span pairs, extended over unaligned boundary words."""
+    """All consistent span pairs, extended over unaligned boundary words.
+
+    Each word keeps the extent of the positions it links to, so a source
+    span grows its target span word by word, and its consistency is checked
+    over that target span alone.
+    """
     if max_phrase_len < 1:
         raise PhraseError(f"max_phrase_len must be >= 1, got {max_phrase_len}")
     n_src, n_tgt = len(pair.source), len(pair.target)
-    aligned_tgt = {j for _, j in links}
+    # per source word its lowest and highest linked target position, and per
+    # target word its source ones; (n, -1) for an unaligned word
+    tgt_lo, tgt_hi = [n_tgt] * n_src, [-1] * n_src
+    src_lo, src_hi = [n_src] * n_tgt, [-1] * n_tgt
+    for i, j in links:
+        if not (0 <= i < n_src and 0 <= j < n_tgt):
+            raise PhraseError(f"link {i}-{j} lies outside the sentence pair")
+        tgt_lo[i], tgt_hi[i] = min(tgt_lo[i], j), max(tgt_hi[i], j)
+        src_lo[j], src_hi[j] = min(src_lo[j], i), max(src_hi[j], i)
     spans: list[SpanPair] = []
     for i1 in range(n_src):
+        j1, j2 = n_tgt, -1
         for i2 in range(i1, min(i1 + max_phrase_len, n_src)):
-            inside_tgt = [j for i, j in links if i1 <= i <= i2]
-            if not inside_tgt:
-                continue
-            j1, j2 = min(inside_tgt), max(inside_tgt)
+            j1, j2 = min(j1, tgt_lo[i2]), max(j2, tgt_hi[i2])
+            if j2 < 0:
+                continue  # no link inside yet
+            if j2 - j1 >= max_phrase_len:
+                break  # the target span only widens as i2 grows
             # consistency: no external source word may link into [j1, j2]
-            if any(j1 <= j <= j2 and not i1 <= i <= i2 for i, j in links):
+            if min(src_lo[j1 : j2 + 1]) < i1 or max(src_hi[j1 : j2 + 1]) > i2:
                 continue
             # extend over unaligned target boundary words
             lo = j1
@@ -52,10 +67,10 @@ def extract_phrases(
                     if hi - lo + 1 <= max_phrase_len:
                         spans.append(((i1, i2), (lo, hi)))
                     hi += 1
-                    if hi >= n_tgt or hi in aligned_tgt:
+                    if hi >= n_tgt or src_hi[hi] >= 0:
                         break
                 lo -= 1
-                if lo < 0 or lo in aligned_tgt:
+                if lo < 0 or src_hi[lo] >= 0:
                     break
     return sorted(spans)
 
@@ -322,35 +337,3 @@ def parse_reordering_entry(line: str) -> ReorderingEntry:
 
 def read_reordering_table(text: str) -> list[ReorderingEntry]:
     return parse_lines(text, parse_reordering_entry)
-
-
-@dataclass
-class GenerationTable:
-    """p(generated factor | surface form), estimated by MLE."""
-
-    table: dict[str, dict[str, float]] = field(default_factory=dict)
-
-    def prob(self, generated: str, surface: str) -> float:
-        return self.table.get(surface, {}).get(generated, 0.0)
-
-
-def build_generation_table(
-    annotated_corpus: list[list[Token]],
-    from_factor: int = 0,
-    to_factor: int = 1,
-) -> GenerationTable:
-    counts: dict[str, dict[str, float]] = {}
-    for pos_sent, sent in enumerate(annotated_corpus):
-        for pos, tok in enumerate(sent):
-            if max(from_factor, to_factor) >= len(tok.factors):
-                raise PhraseError(
-                    f"token at sentence {pos_sent}, position {pos} lacks factor "
-                    f"{max(from_factor, to_factor)}"
-                )
-            row = counts.setdefault(tok.factors[from_factor], {})
-            row[tok.factors[to_factor]] = row.get(tok.factors[to_factor], 0.0) + 1.0
-    table: dict[str, dict[str, float]] = {}
-    for key, row in counts.items():
-        total = sum(row.values())
-        table[key] = {value: c / total for value, c in row.items()}
-    return GenerationTable(table)

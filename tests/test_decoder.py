@@ -27,7 +27,8 @@ from smtkit.decoder import phrase as phrase_module
 from smtkit.decoder.phrase import _COVERAGE, _LAST_END, _OPTION, _TOKENS, _TOTAL
 from smtkit.decoder.weights import format_weights, parse_weights
 from smtkit.deptree import parse_conllu
-from smtkit.lm import LmStates, NGramModel, read_arpa, train_lm
+from smtkit import lm as lm_module
+from smtkit.lm import NGramModel, read_arpa, train_lm
 from smtkit.phrasetab import (
     MSD,
     MSLR,
@@ -475,10 +476,11 @@ class TestPhraseSearchBytes:
         assert len(set(keys)) < len(keys)
 
 
-def assert_one_query_per_context_and_word(decode, monkeypatch):
-    """One `decode()` asks `NGramModel.score_ids` once per distinct (context,
-    word), and an identical second call asks again: nothing is cached
-    across calls."""
+def assert_one_query_per_context_and_word(make_models, decode, monkeypatch):
+    """`decode(models)` asks `NGramModel.score_ids` once per distinct
+    (context, word). An identical second call with the same models asks
+    nothing, as their LM memo holds every answer, and a call with freshly
+    built models asks as often as the first did."""
     calls = []
     score_ids = NGramModel.score_ids
 
@@ -487,47 +489,55 @@ def assert_one_query_per_context_and_word(decode, monkeypatch):
         return score_ids(self, history, word)
 
     monkeypatch.setattr(NGramModel, "score_ids", counting)
-    first = decode()
+    models = make_models()
+    first = decode(models)
     first_calls = len(calls)
     assert first_calls == len(set(calls)) > 0
     calls.clear()
-    again = decode()
+    again = decode(models)
+    assert calls == []
+    fresh = decode(make_models())
     assert len(calls) == first_calls
-    assert [(h.tokens, h.score, h.features) for h in again] == [
-        (h.tokens, h.score, h.features) for h in first
-    ]
+    for hyps in (again, fresh):
+        assert [(h.tokens, h.score, h.features) for h in hyps] == [
+            (h.tokens, h.score, h.features) for h in first
+        ]
 
 
 class TestLmCalls:
     def test_one_score_ids_call_per_distinct_context_and_word(self, monkeypatch):
-        models = exact_models(MSLR, 17)
         sent = ["s4", "s0", "s1", "oov-word", "s2", "s3"]
         config = DecodeConfig(stack_size=10, nbest=5)
         assert_one_query_per_context_and_word(
-            lambda: decode_phrase(sent, models, EXACT_WEIGHTS, config), monkeypatch
+            lambda: exact_models(MSLR, 17),
+            lambda models: decode_phrase(sent, models, EXACT_WEIGHTS, config),
+            monkeypatch,
         )
 
     def test_chart_decoder_asks_once_per_context_and_word(self, monkeypatch):
         # a trigram LM, so a junction rescores two words of a sub-item
-        models = ChartModels(chart_digest_models(29).rule_table, random_lm(order=3))
         sent = ["s1", "s1", "s0", "s2", "s1", "s3"]
         config = ChartConfig(cell_beam=100, nbest=5)
         assert_one_query_per_context_and_word(
-            lambda: decode_chart(sent, models, CHART_TREE_WEIGHTS, config), monkeypatch
+            lambda: ChartModels(chart_digest_models(29).rule_table, random_lm(order=3)),
+            lambda models: decode_chart(sent, models, CHART_TREE_WEIGHTS, config),
+            monkeypatch,
         )
 
     def test_tree_decoder_asks_once_per_context_and_word(self, monkeypatch):
-        models = TreeModels(tree_digest_models(29).tree_rules, random_lm(order=3))
         config = TreeConfig(k_best_per_node=100, nbest=5)
         assert_one_query_per_context_and_word(
-            lambda: decode_tree(DIGEST_TREES[3], models, CHART_TREE_WEIGHTS, config), monkeypatch
+            lambda: TreeModels(tree_digest_models(29).tree_rules, random_lm(order=3)),
+            lambda models: decode_tree(DIGEST_TREES[3], models, CHART_TREE_WEIGHTS, config),
+            monkeypatch,
         )
 
 
 def traced_search(models, sentences, configs, weights=EXACT_WEIGHTS):
     """(n-best digest, digest of what every stack's beam kept, summed
     `NGramModel.score_ids` calls) of decoding each sentence under each
-    config."""
+    config. The memo bound is 0, so every decode starts from a cold LM memo,
+    and the count sums what each decode asks on its own."""
     calls = [0]
     score_ids = NGramModel.score_ids
     survivors = phrase_module._survivors
@@ -547,6 +557,7 @@ def traced_search(models, sentences, configs, weights=EXACT_WEIGHTS):
         return hyps
 
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lm_module, "MEMO_TRANSITIONS", 0)
         patch.setattr(NGramModel, "score_ids", counting)
         patch.setattr(phrase_module, "_survivors", recording)
         nbest = search_digest(models, sentences, configs, weights)
@@ -670,28 +681,20 @@ def unigram_lm(seed=43):
 
 
 class TestOrderOneLm:
-    def test_contexts_stay_constant_and_search_is_exact(self, monkeypatch):
+    def test_contexts_stay_constant_and_search_is_exact(self):
         # every context after <s> is empty: the LM's history is cut to ()
         models = PhraseModels(random_phrase_table(), unigram_lm())
         assert models.lm.order == 1
-        made = []
-
-        class Recorded(LmStates):
-            def __init__(self, lm):
-                super().__init__(lm)
-                made.append(self)
-
-        monkeypatch.setattr(phrase_module, "LmStates", Recorded)
         rng = random.Random(47)
         for _ in range(15):
             sent = [rng.choice(SRC + ["oov-word"]) for _ in range(rng.randint(1, 4))]
             beam = decode_phrase(sent, models, FeatureWeights(), UNLIMITED)[0]
             _, oracle_score = decode_oracle(sent, models, FeatureWeights())
             assert beam.score == pytest.approx(oracle_score, abs=1e-9)
-            assert made[-1].contexts == [(), (models.lm.vocab.id_of("<s>"),)]
+            assert models.lm_states().contexts == [(), (models.lm.vocab.id_of("<s>"),)]
         long = ["s0", "s1", "s2", "s3", "s4", "s5"]
         decode_phrase(long, models, FeatureWeights(), DecodeConfig(stack_size=100, nbest=5))
-        assert len(made[-1].contexts) == 2
+        assert len(models.lm_states().contexts) == 2
 
 
 def extracted_orientations(n, derivation, orientation_set):
@@ -1083,6 +1086,91 @@ class TestChartTreeBytes:
             hyps = decode_tree(sent, tree_models, CHART_TREE_WEIGHTS, TREE_CONFIGS[-1])
             assert all(h.features["oov"] < 0 for h in hyps)
             assert len({h.score for h in hyps}) < len(hyps)
+
+
+def shared_memo_cases():
+    """Per decoder: a maker of fresh models, the decode, its inputs and its
+    weights."""
+    phrase_config = DecodeConfig(stack_size=5, nbest=5)
+    chart_config = ChartConfig(cell_beam=10, nbest=5)
+    tree_config = TreeConfig(k_best_per_node=10, nbest=5)
+    return {
+        "phrase": (
+            lambda: exact_models(MSLR, 17),
+            lambda sent, models, weights: decode_phrase(sent, models, weights, phrase_config),
+            SEARCH_SENTENCES + FLOOR_SENTENCES,
+            EXACT_WEIGHTS,
+        ),
+        "chart": (
+            lambda: ChartModels(chart_digest_models(29).rule_table, random_lm(order=3)),
+            lambda sent, models, weights: decode_chart(sent, models, weights, chart_config),
+            CHART_SENTENCES,
+            CHART_TREE_WEIGHTS,
+        ),
+        "tree": (
+            lambda: TreeModels(tree_digest_models(29).tree_rules, random_lm(order=3)),
+            lambda sent, models, weights: decode_tree(sent, models, weights, tree_config),
+            DIGEST_TREES,
+            CHART_TREE_WEIGHTS,
+        ),
+    }
+
+
+def nbest_record(hyps):
+    return [(h.tokens, repr(h.score), h.features) for h in hyps]
+
+
+class TestSharedLmMemo:
+    """A decoder's models keep one LM memo for every decode, and what it
+    holds never changes a result: the n-best list of every input is the one
+    it gets on cold models."""
+
+    @pytest.mark.parametrize("kind", ["phrase", "chart", "tree"])
+    def test_nbest_does_not_depend_on_earlier_decodes(self, kind):
+        make, decode, inputs, weights = shared_memo_cases()[kind]
+        other = weights.replaced("lm", 0.25 * weights.lm).replaced("word_penalty", -1.5)
+        cold = [nbest_record(decode(sent, make(), weights)) for sent in inputs]
+
+        after_others = []
+        for pos, sent in enumerate(inputs):
+            models = make()
+            for earlier in inputs[:pos] + inputs[pos + 1:]:
+                decode(earlier, models, weights)
+            after_others.append(nbest_record(decode(sent, models, weights)))
+        assert after_others == cold
+
+        models = make()
+        backwards = [nbest_record(decode(sent, models, weights)) for sent in reversed(inputs)]
+        assert backwards[::-1] == cold
+
+        models = make()
+        reweighted = []
+        for sent in inputs:
+            decode(sent, models, other)
+            reweighted.append(nbest_record(decode(sent, models, weights)))
+        assert reweighted == cold
+
+    @pytest.mark.parametrize("kind", ["phrase", "chart", "tree"])
+    def test_memo_restarts_past_its_bound(self, kind, monkeypatch):
+        make, decode, inputs, weights = shared_memo_cases()[kind]
+        cold = [nbest_record(decode(sent, make(), weights)) for sent in inputs]
+        monkeypatch.setattr(lm_module, "MEMO_TRANSITIONS", 1)
+        models = make()
+        memos = []
+        bounded = []
+        for sent in inputs:
+            bounded.append(nbest_record(decode(sent, models, weights)))
+            memos.append(models._lm_states)  # the memo this decode used
+        assert bounded == cold
+        # each decode left more than one transition, so the next began anew
+        assert len({id(memo) for memo in memos}) == len(inputs)
+
+    def test_memo_follows_the_models_lm(self):
+        models = exact_models(MSD)
+        memo = models.lm_states()
+        assert models.lm_states() is memo and memo.lm is models.lm
+        models.lm = random_lm(order=3)
+        assert models.lm_states() is not memo and models.lm_states().lm is models.lm
 
 
 class TestWeightsFile:

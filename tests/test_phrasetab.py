@@ -6,10 +6,9 @@ from hypothesis import strategies as st
 
 from oracles import consistent_span_pairs
 from smtkit.align import TTable
-from smtkit.corpus import SentencePair, Token, parse_factored_line, project_factors
+from smtkit.corpus import SentencePair, parse_factored_line, project_factors
 from smtkit.phrasetab import (
     PhraseError,
-    build_generation_table,
     build_phrase_table,
     extract_phrases,
     extract_reordering,
@@ -50,6 +49,11 @@ class TestExtractPhrases:
     def test_bad_max_len(self):
         with pytest.raises(PhraseError):
             extract_phrases(make_pair(1, 1), {(0, 0)}, 0)
+
+    @pytest.mark.parametrize("link", [(2, 0), (0, 2), (-1, 0)])
+    def test_link_outside_the_pair(self, link):
+        with pytest.raises(PhraseError, match="outside the sentence pair"):
+            extract_phrases(make_pair(2, 2), {(0, 0), link})
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -215,51 +219,6 @@ class TestReordering:
     def test_unknown_orientation_set(self):
         with pytest.raises(PhraseError):
             extract_reordering([], [], "msdr")
-
-
-class TestGenerationTable:
-    def test_deterministic_tag(self):
-        corpus = [[Token("अच्छा", ("अच्छा", "JJ"))]] * 4
-        table = build_generation_table(corpus)
-        assert table.prob("JJ", "अच्छा") == 1.0
-
-    def test_split_counts(self):
-        corpus = [[Token("w", ("w", "NN"))]] * 3 + [[Token("w", ("w", "JJ"))]]
-        table = build_generation_table(corpus)
-        assert table.prob("NN", "w") == pytest.approx(0.75)
-        assert table.prob("JJ", "w") == pytest.approx(0.25)
-
-    def test_rows_sum_to_one(self):
-        rng = random.Random(2)
-        corpus = [
-            [Token(w, (w, rng.choice(["A", "B", "C"]))) for w in ("u", "v")]
-            for _ in range(30)
-        ]
-        table = build_generation_table(corpus)
-        for row in table.table.values():
-            assert sum(row.values()) == pytest.approx(1.0, abs=1e-9)
-
-    def test_empty_corpus(self):
-        assert build_generation_table([]).table == {}
-
-    def test_missing_factor_reported(self):
-        with pytest.raises(PhraseError, match="position 0"):
-            build_generation_table([[Token("bare")]])
-
-    def test_rescoring_nbest_with_generation_probabilities(self):
-        # generation probabilities re-rank factored candidates: a common
-        # (word, tag) pairing beats a rare one at equal translation score
-        corpus = [[Token("accha", ("accha", "JJ"))]] * 9 + [[Token("accha", ("accha", "NN"))]]
-        table = build_generation_table(corpus)
-        candidates = [("accha|NN", -1.0), ("accha|JJ", -1.0)]  # (tokens, base score)
-        import math
-
-        def rescored(cand):
-            surface, tag = cand[0].split("|")
-            return cand[1] + math.log10(max(table.prob(tag, surface), 1e-30))
-
-        ranked = sorted(candidates, key=rescored, reverse=True)
-        assert ranked[0][0] == "accha|JJ"
 
 
 class TestFactoredPhraseTable:
