@@ -1,4 +1,4 @@
-"""Text ingestion, tokenization, cleaning, factored tokens and vocabulary."""
+"""Text ingestion, tokenization, cleaning and vocabulary."""
 
 from __future__ import annotations
 
@@ -16,8 +16,6 @@ _SPLIT_PUNCT = set(string.punctuation) | {DANDA, DOUBLE_DANDA}
 # Sentence-closing punctuation re-attached to the preceding token.
 _CLOSING_PUNCT = {".", "?", "!", ",", DANDA, DOUBLE_DANDA}
 
-FACTOR_SEP = "|"
-
 NULL_ID = 0
 BOS_ID = 1
 EOS_ID = 2
@@ -30,30 +28,7 @@ UNK = "<unk>"
 
 
 class CorpusError(ValueError):
-    """Raised for malformed corpus data (bad tokens, factors, encodings)."""
-
-
-@dataclass(frozen=True)
-class Token:
-    """A surface form with optional additional factors (factor 0 = surface)."""
-
-    surface: str
-    factors: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        factors = self.factors or (self.surface,)
-        object.__setattr__(self, "factors", tuple(factors))
-        if not self.surface:
-            raise CorpusError("token surface must be non-empty")
-        if any(ch.isspace() for ch in self.surface):
-            raise CorpusError(f"token surface contains whitespace: {self.surface!r}")
-        if FACTOR_SEP in self.surface:
-            raise CorpusError(f"token surface contains factor separator: {self.surface!r}")
-        if self.factors[0] != self.surface:
-            raise CorpusError("factor 0 must equal the surface form")
-
-    def joined(self) -> str:
-        return FACTOR_SEP.join(self.factors)
+    """Raised for malformed corpus data (encodings, line counts, settings)."""
 
 
 @dataclass
@@ -164,32 +139,6 @@ def clean(pairs: list[SentencePair], max_len: int = 80) -> list[SentencePair]:
         for p in pairs
         if p.source and p.target and len(p.source) <= max_len and len(p.target) <= max_len
     ]
-
-
-def parse_factored_token(text: str, position: int = 0) -> Token:
-    """Parse a 'factor0|factor1|...' token string."""
-    factors = text.split(FACTOR_SEP)
-    if not factors or not factors[0]:
-        raise CorpusError(f"empty surface form in factored token at position {position}")
-    return Token(surface=factors[0], factors=tuple(factors))
-
-
-def parse_factored_line(line: str) -> list[Token]:
-    return [parse_factored_token(tok, i) for i, tok in enumerate(line.split())]
-
-
-def project_factors(tokens: list[Token], keep: set[int]) -> list[str]:
-    """Keep only the requested factor indices of each token, '|'-joined."""
-    wanted = sorted(keep)
-    out: list[str] = []
-    for pos, tok in enumerate(tokens):
-        missing = [i for i in wanted if i >= len(tok.factors)]
-        if missing:
-            raise CorpusError(
-                f"token at position {pos} ({tok.surface!r}) has no factor {missing[0]}"
-            )
-        out.append(FACTOR_SEP.join(tok.factors[i] for i in wanted))
-    return out
 
 
 def read_text(path: str) -> str:

@@ -1,16 +1,23 @@
-"""CKY-style chart decoding over a hierarchical rule table with glue rules.
+"""CKY-style chart decoding over a hierarchical rule table with glue rules,
+and the scored derivation item that the chart and tree decoders share.
 
-Items are LM-integrated and keyed per cell by (lhs, boundary words); each
-cell keeps a beam. A rule is composed with every combination of the best
-sub-items of its gaps (one `itertools.product`, which cube pruning would
-replace), and one ranking step, `phrase.rank_best`, recombines each cell and
-cuts it to the beam. Compositions rescore only the junction words, so item
-scores stay O(LM order) to combine; the models' shared `lm.LmStates` memo
-scores them from the end state each item carries. Glue derivations are
-left-anchored: S covers a prefix and grows monotonically to the right.
-Sentences that fail to parse fall back to glue-concatenating the best
-per-word lexical rules, which cannot fail thanks to verbatim pass-through
-for uncovered words.
+An `Item` is LM-integrated (Huang & Chiang 2007, "Forest Rescoring"): it
+carries its score, the LM score of its words without boundaries, the part of
+it that its first order-1 words contribute, and the `lm.LmStates` state its
+words reach. `ItemFactory.compose` builds an item from a rule's target side
+and the items that fill its variables, rescoring only the junction words
+from the end state each sub-item carries, so an item costs O(LM order) LM
+queries per sub-item to combine. Each rule's own features are computed once,
+when the models are built.
+
+Chart items are keyed per cell by (lhs, boundary words); each cell keeps a
+beam. A rule is composed with every combination of the best sub-items of its
+gaps (one `itertools.product`, which cube pruning would replace), and one
+ranking step, `phrase.rank_best`, recombines each cell and cuts it to the
+beam. Glue derivations are left-anchored: S covers a prefix and grows
+monotonically to the right. Sentences that fail to parse fall back to
+glue-concatenating the best per-word lexical rules, which cannot fail thanks
+to verbatim pass-through for uncovered words.
 """
 
 from __future__ import annotations
@@ -39,25 +46,26 @@ class ChartModels(LmMemo):
     lm: NGramModel
 
     def __post_init__(self):
-        # rules grouped by their first terminal (or NT-initial) so a cell
-        # only tries plausible candidates
-        self.by_first_word: dict[str, list[RuleEntry]] = {}
-        self.nt_initial: list[RuleEntry] = []
+        # (rule, its translation features), grouped by the rule's first
+        # terminal (or NT-initial) so a cell only tries plausible candidates
+        self.by_first_word: dict[str, list[tuple[RuleEntry, dict[str, float]]]] = {}
+        self.nt_initial: list[tuple[RuleEntry, dict[str, float]]] = []
         has_glue = False
         for rule in self.rule_table:
             if rule.lhs == "S":
                 has_glue = True
                 continue  # glue applications are built in, not matched
+            scored = (rule, translation_features(rule.scores, rule.tgt_rhs))
             if isinstance(rule.src_rhs[0], NT):
-                self.nt_initial.append(rule)
+                self.nt_initial.append(scored)
             else:
-                self.by_first_word.setdefault(rule.src_rhs[0], []).append(rule)
+                self.by_first_word.setdefault(rule.src_rhs[0], []).append(scored)
         if not has_glue:
             raise DecodeError("rule table is missing the glue rules")
 
-    def candidates(self, first_word: str, width: int) -> list[RuleEntry]:
+    def candidates(self, first_word: str, width: int) -> list[tuple[RuleEntry, dict[str, float]]]:
         rules = self.by_first_word.get(first_word, []) + self.nt_initial
-        return [r for r in rules if len(r.src_rhs) <= width]
+        return [(rule, feats) for rule, feats in rules if len(rule.src_rhs) <= width]
 
 
 @dataclass
@@ -67,25 +75,41 @@ class ChartConfig:
 
 
 @dataclass
-class ChartItem:
-    lhs: str
+class Item:
+    lhs: str  # the chart's nonterminal, or the tree node's label
     tokens: tuple[str, ...]
     features: dict[str, float]  # without lm
-    rules: tuple[RuleEntry, ...]
+    rules: tuple  # the applied rules, in derivation order
     prefix_lm: float = 0.0  # boundary-free log10 LM score of tokens
     head_lm: float = 0.0  # portion contributed by the first order-1 words
     score: float = 0.0  # weights.dot(features) + lm weight * prefix_lm
     state: int = 0  # the LmStates state that tokens reach from the empty one
 
 
-class _ItemFactory:
+class ItemFactory:
     """Builds scored items, rescoring only junction words on composition."""
 
     def __init__(self, lm_states: LmStates, weights: FeatureWeights):
         self.lm_states = lm_states
         self.weights = weights
 
-    def build(self, lhs, parts, features, rules) -> ChartItem:
+    def compose(
+        self, lhs: str, target: tuple, base_features: dict, applied_rules: tuple, subs: dict
+    ) -> Item:
+        """The item of `target`, whose `str` symbols are words and whose
+        variables (`NT` or `Var`) stand for `subs[variable.index]`.
+        `base_features` are the applied rule's own features and
+        `applied_rules` its part of the derivation."""
+        parts = [s if isinstance(s, str) else subs[s.index] for s in target]
+        features = dict(base_features)
+        rules = applied_rules
+        for sub in parts:
+            if not isinstance(sub, str):
+                add_features(features, sub.features)
+                rules += sub.rules
+        return self._build(lhs, parts, features, rules)
+
+    def _build(self, lhs: str, parts: list, features: dict[str, float], rules: tuple) -> Item:
         word = self.lm_states.word
         id_of = self.lm_states.lm.vocab.id_of
         cut = self.lm_states.cut
@@ -112,32 +136,18 @@ class _ItemFactory:
                     state = part.state
                 tokens += part.tokens
         score = self.weights.dot(features) + self.weights.lm * total
-        return ChartItem(lhs, tokens, features, rules, total, head, score, state)
+        return Item(lhs, tokens, features, rules, total, head, score, state)
 
-    def compose(self, rule: RuleEntry, sub_items: dict[int, "ChartItem"]) -> ChartItem:
-        features = translation_features(rule.scores, rule.tgt_rhs)
-        rules: tuple[RuleEntry, ...] = (rule,)
-        parts: list = []
-        for symbol in rule.tgt_rhs:
-            if isinstance(symbol, NT):
-                sub = sub_items[symbol.index]
-                add_features(features, sub.features)
-                rules = rules + sub.rules
-                parts.append(sub)
-            else:
-                parts.append(symbol)
-        return self.build(rule.lhs, parts, features, rules)
-
-    def glue_join(self, left: ChartItem, right: ChartItem) -> ChartItem:
+    def glue_join(self, left: Item, right: Item) -> Item:
         features = dict(left.features)
         add_features(features, right.features)
         features["glue"] = features.get("glue", 0.0) - 1.0
-        return self.build("S", [left, right], features, left.rules + right.rules)
+        return self._build("S", [left, right], features, left.rules + right.rules)
 
-    def oov(self, word: str) -> ChartItem:
-        return self.build("X", [word], dict(OOV_FEATURES), ())
+    def oov(self, word: str) -> Item:
+        return self.compose("X", (word,), OOV_FEATURES, (), {})
 
-    def as_glue(self, item: ChartItem) -> ChartItem:
+    def as_glue(self, item: Item) -> Item:
         features = dict(item.features)
         features["glue"] = features.get("glue", 0.0) - 1.0
         score = item.score + self.weights.glue * -1.0
@@ -177,14 +187,14 @@ def decode_chart(
         raise DecodeError("cannot decode an empty sentence")
     n = len(sentence)
     lm_states = models.lm_states()
-    factory = _ItemFactory(lm_states, weights)
+    factory = ItemFactory(lm_states, weights)
     cut = lm_states.cut
 
-    def boundary(item: ChartItem) -> tuple:  # items that share it recombine
+    def boundary(item: Item) -> tuple:  # items that share it recombine
         return (item.lhs, item.tokens[:cut], item.tokens[-cut:] if cut else ())
 
-    cells: dict[tuple[int, int], dict[str, list[ChartItem]]] = {}
-    glue: dict[int, list[ChartItem]] = {}  # S items over [0, j)
+    cells: dict[tuple[int, int], dict[str, list[Item]]] = {}
+    glue: dict[int, list[Item]] = {}  # S items over [0, j)
     # sub-items tried per nonterminal when composing; keeps two-gap rules
     # from multiplying whole cell beams together
     compose_beam = max(int(config.cell_beam ** 0.5), 1)
@@ -192,8 +202,8 @@ def decode_chart(
     for width in range(1, n + 1):
         for i in range(0, n - width + 1):
             j = i + width
-            found: list[ChartItem] = []
-            for rule in models.candidates(sentence[i], width):
+            found: list[Item] = []
+            for rule, features in models.candidates(sentence[i], width):
                 nts = [s for s in rule.src_rhs if isinstance(s, NT)]
                 for spans in _match_positions(rule.src_rhs, sentence, i, j):
                     sub_lists = [
@@ -202,12 +212,12 @@ def decode_chart(
                     ]
                     for combo in product(*sub_lists):
                         subs = {nt.index: sub for nt, sub in zip(nts, combo)}
-                        found.append(factory.compose(rule, subs))
+                        found.append(factory.compose(rule.lhs, rule.tgt_rhs, features, (rule,), subs))
             if width == 1 and not any(item.lhs == "X" for item in found):
                 found.append(factory.oov(sentence[i]))
             if found:
                 pruned = rank_best(found, boundary, attrgetter("score"), config.cell_beam)
-                by_label: dict[str, list[ChartItem]] = {}
+                by_label: dict[str, list[Item]] = {}
                 for item in pruned:
                     by_label.setdefault(item.lhs, []).append(item)
                 cells[(i, j)] = by_label
@@ -225,14 +235,14 @@ def decode_chart(
     return rank_nbest(finals, lm_states, weights, config.nbest)
 
 
-def _fallback(sentence: list[str], models: ChartModels, factory: _ItemFactory) -> ChartItem:
+def _fallback(sentence: list[str], models: ChartModels, factory: ItemFactory) -> Item:
     """Monotone concatenation of the best purely lexical rule per word."""
     item = None
     for word in sentence:
-        best: ChartItem | None = None
-        for rule in models.by_first_word.get(word, []):
+        best: Item | None = None
+        for rule, features in models.by_first_word.get(word, []):
             if rule.src_rhs == (word,) and not any(isinstance(s, NT) for s in rule.tgt_rhs):
-                candidate = factory.compose(rule, {})
+                candidate = factory.compose(rule.lhs, rule.tgt_rhs, features, (rule,), {})
                 if best is None or candidate.score > best.score:
                     best = candidate
         if best is None:

@@ -6,12 +6,14 @@ structure compose child derivations into target strings; nodes without a
 matching rule fall back to a synthesized pass-through rule that copies the
 head word and keeps the children in surface order.
 
-Nodes are decoded bottom-up without recursion, only those that a rule
-variable or the pass-through reaches. Both kinds of rule are composed by one
-step, `compose`, which builds the full product of the k-best lists of the
-rule's variables. One ranking step, `phrase.rank_best`, keeps each node's k
-best distinct strings by their LM score from the models' shared
-`lm.LmStates` memo; a lazy k-best combiner would replace the product.
+Derivations are the chart decoder's scored items (`chart.Item`). Nodes are
+decoded bottom-up without recursion, only those that a rule variable or the
+pass-through reaches. Both kinds of rule are composed by
+`chart.ItemFactory.compose` over the full product of the k-best lists of the
+rule's variables, which rescores only the junction words from each child
+item's LM state. One ranking step, `phrase.rank_best`, keeps each node's k
+best distinct strings by item score; a lazy k-best combiner would replace
+the product.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from ..deptree import DepSentence, DepToken, is_projective
 from ..gcpause import paused_gc
 from ..lm import LmMemo, NGramModel
 from ..ruletab import Fragment, TreeRule, Var, _node_label
+from .chart import Item, ItemFactory
 from .phrase import (
     OOV_FEATURES,
     DecodeError,
@@ -32,7 +35,7 @@ from .phrase import (
     rank_nbest,
     translation_features,
 )
-from .weights import FeatureWeights, add_features
+from .weights import FeatureWeights
 
 
 @dataclass
@@ -41,22 +44,18 @@ class TreeModels(LmMemo):
     lm: NGramModel
 
     def __post_init__(self):
-        self.by_label: dict[str, list[TreeRule]] = {}
+        # (rule, its translation features) per fragment root label
+        self.by_label: dict[str, list[tuple[TreeRule, dict[str, float]]]] = {}
         for rule in self.tree_rules:
-            self.by_label.setdefault(rule.fragment.label, []).append(rule)
+            self.by_label.setdefault(rule.fragment.label, []).append(
+                (rule, translation_features(rule.scores, rule.target))
+            )
 
 
 @dataclass
 class TreeConfig:
     k_best_per_node: int = 50
     nbest: int = 1
-
-
-@dataclass
-class TreeItem:
-    tokens: tuple[str, ...]
-    features: dict[str, float]  # without lm
-    rules: tuple[TreeRule, ...]
 
 
 def _match_fragment(
@@ -105,14 +104,14 @@ def decode_tree(
         raise DecodeError(f"sentence {sent.sent_id or '<unknown>'} is non-projective")
 
     lm_states = models.lm_states()
-    empty, id_of = lm_states.empty, models.lm.vocab.id_of
+    factory = ItemFactory(lm_states, weights)
     k = max(config.k_best_per_node, 1)
     constituents = sent.constituents()
     root = sent.root().id
 
     # breadth first, so top-down: at each node that a rule variable or the
-    # pass-through reaches from the root, what to compose (target side, its
-    # own features, its part of the derivation, the node of each variable)
+    # pass-through reaches from the root, what to compose (`compose`'s
+    # arguments, with the node of each target variable in place of its item)
     order = [root]
     plans: dict[int, list[tuple]] = {root: []}
     for tok_id in order:
@@ -120,51 +119,33 @@ def decode_tree(
         plan = plans.get(tok_id)
         if plan is None:
             continue
-        for rule in models.by_label.get(_node_label(sent, tok_id), []):
+        label = _node_label(sent, tok_id)
+        for rule, features in models.by_label.get(label, []):
             binding = _match_fragment(sent, constituents, rule.fragment, tok_id)
             if binding is not None:
-                features = translation_features(rule.scores, rule.target)
-                nodes = [binding[t.index] for t in rule.target if isinstance(t, Var)]
-                plan.append((rule.target, features, (rule,), nodes))
+                nodes = {t.index: binding[t.index] for t in rule.target if isinstance(t, Var)}
+                plan.append((label, rule.target, features, (rule,), nodes))
         if not plan:
             # pass-through, not part of the derivation: the head word among
             # its children, each a variable
             here = constituents[tok_id]
             target = tuple(t.form if t.id == tok_id else Var(t.id, "") for t in here)
-            plan.append((target, OOV_FEATURES, (), [t.id for t in here if t.id != tok_id]))
+            nodes = {t.id: t.id for t in here if t.id != tok_id}
+            plan.append((label, target, OOV_FEATURES, (), nodes))
         for *_, nodes in plan:
-            for node in nodes:
+            for node in nodes.values():
                 plans.setdefault(node, [])
 
-    best: dict[int, list[TreeItem]] = {}
-
-    def compose(target: tuple, base: dict, applied: tuple, nodes: list[int]):
-        """Yield an item per combination of the k-best lists of `nodes`, the
-        last varying fastest. `base` holds the rule's own features and
-        `applied` its part of the derivation."""
-        for combo in product(*(best[node] for node in nodes)):
-            subs = iter(combo)
-            tokens: list[str] = []
-            features = dict(base)
-            rules = applied
-            for t in target:
-                if isinstance(t, Var):
-                    sub = next(subs)
-                    tokens.extend(sub.tokens)
-                    add_features(features, sub.features)
-                    rules = rules + sub.rules
-                else:
-                    tokens.append(t)
-            yield TreeItem(tuple(tokens), features, rules)
-
-    # bottom-up, the k best distinct strings of each reached node
+    # bottom-up, the k best distinct strings of each reached node: one item
+    # per combination of the k-best lists of a plan's variables, the last
+    # varying fastest
+    best: dict[int, list[Item]] = {}
     for tok_id in reversed(order):
         if tok_id in plans:
-            best[tok_id] = rank_best(
-                [item for entry in plans[tok_id] for item in compose(*entry)],
-                attrgetter("tokens"),
-                lambda it: weights.dot(it.features)
-                + weights.lm * lm_states.advance(empty, tuple(map(id_of, it.tokens)))[0],
-                k,
-            )
+            items = []
+            for label, target, features, applied, nodes in plans[tok_id]:
+                for combo in product(*(best[node] for node in nodes.values())):
+                    subs = dict(zip(nodes, combo))
+                    items.append(factory.compose(label, target, features, applied, subs))
+            best[tok_id] = rank_best(items, attrgetter("tokens"), attrgetter("score"), k)
     return rank_nbest(best[root], lm_states, weights, config.nbest)

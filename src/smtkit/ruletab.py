@@ -555,6 +555,17 @@ def _read_fragment(text: str) -> Fragment:
     return fragment
 
 
+def _fragment_vars(fragment: Fragment) -> list[int]:
+    """The indices of the variables in `fragment`, in surface order."""
+    indices = []
+    for item in fragment.items:
+        if isinstance(item, Var):
+            indices.append(item.index)
+        elif isinstance(item, Fragment):
+            indices += _fragment_vars(item)
+    return indices
+
+
 def parse_tree_rule(line: str) -> TreeRule:
     fields = line.split(" ||| ")
     if len(fields) != 4:
@@ -568,6 +579,12 @@ def parse_tree_rule(line: str) -> TreeRule:
             target.append(Var(int(tok[1:]), ""))
         else:
             target.append(tok)
+    variables = sorted(_fragment_vars(fragment))
+    numbers = list(range(1, len(variables) + 1))
+    if variables != numbers:
+        raise PhraseError(f"fragment variables are not numbered 1..{len(numbers)}, each once: {line!r}")
+    if sorted(t.index for t in target if isinstance(t, Var)) != numbers:
+        raise PhraseError(f"target variables do not name each fragment variable once: {line!r}")
     scores = finite_floats(fields[2])
     counts = finite_floats(fields[3])
     return TreeRule(fragment, tuple(target), scores, counts)

@@ -400,3 +400,92 @@ def frontier_rules_reference(heads, labels, forms, target, links):
                 rhs.append(("var", owner[0]))
         rules.append((frag, tuple(rhs)))
     return rules
+
+
+# --- tree-to-string derivations, enumerated top-down -----------------------
+
+
+def tree_derivations_reference(heads, labels, forms, rules, weights, lm_sentence):
+    """(score, tokens) of every derivation of a dependency tree.
+
+    heads, labels and forms describe tokens 1..n as in
+    `frontier_rules_reference`, and rules are (fragment, target, scores) in
+    its terms. At each node every rule whose fragment matches applies; only
+    where none matches is the node passed through: its word and its
+    children's translations in surface order. A derivation's features are,
+    per rule, the log10 of each of its four scores, one phrase and minus its
+    target words; per pass-through, one oov and one word; and `lm`, the
+    `lm_sentence` score of its whole output. Its score is their sum weighted
+    by `weights` (feature name -> weight).
+    """
+    n = len(heads)
+    score_names = ("phi_s_given_t", "lex_s_given_t", "phi_t_given_s", "lex_t_given_s")
+
+    def label(tok):
+        return "root" if heads[tok - 1] == 0 else labels[tok - 1]
+
+    def constituents(tok):
+        return sorted([tok] + [c for c in range(1, n + 1) if heads[c - 1] == tok])
+
+    def match(fragment, tok):
+        """{variable: token} of `fragment` at `tok`, or None."""
+        frag_label, items = fragment
+        here = constituents(tok)
+        if frag_label != label(tok) or len(items) != len(here):
+            return None
+        binding = {}
+        for item, c in zip(items, here):
+            if item[0] == "w":
+                if c != tok or item[1] != forms[tok - 1]:
+                    return None
+            elif c == tok:
+                return None
+            elif item[0] == "var":
+                if item[2] != label(c):
+                    return None
+                binding[item[1]] = c
+            else:
+                sub = match(item[1], c)
+                if sub is None:
+                    return None
+                binding.update(sub)
+        return binding
+
+    def derivations(tok):
+        """(tokens, features) of every derivation of the subtree of `tok`."""
+        applied = []
+        for fragment, target, scores in rules:
+            binding = match(fragment, tok)
+            if binding is not None:
+                features = {name: math.log10(s) for name, s in zip(score_names, scores)}
+                features["phrase_penalty"] = -1.0
+                features["word_penalty"] = -float(sum(1 for t in target if t[0] == "w"))
+                applied.append((target, binding, features))
+        if not applied:
+            target = tuple(("w", forms[c - 1]) if c == tok else ("var", c) for c in constituents(tok))
+            binding = {c: c for c in constituents(tok) if c != tok}
+            applied.append((target, binding, {"oov": -1.0, "word_penalty": -1.0}))
+        found = []
+        for target, binding, own in applied:
+            slots = [t[1] for t in target if t[0] == "var"]
+            for choice in itertools.product(*(derivations(binding[v]) for v in slots)):
+                filled = dict(zip(slots, choice))
+                tokens = []
+                features = dict(own)
+                for t in target:
+                    if t[0] == "w":
+                        tokens.append(t[1])
+                    else:
+                        sub_tokens, sub_features = filled[t[1]]
+                        tokens += sub_tokens
+                        for name, value in sub_features.items():
+                            features[name] = features.get(name, 0.0) + value
+                found.append((tuple(tokens), features))
+        return found
+
+    root = heads.index(0) + 1
+    return [
+        (sum(weights[name] * value for name, value in features.items())
+         + weights["lm"] * lm_sentence(tokens), tokens)
+        for tokens, features in derivations(root)
+    ]

@@ -9,7 +9,7 @@ from smtkit.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, PipelineConfig, main
 from smtkit.deptree import write_conllu
 from smtkit.synthdata import write_fixture_tree
 from test_deptree import chain_sentence
-from test_readers import BAD_RULE_LINES
+from test_readers import BAD_RULE_LINES, BAD_TREE_RULE_LINES
 
 
 def run(argv, stdin=""):
@@ -637,6 +637,15 @@ def _exit_code_cases():
                                   p[name], "--input", p["a_a"]],
             EXIT_DATA, [f"{name}.txt: line 2: {text}"],
         ))
+    # ... and a tree-rule line whose variables do not pair one to one, which
+    # the trees of obj.conllu would reach
+    for name, (_, text) in BAD_TREE_RULE_LINES.items():
+        cases.append((
+            f"decode-tree-rule-{name}",
+            lambda p, name=name: ["decode", "--lm", p["lm"], "--kind", "tree", "--rule-table",
+                                  p[name], "--input", p["obj_trees"]],
+            EXIT_DATA, [f"{name}.txt: line 2: {text}"],
+        ))
     cases.append((
         "unterminated-tree-rule-fragment",
         lambda p: ["decode", "--lm", p["lm"], "--kind", "tree", "--rule-table", p["cut_tree_rules"],
@@ -837,6 +846,17 @@ class TestExitCodeTable:
             (root / f"{name}.txt").write_text(
                 "a [X] ||| b [X] ||| 1 1 1 1 ||| 0-0 ||| 1 1 1\n" + rule + "\n" + glue, encoding="utf-8"
             )
+        for name, (rule, _) in BAD_TREE_RULE_LINES.items():
+            (root / f"{name}.txt").write_text(
+                "(root w:a) ||| b ||| 0.5 0.5 ||| 1 1\n" + rule + "\n", encoding="utf-8"
+            )
+        # "y a" with y the object of a, and "a y z" with two objects
+        (root / "obj.conllu").write_text(
+            "1\ty\t_\t_\t_\t_\t2\tobj\t_\t_\n2\ta\t_\t_\t_\t_\t0\troot\t_\t_\n\n"
+            "1\ta\t_\t_\t_\t_\t0\troot\t_\t_\n2\ty\t_\t_\t_\t_\t1\tobj\t_\t_\n"
+            "3\tz\t_\t_\t_\t_\t1\tobj\t_\t_\n\n",
+            encoding="utf-8",
+        )
         (root / "a-zz.conllu").write_text(
             "1\ta\t_\t_\t_\t_\t0\troot\t_\t_\n2\tzz\t_\t_\t_\t_\t1\tdep\t_\t_\n\n", encoding="utf-8"
         )
@@ -895,6 +915,8 @@ class TestExitCodeTable:
             "a_zz": str(root / "a-zz.txt"),
             "a_a": str(root / "a-a.txt"),
             **{name: str(root / f"{name}.txt") for name in BAD_RULE_LINES},
+            **{name: str(root / f"{name}.txt") for name in BAD_TREE_RULE_LINES},
+            "obj_trees": str(root / "obj.conllu"),
             "a_zz_tree": str(root / "a-zz.conllu"),
             "trees": f"{tiny_fixture}/test.conllu",
             "gap_trees": str(root / "gap.conllu"),

@@ -5,13 +5,9 @@ from hypothesis import strategies as st
 from smtkit.corpus import (
     CorpusError,
     SentencePair,
-    Token,
     Vocabulary,
     clean,
     detokenize,
-    parse_factored_line,
-    parse_factored_token,
-    project_factors,
     read_text,
     tokenize,
     tokenize_line,
@@ -127,42 +123,6 @@ class TestVocabulary:
         v = Vocabulary()
         first = v.add("word")
         assert v.add("word") == first
-
-
-class TestFactors:
-    def test_parse_factored(self):
-        tok = parse_factored_token("आवऽ|N_NN")
-        assert tok.surface == "आवऽ"
-        assert tok.factors == ("आवऽ", "N_NN")
-
-    def test_identity_projection(self):
-        toks = parse_factored_line("आवऽ|N_NN")
-        assert project_factors(toks, {0}) == ["आवऽ"]
-
-    def test_keep_both(self):
-        toks = parse_factored_line("आवऽ|N_NN")
-        assert project_factors(toks, {0, 1}) == ["आवऽ|N_NN"]
-
-    def test_pos_only(self):
-        toks = parse_factored_line("इहाँ|PR_PRP")
-        assert project_factors(toks, {1}) == ["PR_PRP"]
-
-    def test_missing_factor_names_position(self):
-        toks = parse_factored_line("plain आवऽ|N_NN")
-        with pytest.raises(CorpusError, match="position 0"):
-            project_factors(toks, {1})
-
-    def test_all_indices_is_identity(self):
-        toks = parse_factored_line("a|X|1 b|Y|2")
-        assert project_factors(toks, {0, 1, 2}) == ["a|X|1", "b|Y|2"]
-
-    def test_pipe_in_surface_rejected(self):
-        with pytest.raises(CorpusError):
-            Token(surface="a|b")
-
-    def test_empty_surface_rejected(self):
-        with pytest.raises(CorpusError):
-            parse_factored_token("|N_NN")
 
 
 class TestReadText:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decoder_oracle import decode_oracle
+from oracles import tree_derivations_reference
 from smtkit import cli
 from smtkit.corpus import SentencePair, clean, read_parallel, read_sentences
 from smtkit.decoder import (
@@ -24,11 +25,12 @@ from smtkit.decoder import (
     score_derivation,
 )
 from smtkit.decoder import phrase as phrase_module
+from smtkit.decoder.chart import ItemFactory
 from smtkit.decoder.phrase import _COVERAGE, _LAST_END, _OPTION, _TOKENS, _TOTAL
 from smtkit.decoder.weights import format_weights, parse_weights
 from smtkit.deptree import parse_conllu
 from smtkit import lm as lm_module
-from smtkit.lm import NGramModel, read_arpa, train_lm
+from smtkit.lm import LmStates, NGramModel, read_arpa, train_lm
 from smtkit.phrasetab import (
     MSD,
     MSLR,
@@ -37,8 +39,9 @@ from smtkit.phrasetab import (
     build_phrase_table,
     extract_reordering,
 )
-from smtkit.ruletab import Fragment, NT, RuleEntry, TreeRule, Var, glue_rules
+from smtkit.ruletab import Fragment, NT, RuleEntry, TreeRule, Var, build_tree_rule_table, glue_rules
 from smtkit.synthdata import write_fixture_tree
+from test_ruletab import as_pair, neutral
 
 
 SRC = [f"s{i}" for i in range(8)]
@@ -898,6 +901,105 @@ class TestDecodeTree:
         models = TreeModels(rules, random_lm())
         hyp = decode_tree(tree_fixture(), models, weights)[0]
         assert weights.dot(hyp.features) == pytest.approx(hyp.score, abs=1e-9)
+
+
+@st.composite
+def projective_tree_tables(draw):
+    """A random projective tree of 1-6 tokens, and the rule table that
+    `build_tree_rule_table` extracts from it with 1-4 random targets and
+    link sets, so that a node may match several rules or none."""
+    n = draw(st.integers(1, 6))
+    heads = [0] * n
+
+    def attach(lo, hi, head):  # tokens lo+1..hi form one subtree under head
+        top = draw(st.integers(lo, hi - 1))
+        heads[top] = head
+        for start, end in ((lo, top), (top + 1, hi)):
+            while start < end:
+                split = draw(st.integers(start + 1, end))
+                attach(start, split, top + 1)
+                start = split
+
+    attach(0, n, 0)
+    labels = [draw(st.sampled_from(("nsubj", "obj", "amod"))) for _ in range(n)]
+    forms = [draw(st.sampled_from(SRC[:3])) for _ in range(n)]
+    pairs, link_sets = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        target = draw(st.lists(st.sampled_from(TGT[:4]), min_size=1, max_size=6))
+        pairs.append(as_pair(heads, labels, forms, target))
+        link_sets.append(draw(st.sets(
+            st.tuples(st.integers(0, n - 1), st.integers(0, len(target) - 1)),
+            min_size=1, max_size=2 * n,
+        )))
+    table, skipped = build_tree_rule_table(pairs, link_sets)
+    assert skipped == 0
+    return heads, labels, forms, table, [pair.target for pair in pairs]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    projective_tree_tables(),
+    st.sampled_from((2, 3)),
+    st.builds(FeatureWeights, lm=st.sampled_from((0.25, 0.5, 1.0)),
+              word_penalty=st.sampled_from((-0.5, 0.0, 0.5))),
+)
+def test_tree_decoder_matches_exhaustive_oracle(case, order, weights):
+    """With a k that holds every derivation, `decode_tree` returns every
+    output the oracle can derive, each with the oracle's best score."""
+    heads, labels, forms, table, targets = case
+    lm = train_lm(targets + [TGT[:4], TGT[3::-1]], order=order)
+    reference = tree_derivations_reference(
+        heads, labels, forms, [(*neutral(rule), rule.scores) for rule in table],
+        weights.as_dict(), lambda tokens: lm.score_sentence(list(tokens))[0],
+    )
+    best: dict = {}
+    for score, tokens in reference:
+        best[tokens] = max(score, best.get(tokens, -math.inf))
+    k = len(reference)
+    hyps = decode_tree(as_pair(heads, labels, forms, []).source_tree, TreeModels(table, lm),
+                       weights, TreeConfig(k_best_per_node=k, nbest=k))
+    assert {h.tokens for h in hyps} == set(best)
+    for hyp in hyps:
+        assert hyp.score == pytest.approx(best[hyp.tokens], abs=1e-9)
+    assert hyps[0].score == pytest.approx(max(best.values()), abs=1e-9)
+
+
+# nested target sides: words, and lists that stand for composed sub-items
+ITEM_SHAPES = st.recursive(
+    st.lists(st.sampled_from(TGT[:4] + ["zz"]), max_size=3),
+    lambda inner: st.lists(st.one_of(st.sampled_from(TGT[:4]), inner), min_size=1, max_size=3),
+    max_leaves=8,
+)
+
+
+def composed_item(factory, shape):
+    target, subs = [], {}
+    for part in shape:
+        if isinstance(part, str):
+            target.append(part)
+        else:
+            subs[len(subs) + 1] = composed_item(factory, part)
+            target.append(NT(len(subs)))
+    return factory.compose("X", tuple(target), {"phrase_penalty": -1.0}, (), subs)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(ITEM_SHAPES, st.sampled_from((2, 3, 4)))
+def test_composed_item_scores_its_words_once(shape, order):
+    """An item composed from sub-items, which rescores only junction words,
+    holds the LM score, head score and end state of its whole string."""
+    lm = train_lm([TGT[:4], TGT[3::-1], TGT[1:3]], order=order)
+    lm_states = LmStates(lm)
+    weights = FeatureWeights()
+    item = composed_item(ItemFactory(lm_states, weights), shape)
+    ids = tuple(map(lm.vocab.id_of, item.tokens))
+    total, state = lm_states.advance(lm_states.empty, ids)
+    assert item.prefix_lm == pytest.approx(total, abs=1e-9)
+    assert item.head_lm == pytest.approx(
+        lm_states.advance(lm_states.empty, ids[:lm_states.cut])[0], abs=1e-9
+    )
+    assert item.state == state
+    assert item.score == pytest.approx(weights.dot(item.features) + weights.lm * total, abs=1e-9)
 
 
 # Digests of every decode_chart and decode_tree n-best over grammars whose

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from oracles import consistent_span_pairs
 from smtkit.align import TTable
-from smtkit.corpus import SentencePair, parse_factored_line, project_factors
+from smtkit.corpus import SentencePair
 from smtkit.phrasetab import (
     PhraseError,
     build_phrase_table,
@@ -232,6 +232,3 @@ class TestFactoredPhraseTable:
         assert ("आवज|N_NN",) in targets
         line = format_phrase_entry(next(e for e in entries if e.tgt == ("आवज|N_NN",)))
         assert parse_phrase_entry(line).tgt == ("आवज|N_NN",)
-        # surfaces recoverable by factor projection
-        toks = parse_factored_line("आवज|N_NN इहाँ|PR_PRP")
-        assert project_factors(toks, {0}) == ["आवज", "इहाँ"]

@@ -192,3 +192,22 @@ def test_unpaired_rule_nonterminal_is_a_data_error(name):
     line, message = BAD_RULE_LINES[name]
     with pytest.raises(PhraseError, match="^line 2: " + re.escape(message)):
         read_rule_table("a [X] ||| b [X] ||| 1 1 1 1 ||| 0-0 ||| 1 1 1\n" + line + "\n")
+
+
+# tree-rule lines whose variables do not pair one to one: the line and the
+# error it gives
+_UNNAMED = "target variables do not name each fragment variable once"
+BAD_TREE_RULE_LINES = {
+    "unknown-target-variable": ("(root #1:obj w:a) ||| x #2 ||| 1 1 1 1 ||| 1 1", _UNNAMED),
+    "repeated-target-variable": ("(root #1:obj w:a) ||| x #1 #1 ||| 1 1 1 1 ||| 1 1", _UNNAMED),
+    "dropped-fragment-variable": ("(root w:a #1:obj #2:obj) ||| x #1 ||| 1 1 1 1 ||| 1 1", _UNNAMED),
+    "misnumbered-fragment-variable": ("(root #2:obj w:a) ||| x #2 ||| 1 1 1 1 ||| 1 1",
+                                      "fragment variables are not numbered 1..1, each once"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_TREE_RULE_LINES))
+def test_unpaired_tree_rule_variable_is_a_data_error(name):
+    line, message = BAD_TREE_RULE_LINES[name]
+    with pytest.raises(PhraseError, match="^line 2: " + re.escape(message)):
+        read_tree_rule_table("(root w:a) ||| b ||| 1 1 1 1 ||| 1 1\n" + line + "\n")

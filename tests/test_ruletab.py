@@ -342,10 +342,58 @@ TARGETS = st.lists(
 SCORES = st.tuples(*[st.sampled_from((0.5, 1.0, 0.25, 1e-05, 0.3333333333333333))] * 4)
 
 
+def fragment_variables(fragment):
+    """The variable indices of `fragment`, in surface order."""
+    found = []
+    for item in fragment.items:
+        if isinstance(item, Fragment):
+            found += fragment_variables(item)
+        elif isinstance(item, Var):
+            found.append(item.index)
+    return found
+
+
+def renumbered(fragment, numbers):
+    """`fragment` with its variables numbered by `numbers`, in surface order."""
+    return Fragment(fragment.label, tuple(
+        renumbered(item, numbers) if isinstance(item, Fragment)
+        else Var(next(numbers), item.label) if isinstance(item, Var)
+        else item
+        for item in fragment.items
+    ))
+
+
+@st.composite
+def paired_rules(draw):
+    """A fragment with variables 1..m and a target of words that names each
+    of them once."""
+    fragment = renumbered(draw(FRAGMENTS), iter(range(1, 100)))
+    order = draw(st.permutations(range(1, len(fragment_variables(fragment)) + 1)))
+    target = draw(st.lists(WORDS, min_size=0 if order else 1, max_size=4))
+    for index in order:
+        target.insert(draw(st.integers(0, len(target))), Var(index, ""))
+    return fragment, tuple(target)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(FRAGMENTS, TARGETS, SCORES)
-@example(Fragment("root", ("a",)), ("x", "|||", "|||"), (1.0, 1.0, 1.0, 1.0))
-def test_tree_rule_round_trip(fragment, target, scores):
+@given(FRAGMENTS, TARGETS)
+def test_tree_rule_variables_must_pair_one_to_one(fragment, target):
+    numbers = list(range(1, len(fragment_variables(fragment)) + 1))
+    paired = (sorted(fragment_variables(fragment)) == numbers
+              and sorted(t.index for t in target if isinstance(t, Var)) == numbers)
+    line = format_tree_rule(TreeRule(fragment, target))
+    if paired:
+        assert parse_tree_rule(line).key() == (fragment, target)
+    else:
+        with pytest.raises(PhraseError, match="variables"):
+            parse_tree_rule(line)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(paired_rules(), SCORES)
+@example((Fragment("root", ("a",)), ("x", "|||", "|||")), (1.0, 1.0, 1.0, 1.0))
+def test_tree_rule_round_trip(rule_sides, scores):
+    fragment, target = rule_sides
     rule = TreeRule(fragment, target, scores, (3.0, 4.0))
     line = format_tree_rule(rule)
     assert parse_tree_rule(line) == rule
