@@ -10,6 +10,13 @@ from the end state each sub-item carries, so an item costs O(LM order) LM
 queries per sub-item to combine. Each rule's own features are computed once,
 when the models are built.
 
+Before the cell loop the NT-initial rules are filtered per sentence (Lopez
+2007, "Hierarchical Phrase-Based Translation with Suffix Arrays"): only
+those whose source terminals occur in the sentence in order can match a
+cell, and an index on each rule's first terminal finds them without a scan
+of all of them. A cell tries the rules of its first word and the kept
+NT-initial rules, each group in table order.
+
 Chart items are keyed per cell by (lhs, boundary words); each cell keeps a
 beam. A rule is composed with every combination of the best sub-items of its
 gaps (one `itertools.product`, which cube pruning would replace), and one
@@ -50,6 +57,9 @@ class ChartModels(LmMemo):
         # terminal (or NT-initial) so a cell only tries plausible candidates
         self.by_first_word: dict[str, list[tuple[RuleEntry, dict[str, float]]]] = {}
         self.nt_initial: list[tuple[RuleEntry, dict[str, float]]] = []
+        # positions in nt_initial by each rule's first terminal (None: it has
+        # none), so a sentence looks up only the rules its words can start
+        self._nt_initial_at: dict[str | None, list[int]] = {}
         has_glue = False
         for rule in self.rule_table:
             if rule.lhs == "S":
@@ -57,15 +67,27 @@ class ChartModels(LmMemo):
                 continue  # glue applications are built in, not matched
             scored = (rule, translation_features(rule.scores, rule.tgt_rhs))
             if isinstance(rule.src_rhs[0], NT):
+                first = next((s for s in rule.src_rhs if not isinstance(s, NT)), None)
+                self._nt_initial_at.setdefault(first, []).append(len(self.nt_initial))
                 self.nt_initial.append(scored)
             else:
                 self.by_first_word.setdefault(rule.src_rhs[0], []).append(scored)
         if not has_glue:
             raise DecodeError("rule table is missing the glue rules")
 
-    def candidates(self, first_word: str, width: int) -> list[tuple[RuleEntry, dict[str, float]]]:
-        rules = self.by_first_word.get(first_word, []) + self.nt_initial
-        return [(rule, feats) for rule, feats in rules if len(rule.src_rhs) <= width]
+    def nt_initial_in(self, sentence: list[str]) -> list[tuple[RuleEntry, dict[str, float]]]:
+        """The NT-initial rules whose source terminals occur in `sentence` in
+        order, in table order: the only ones that can match any of its cells."""
+        positions = set(self._nt_initial_at.get(None, ()))
+        for word in set(sentence):
+            positions.update(self._nt_initial_at.get(word, ()))
+        kept = []
+        for position in sorted(positions):
+            rule = self.nt_initial[position][0]
+            words = iter(sentence)  # each `in` resumes after the last match
+            if all(s in words for s in rule.src_rhs if not isinstance(s, NT)):
+                kept.append(self.nt_initial[position])
+        return kept
 
 
 @dataclass
@@ -193,6 +215,7 @@ def decode_chart(
     def boundary(item: Item) -> tuple:  # items that share it recombine
         return (item.lhs, item.tokens[:cut], item.tokens[-cut:] if cut else ())
 
+    nt_initial = models.nt_initial_in(sentence)
     cells: dict[tuple[int, int], dict[str, list[Item]]] = {}
     glue: dict[int, list[Item]] = {}  # S items over [0, j)
     # sub-items tried per nonterminal when composing; keeps two-gap rules
@@ -203,7 +226,9 @@ def decode_chart(
         for i in range(0, n - width + 1):
             j = i + width
             found: list[Item] = []
-            for rule, features in models.candidates(sentence[i], width):
+            for rule, features in models.by_first_word.get(sentence[i], []) + nt_initial:
+                if len(rule.src_rhs) > width:
+                    continue
                 nts = [s for s in rule.src_rhs if isinstance(s, NT)]
                 for spans in _match_positions(rule.src_rhs, sentence, i, j):
                     sub_lists = [

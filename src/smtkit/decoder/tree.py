@@ -6,6 +6,10 @@ structure compose child derivations into target strings; nodes without a
 matching rule fall back to a synthesized pass-through rule that copies the
 head word and keeps the children in surface order.
 
+A fragment matches only at a node whose form is its one top-level word, so
+`TreeModels` indexes the rules by (fragment label, head word), and a node
+tries only the rules under its own label and form, in table order.
+
 Derivations are the chart decoder's scored items (`chart.Item`). Nodes are
 decoded bottom-up without recursion, only those that a rule variable or the
 pass-through reaches. Both kinds of rule are composed by
@@ -44,12 +48,17 @@ class TreeModels(LmMemo):
     lm: NGramModel
 
     def __post_init__(self):
-        # (rule, its translation features) per fragment root label
-        self.by_label: dict[str, list[tuple[TreeRule, dict[str, float]]]] = {}
+        # (rule, its translation features) per (fragment label, head word),
+        # in table order. A fragment matches only at a node whose form is its
+        # one top-level word, so a fragment with no such word or with two is
+        # left out: it can never match.
+        self.by_head: dict[tuple[str, str], list[tuple[TreeRule, dict[str, float]]]] = {}
         for rule in self.tree_rules:
-            self.by_label.setdefault(rule.fragment.label, []).append(
-                (rule, translation_features(rule.scores, rule.target))
-            )
+            words = [item for item in rule.fragment.items if isinstance(item, str)]
+            if len(words) == 1:
+                self.by_head.setdefault((rule.fragment.label, words[0]), []).append(
+                    (rule, translation_features(rule.scores, rule.target))
+                )
 
 
 @dataclass
@@ -59,13 +68,14 @@ class TreeConfig:
 
 
 def _match_fragment(
-    sent: DepSentence,
+    labels: dict[int, str],
     constituents: dict[int, list[DepToken]],
     fragment: Fragment,
     tok_id: int,
 ) -> dict[int, int] | None:
-    """Match a rule fragment at a node; returns variable -> token id."""
-    if fragment.label != _node_label(sent, tok_id):
+    """Match a rule fragment at a node, given each token's label; returns
+    variable -> token id."""
+    if fragment.label != labels[tok_id]:
         return None
     here = constituents[tok_id]
     if len(fragment.items) != len(here):
@@ -78,11 +88,11 @@ def _match_fragment(
         elif constituent.id == tok_id:
             return None
         elif isinstance(item, Var):
-            if item.label != _node_label(sent, constituent.id):
+            if item.label != labels[constituent.id]:
                 return None
             binding[item.index] = constituent.id
         else:
-            sub = _match_fragment(sent, constituents, item, constituent.id)
+            sub = _match_fragment(labels, constituents, item, constituent.id)
             if sub is None:
                 return None
             binding.update(sub)
@@ -107,6 +117,7 @@ def decode_tree(
     factory = ItemFactory(lm_states, weights)
     k = max(config.k_best_per_node, 1)
     constituents = sent.constituents()
+    labels = {tok.id: _node_label(sent, tok.id) for tok in sent.tokens}
     root = sent.root().id
 
     # breadth first, so top-down: at each node that a rule variable or the
@@ -119,9 +130,9 @@ def decode_tree(
         plan = plans.get(tok_id)
         if plan is None:
             continue
-        label = _node_label(sent, tok_id)
-        for rule, features in models.by_label.get(label, []):
-            binding = _match_fragment(sent, constituents, rule.fragment, tok_id)
+        label = labels[tok_id]
+        for rule, features in models.by_head.get((label, sent.tokens[tok_id - 1].form), []):
+            binding = _match_fragment(labels, constituents, rule.fragment, tok_id)
             if binding is not None:
                 nodes = {t.index: binding[t.index] for t in rule.target if isinstance(t, Var)}
                 plan.append((label, rule.target, features, (rule,), nodes))

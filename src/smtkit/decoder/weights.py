@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from operator import mul
 
 
 FEATURE_FORMAT_VERSION = 1
@@ -56,7 +57,9 @@ class FeatureWeights:
         return FeatureWeights(**data)
 
     def dot(self, features: dict[str, float]) -> float:
-        return sum(self.get(name) * value for name, value in features.items())
+        # the same products in the features' order as a loop over
+        # self.get(name) * value, without a Python call per feature
+        return sum(map(mul, map(vars(self).__getitem__, features), features.values()))
 
     def l1_normalized(self) -> "FeatureWeights":
         scale = sum(abs(v) for v in self.as_dict().values())
@@ -88,6 +91,8 @@ def parse_weights(text: str) -> FeatureWeights:
         name, _, value = line.partition("\t")
         if name not in FeatureWeights.names():
             raise WeightsError(f"line {lineno}: unknown feature weight name: {name!r}")
+        if name in values:
+            raise WeightsError(f"line {lineno}: feature weight {name!r} given twice")
         try:
             values[name] = float(value)
         except ValueError:

@@ -489,3 +489,94 @@ def tree_derivations_reference(heads, labels, forms, rules, weights, lm_sentence
          + weights["lm"] * lm_sentence(tokens), tokens)
         for tokens, features in derivations(root)
     ]
+
+
+# --- hierarchical (SCFG) derivations, enumerated by span --------------------
+
+
+def scfg_gap_spans(sentence, source, i, j):
+    """Each {gap index: (start, end)} with which a rule's source side, in the
+    terms of `scfg_derivations_reference`, covers sentence[i:j]: its words
+    in place, each gap over at least one word."""
+    if not source:
+        if i == j:
+            yield {}
+        return
+    head, rest = source[0], source[1:]
+    if head[0] == "w":
+        if i < j and sentence[i] == head[1]:
+            yield from scfg_gap_spans(sentence, rest, i + 1, j)
+        return
+    for end in range(i + 1, j + 1):
+        for spans in scfg_gap_spans(sentence, rest, end, j):
+            yield {head[1]: (i, end), **spans}
+
+
+def scfg_derivations_reference(sentence, rules, weights, lm_sentence):
+    """(score, tokens) of every derivation of `sentence` under a
+    hierarchical grammar with the left-anchored glue rules.
+
+    rules are (source, target, scores) with the one nonterminal X: source
+    items are ("w", word) or ("x", index), target items ("w", word) or
+    ("x", index), and no source is a single gap. A rule derives X over
+    sentence[i:j] in each way `scfg_gap_spans` covers it, when each gap has
+    an X derivation of its own. A one-word span that no rule covers is
+    copied verbatim. The glue rules build S over a prefix: S -> X and
+    S -> S X. A derivation's features are, per rule, the log10 of
+    each of its four scores, one phrase and minus its target words; per
+    copied word, one oov and one word; minus one glue per X under S; and
+    `lm`, the `lm_sentence` score of its whole output. Its score is their sum
+    weighted by `weights` (feature name -> weight).
+    """
+    n = len(sentence)
+    score_names = ("phi_s_given_t", "lex_s_given_t", "phi_t_given_s", "lex_t_given_s")
+
+    def merged(*feature_dicts):
+        out = {}
+        for features in feature_dicts:
+            for name, value in features.items():
+                out[name] = out.get(name, 0.0) + value
+        return out
+
+    x_memo = {}
+
+    def x_derivations(i, j):
+        """(tokens, features) of every X derivation of sentence[i:j]."""
+        if (i, j) in x_memo:
+            return x_memo[(i, j)]
+        found = []
+        for source, target, scores in rules:
+            own = {name: math.log10(s) for name, s in zip(score_names, scores)}
+            own["phrase_penalty"] = -1.0
+            own["word_penalty"] = -float(sum(1 for t in target if t[0] == "w"))
+            for spans in scfg_gap_spans(sentence, source, i, j):
+                slots = [t[1] for t in target if t[0] == "x"]
+                for choice in itertools.product(*(x_derivations(*spans[v]) for v in slots)):
+                    filled = dict(zip(slots, choice))
+                    tokens = []
+                    for t in target:
+                        tokens += [t[1]] if t[0] == "w" else filled[t[1]][0]
+                    found.append((tuple(tokens), merged(own, *(f for _, f in choice))))
+        if j == i + 1 and not found:
+            found.append(((sentence[i],), {"oov": -1.0, "word_penalty": -1.0}))
+        x_memo[(i, j)] = found
+        return found
+
+    s_memo = {}
+
+    def s_derivations(j):
+        """(tokens, features) of every S derivation of sentence[:j]."""
+        if j not in s_memo:
+            found = []
+            for k in range(j):  # the last X covers sentence[k:j]
+                lefts = s_derivations(k) if k else [((), {})]
+                for (left, left_f), (right, right_f) in itertools.product(lefts, x_derivations(k, j)):
+                    found.append((left + right, merged(left_f, right_f, {"glue": -1.0})))
+            s_memo[j] = found
+        return s_memo[j]
+
+    return [
+        (sum(weights[name] * value for name, value in features.items())
+         + weights["lm"] * lm_sentence(tokens), tokens)
+        for tokens, features in s_derivations(n)
+    ]

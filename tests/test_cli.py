@@ -576,6 +576,12 @@ def _exit_code_cases():
         EXIT_DATA, ["bad.weights", "line 2", "'abc'"],
     ))
     cases.append((
+        "decode-weight-given-twice",
+        lambda p: ["decode", "--phrase-table", p["table"], "--lm", p["lm"], "--input", p["in"],
+                   "--weights", p["twice_weights"]],
+        EXIT_DATA, ["twice.weights: line 3:", "feature weight 'lm' given twice"],
+    ))
+    cases.append((
         "non-numeric-phrase-score",
         lambda p: ["decode", "--phrase-table", p["bad_table"], "--lm", p["lm"], "--input", p["in"]],
         EXIT_DATA, ["bad-table.txt"],
@@ -791,6 +797,7 @@ class TestExitCodeTable:
         fields[2] = "abc " + fields[2].split(" ", 1)[1]
         (root / "bad-table.txt").write_text(" ||| ".join(fields) + "\n" + rest, encoding="utf-8")
         (root / "bad.weights").write_text("# weights\nlm\tabc\n", encoding="utf-8")
+        (root / "twice.weights").write_text("lm\t0.5\nglue\t0.1\nlm\t7.0\n", encoding="utf-8")
         lines = table.splitlines()
         fields = lines[2].split(" ||| ")
         fields[2] = "abc " + fields[2].split(" ", 1)[1]
@@ -908,6 +915,7 @@ class TestExitCodeTable:
             "inf_rules": str(root / "inf-rules.txt"),
             "nan_tree_rules": str(root / "nan-tree-rules.txt"),
             "inf_weights": str(root / "inf.weights"),
+            "twice_weights": str(root / "twice.weights"),
             "chain": str(root / "chain.conllu"),
             "in": str(root / "in.txt"),
             "closed_lm": str(root / "closed.arpa"),

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decoder_oracle import decode_oracle
-from oracles import tree_derivations_reference
+from oracles import scfg_derivations_reference, scfg_gap_spans, tree_derivations_reference
 from smtkit import cli
 from smtkit.corpus import SentencePair, clean, read_parallel, read_sentences
 from smtkit.decoder import (
@@ -834,6 +834,93 @@ class TestDecodeChart:
         assert scores == sorted(scores, reverse=True)
 
 
+@st.composite
+def tiny_grammars(draw):
+    """A sentence of 1-5 words from SRC[:3] and a grammar in the oracle's
+    terms. Each rule's source is read off a span of the sentence, with up
+    to two sub-spans as gaps, so that most rules match somewhere; a word of
+    it may be replaced by SRC[3], which no sentence has. The grammar always
+    holds an NT-initial rule with SRC[3]. (A `random.Random` from a drawn
+    seed draws them, which spreads the rules' shapes wider than Hypothesis'
+    own draws did.)"""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    sentence = [rng.choice(SRC[:3]) for _ in range(rng.randint(1, 5))]
+    n = len(sentence)
+    rules = [((("x", 1), ("w", SRC[3])), (("w", TGT[0]), ("x", 1)), (0.5, 0.5, 1.0, 1.0))]
+    for _ in range(rng.randint(1, 8)):
+        i = rng.randrange(n)
+        j = rng.randint(i + 1, min(n, i + 5))
+        source, gaps, at = [], 0, i
+        while at < j:
+            # a gap starts here two times in three at the rule's start, so
+            # that many rules are NT-initial, and one time in three after it
+            if gaps < 2 and rng.random() < (2 / 3 if at == i else 1 / 3):
+                gaps += 1
+                source.append(("x", gaps))
+                at = rng.randint(at + 1, j)
+            else:
+                source.append(("w", rng.choice((sentence[at], sentence[at], SRC[3]))))
+                at += 1
+        if source == [("x", 1)]:
+            continue  # a rule that is a single gap would derive itself
+        target = [("x", g) for g in rng.sample(range(1, gaps + 1), gaps)]
+        for _ in range(rng.randint(0 if gaps else 1, 2)):
+            target.insert(rng.randint(0, len(target)), ("w", rng.choice(TGT[:4])))
+        scores = tuple(rng.choice((0.25, 0.5, 1.0)) for _ in range(4))
+        rules.append((tuple(source), tuple(target), scores))
+    return sentence, rules
+
+
+def as_rule_entry(source, target, scores):
+    """A rule in the oracle's terms as an X rule of the chart decoder."""
+    def side(items):
+        return tuple(NT(item[1]) if item[0] == "x" else item[1] for item in items)
+
+    return RuleEntry("X", side(source), side(target), scores)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(
+    tiny_grammars(),
+    st.sampled_from((2, 3)),
+    st.builds(FeatureWeights, lm=st.sampled_from((0.25, 0.5, 1.0)),
+              glue=st.sampled_from((0.0, 0.5, 1.0)),
+              word_penalty=st.sampled_from((-0.5, 0.0, 0.5))),
+)
+def test_chart_decoder_matches_exhaustive_oracle(case, order, weights):
+    """With a beam that holds every item, `decode_chart`'s best output has
+    the best score of every derivation the oracle enumerates."""
+    sentence, rules = case
+    lm = train_lm([TGT[:4], TGT[3::-1], TGT[1:3]], order=order)
+    reference = scfg_derivations_reference(
+        sentence, rules, weights.as_dict(), lambda tokens: lm.score_sentence(list(tokens))[0]
+    )
+    models = ChartModels([as_rule_entry(*rule) for rule in rules] + glue_rules(), lm)
+    (hyp,) = decode_chart(sentence, models, weights, ChartConfig(cell_beam=10 ** 8, nbest=1))
+    best = max(score for score, _ in reference)
+    assert hyp.score == pytest.approx(best, abs=1e-9)
+    assert any(tokens == hyp.tokens and score == pytest.approx(best, abs=1e-9)
+               for score, tokens in reference)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(tiny_grammars())
+def test_sentence_filter_keeps_every_nt_initial_rule_that_can_match(case):
+    """`ChartModels.nt_initial_in` keeps, in table order, every NT-initial
+    rule that covers some span of the sentence."""
+    sentence, rules = case
+    models = ChartModels([as_rule_entry(*rule) for rule in rules] + glue_rules(), train_lm([TGT[:4]]))
+    kept = [rule for rule, _ in models.nt_initial_in(sentence)]
+    assert kept == [rule for rule, _ in models.nt_initial if rule in kept]
+    n = len(sentence)
+    for source, target, scores in rules:
+        if source[0][0] == "x" and any(
+            next(scfg_gap_spans(sentence, source, i, j), None) is not None
+            for i in range(n) for j in range(i + 1, n + 1)
+        ):
+            assert as_rule_entry(source, target, scores) in kept
+
+
 def tree_fixture():
     conllu = (
         "1\ta\t_\t_\tA\t_\t3\tleft\t_\t_\n"
@@ -903,11 +990,8 @@ class TestDecodeTree:
         assert weights.dot(hyp.features) == pytest.approx(hyp.score, abs=1e-9)
 
 
-@st.composite
-def projective_tree_tables(draw):
-    """A random projective tree of 1-6 tokens, and the rule table that
-    `build_tree_rule_table` extracts from it with 1-4 random targets and
-    link sets, so that a node may match several rules or none."""
+def draw_tree(draw, forms_from):
+    """Heads, labels and forms of a random projective tree of 1-6 tokens."""
     n = draw(st.integers(1, 6))
     heads = [0] * n
 
@@ -922,15 +1006,30 @@ def projective_tree_tables(draw):
 
     attach(0, n, 0)
     labels = [draw(st.sampled_from(("nsubj", "obj", "amod"))) for _ in range(n)]
-    forms = [draw(st.sampled_from(SRC[:3])) for _ in range(n)]
+    forms = [draw(st.sampled_from(forms_from)) for _ in range(n)]
+    return heads, labels, forms
+
+
+@st.composite
+def projective_tree_tables(draw):
+    """A random projective tree, and the rule table that
+    `build_tree_rule_table` extracts from it with 1-4 random targets and
+    link sets, so that a node may match several rules or none. The table
+    also holds the rules of 0-2 other trees, whose words may differ: they
+    share labels with the first tree's nodes but may not match it."""
+    heads, labels, forms = draw_tree(draw, SRC[:3])
+    trees = [(heads, labels, forms)]
+    trees += [draw_tree(draw, SRC[:4]) for _ in range(draw(st.integers(0, 2)))]
     pairs, link_sets = [], []
-    for _ in range(draw(st.integers(1, 4))):
-        target = draw(st.lists(st.sampled_from(TGT[:4]), min_size=1, max_size=6))
-        pairs.append(as_pair(heads, labels, forms, target))
-        link_sets.append(draw(st.sets(
-            st.tuples(st.integers(0, n - 1), st.integers(0, len(target) - 1)),
-            min_size=1, max_size=2 * n,
-        )))
+    for tree, count in zip(trees, [draw(st.integers(1, 4))] + [1] * (len(trees) - 1)):
+        n = len(tree[0])
+        for _ in range(count):
+            target = draw(st.lists(st.sampled_from(TGT[:4]), min_size=1, max_size=6))
+            pairs.append(as_pair(*tree, target))
+            link_sets.append(draw(st.sets(
+                st.tuples(st.integers(0, n - 1), st.integers(0, len(target) - 1)),
+                min_size=1, max_size=2 * n,
+            )))
     table, skipped = build_tree_rule_table(pairs, link_sets)
     assert skipped == 0
     return heads, labels, forms, table, [pair.target for pair in pairs]

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -19,6 +20,7 @@ from smtkit.phrasetab import (
     write_phrase_table,
     write_reordering_table,
 )
+from test_ruletab import digest_corpus
 
 
 def make_pair(n_src, n_tgt):
@@ -232,3 +234,24 @@ class TestFactoredPhraseTable:
         assert ("आवज|N_NN",) in targets
         line = format_phrase_entry(next(e for e in entries if e.tgt == ("आवज|N_NN",)))
         assert parse_phrase_entry(line).tgt == ("आवज|N_NN",)
+
+
+# sha256 of the phrase table and of the msd and mslr reordering tables of
+# `test_ruletab.digest_corpus()`; they hold under any string-hash seed
+PHRASE_TABLE_DIGEST = "0bb0cebbb4563f492f837d3df2ae57d7b3c3a3ca31d3148b9b2a3704c81636a9"
+REORDERING_TABLE_DIGESTS = {
+    "msd": "0b2b4799af3c960d273e5cffbfc6d96de51c414300c90db655508bc6a12dc7b5",
+    "mslr": "1653ba20b0132d7dd049c847adbc90600ee4c0ea5c8838c04edd7cd2243f2afc",
+}
+
+
+def test_phrase_table_matches_recorded_digest():
+    text = write_phrase_table(build_phrase_table(*digest_corpus()))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PHRASE_TABLE_DIGEST
+
+
+@pytest.mark.parametrize("orientation_set", sorted(REORDERING_TABLE_DIGESTS))
+def test_reordering_table_matches_recorded_digest(orientation_set):
+    pairs, link_sets, _, _ = digest_corpus()
+    text = write_reordering_table(extract_reordering(pairs, link_sets, orientation_set))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == REORDERING_TABLE_DIGESTS[orientation_set]

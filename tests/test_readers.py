@@ -171,6 +171,11 @@ def test_non_finite_number_is_a_data_error(name, value):
         read(text.replace("{x}", value))
 
 
+def test_weight_given_twice_is_a_data_error():
+    with pytest.raises(WeightsError, match="^line 3: feature weight 'lm' given twice$"):
+        parse_weights("lm\t0.5\nglue\t0.1\nlm\t7.0\n")
+
+
 def test_finite_numbers_whose_sum_overflows_are_read():
     (entry,) = read_phrase_table("a ||| x ||| 1e308 1e308 1 1 ||| 0-0 ||| 1e308 1e308 1\n")
     assert entry.scores == (1e308, 1e308, 1.0, 1.0)
