@@ -19,6 +19,9 @@ paths.dev_target = {root}/dev.tgt
 paths.test_source = {root}/test.src
 paths.test_target = {root}/test.tgt
 paths.mono_target = {root}/mono.tgt
+paths.train_trees = {root}/train.conllu
+paths.dev_trees = {root}/dev.conllu
+paths.test_trees = {root}/test.conllu
 paths.model_dir = {root}/model
 lm.order = {order}
 align.iterations = {align_iterations}
@@ -37,7 +40,7 @@ def main():
     parser.add_argument("--test", type=int, default=100)
     parser.add_argument("--order", type=int, default=3)
     parser.add_argument("--align-iterations", type=int, default=4)
-    parser.add_argument("--kind", choices=("phrase", "hier"), default="phrase")
+    parser.add_argument("--kind", choices=("phrase", "hier", "tree"), default="phrase")
     parser.add_argument("--no-tune", action="store_true")
     parser.add_argument("--tune-iterations", type=int, default=2)
     parser.add_argument("--seed", type=int, default=1)

@@ -106,16 +106,16 @@ def _check_corpus(pairs: list[SentencePair], iterations: int) -> None:
 
 def _cell_layout(
     pairs: list[SentencePair], null_first: bool
-) -> tuple[dict[str, dict[str, int]], list[list[list[int]]]]:
+) -> tuple[dict[str, dict[str, int]], list[list[tuple[int, ...]]]]:
     """Number each co-occurring (source word, target word) cell in the order
     a pass over the pairs first meets it.
 
     Returns the cells, each source word's {target word: cell id} in
-    first-met order, and for each pair, per target word, the cell ids of its
-    sources, with NULL first or last as `null_first` says.
+    first-met order, and for each pair, per target word, the tuple of the
+    cell ids of its sources, with NULL first or last as `null_first` says.
     """
     cells: dict[str, dict[str, int]] = {}
-    layout: list[list[list[int]]] = []
+    layout: list[list[tuple[int, ...]]] = []
     n = 0
     for pair in pairs:
         sources = [NULL_WORD] + pair.source if null_first else pair.source + [NULL_WORD]
@@ -123,13 +123,13 @@ def _cell_layout(
         targets = []
         for tgt in pair.target:
             try:
-                targets.append([row[tgt] for row in rows])
+                targets.append(tuple([row[tgt] for row in rows]))
             except KeyError:  # a cell not met before, rare after the first pairs
                 for row in rows:
                     if tgt not in row:
                         row[tgt] = n
                         n += 1
-                targets.append([row[tgt] for row in rows])
+                targets.append(tuple([row[tgt] for row in rows]))
         layout.append(targets)
     return cells, layout
 

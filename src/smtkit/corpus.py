@@ -31,7 +31,7 @@ class CorpusError(ValueError):
     """Raised for malformed corpus data (encodings, line counts, settings)."""
 
 
-@dataclass
+@dataclass(slots=True)
 class SentencePair:
     """A parallel sentence with optional source-side dependency tree."""
 
@@ -115,8 +115,11 @@ def tokenize_line(line: str, lang_profile: str = "english") -> list[str]:
 
 
 def tokenize(text: str, lang_profile: str = "english") -> list[list[str]]:
-    """Tokenize raw text, one token sequence per input line."""
-    return [tokenize_line(line, lang_profile) for line in text.splitlines()]
+    """Tokenize raw text, one token sequence per input line. Equal tokens
+    share one string object, so a corpus keeps each distinct word once."""
+    share = {}.setdefault  # a token -> its first equal string
+    lines = (tokenize_line(line, lang_profile) for line in text.splitlines())
+    return [[*map(share, tokens, tokens)] for tokens in lines]
 
 
 def detokenize(tokens: list[str], lang_profile: str = "english") -> str:

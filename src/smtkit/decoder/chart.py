@@ -10,12 +10,12 @@ from the end state each sub-item carries, so an item costs O(LM order) LM
 queries per sub-item to combine. Each rule's own features are computed once,
 when the models are built.
 
-Before the cell loop the NT-initial rules are filtered per sentence (Lopez
-2007, "Hierarchical Phrase-Based Translation with Suffix Arrays"): only
-those whose source terminals occur in the sentence in order can match a
-cell, and an index on each rule's first terminal finds them without a scan
-of all of them. A cell tries the rules of its first word and the kept
-NT-initial rules, each group in table order.
+Before the cell loop the rules are filtered per sentence (Lopez 2007,
+"Hierarchical Phrase-Based Translation with Suffix Arrays"): only those
+whose source terminals occur in the sentence in order can match a cell. An
+index on each NT-initial rule's first terminal finds those without a scan of
+all of them. A cell tries the kept rules that start with its first word and
+the kept NT-initial rules, each group in table order.
 
 Chart items are keyed per cell by (lhs, boundary words); each cell keeps a
 beam. A rule is composed with every combination of the best sub-items of its
@@ -81,13 +81,29 @@ class ChartModels(LmMemo):
         positions = set(self._nt_initial_at.get(None, ()))
         for word in set(sentence):
             positions.update(self._nt_initial_at.get(word, ()))
-        kept = []
-        for position in sorted(positions):
-            rule = self.nt_initial[position][0]
-            words = iter(sentence)  # each `in` resumes after the last match
-            if all(s in words for s in rule.src_rhs if not isinstance(s, NT)):
-                kept.append(self.nt_initial[position])
-        return kept
+        return [
+            self.nt_initial[position]
+            for position in sorted(positions)
+            if _terminals_in(self.nt_initial[position][0], sentence)
+        ]
+
+    def word_initial_in(
+        self, sentence: list[str]
+    ) -> dict[str, list[tuple[RuleEntry, dict[str, float]]]]:
+        """Per word of `sentence`, the rules it starts whose source terminals
+        occur in `sentence` in order, in table order."""
+        return {
+            word: [scored for scored in self.by_first_word.get(word, ())
+                   if _terminals_in(scored[0], sentence)]
+            for word in set(sentence)
+        }
+
+
+def _terminals_in(rule: RuleEntry, sentence: list[str]) -> bool:
+    """Whether the rule's source terminals occur in `sentence` in order, as
+    they must for the rule to match any span of it."""
+    words = iter(sentence)  # each `in` resumes after the last match
+    return all(s in words for s in rule.src_rhs if not isinstance(s, NT))
 
 
 @dataclass
@@ -216,6 +232,8 @@ def decode_chart(
         return (item.lhs, item.tokens[:cut], item.tokens[-cut:] if cut else ())
 
     nt_initial = models.nt_initial_in(sentence)
+    word_initial = models.word_initial_in(sentence)
+    starting_at = [word_initial[word] + nt_initial for word in sentence]
     cells: dict[tuple[int, int], dict[str, list[Item]]] = {}
     glue: dict[int, list[Item]] = {}  # S items over [0, j)
     # sub-items tried per nonterminal when composing; keeps two-gap rules
@@ -226,7 +244,7 @@ def decode_chart(
         for i in range(0, n - width + 1):
             j = i + width
             found: list[Item] = []
-            for rule, features in models.by_first_word.get(sentence[i], []) + nt_initial:
+            for rule, features in starting_at[i]:
                 if len(rule.src_rhs) > width:
                     continue
                 nts = [s for s in rule.src_rhs if isinstance(s, NT)]

@@ -82,7 +82,7 @@ def inventory(scheme: str) -> LabelInventory:
     raise ValueError(f"unknown annotation scheme: {scheme!r}")
 
 
-@dataclass
+@dataclass(slots=True)
 class DepToken:
     id: int
     form: str
@@ -107,7 +107,7 @@ class DepToken:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class DepSentence:
     sent_id: str = ""
     text: str = ""
@@ -165,10 +165,15 @@ def _validate_tree(sent: DepSentence, line_of: dict[int, int]) -> None:
 
 @paused_gc()
 def parse_conllu(text: str) -> list[DepSentence]:
-    """Parse CoNLL-U text into validated dependency sentences."""
+    """Parse CoNLL-U text into validated dependency sentences.
+
+    Equal column values share one string object within a parse, so a corpus
+    keeps each distinct form, lemma, tag and label once.
+    """
     sentences: list[DepSentence] = []
     current = DepSentence()
     line_of: dict[int, int] = {}
+    share = {}.setdefault  # a column value -> its first equal string
 
     def flush(lineno: int):
         nonlocal current, line_of
@@ -180,6 +185,7 @@ def parse_conllu(text: str) -> list[DepSentence]:
         current = DepSentence()
         line_of = {}
 
+    lineno = 0
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.rstrip("\n")
         if not line.strip():
@@ -216,11 +222,10 @@ def parse_conllu(text: str) -> list[DepSentence]:
                 f"token id {tok_id} where {len(current.tokens) + 1} was expected "
                 f"(ids must run 1..n in order)"
             )
-        current.tokens.append(
-            DepToken(tok_id, cols[1], cols[2], cols[3], cols[4], cols[5], head, cols[7], cols[8], cols[9])
-        )
+        _, form, lemma, upos, xpos, feats, _, deprel, deps, misc = map(share, cols, cols)
+        current.tokens.append(DepToken(tok_id, form, lemma, upos, xpos, feats, head, deprel, deps, misc))
         line_of[tok_id] = lineno
-    flush(len(text.splitlines()) + 1)
+    flush(lineno + 1)
     return sentences
 
 

@@ -445,6 +445,9 @@ def read_arpa(text: str) -> NGramModel:
             raise LmError(
                 f"line {lineno + 1}: non-numeric probability or back-off in {line!r}"
             ) from None
+        if not (math.isfinite(logp) and math.isfinite(bow)):
+            number = cols[0] if not math.isfinite(logp) else cols[2]
+            raise LmError(f"line {lineno + 1}: non-finite number {number!r}")
         gram = tuple(vocab.add(w) for w in words)
         model.probs[current_k][gram] = logp
         if bow != 0.0:

@@ -282,6 +282,11 @@ MALFORMED_ARPA = {
         "\\data\\\nngram 1=1\nngram 2=1\n\n\\1-grams:\n-1.0\ta\txyz\n\n\\2-grams:\n-1.0\ta a\n\\end\\\n",
         "line 6:",
     ),
+    "nan-probability": ("\\data\\\nngram 1=1\n\n\\1-grams:\nnan\ta\n\\end\\\n", "line 5: non-finite"),
+    "inf-back-off": (
+        "\\data\\\nngram 1=1\nngram 2=1\n\n\\1-grams:\n-1.0\ta\t-inf\n\n\\2-grams:\n-1.0\ta a\n\\end\\\n",
+        "line 6: non-finite",
+    ),
 }
 
 

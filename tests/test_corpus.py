@@ -44,6 +44,21 @@ class TestTokenize:
     def test_one_sequence_per_line(self):
         assert tokenize("a b\nc\n") == [["a", "b"], ["c"]]
 
+    def test_equal_tokens_are_one_object(self):
+        # split and join make a new string per occurrence; tokenize shares them
+        first, second = tokenize("The dog, the cat.\nthe dog")
+        assert first[0] == first[3] == "the" and first[0] is first[3] is second[0]
+        assert first[1] is second[1]
+        lines = tokenize("देख देखऽ देख\nदेख", "devanagari")
+        assert lines[0][0] is lines[0][2] is lines[1][0] and lines[0][1] == "देखऽ"
+
+
+def test_sentence_pair_is_slotted():
+    pair = SentencePair(["a"], ["x"])
+    assert not hasattr(pair, "__dict__")
+    with pytest.raises(AttributeError):
+        pair.alignment = None
+
 
 class TestDetokenize:
     def test_empty(self):

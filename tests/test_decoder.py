@@ -921,6 +921,27 @@ def test_sentence_filter_keeps_every_nt_initial_rule_that_can_match(case):
             assert as_rule_entry(source, target, scores) in kept
 
 
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(tiny_grammars())
+def test_sentence_filter_keeps_every_word_initial_rule_that_can_match(case):
+    """`ChartModels.word_initial_in` keeps, for each word of the sentence and
+    in table order, every rule starting with that word that covers some span
+    of the sentence."""
+    sentence, rules = case
+    models = ChartModels([as_rule_entry(*rule) for rule in rules] + glue_rules(), train_lm([TGT[:4]]))
+    kept = models.word_initial_in(sentence)
+    assert set(kept) == set(sentence)
+    for word, scored in kept.items():
+        assert scored == [entry for entry in models.by_first_word.get(word, []) if entry in scored]
+    n = len(sentence)
+    for source, target, scores in rules:
+        if source[0][0] == "w" and any(
+            next(scfg_gap_spans(sentence, source, i, j), None) is not None
+            for i in range(n) for j in range(i + 1, n + 1)
+        ):
+            assert as_rule_entry(source, target, scores) in [rule for rule, _ in kept[source[0][1]]]
+
+
 def tree_fixture():
     conllu = (
         "1\ta\t_\t_\tA\t_\t3\tleft\t_\t_\n"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +24,7 @@ from smtkit.deptree import (
     to_nested_tree,
     write_conllu,
 )
+from smtkit.synthdata import write_fixture_tree
 
 
 def chain_sentence(n, deprel="dep"):
@@ -94,6 +97,20 @@ class TestParseConllu:
         with pytest.raises(ConlluError, match="line 1"):
             parse_conllu("1\tx\tmissing\n")
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("# sent_id = a", 2),
+            ("1\tx\t_\t_\t_\t_\t0\troot\t_\t_\n\n# sent_id = b\n# text = y\n", 5),
+            ("1\tx\t_\t_\t_\t_\t0\troot\t_\t_\n\n\n# sent_id = b\n\n\n", 5),
+        ],
+    )
+    def test_comment_block_without_tokens_names_the_line_after_it(self, text, line):
+        # the block ends at end of input or at its blank line; either way the
+        # message names the line that closes it
+        with pytest.raises(ConlluError, match=f"^line {line}: comment block without token lines$"):
+            parse_conllu(text)
+
     def test_multiword_ranges_kept_out_of_tree(self):
         block = (
             "1-2\tdon't\t_\t_\t_\t_\t_\t_\t_\t_\n"
@@ -103,6 +120,42 @@ class TestParseConllu:
         sent = parse_conllu(block)[0]
         assert len(sent.tokens) == 2
         assert sent.extra_rows == [(0, block.splitlines()[0])]
+
+    def test_equal_column_values_are_one_object(self):
+        text = (
+            "1\tthe\tthe\tDET\tDT\t_\t2\tdet\t_\t_\n"
+            "2\tdogs\tdog\tNOUN\tNN\tNumber=Plur\t0\troot\t_\t_\n\n"
+            "1\tthe\tthe\tDET\tDT\t_\t2\tdet\t_\t_\n"
+            "2\tdog\tdog\tNOUN\tNN\tNumber=Sing\t0\troot\t_\t_\n"
+        )
+        (the, dogs), (the_again, dog) = (sent.tokens for sent in parse_conllu(text))
+        assert the.form is the.lemma is the_again.form is the_again.lemma
+        assert dogs.lemma is dog.form is dog.lemma
+        assert the.deprel is the_again.deprel and dogs.deprel is dog.deprel
+        assert dogs.upos is dog.upos and dogs.xpos is dog.xpos
+        assert dogs.feats == "Number=Plur" and dog.feats == "Number=Sing"
+
+    def test_trees_are_slotted(self, fig_3_8):
+        assert not hasattr(fig_3_8, "__dict__")
+        assert not any(hasattr(tok, "__dict__") for tok in fig_3_8.tokens)
+
+    def test_bytes_kept_per_token(self, tmp_path):
+        """What a parsed corpus keeps in memory, per token: about 200 B on
+        CPython 3.11, against about 440 B with a string per column value and
+        a dict per token."""
+        paths = write_fixture_tree(1000, 1, 1, seed=1, root=str(tmp_path))
+        with open(paths["train.conllu"], encoding="utf-8") as fh:
+            text = fh.read()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            trees = parse_conllu(text)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        tokens = sum(len(tree.tokens) for tree in trees)
+        assert tokens > 5000
+        assert kept / tokens < 300
 
     def test_round_trip_token_fields(self, fig_3_8):
         text = write_conllu([fig_3_8])

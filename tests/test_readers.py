@@ -140,8 +140,8 @@ def test_reader_parses_or_raises_its_error(name):
     parses_or_raises()
 
 
-# a valid first line, then a line with one number that is not finite: the
-# reader, its error, the text with {x} for that number, and the message
+# a valid file but for one number that is not finite: the reader, its
+# error, the text with {x} for that number, and the message
 NON_FINITE = {
     "phrase-score": (read_phrase_table, PhraseError,
                      "a ||| x ||| 1 1 1 1 ||| 0-0 ||| 1 1 1\nb ||| y ||| 1 {x} 1 1 ||| 0-0 ||| 1 1 1\n",
@@ -159,6 +159,13 @@ NON_FINITE = {
                   "(root w:a) ||| x ||| 1 1 ||| 1 1\n(nsubj w:b) ||| z ||| 1 1 ||| {x} 1\n",
                   "line 2: non-finite number '{x}'"),
     "weights": (parse_weights, WeightsError, "lm\t0.5\nglue\t{x}\n", "line 2: non-finite weight '{x}'"),
+    "arpa-probability": (read_arpa, LmError,
+                         "\\data\\\nngram 1=2\n\n\\1-grams:\n-0.5\ta\n{x}\tb\n\\end\\\n",
+                         "line 6: non-finite number '{x}'"),
+    "arpa-back-off": (read_arpa, LmError,
+                      "\\data\\\nngram 1=2\nngram 2=1\n\n\\1-grams:\n-0.5\ta\t-0.1\n"
+                      "-0.5\tb\t{x}\n\n\\2-grams:\n-0.2\ta b\n\\end\\\n",
+                      "line 7: non-finite number '{x}'"),
 }
 
 
