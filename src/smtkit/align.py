@@ -361,6 +361,8 @@ def read_ttable(text: str) -> TTable:
             prob = float(cols[2])
         except ValueError:
             raise AlignError(f"line {lineno}: probability {cols[2]!r} is not a number") from None
+        if not math.isfinite(prob):
+            raise AlignError(f"line {lineno}: non-finite number {cols[2]!r}")
         table.setdefault(cols[0], {})[cols[1]] = prob
     return TTable(table)
 

@@ -13,7 +13,7 @@ when the models are built.
 Before the cell loop the rules are filtered per sentence (Lopez 2007,
 "Hierarchical Phrase-Based Translation with Suffix Arrays"): only those
 whose source terminals occur in the sentence in order can match a cell. An
-index on each NT-initial rule's first terminal finds those without a scan of
+index on each rule's first source terminal finds those without a scan of
 all of them. A cell tries the kept rules that start with its first word and
 the kept NT-initial rules, each group in table order.
 
@@ -53,50 +53,39 @@ class ChartModels(LmMemo):
     lm: NGramModel
 
     def __post_init__(self):
-        # (rule, its translation features), grouped by the rule's first
-        # terminal (or NT-initial) so a cell only tries plausible candidates
-        self.by_first_word: dict[str, list[tuple[RuleEntry, dict[str, float]]]] = {}
-        self.nt_initial: list[tuple[RuleEntry, dict[str, float]]] = []
-        # positions in nt_initial by each rule's first terminal (None: it has
+        # (table position, rule, its translation features) of each rule but
+        # the glue ones, by the rule's first source terminal (None: it has
         # none), so a sentence looks up only the rules its words can start
-        self._nt_initial_at: dict[str | None, list[int]] = {}
+        self.by_first_terminal: dict[str | None, list[tuple[int, RuleEntry, dict[str, float]]]] = {}
         has_glue = False
-        for rule in self.rule_table:
+        for position, rule in enumerate(self.rule_table):
             if rule.lhs == "S":
                 has_glue = True
                 continue  # glue applications are built in, not matched
-            scored = (rule, translation_features(rule.scores, rule.tgt_rhs))
-            if isinstance(rule.src_rhs[0], NT):
-                first = next((s for s in rule.src_rhs if not isinstance(s, NT)), None)
-                self._nt_initial_at.setdefault(first, []).append(len(self.nt_initial))
-                self.nt_initial.append(scored)
-            else:
-                self.by_first_word.setdefault(rule.src_rhs[0], []).append(scored)
+            first = next((s for s in rule.src_rhs if not isinstance(s, NT)), None)
+            self.by_first_terminal.setdefault(first, []).append(
+                (position, rule, translation_features(rule.scores, rule.tgt_rhs))
+            )
         if not has_glue:
             raise DecodeError("rule table is missing the glue rules")
 
-    def nt_initial_in(self, sentence: list[str]) -> list[tuple[RuleEntry, dict[str, float]]]:
-        """The NT-initial rules whose source terminals occur in `sentence` in
-        order, in table order: the only ones that can match any of its cells."""
-        positions = set(self._nt_initial_at.get(None, ()))
-        for word in set(sentence):
-            positions.update(self._nt_initial_at.get(word, ()))
-        return [
-            self.nt_initial[position]
-            for position in sorted(positions)
-            if _terminals_in(self.nt_initial[position][0], sentence)
-        ]
-
-    def word_initial_in(
-        self, sentence: list[str]
-    ) -> dict[str, list[tuple[RuleEntry, dict[str, float]]]]:
-        """Per word of `sentence`, the rules it starts whose source terminals
-        occur in `sentence` in order, in table order."""
-        return {
-            word: [scored for scored in self.by_first_word.get(word, ())
-                   if _terminals_in(scored[0], sentence)]
-            for word in set(sentence)
-        }
+    def candidates(self, sentence: list[str]) -> list[list[tuple[RuleEntry, dict[str, float]]]]:
+        """Per start position of `sentence`, the rules whose source terminals
+        occur in `sentence` in order (the only ones that can match any of its
+        spans): those that start with the word there, then the NT-initial
+        ones, each group in table order."""
+        kept = sorted(
+            entry
+            for first in {None, *sentence}
+            for entry in self.by_first_terminal.get(first, ())
+            if _terminals_in(entry[1], sentence)
+        )
+        starting: dict[str, list[tuple[RuleEntry, dict[str, float]]]] = {word: [] for word in sentence}
+        nt_initial = []
+        for _, rule, features in kept:
+            first = rule.src_rhs[0]
+            (nt_initial if isinstance(first, NT) else starting[first]).append((rule, features))
+        return [starting[word] + nt_initial for word in sentence]
 
 
 def _terminals_in(rule: RuleEntry, sentence: list[str]) -> bool:
@@ -231,9 +220,7 @@ def decode_chart(
     def boundary(item: Item) -> tuple:  # items that share it recombine
         return (item.lhs, item.tokens[:cut], item.tokens[-cut:] if cut else ())
 
-    nt_initial = models.nt_initial_in(sentence)
-    word_initial = models.word_initial_in(sentence)
-    starting_at = [word_initial[word] + nt_initial for word in sentence]
+    starting_at = models.candidates(sentence)
     cells: dict[tuple[int, int], dict[str, list[Item]]] = {}
     glue: dict[int, list[Item]] = {}  # S items over [0, j)
     # sub-items tried per nonterminal when composing; keeps two-gap rules
@@ -283,7 +270,7 @@ def _fallback(sentence: list[str], models: ChartModels, factory: ItemFactory) ->
     item = None
     for word in sentence:
         best: Item | None = None
-        for rule, features in models.by_first_word.get(word, []):
+        for _, rule, features in models.by_first_terminal.get(word, []):
             if rule.src_rhs == (word,) and not any(isinstance(s, NT) for s in rule.tgt_rhs):
                 candidate = factory.compose(rule.lhs, rule.tgt_rhs, features, (rule,), {})
                 if best is None or candidate.score > best.score:

@@ -8,7 +8,6 @@ mapping between them.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .gcpause import paused_gc
@@ -354,29 +353,6 @@ def to_nested_tree(sent: DepSentence) -> str:
     return f'<tree label="sent"><tree label="root">{root}</tree></tree>'
 
 
-@dataclass
-class BracketNode:
-    """A node of the nested-tree text format: a label plus children or a word."""
-
-    label: str
-    children: list["BracketNode"] = field(default_factory=list)
-    word: str | None = None
-
-    def labels(self) -> list[str]:
-        out = [self.label]
-        for child in self.children:
-            out.extend(child.labels())
-        return out
-
-    def leaf_words(self) -> list[str]:
-        if self.word is not None:
-            return [self.word]
-        out = []
-        for child in self.children:
-            out.extend(child.leaf_words())
-        return out
-
-
 def _unescape(text: str) -> str:
     return (
         text.replace("&lt;", "<")
@@ -387,87 +363,81 @@ def _unescape(text: str) -> str:
     )
 
 
-def parse_nested_tree(line: str) -> BracketNode:
-    """Parse one nested-tree line back into a labeled bracket tree.
+_TOP = ("sent", "root")  # the labels of the two outer nodes
+_NOT_TOP = 'nested tree must be <tree label="sent"><tree label="root">...'
 
-    The open nodes are kept on an explicit stack, so that nesting depth is
-    not bounded by Python's recursion limit.
+
+@dataclass(slots=True)
+class _OpenNode:
+    label: str
+    word: str | None = None
+    head: int = 0  # its head word's id once met
+    sub_heads: list[int] = field(default_factory=list)  # of its finished subtrees
+
+
+def parse_nested_tree(line: str, sent_id: str = "") -> DepSentence:
+    """Read one nested-tree line into a dependency sentence, in one pass.
+
+    A node holds either one word or subtrees. A word's node label becomes
+    its XPOS and the label of the node around it its deprel; a node of
+    subtrees has exactly one word node among them, the head of the words
+    below it. Ids follow word order. The open nodes are kept on an explicit
+    stack, so that nesting depth is not bounded by Python's recursion limit.
     """
+    tokens: list[DepToken] = []
+    stack: list[_OpenNode] = []
     pos = 0
     open_tag = '<tree label="'
-    stack: list[tuple[BracketNode, list[str]]] = []  # open nodes, each with its text
     while True:
         if line.startswith(open_tag, pos):
+            if stack and stack[-1].word is not None:
+                raise ConlluError(f"node {stack[-1].label!r} holds a word and subtrees at offset {pos}")
             pos += len(open_tag)
             end = line.find('">', pos)
             if end < 0:
                 raise ConlluError(f"unterminated label at offset {pos}")
-            stack.append((BracketNode(_unescape(line[pos:end])), []))
+            label = _unescape(line[pos:end])
+            # the first node is "sent" and its one subtree "root"
+            if len(stack) < 2 and (label != _TOP[len(stack)] or stack and stack[0].sub_heads):
+                raise ConlluError(_NOT_TOP)
+            stack.append(_OpenNode(label))
             pos = end + 2
             continue
         if not stack:  # only before the first tag: the loop ends when the tree closes
             raise ConlluError(f"expected <tree> at offset {pos}")
-        node, text_buf = stack[-1]
+        node = stack[-1]
         if line.startswith("</tree>", pos):
             pos += len("</tree>")
             stack.pop()
-            text = "".join(text_buf)
-            if text:
-                node.word = _unescape(text)
-            if not stack:
+            if node.word is not None:
+                if len(stack) < 2:  # a word in or as "sent"
+                    raise ConlluError(_NOT_TOP)
+                parent = stack[-1]
+                if parent.head:
+                    raise ConlluError(f"two head words under one {parent.label!r} node")
+                tokens.append(DepToken(len(tokens) + 1, node.word, xpos=node.label, deprel=parent.label))
+                parent.head = len(tokens)
+            elif not stack:  # "sent" closed
+                if not node.sub_heads:
+                    raise ConlluError(_NOT_TOP)
                 break
-            stack[-1][0].children.append(node)
+            elif not node.head:
+                raise ConlluError(f"node {node.label!r} has no head word")
+            else:
+                for sub in node.sub_heads:
+                    tokens[sub - 1].head = node.head
+                stack[-1].sub_heads.append(node.head)  # under "sent", the root keeps head 0
             continue
         nxt = line.find("<", pos)
         if nxt <= pos:
             raise ConlluError(f"expected </tree> at offset {pos}")
-        text_buf.append(line[pos:nxt])
+        if node.head or node.sub_heads:
+            raise ConlluError(f"node {node.label!r} holds a word and subtrees at offset {pos}")
+        node.word = _unescape(line[pos:nxt])
         pos = nxt
     if pos != len(line.strip()):
         raise ConlluError(f"trailing data after tree at offset {pos}")
-    return node
-
-
-def nested_to_sentence(tree: BracketNode, sent_id: str = "") -> DepSentence:
-    """Rebuild a dependency sentence from one nested-tree line.
-
-    Wrapper labels become deprels, leaf labels XPOS; ids follow leaf order.
-    """
-    if tree.label != "sent" or len(tree.children) != 1 or tree.children[0].label != "root":
-        raise ConlluError("nested tree must be <tree label=\"sent\"><tree label=\"root\">...")
-    tokens: list[DepToken] = []
-    # depth first with an explicit stack: per open node, its children still
-    # to visit, its head word's id once met, and its finished subtrees' heads
-    top = tree.children[0]
-    stack: list[tuple[BracketNode, Iterator[BracketNode], list[int], list[int]]] = [
-        (top, iter(top.children), [], [])
-    ]
-    while stack:
-        node, children, head, sub_heads = stack[-1]
-        for child in children:
-            if child.word is None:
-                stack.append((child, iter(child.children), [], []))
-                break
-            if head:
-                raise ConlluError(f"two head words under one {node.label!r} node")
-            # a word's deprel is its node's label: "root" on top, as checked
-            tokens.append(
-                DepToken(id=len(tokens) + 1, form=child.word, xpos=child.label, deprel=node.label)
-            )
-            head.append(len(tokens))
-        else:
-            stack.pop()
-            if not head:
-                raise ConlluError(f"node {node.label!r} has no head word")
-            for sub in sub_heads:
-                tokens[sub - 1].head = head[0]
-            if stack:
-                stack[-1][3].append(head[0])
-            else:
-                tokens[head[0] - 1].head = 0
-    sent = DepSentence(sent_id=sent_id, text=" ".join(t.form for t in tokens), tokens=tokens)
-    _validate_tree(sent, {})
-    return sent
+    return DepSentence(sent_id=sent_id, text=" ".join(t.form for t in tokens), tokens=tokens)
 
 
 def parse_nested_tree_file(text: str) -> list[DepSentence]:
@@ -478,7 +448,7 @@ def parse_nested_tree_file(text: str) -> list[DepSentence]:
         if not line.strip():
             continue
         try:
-            sentences.append(nested_to_sentence(parse_nested_tree(line.strip()), str(lineno)))
+            sentences.append(parse_nested_tree(line.strip(), str(lineno)))
         except ConlluError as exc:
             raise ConlluError(f"line {lineno}: {exc}") from None
     return sentences

@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass
 
 from .corpus import SentencePair
+from .deptree import DepSentence, DepToken, write_conllu
 
 _ADJ = [("red", "lal"), ("big", "bada"), ("old", "purana"), ("small", "chhota")]
 _NOUN = [
@@ -91,15 +92,15 @@ _VERB_WORDS = {w for w, _ in _VERB}
 _ADV_WORDS = {w for w, _ in _ADV}
 
 
-def source_tree_conllu(sentence: list[str], sent_id: str) -> str:
-    """Dependency analysis of one generated source sentence, as CoNLL-U.
+def source_tree(sentence: list[str], sent_id: str) -> DepSentence:
+    """Dependency analysis of one generated source sentence.
 
     The grammar is rigid (subject NP, verb, object NP, optional adverb,
     final period), so heads are recoverable from the lexicon alone.
     """
     noun_positions = [i for i, w in enumerate(sentence) if w in _NOUN_WORDS]
     verb_position = next(i for i, w in enumerate(sentence) if w in _VERB_WORDS)
-    lines = [f"# sent_id = {sent_id}", f"# text = {' '.join(sentence)}"]
+    tokens = []
     for i, word in enumerate(sentence):
         if word in _VERB_WORDS:
             head, deprel, xpos = 0, "root", "VB"
@@ -117,16 +118,15 @@ def source_tree_conllu(sentence: list[str], sent_id: str) -> str:
             head, deprel, xpos = verb_position + 1, "advmod", "RB"
         else:  # sentence-final period
             head, deprel, xpos = verb_position + 1, "punct", "."
-        lines.append(f"{i + 1}\t{word}\t{word}\t_\t{xpos}\t_\t{head}\t{deprel}\t_\t_")
-    return "\n".join(lines)
+        tokens.append(DepToken(i + 1, word, lemma=word, xpos=xpos, head=head, deprel=deprel))
+    text = " ".join(sentence)
+    return DepSentence(sent_id, text, tokens, [f"# sent_id = {sent_id}", f"# text = {text}"])
 
 
 def write_trees(path: str, sentences: list[list[str]], prefix: str) -> None:
-    blocks = [
-        source_tree_conllu(sent, f"{prefix}-{i}") for i, sent in enumerate(sentences)
-    ]
+    trees = [source_tree(sent, f"{prefix}-{i}") for i, sent in enumerate(sentences)]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n\n".join(blocks) + "\n")
+        fh.write(write_conllu(trees))
 
 
 def write_lines(path: str, sentences: list[list[str]]) -> None:

@@ -700,6 +700,16 @@ def _exit_code_cases():
                    "--ttable-bwd", p["bad_ttable"], "--output", p["out"]],
         EXIT_DATA, ["bad-tt.txt: line 2:", "'zz'"],
     ))
+    # ... or not finite, which once reached phrase and rule scoring
+    for command, value, name in (("extract-phrases", "nan", "nan"), ("extract-rules", "-inf", "inf")):
+        cases.append((
+            f"{command}-non-finite-ttable",
+            lambda p, command=command, name=name: [
+                command, *(["--kind", "hier"] if command == "extract-rules" else []),
+                "--source", p["train_src"], "--target", p["train_tgt"], "--alignments", p["links"],
+                "--ttable-fwd", p["ttable"], "--ttable-bwd", p[f"{name}_ttable"], "--output", p["out"]],
+            EXIT_DATA, [f"{name}-tt.txt: line 2:", f"non-finite number '{value}'"],
+        ))
     for side in ("source", "target"):
         cases.append((
             f"train-align-blank-{side}-line",
@@ -731,6 +741,14 @@ def _exit_code_cases():
                 source, p["stray_nested"], *(["--dev-target", p["in"]] if command == "tune" else [])],
             EXIT_DATA, ["stray.nested: line 1: expected </tree> at offset"],
         ))
+    # ... and so does a nested tree with a word beside subtrees, which would
+    # lose words if read
+    cases.append((
+        "decode-nested-tree-word-beside-subtrees",
+        lambda p: ["decode", "--lm", p["lm"], "--kind", "tree", "--rule-table", p["tree_rules"],
+                   "--input", p["lossy_nested"]],
+        EXIT_DATA, ["lossy.nested: line 1: node 'VB' holds a word and subtrees at offset"],
+    ))
     cases.append((
         "decode-conllu-id-gap",
         lambda p: ["decode", "--lm", p["lm"], "--kind", "tree", "--rule-table", p["tree_rules"],
@@ -845,6 +863,11 @@ class TestExitCodeTable:
         (root / "stray.nested").write_text(
             '<tree label="sent"><tree label="root"><x></tree></tree>\n', encoding="utf-8"
         )
+        (root / "lossy.nested").write_text(
+            '<tree label="sent"><tree label="root"><tree label="VB">go<tree label="obj">'
+            '<tree label="NN">home</tree></tree></tree></tree></tree>\n',
+            encoding="utf-8",
+        )
         (root / "in.txt").write_text("the dog sees the house .\n", encoding="utf-8")
         (root / "closed.arpa").write_text(
             "\\data\\\nngram 1=3\n\n\\1-grams:\n-99\t<s>\n-0.3\t</s>\n-0.3\tb\n\n\\end\\\n",
@@ -890,6 +913,9 @@ class TestExitCodeTable:
         ttable = (trained / "ttable-fwd.txt").read_text(encoding="utf-8").splitlines()
         ttable[1] = ttable[1].rsplit("\t", 1)[0] + "\tzz"
         (root / "bad-tt.txt").write_text("\n".join(ttable) + "\n", encoding="utf-8")
+        for value, name in (("nan", "nan-tt.txt"), ("-inf", "inf-tt.txt")):
+            (root / name).write_text("\n".join(ttable).replace("\tzz", f"\t{value}") + "\n",
+                                     encoding="utf-8")
         for side in ("src", "tgt"):
             lines = (tiny_fixture / f"train.{side}").read_text(encoding="utf-8").splitlines()
             lines[2] = ""
@@ -935,6 +961,7 @@ class TestExitCodeTable:
             "gap_trees": str(root / "gap.conllu"),
             "tree_rules": str(root / "tree-rules.txt"),
             "stray_nested": str(root / "stray.nested"),
+            "lossy_nested": str(root / "lossy.nested"),
             "train_src": f"{tiny_fixture}/train.src",
             "train_tgt": f"{tiny_fixture}/train.tgt",
             "short_tgt": str(root / "short.tgt"),
@@ -946,6 +973,8 @@ class TestExitCodeTable:
             "bad_links": str(root / "bad.links"),
             "dashless_links": str(root / "dashless.links"),
             "bad_ttable": str(root / "bad-tt.txt"),
+            "nan_ttable": str(root / "nan-tt.txt"),
+            "inf_ttable": str(root / "inf-tt.txt"),
             "blank_src": str(root / "blank.src"),
             "blank_tgt": str(root / "blank.tgt"),
             "len_src": str(root / "len.src"),

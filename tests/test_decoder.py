@@ -905,41 +905,28 @@ def test_chart_decoder_matches_exhaustive_oracle(case, order, weights):
 
 @settings(max_examples=1000, deadline=None, derandomize=True)
 @given(tiny_grammars())
-def test_sentence_filter_keeps_every_nt_initial_rule_that_can_match(case):
-    """`ChartModels.nt_initial_in` keeps, in table order, every NT-initial
-    rule that covers some span of the sentence."""
+def test_sentence_filter_keeps_every_rule_that_can_match(case):
+    """`ChartModels.candidates` gives, for each start position of the
+    sentence, the rules starting with the word there and then the
+    NT-initial rules, each group in table order; among them every rule that
+    covers some span starting there, and none with a word the sentence
+    lacks."""
     sentence, rules = case
-    models = ChartModels([as_rule_entry(*rule) for rule in rules] + glue_rules(), train_lm([TGT[:4]]))
-    kept = [rule for rule, _ in models.nt_initial_in(sentence)]
-    assert kept == [rule for rule, _ in models.nt_initial if rule in kept]
+    table = [as_rule_entry(*rule) for rule in rules]
+    models = ChartModels(table + glue_rules(), train_lm([TGT[:4]]))
+    candidates = [[rule for rule, _ in scored] for scored in models.candidates(sentence)]
+    assert len(candidates) == len(sentence)
+    nt_initial = [rule for rule in candidates[0] if isinstance(rule.src_rhs[0], NT)]
+    for word, kept in zip(sentence, candidates):
+        assert kept == [rule for rule in table if rule in kept and rule.src_rhs[0] == word] + nt_initial
+        assert nt_initial == [rule for rule in table if rule in nt_initial]
+        assert all(s in sentence for rule in kept for s in rule.src_rhs if not isinstance(s, NT))
     n = len(sentence)
     for source, target, scores in rules:
-        if source[0][0] == "x" and any(
-            next(scfg_gap_spans(sentence, source, i, j), None) is not None
-            for i in range(n) for j in range(i + 1, n + 1)
-        ):
-            assert as_rule_entry(source, target, scores) in kept
-
-
-@settings(max_examples=1000, deadline=None, derandomize=True)
-@given(tiny_grammars())
-def test_sentence_filter_keeps_every_word_initial_rule_that_can_match(case):
-    """`ChartModels.word_initial_in` keeps, for each word of the sentence and
-    in table order, every rule starting with that word that covers some span
-    of the sentence."""
-    sentence, rules = case
-    models = ChartModels([as_rule_entry(*rule) for rule in rules] + glue_rules(), train_lm([TGT[:4]]))
-    kept = models.word_initial_in(sentence)
-    assert set(kept) == set(sentence)
-    for word, scored in kept.items():
-        assert scored == [entry for entry in models.by_first_word.get(word, []) if entry in scored]
-    n = len(sentence)
-    for source, target, scores in rules:
-        if source[0][0] == "w" and any(
-            next(scfg_gap_spans(sentence, source, i, j), None) is not None
-            for i in range(n) for j in range(i + 1, n + 1)
-        ):
-            assert as_rule_entry(source, target, scores) in [rule for rule, _ in kept[source[0][1]]]
+        for i in range(n):
+            if any(next(scfg_gap_spans(sentence, source, i, j), None) is not None
+                   for j in range(i + 1, n + 1)):
+                assert as_rule_entry(source, target, scores) in candidates[i]
 
 
 def tree_fixture():

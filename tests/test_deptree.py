@@ -16,7 +16,6 @@ from smtkit.deptree import (
     crossing_arcs,
     is_projective,
     map_pd_to_ud,
-    nested_to_sentence,
     parse_conllu,
     parse_nested_tree,
     parse_nested_tree_file,
@@ -247,6 +246,34 @@ class TestProjectivity:
             assert is_projective(sent)
 
 
+# the characters that the nested-tree format escapes, and a plain one
+_ESCAPED_TEXT = st.text(alphabet="a<&\"'>", min_size=1, max_size=3)
+
+
+@st.composite
+def projective_trees(draw):
+    """A projective sentence of 1-10 tokens, forms, tags and labels drawn
+    from `_ESCAPED_TEXT`. Each interval gets a head drawn from it; the rest
+    of it splits into runs on each side, one dependent subtree per run."""
+    n = draw(st.integers(1, 10))
+    heads = [0] * (n + 1)
+    intervals = [(1, n, 0)]
+    while intervals:
+        lo, hi, parent = intervals.pop()
+        node = draw(st.integers(lo, hi))
+        heads[node] = parent
+        for start, end in ((lo, node - 1), (node + 1, hi)):
+            while start <= end:
+                cut = draw(st.integers(start, end))
+                intervals.append((start, cut, node))
+                start = cut + 1
+    return DepSentence(tokens=[
+        DepToken(i, draw(_ESCAPED_TEXT), xpos=draw(_ESCAPED_TEXT), head=heads[i],
+                 deprel="root" if heads[i] == 0 else draw(_ESCAPED_TEXT))
+        for i in range(1, n + 1)
+    ])
+
+
 class TestNestedTree:
     def test_single_token(self):
         sent = parse_conllu("1\tx\tx\tX\tX\t_\t0\troot\t_\t_\n")[0]
@@ -265,16 +292,20 @@ class TestNestedTree:
 
     def test_round_trip_label_sequence(self, a_stone_sentence):
         rendered = to_nested_tree(a_stone_sentence)
-        tree = parse_nested_tree(rendered)
-        labels = tree.labels()
-        assert labels[0] == "sent" and labels[1] == "root"
-        assert tree.leaf_words() == [t.form for t in a_stone_sentence.tokens]
-        # serializing the parse of our own output is stable
-        assert parse_nested_tree(rendered).labels() == labels
+        rebuilt = parse_nested_tree(rendered)
+        assert rebuilt.forms() == a_stone_sentence.forms()
+        # a word's node label is its XPOS, the label around it its deprel
+        assert [(t.xpos, t.deprel) for t in rebuilt.tokens] == [
+            (t.xpos, t.deprel) for t in a_stone_sentence.tokens
+        ]
+        assert rebuilt.root().deprel == "root"
+        # reading our own output again gives the same sentence
+        assert parse_nested_tree(rendered) == rebuilt
 
     def test_leaf_per_token_in_surface_order(self, fig_3_8):
-        tree = parse_nested_tree(to_nested_tree(fig_3_8))
-        assert tree.leaf_words() == [t.form for t in fig_3_8.tokens]
+        rebuilt = parse_nested_tree(to_nested_tree(fig_3_8))
+        assert rebuilt.forms() == fig_3_8.forms()
+        assert [t.id for t in rebuilt.tokens] == list(range(1, len(fig_3_8.tokens) + 1))
 
     def test_non_projective_rejected_naming_arcs(self):
         toks = [
@@ -291,11 +322,13 @@ class TestNestedTree:
         rendered = to_nested_tree(sent)
         assert "&lt;&amp;&quot;&gt;" in rendered
         assert 'label="P&amp;P"' in rendered
-        assert parse_nested_tree(rendered).leaf_words() == ['<&">']
+        (token,) = parse_nested_tree(rendered).tokens
+        assert (token.form, token.xpos) == ('<&">', "P&P")
 
     def test_nested_to_sentence_round_trip(self, a_stone_sentence):
         rendered = to_nested_tree(a_stone_sentence)
-        rebuilt = nested_to_sentence(parse_nested_tree(rendered))
+        rebuilt = parse_nested_tree(rendered, "s9")
+        assert (rebuilt.sent_id, rebuilt.text) == ("s9", "A stone , said the young one .")
         assert [t.form for t in rebuilt.tokens] == [t.form for t in a_stone_sentence.tokens]
         assert [t.head for t in rebuilt.tokens] == [t.head for t in a_stone_sentence.tokens]
         assert [t.deprel for t in rebuilt.tokens] == [t.deprel for t in a_stone_sentence.tokens]
@@ -320,6 +353,36 @@ class TestNestedTree:
     def test_malformed_nested_tree_rejected(self, line):
         with pytest.raises(ConlluError, match="offset"):
             parse_nested_tree(line)
+
+    @settings(max_examples=300, deadline=None)
+    @given(projective_trees())
+    def test_written_trees_read_back(self, sent):
+        rendered = to_nested_tree(sent)
+        rebuilt = parse_nested_tree(rendered)
+        assert [(t.id, t.form, t.head, t.deprel, t.xpos) for t in rebuilt.tokens] == [
+            (t.id, t.form, t.head, t.deprel, t.xpos) for t in sent.tokens
+        ]
+        assert to_nested_tree(rebuilt) == rendered
+
+    # lines that a reader taking "a node with text is a word" would read by
+    # dropping text or whole subtrees
+    @pytest.mark.parametrize(
+        "line, node",
+        [
+            ('<tree label="sent"><tree label="root"><tree label="VB">go<tree label="obj">'
+             '<tree label="NN">home</tree></tree></tree></tree></tree>', "VB"),
+            ('<tree label="sent"><tree label="root">go<tree label="VB">home</tree></tree></tree>',
+             "root"),
+            ('<tree label="sent"><tree label="root"><tree label="VB">go</tree><tree label="obj">'
+             '<tree label="NN">home</tree>now</tree></tree></tree>', "obj"),
+        ],
+        ids=["word-with-subtree", "text-in-root", "text-in-inner-node"],
+    )
+    def test_text_beside_subtrees_rejected(self, line, node):
+        with pytest.raises(ConlluError, match=f"^node '{node}' holds a word and subtrees at offset"):
+            parse_nested_tree(line)
+        with pytest.raises(ConlluError, match="^line 2: node"):
+            parse_nested_tree_file(to_nested_tree(chain_sentence(2)) + "\n" + line + "\n")
 
     def test_nested_tree_file_reader(self, fig_3_8, a_stone_sentence):
         text = to_nested_tree(fig_3_8) + "\n" + to_nested_tree(a_stone_sentence) + "\n"

@@ -158,6 +158,7 @@ NON_FINITE = {
     "tree-rule": (read_tree_rule_table, PhraseError,
                   "(root w:a) ||| x ||| 1 1 ||| 1 1\n(nsubj w:b) ||| z ||| 1 1 ||| {x} 1\n",
                   "line 2: non-finite number '{x}'"),
+    "ttable": (read_ttable, AlignError, "a\tx\t0.5\na\ty\t{x}\n", "line 2: non-finite number '{x}'"),
     "weights": (parse_weights, WeightsError, "lm\t0.5\nglue\t{x}\n", "line 2: non-finite weight '{x}'"),
     "arpa-probability": (read_arpa, LmError,
                          "\\data\\\nngram 1=2\n\n\\1-grams:\n-0.5\ta\n{x}\tb\n\\end\\\n",
