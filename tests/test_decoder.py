@@ -903,29 +903,59 @@ def test_chart_decoder_matches_exhaustive_oracle(case, order, weights):
                for score, tokens in reference)
 
 
-@settings(max_examples=1000, deadline=None, derandomize=True)
-@given(tiny_grammars())
-def test_sentence_filter_keeps_every_rule_that_can_match(case):
-    """`ChartModels.candidates` gives, for each start position of the
-    sentence, the rules starting with the word there and then the
-    NT-initial rules, each group in table order; among them every rule that
-    covers some span starting there, and none with a word the sentence
-    lacks."""
-    sentence, rules = case
+def sentence_candidates(sentence, rules):
+    """The rule table of a tiny grammar, and `ChartModels.candidates` of
+    the sentence as lists of rules."""
     table = [as_rule_entry(*rule) for rule in rules]
     models = ChartModels(table + glue_rules(), train_lm([TGT[:4]]))
     candidates = [[rule for rule, _ in scored] for scored in models.candidates(sentence)]
     assert len(candidates) == len(sentence)
+    return table, candidates
+
+
+def covers_span_from(sentence, source, i):
+    """Whether the rule source covers some span of the sentence starting at i."""
+    return any(next(scfg_gap_spans(sentence, source, i, j), None) is not None
+               for j in range(i + 1, len(sentence) + 1))
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(tiny_grammars())
+def test_sentence_filter_keeps_every_nt_initial_rule_that_can_match(case):
+    """`ChartModels.candidates` ends the rules of each start position of
+    the sentence with the same NT-initial rules, in table order; among them
+    every NT-initial rule that covers some span of the sentence, and none
+    with a word the sentence lacks."""
+    sentence, rules = case
+    table, candidates = sentence_candidates(sentence, rules)
     nt_initial = [rule for rule in candidates[0] if isinstance(rule.src_rhs[0], NT)]
-    for word, kept in zip(sentence, candidates):
-        assert kept == [rule for rule in table if rule in kept and rule.src_rhs[0] == word] + nt_initial
-        assert nt_initial == [rule for rule in table if rule in nt_initial]
-        assert all(s in sentence for rule in kept for s in rule.src_rhs if not isinstance(s, NT))
-    n = len(sentence)
+    assert nt_initial == [rule for rule in table if rule in nt_initial]
+    assert all(s in sentence for rule in nt_initial for s in rule.src_rhs if not isinstance(s, NT))
+    for kept in candidates:
+        assert kept[len(kept) - len(nt_initial):] == nt_initial
     for source, target, scores in rules:
-        for i in range(n):
-            if any(next(scfg_gap_spans(sentence, source, i, j), None) is not None
-                   for j in range(i + 1, n + 1)):
+        if source[0][0] == "x" and any(covers_span_from(sentence, source, i)
+                                       for i in range(len(sentence))):
+            assert as_rule_entry(source, target, scores) in nt_initial
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(tiny_grammars())
+def test_sentence_filter_keeps_every_word_initial_rule_that_can_match(case):
+    """`ChartModels.candidates` begins the rules of each start position of
+    the sentence with the rules starting with the word there, in table
+    order; among them every such rule that covers some span starting there,
+    and none with a word the sentence lacks."""
+    sentence, rules = case
+    table, candidates = sentence_candidates(sentence, rules)
+    for word, kept in zip(sentence, candidates):
+        word_initial = [rule for rule in kept if not isinstance(rule.src_rhs[0], NT)]
+        assert kept[:len(word_initial)] == word_initial
+        assert word_initial == [rule for rule in table if rule in word_initial and rule.src_rhs[0] == word]
+        assert all(s in sentence for rule in word_initial for s in rule.src_rhs if not isinstance(s, NT))
+    for source, target, scores in rules:
+        for i in range(len(sentence)):
+            if source[0][0] == "w" and covers_span_from(sentence, source, i):
                 assert as_rule_entry(source, target, scores) in candidates[i]
 
 
