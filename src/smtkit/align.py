@@ -363,6 +363,8 @@ def read_ttable(text: str) -> TTable:
             raise AlignError(f"line {lineno}: probability {cols[2]!r} is not a number") from None
         if not math.isfinite(prob):
             raise AlignError(f"line {lineno}: non-finite number {cols[2]!r}")
+        if not 0.0 < prob <= 1.0:
+            raise AlignError(f"line {lineno}: probability {cols[2]!r} lies outside (0, 1]")
         table.setdefault(cols[0], {})[cols[1]] = prob
     return TTable(table)
 

@@ -791,10 +791,20 @@ def cmd_pipeline(args) -> int:
     # translation model
     reordering = None
     if config.decoder_kind == "phrase":
-        table = phrasetab.build_phrase_table(pairs, links, fwd, bwd, config.phrase_max_len)
+        # one count of the phrase pairs for both tables, gone before they are written
+        orientation_set = config.reorder_orientation_set if config.reorder_enabled else None
+        counts = phrasetab.count_phrase_pairs(pairs, links, config.phrase_max_len, orientation_set)
+        table = phrasetab.build_phrase_table(pairs, links, fwd, bwd, config.phrase_max_len, counts=counts)
+        if orientation_set is not None:
+            reordering = phrasetab.extract_reordering(
+                pairs, links, orientation_set, max_phrase_len=config.phrase_max_len, counts=counts
+            )
+        del counts
         _write(out("phrase-table.txt"), phrasetab.write_phrase_table(table))
         artifacts["phrase_table"] = "phrase-table.txt"
-        reordering = _pipeline_reordering(config, pairs, links, out, artifacts)
+        if reordering is not None:
+            _write(out("reordering-table.txt"), phrasetab.write_reordering_table(reordering))
+            artifacts["reordering"] = "reordering-table.txt"
     elif config.decoder_kind == "hier":
         table = ruletab.build_rule_table(pairs, links, fwd, bwd)
         _write(out("rule-table.txt"), ruletab.write_rule_table(table))
@@ -860,17 +870,6 @@ def cmd_pipeline(args) -> int:
     }
     _write(out("manifest.json"), json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
-
-
-def _pipeline_reordering(config, pairs, links, out, artifacts):
-    if not config.reorder_enabled:
-        return None
-    entries = phrasetab.extract_reordering(
-        pairs, links, config.reorder_orientation_set, max_phrase_len=config.phrase_max_len
-    )
-    _write(out("reordering-table.txt"), phrasetab.write_reordering_table(entries))
-    artifacts["reordering"] = "reordering-table.txt"
-    return entries
 
 
 # ---------------------------------------------------------------------------

@@ -94,9 +94,6 @@ class DepToken:
     deps: str = "_"
     misc: str = "_"
 
-    def feat_list(self) -> list[str]:
-        return [] if self.feats == "_" else self.feats.split("|")
-
     def to_conllu(self) -> str:
         return "\t".join(
             [

@@ -4,12 +4,25 @@ Phrase pairs are spans consistent with the word alignment: no link may
 leave the span pair, at least one link must lie inside, and unaligned
 boundary words extend pairs. The four translation scores per entry follow
 the [phi(s|t), lex(s|t), phi(t|s), lex(t|s)] column order.
+
+`count_phrase_pairs` is one pass over the extracted span pairs that counts,
+per (src, tgt) pair, its occurrences, internal-alignment votes and, given an
+orientation set, forward and backward orientations; `build_phrase_table` and
+`extract_reordering` score such a count. The pipeline counts once for both
+tables and drops the count before writing them, since the count and the
+files' text together would set a phrase pipeline's memory peak.
+Entries are slotted, and equal values are one object, in built and read
+tables alike: a frozenset per distinct internal alignment and a read-only
+mapping per distinct orientation distribution.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import lru_cache
+from types import MappingProxyType
 
 from .align import NULL_WORD, TTable
 from .corpus import SentencePair
@@ -75,7 +88,7 @@ def extract_phrases(
     return sorted(spans)
 
 
-@dataclass
+@dataclass(slots=True)
 class PhraseEntry:
     src: tuple[str, ...]
     tgt: tuple[str, ...]
@@ -107,43 +120,78 @@ def _lex_weight(
     return max(weight, 1e-30)
 
 
+def _orientations(orientation_set: str) -> tuple[str, ...]:
+    if orientation_set not in ("msd", "mslr"):
+        raise PhraseError(f"unknown orientation set: {orientation_set!r}")
+    return MSD if orientation_set == "msd" else MSLR
+
+
+# per (src, tgt) pair: [occurrences, {alignment: votes}, forward counts..., backward counts...]
+PairCounts = dict[tuple[tuple[str, ...], tuple[str, ...]], list]
+
+
+def count_phrase_pairs(
+    pairs: list[SentencePair],
+    link_sets: list[set[tuple[int, int]]],
+    max_phrase_len: int = 7,
+    orientation_set: str | None = None,
+) -> PairCounts:
+    """Count every extracted phrase pair in one pass; the orientation counts
+    follow the order of `orientation_set`, and there are none without it."""
+    orientations = () if orientation_set is None else _orientations(orientation_set)
+    k = len(orientations)
+    counts: PairCounts = {}
+    alignments: dict[frozenset[tuple[int, int]], frozenset[tuple[int, int]]] = {}
+    for pair, links in zip(pairs, link_sets):
+        n_src, n_tgt = len(pair.source), len(pair.target)
+        for (i1, i2), (j1, j2) in extract_phrases(pair, links, max_phrase_len):
+            key = (tuple(pair.source[i1 : i2 + 1]), tuple(pair.target[j1 : j2 + 1]))
+            internal = frozenset(
+                (i - i1, j - j1) for i, j in links if i1 <= i <= i2 and j1 <= j <= j2
+            )
+            internal = alignments.setdefault(internal, internal)
+            record = counts.get(key)
+            if record is None:
+                record = counts[key] = [0, {}] + [0] * (2 * k)
+            record[0] += 1
+            record[1][internal] = record[1].get(internal, 0) + 1
+            if k:
+                fwd = _orientation(links, i1, i2, (i1 - 1, j1 - 1), (i2 + 1, j1 - 1), (-1, -1),
+                                   j1 - 1, "disc-left", orientations)
+                bwd = _orientation(links, i1, i2, (i2 + 1, j2 + 1), (i1 - 1, j2 + 1), (n_src, n_tgt),
+                                   j2 + 1, "disc-right", orientations)
+                record[2 + orientations.index(fwd)] += 1
+                record[2 + k + orientations.index(bwd)] += 1
+    return counts
+
+
 def build_phrase_table(
     pairs: list[SentencePair],
     link_sets: list[set[tuple[int, int]]],
     ttable_fwd: TTable,
     ttable_bwd: TTable,
     max_phrase_len: int = 7,
+    counts: PairCounts | None = None,
 ) -> list[PhraseEntry]:
     """Relative-frequency scores plus lexical weights for extracted pairs.
 
     ttable_fwd is p(target word | source word), ttable_bwd the reverse.
+    `counts`, when given, is the `count_phrase_pairs` of these pairs and
+    lengths, with or without orientations; else they are counted here.
     The stored alignment is the most frequent internal alignment for the
     phrase pair; entries come out sorted by (src, tgt).
     """
-    joint: dict[tuple[tuple[str, ...], tuple[str, ...]], float] = {}
-    src_totals: dict[tuple[str, ...], float] = {}
-    tgt_totals: dict[tuple[str, ...], float] = {}
-    align_votes: dict[
-        tuple[tuple[str, ...], tuple[str, ...]], dict[frozenset[tuple[int, int]], int]
-    ] = {}
-
-    for pair, links in zip(pairs, link_sets):
-        for (i1, i2), (j1, j2) in extract_phrases(pair, links, max_phrase_len):
-            src = tuple(pair.source[i1 : i2 + 1])
-            tgt = tuple(pair.target[j1 : j2 + 1])
-            internal = frozenset(
-                (i - i1, j - j1) for i, j in links if i1 <= i <= i2 and j1 <= j <= j2
-            )
-            key = (src, tgt)
-            joint[key] = joint.get(key, 0.0) + 1.0
-            src_totals[src] = src_totals.get(src, 0.0) + 1.0
-            tgt_totals[tgt] = tgt_totals.get(tgt, 0.0) + 1.0
-            votes = align_votes.setdefault(key, {})
-            votes[internal] = votes.get(internal, 0) + 1
+    if counts is None:
+        counts = count_phrase_pairs(pairs, link_sets, max_phrase_len)
+    src_totals: dict[tuple[str, ...], int] = {}
+    tgt_totals: dict[tuple[str, ...], int] = {}
+    for (src, tgt), record in counts.items():
+        src_totals[src] = src_totals.get(src, 0) + record[0]
+        tgt_totals[tgt] = tgt_totals.get(tgt, 0) + record[0]
 
     entries: list[PhraseEntry] = []
-    for (src, tgt), count in sorted(joint.items()):
-        votes = align_votes[(src, tgt)]
+    for src, tgt in sorted(counts):
+        count, votes = counts[src, tgt][:2]
         top = max(votes.values())
         # most frequent internal alignment; ties to the smallest link list
         alignment = min((a for a, c in votes.items() if c == top), key=sorted)
@@ -188,18 +236,32 @@ def finite_floats(field: str) -> tuple[float, ...]:
     return values
 
 
+def probabilities(field: str, zero_ok: bool = False) -> tuple[float, ...]:
+    """finite_floats of a field of probabilities: each in (0, 1], or in
+    [0, 1] when `zero_ok`."""
+    values = finite_floats(field)
+    for word, value in zip(field.split(), values):
+        if not (0.0 < value <= 1.0 or zero_ok and value == 0.0):
+            raise PhraseError(f"probability {word!r} lies outside {'[0, 1]' if zero_ok else '(0, 1]'}")
+    return values
+
+
+@lru_cache(maxsize=4096)
+def _alignment(field: str) -> frozenset[tuple[int, int]]:
+    """The links of an alignment field; equal fields give one frozenset."""
+    return frozenset((int(a), int(b)) for a, b in (p.split("-") for p in field.split()))
+
+
 def parse_phrase_entry(line: str) -> PhraseEntry:
     fields = line.split(" ||| ")
     if len(fields) != 5:
         raise PhraseError(f"expected 5 ||| fields, found {len(fields)}: {line!r}")
     src = tuple(fields[0].split())
     tgt = tuple(fields[1].split())
-    scores = finite_floats(fields[2])
+    scores = probabilities(fields[2])
     if len(scores) != 4:
         raise PhraseError(f"expected 4 scores, found {len(scores)}: {line!r}")
-    alignment = frozenset(
-        (int(a), int(b)) for a, b in (p.split("-") for p in fields[3].split())
-    )
+    alignment = _alignment(fields[3])
     counts = finite_floats(fields[4])
     if len(counts) != 3:
         raise PhraseError(f"expected 3 counts, found {len(counts)}: {line!r}")
@@ -228,12 +290,19 @@ def read_phrase_table(text: str) -> list[PhraseEntry]:
     return parse_lines(text, parse_phrase_entry)
 
 
-@dataclass
+@dataclass(slots=True)
 class ReorderingEntry:
     src: tuple[str, ...]
     tgt: tuple[str, ...]
-    forward: dict[str, float]  # orientation w.r.t. the previous phrase
-    backward: dict[str, float]  # orientation w.r.t. the following phrase
+    forward: Mapping[str, float]  # orientation w.r.t. the previous phrase
+    backward: Mapping[str, float]  # orientation w.r.t. the following phrase
+
+
+@lru_cache(maxsize=4096)
+def _distribution(probs: tuple[float, ...]) -> Mapping[str, float]:
+    """The read-only msd (3 probabilities) or mslr (4) mapping of `probs`;
+    equal `probs` give one mapping."""
+    return MappingProxyType(dict(zip(MSD if len(probs) == 3 else MSLR, probs)))
 
 
 def _orientation(
@@ -271,35 +340,27 @@ def extract_reordering(
     orientation_set: str = "msd",
     smoothing_sigma: float = 0.5,
     max_phrase_len: int = 7,
+    counts: PairCounts | None = None,
 ) -> list[ReorderingEntry]:
-    """Count forward/backward orientations per phrase pair and smooth."""
-    if orientation_set not in ("msd", "mslr"):
-        raise PhraseError(f"unknown orientation set: {orientation_set!r}")
-    orientations = MSD if orientation_set == "msd" else MSLR
-    fwd_counts: dict[tuple, dict[str, float]] = {}
-    bwd_counts: dict[tuple, dict[str, float]] = {}
-
-    for pair, links in zip(pairs, link_sets):
-        n_src, n_tgt = len(pair.source), len(pair.target)
-        for (i1, i2), (j1, j2) in extract_phrases(pair, links, max_phrase_len):
-            key = (tuple(pair.source[i1 : i2 + 1]), tuple(pair.target[j1 : j2 + 1]))
-            fwd = _orientation(links, i1, i2, (i1 - 1, j1 - 1), (i2 + 1, j1 - 1), (-1, -1),
-                               j1 - 1, "disc-left", orientations)
-            bwd = _orientation(links, i1, i2, (i2 + 1, j2 + 1), (i1 - 1, j2 + 1), (n_src, n_tgt),
-                               j2 + 1, "disc-right", orientations)
-            fwd_counts.setdefault(key, {o: 0.0 for o in orientations})[fwd] += 1.0
-            bwd_counts.setdefault(key, {o: 0.0 for o in orientations})[bwd] += 1.0
-
+    """Smoothed forward and backward orientation distributions per phrase
+    pair. `counts`, when given, is the `count_phrase_pairs` of these pairs
+    and lengths with this orientation set; else they are counted here."""
+    orientations = _orientations(orientation_set)
+    if not smoothing_sigma >= 0.0:
+        raise PhraseError(f"smoothing sigma must be >= 0, got {smoothing_sigma}")
+    if counts is None:
+        counts = count_phrase_pairs(pairs, link_sets, max_phrase_len, orientation_set)
+    k = len(orientations)
     entries = []
-    for key in sorted(fwd_counts):
-        entry_fwd = {}
-        entry_bwd = {}
-        for table, out in ((fwd_counts[key], entry_fwd), (bwd_counts[key], entry_bwd)):
-            total = sum(table.values())
-            denom = total + smoothing_sigma * len(orientations)
-            for o in orientations:
-                out[o] = (table[o] + smoothing_sigma) / denom
-        entries.append(ReorderingEntry(key[0], key[1], entry_fwd, entry_bwd))
+    for key in sorted(counts):
+        record = counts[key]
+        if len(record) != 2 + 2 * k:
+            raise PhraseError(f"the counts hold no {orientation_set} orientations")
+        dists = []
+        for observed in (record[2 : 2 + k], record[2 + k :]):
+            denom = sum(observed) + smoothing_sigma * k
+            dists.append(_distribution(tuple((c + smoothing_sigma) / denom for c in observed)))
+        entries.append(ReorderingEntry(key[0], key[1], *dists))
     return entries
 
 
@@ -319,19 +380,15 @@ def parse_reordering_entry(line: str) -> ReorderingEntry:
     fields = line.split(" ||| ")
     if len(fields) != 3:
         raise PhraseError(f"expected 3 ||| fields: {line!r}")
-    values = finite_floats(fields[2])
-    if len(values) == 6:
-        orientations = MSD
-    elif len(values) == 8:
-        orientations = MSLR
-    else:
+    values = probabilities(fields[2], zero_ok=True)  # `train-reorder --sigma 0` writes zeros
+    if len(values) not in (6, 8):
         raise PhraseError(f"expected 6 or 8 probabilities: {line!r}")
-    half = len(orientations)
+    half = len(values) // 2
     return ReorderingEntry(
         tuple(fields[0].split()),
         tuple(fields[1].split()),
-        dict(zip(orientations, values[:half])),
-        dict(zip(orientations, values[half:])),
+        _distribution(values[:half]),
+        _distribution(values[half:]),
     )
 
 

@@ -130,6 +130,63 @@ def consistent_span_pairs(n_src, n_tgt, links, max_len):
     return sorted(out)
 
 
+# --- phrase-pair, alignment and orientation counts, per occurrence ---------
+
+
+def _word_orientation(links, n_src, n_tgt, i1, i2, j1, j2, backward, orientations):
+    """The orientation of phrase pair (i1..i2, j1..j2) against the target
+    word just before it (forward) or just after it (backward).
+
+    The sentence boundaries act as links at (-1, -1) and (n_src, n_tgt).
+    Monotone: the neighbouring word links to the source word on the side it
+    would take in a monotone order (before i1 going forward, after i2 going
+    backward); swap: to the source word on the other side. Anything else is
+    discontinuous; mslr splits it by where the neighbouring word's nearest
+    link lies, left or right of the phrase (ties to the left), and a
+    neighbouring word without links counts as lying on the side it looks
+    toward: left going forward, right going backward.
+    """
+    linked = set(links) | {(-1, -1), (n_src, n_tgt)}
+    if not backward:
+        row, monotone_side, swap_side = j1 - 1, i1 - 1, i2 + 1
+    else:
+        row, monotone_side, swap_side = j2 + 1, i2 + 1, i1 - 1
+    if (monotone_side, row) in linked:
+        return "monotone"
+    if (swap_side, row) in linked:
+        return "swap"
+    if len(orientations) == 3:
+        return "discontinuous"
+    sources = sorted(i for i, j in links if j == row)
+    if not sources:
+        return "disc-right" if backward else "disc-left"
+    distance = [i1 - i if i < i1 else i - i2 for i in sources]
+    nearest = sources[distance.index(min(distance))]
+    return "disc-left" if nearest < i1 else "disc-right"
+
+
+def phrase_counts_reference(pairs, link_sets, max_len, orientations=()):
+    """Per (source phrase, target phrase): its occurrences, a Counter of its
+    internal alignments, and Counters of its forward and backward
+    orientations among `orientations` (empty when none are given), each
+    counted once per consistent span pair."""
+    counts = {}
+    for pair, links in zip(pairs, link_sets):
+        n_src, n_tgt = len(pair.source), len(pair.target)
+        for (i1, i2), (j1, j2) in consistent_span_pairs(n_src, n_tgt, links, max_len):
+            key = (tuple(pair.source[i1 : i2 + 1]), tuple(pair.target[j1 : j2 + 1]))
+            record = counts.setdefault(key, [0, Counter(), Counter(), Counter()])
+            record[0] += 1
+            _, alignments, forward, backward = record
+            alignments[frozenset(
+                (i - i1, j - j1) for i, j in links if i1 <= i <= i2 and j1 <= j <= j2
+            )] += 1
+            if orientations:
+                forward[_word_orientation(links, n_src, n_tgt, i1, i2, j1, j2, False, orientations)] += 1
+                backward[_word_orientation(links, n_src, n_tgt, i1, i2, j1, j2, True, orientations)] += 1
+    return counts
+
+
 # --- hierarchical rules by subtracting sub-phrase sets --------------------
 
 

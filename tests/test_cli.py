@@ -469,6 +469,32 @@ decoder.kind = tree
         assert "(root" in out.read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("orientation_set", ["msd", "mslr"])
+def test_pipeline_tables_equal_the_commands_tables(tiny_fixture, tmp_path, orientation_set):
+    """The pipeline counts phrase pairs once for both of its tables;
+    `extract-phrases` and `train-reorder` (`build_phrase_table` and
+    `extract_reordering`) count for one table each. On the pipeline's own
+    alignments and t-tables they write the same bytes."""
+    config = write_pipeline_config(
+        tmp_path / "pipeline.cfg", tiny_fixture, tmp_path / "model", "phrase",
+        "tune.enabled = false", "reorder.enabled = true", f"reorder.orientation_set = {orientation_set}",
+    )
+    code, _, err = run(["pipeline", "--config", str(config)])
+    assert code == EXIT_OK, err
+    model = tmp_path / "model"
+    corpus_args = ["--source", f"{tiny_fixture}/train.src", "--target", f"{tiny_fixture}/train.tgt",
+                   "--alignments", str(model / "alignments.txt")]
+    for name, argv in (
+        ("phrase-table.txt", ["extract-phrases", *corpus_args, "--ttable-fwd", str(model / "ttable-fwd.txt"),
+                              "--ttable-bwd", str(model / "ttable-bwd.txt")]),
+        ("reordering-table.txt", ["train-reorder", *corpus_args, "--orientation-set", orientation_set]),
+    ):
+        out = tmp_path / f"command-{name}"
+        code, _, err = run([*argv, "--output", str(out)])
+        assert code == EXIT_OK, err
+        assert out.read_bytes() == (model / name).read_bytes()
+
+
 def write_pipeline_config(path, fixture, model_dir, kind, *extra):
     lines = [
         f"paths.train_source = {fixture}/train.src",
@@ -632,6 +658,30 @@ def _exit_code_cases():
             lambda p, argv=argv: ["decode", "--lm", p["lm"], *argv(p)],
             EXIT_DATA, texts,
         ))
+    # ... and of a probability outside its range; zeros are probabilities
+    # of a reordering table, which `train-reorder --sigma 0` writes
+    for name, argv, code, texts in (
+        ("phrase-table", lambda p: ["--phrase-table", p["negative_phrases"], "--input", p["in"]],
+         EXIT_DATA, ["negative-phrases.txt: line 3:", "probability '-0.5' lies outside (0, 1]"]),
+        ("reordering-table", lambda p: ["--phrase-table", p["table"], "--reordering",
+                                        p["seven_reordering"], "--input", p["in"]],
+         EXIT_DATA, ["seven-reordering.txt: line 2:", "probability '7.0' lies outside [0, 1]"]),
+        ("zero-reordering-table", lambda p: ["--phrase-table", p["table"], "--reordering",
+                                             p["zero_reordering"], "--input", p["in"]],
+         EXIT_OK, []),
+    ):
+        cases.append((
+            f"{'range-' if code == EXIT_DATA else ''}{name}-line",
+            lambda p, argv=argv: ["decode", "--lm", p["lm"], *argv(p)],
+            code, texts,
+        ))
+    cases.append((
+        "extract-phrases-negative-ttable",
+        lambda p: ["extract-phrases", "--source", p["train_src"], "--target", p["train_tgt"],
+                   "--alignments", p["links"], "--ttable-fwd", p["ttable"],
+                   "--ttable-bwd", p["negative_ttable"], "--output", p["out"]],
+        EXIT_DATA, ["negative-tt.txt: line 2:", "probability '-3' lies outside (0, 1]"],
+    ))
     # a tree deeper than Python's recursion limit, passed through at every node
     cases.append((
         "decode-tree-deep-chain",
@@ -845,6 +895,9 @@ class TestExitCodeTable:
             ("bad-rules.txt", "-inf", "inf-rules.txt"),
             ("bad-tree-rules.txt", "NaN", "nan-tree-rules.txt"),
             ("bad.weights", "inf", "inf.weights"),
+            ("bad-phrases.txt", "-0.5", "negative-phrases.txt"),
+            ("bad-reordering.txt", "7.0", "seven-reordering.txt"),
+            ("bad-reordering.txt", "0", "zero-reordering.txt"),
         ):
             text = (root / bad).read_text(encoding="utf-8")
             (root / name).write_text(text.replace("abc", value), encoding="utf-8")
@@ -913,7 +966,7 @@ class TestExitCodeTable:
         ttable = (trained / "ttable-fwd.txt").read_text(encoding="utf-8").splitlines()
         ttable[1] = ttable[1].rsplit("\t", 1)[0] + "\tzz"
         (root / "bad-tt.txt").write_text("\n".join(ttable) + "\n", encoding="utf-8")
-        for value, name in (("nan", "nan-tt.txt"), ("-inf", "inf-tt.txt")):
+        for value, name in (("nan", "nan-tt.txt"), ("-inf", "inf-tt.txt"), ("-3", "negative-tt.txt")):
             (root / name).write_text("\n".join(ttable).replace("\tzz", f"\t{value}") + "\n",
                                      encoding="utf-8")
         for side in ("src", "tgt"):
@@ -946,6 +999,9 @@ class TestExitCodeTable:
             "inf_rules": str(root / "inf-rules.txt"),
             "nan_tree_rules": str(root / "nan-tree-rules.txt"),
             "inf_weights": str(root / "inf.weights"),
+            "negative_phrases": str(root / "negative-phrases.txt"),
+            "seven_reordering": str(root / "seven-reordering.txt"),
+            "zero_reordering": str(root / "zero-reordering.txt"),
             "twice_weights": str(root / "twice.weights"),
             "chain": str(root / "chain.conllu"),
             "in": str(root / "in.txt"),
@@ -975,6 +1031,7 @@ class TestExitCodeTable:
             "bad_ttable": str(root / "bad-tt.txt"),
             "nan_ttable": str(root / "nan-tt.txt"),
             "inf_ttable": str(root / "inf-tt.txt"),
+            "negative_ttable": str(root / "negative-tt.txt"),
             "blank_src": str(root / "blank.src"),
             "blank_tgt": str(root / "blank.tgt"),
             "len_src": str(root / "len.src"),

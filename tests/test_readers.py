@@ -185,9 +185,44 @@ def test_weight_given_twice_is_a_data_error():
 
 
 def test_finite_numbers_whose_sum_overflows_are_read():
-    (entry,) = read_phrase_table("a ||| x ||| 1e308 1e308 1 1 ||| 0-0 ||| 1e308 1e308 1\n")
-    assert entry.scores == (1e308, 1e308, 1.0, 1.0)
+    # counts may be any finite number; scores must be probabilities
+    (entry,) = read_phrase_table("a ||| x ||| 1 1 0.5 1 ||| 0-0 ||| 1e308 1e308 1\n")
     assert entry.counts == (1e308, 1e308, 1.0)
+
+
+# a valid file but for one number outside its range: the reader, its error,
+# the text with {x} for that number, the values that lie outside the range
+# and the message; the value 1 lies inside every range
+OUT_OF_RANGE = {
+    "phrase-score": (read_phrase_table, PhraseError,
+                     "a ||| x ||| 1 1 1 1 ||| 0-0 ||| 1 1 1\nb ||| y ||| 1 {x} 1 1 ||| 0-0 ||| 1 1 1\n",
+                     ["-0.5", "0", "-0.0", "1.0000001", "7"], "line 2: probability '{x}' lies outside (0, 1]"),
+    "ttable": (read_ttable, AlignError, "a\tx\t0.5\na\ty\t{x}\n",
+               ["-3", "0", "2.5", "-0.5"], "line 2: probability '{x}' lies outside (0, 1]"),
+    "reordering": (read_reordering_table, PhraseError,
+                   "a ||| x ||| 0.5 0.25 0.25 0.5 0.25 0.25\nc ||| y ||| 0.5 0.25 {x} 0.5 0.25 0.25\n",
+                   ["7.0", "-0.5", "1.5", "-1e-300"], "line 2: probability '{x}' lies outside [0, 1]"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUT_OF_RANGE))
+def test_number_outside_its_range_is_a_data_error(name):
+    read, error, text, values, message = OUT_OF_RANGE[name]
+    assert read(text.replace("{x}", "1"))
+    for value in values:
+        with pytest.raises(error, match="^" + re.escape(message.replace("{x}", value)) + "$"):
+            read(text.replace("{x}", value))
+
+
+# the smallest values smtkit writes: the lexical-weight floor of a phrase
+# table, the t-table floor and the zeros of `train-reorder --sigma 0`
+@pytest.mark.parametrize("read,text", [
+    (read_phrase_table, "a ||| x ||| 1 1e-30 1 1e-30 ||| 0-0 ||| 1 1 1\n"),
+    (read_ttable, "a\tx\t1e-12\n"),
+    (read_reordering_table, "a ||| x ||| 1.0 0.0 0.0 0.0 1.0 0.0\nb ||| y ||| 1 0 0 0 0 0 1 0\n"),
+], ids=["phrase-lexical-floor", "ttable-floor", "reordering-zero"])
+def test_smallest_written_values_are_read(read, text):
+    assert read(text)
 
 
 # rule lines whose alignment leaves a nonterminal without its pair: the line
