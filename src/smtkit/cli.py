@@ -19,7 +19,7 @@ import os
 import signal
 import sys
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from . import __version__, align, corpus, deptree, evaluate, lm, phrasetab, ruletab, tune
 from .decoder import (
@@ -77,12 +77,15 @@ def _read(path: str | None) -> str:
     return corpus.read_text(path)
 
 
-def _write(path: str | None, text: str) -> None:
+def _write(path: str | None, text: str | Iterable[str]) -> None:
+    """Write `text`, or each string it yields, to `path` (standard output
+    when None or "-")."""
+    lines = (text,) if isinstance(text, str) else text
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(lines)
 
 
 def _split_lines(text: str) -> list[list[str]]:
@@ -457,7 +460,7 @@ def cmd_extract_phrases(args) -> int:
     fwd = _read_file(align.read_ttable, args.ttable_fwd)
     bwd = _read_file(align.read_ttable, args.ttable_bwd)
     entries = phrasetab.build_phrase_table(pairs, links, fwd, bwd, args.max_phrase_len)
-    _write(args.output, phrasetab.write_phrase_table(entries))
+    _write(args.output, phrasetab.phrase_table_lines(entries))
     return EXIT_OK
 
 
@@ -506,7 +509,7 @@ def cmd_train_reorder(args) -> int:
     entries = phrasetab.extract_reordering(
         pairs, links, args.orientation_set, args.sigma, args.max_phrase_len
     )
-    _write(args.output, phrasetab.write_reordering_table(entries))
+    _write(args.output, phrasetab.reordering_table_lines(entries))
     return EXIT_OK
 
 
@@ -791,7 +794,8 @@ def cmd_pipeline(args) -> int:
     # translation model
     reordering = None
     if config.decoder_kind == "phrase":
-        # one count of the phrase pairs for both tables, gone before they are written
+        # one count of the phrase pairs for both tables, gone before each is
+        # written line by line
         orientation_set = config.reorder_orientation_set if config.reorder_enabled else None
         counts = phrasetab.count_phrase_pairs(pairs, links, config.phrase_max_len, orientation_set)
         table = phrasetab.build_phrase_table(pairs, links, fwd, bwd, config.phrase_max_len, counts=counts)
@@ -800,10 +804,10 @@ def cmd_pipeline(args) -> int:
                 pairs, links, orientation_set, max_phrase_len=config.phrase_max_len, counts=counts
             )
         del counts
-        _write(out("phrase-table.txt"), phrasetab.write_phrase_table(table))
+        _write(out("phrase-table.txt"), phrasetab.phrase_table_lines(table))
         artifacts["phrase_table"] = "phrase-table.txt"
         if reordering is not None:
-            _write(out("reordering-table.txt"), phrasetab.write_reordering_table(reordering))
+            _write(out("reordering-table.txt"), phrasetab.reordering_table_lines(reordering))
             artifacts["reordering"] = "reordering-table.txt"
     elif config.decoder_kind == "hier":
         table = ruletab.build_rule_table(pairs, links, fwd, bwd)

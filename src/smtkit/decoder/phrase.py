@@ -14,10 +14,15 @@ A hypothesis points back to its parent and to the option it applied; its
 output tokens are built only once it survives its stack's beam, and the
 steps of a derivation only for the returned n-best.
 
-With a limited beam each stack has an exact floor, and an extension is
-checked against it twice: first on an optimistic total that bounds its LM
-score by per-word ceilings, before any LM query, then on its real total.
-Both checks drop only what the beam would drop (see `decode_phrase`).
+The spans a hypothesis may take are listed once per (coverage, end of last
+phrase) and shared by the hypotheses with that pair. With a limited beam
+each stack has an exact floor, and an extension is checked against it
+twice: first on an optimistic total that bounds its LM score by per-word
+ceilings, before any LM query, then on its real total. A span's options are
+visited best first by their context-free estimate, so the first option
+whose optimistic bound over the rest of the span fails the floor ends the
+span. The checks drop only what the beam would drop, and exact ties go as
+they would in table order (see `decode_phrase`).
 """
 
 from __future__ import annotations
@@ -61,6 +66,7 @@ class PhraseModels(LmMemo):
         # filled on first use, so loading a model stays as cheap as indexing it
         self._reorder_logs: dict[tuple | None, tuple[dict[str, float], dict[str, float]] | None] = {}
         self._ceilings: tuple[NGramModel, list[float] | None] | None = None
+        self._translations: tuple[NGramModel, dict, dict] | None = None
 
     def lm_ceilings(self) -> list[float] | None:
         """Per LM word id, the most its LM score can be
@@ -70,15 +76,39 @@ class PhraseModels(LmMemo):
         kept while `lm` is the same model."""
         if self._ceilings is None or self._ceilings[0] is not self.lm:
             ceilings = self.lm.word_ceilings()
-            for entry in self.reordering or ():
-                for probs in (entry.forward, entry.backward):
-                    if not all(p <= 1.0 for p in probs.values()):
-                        ceilings = None
+            # a read table holds each distinct distribution once
+            distributions = {
+                id(probs): probs
+                for entry in self.reordering or ()
+                for probs in (entry.forward, entry.backward)
+            }
+            if not all(p <= 1.0 for probs in distributions.values() for p in probs.values()):
+                ceilings = None
             self._ceilings = (self.lm, ceilings)
         return self._ceilings[1]
 
-    def options(self, src: tuple[str, ...]) -> list[PhraseEntry]:
-        return self._options.get(src, [])
+    def translations(self, src: tuple[str, ...]) -> list[tuple]:
+        """Per phrase entry of `src`, sorted by (target side, scores): its
+        target side, its `translation_features` items, its `entry_key` and
+        the LM ids of its target side. Computed on first use per source
+        side, as the ceilings are, and kept while `lm` is the same model;
+        equal (name, value) items are one object."""
+        entries = self._options.get(src)
+        if entries is None:
+            return []
+        if self._translations is None or self._translations[0] is not self.lm:
+            self._translations = (self.lm, {}, {})
+        _, known, items = self._translations
+        found = known.get(src)
+        if found is None:
+            id_of = self.lm.vocab.id_of
+            found = known[src] = [
+                (e.tgt, tuple(items.setdefault(item, item)
+                              for item in translation_features(e.scores, e.tgt).items()),
+                 (e.src, e.tgt), tuple(id_of(w) for w in e.tgt))
+                for e in entries
+            ]
+        return found
 
     def reordering_entry(self, src, tgt) -> ReorderingEntry | None:
         return self._reorder.get((src, tgt))
@@ -173,26 +203,32 @@ def build_options(
     sentence: list[str], models: PhraseModels
 ) -> dict[tuple[int, int], list[Step]]:
     """Translation options per source span, with OOV pass-through filling."""
+    options = _options_with_ids(sentence, models)
+    return {span: [step for step, _ in found] for span, found in options.items()}
+
+
+def _options_with_ids(
+    sentence: list[str], models: PhraseModels
+) -> dict[tuple[int, int], list[tuple[Step, tuple[int, ...]]]]:
+    """`build_options` with the LM ids of each option's target side."""
     n = len(sentence)
-    options: dict[tuple[int, int], list[Step]] = {}
+    options: dict[tuple[int, int], list[tuple[Step, tuple[int, ...]]]] = {}
     covered = [False] * n
     for i in range(n):
         for j in range(i + 1, min(i + models.max_src_len, n) + 1):
-            src = tuple(sentence[i:j])
-            entries = models.options(src)
-            if entries:
+            found = models.translations(tuple(sentence[i:j]))
+            if found:
                 options[(i, j)] = [
-                    Step(i, j, e.tgt, tuple(translation_features(e.scores, e.tgt).items()),
-                         (e.src, e.tgt))
-                    for e in entries
+                    (Step(i, j, tgt, features, key), ids) for tgt, features, key, ids in found
                 ]
                 for k in range(i, j):
                     covered[k] = True
     for i in range(n):
         if not covered[i]:
-            options.setdefault((i, i + 1), []).append(
-                Step(i, i + 1, (sentence[i],), tuple(OOV_FEATURES.items()), None)
-            )
+            options.setdefault((i, i + 1), []).append((
+                Step(i, i + 1, (sentence[i],), tuple(OOV_FEATURES.items()), None),
+                (models.lm.vocab.id_of(sentence[i]),),
+            ))
     return options
 
 
@@ -316,6 +352,12 @@ def decode_phrase(
     loaded (its pending backward orientation depends on the entry) and the
     same for every option otherwise.
 
+    A hypothesis may take each span it has not covered whose start lies
+    within the distortion limit of its last end. Those spans, with their
+    weighted distortion, new coverage and future cost, depend on the
+    coverage and the last end alone, so they are listed once per (coverage,
+    last end) and the list is shared by every hypothesis with that pair.
+
     With a limited beam each stack has a floor: a min-heap of the highest
     first totals of `beam_width` distinct keys that entered the stack, -inf
     until that many have. A key's total only rises, so the floor never
@@ -338,20 +380,47 @@ def decode_phrase(
     is at most 0. Rounded addition, and rounded multiplication by a weight
     that is not negative, are monotone, so the optimistic total is never
     below the real one: a candidate it drops would fail the floor test on
-    its real total too. A span whose ((base + largest local) + largest lmc)
-    + future is below the floor is skipped whole. The two maxima are taken
-    apart because a pre-summed local + lmc can round above the real sum.
-    Otherwise (a negative or non-finite LM or reordering weight, a positive
-    back-off weight, an orientation probability above 1) every ceiling is
-    +inf and nothing is dropped before the LM query. Completions have no
-    floor and no such check. The survivors, n-bests and bytes are those of
-    the search without the check.
+    its real total too. Otherwise (a negative or non-finite LM or
+    reordering weight, a positive back-off weight, an orientation
+    probability above 1) every ceiling is +inf and nothing is dropped
+    before the LM query. Completions have no floor and no such check.
+
+    A span's options are visited best first by their estimate, the
+    context-free score the future costs take (the option's local score plus
+    its LM score without context), in a stable sort: equal estimates keep
+    table order, and a span with a NaN estimate, which orders nothing, keeps
+    table order whole. The order is the same with and without ceilings.
+    Each option also holds the largest local and the largest lmc over
+    itself and the options after it (+inf when one is NaN, `_top`). When an
+    option fails the optimistic test, ((base + rest local) + rest lmc) +
+    future bounds the optimistic total of every option after it, by the
+    same monotonicity; when it is below the floor too, which only rises,
+    the rest of the span is skipped. The bound of the first option,
+    ((base + largest local) + largest lmc) + future, skips a span whole.
+    The two maxima are taken apart because a pre-summed local + lmc can
+    round above the real sum.
+
+    So the search tries every candidate the search without these checks
+    keeps, and only their order within a span changed. That order decides
+    nothing but exact ties, which are broken as table order breaks them:
+    on an equal score a stack keeps the entry from the earlier survivor,
+    and between two options of one survivor the lower option index (table
+    order) wins; the best derivation of a completed output likewise. Two
+    spans of one survivor never reach one key, as their new coverages
+    differ, and survivors are expanded in the same order. A candidate that
+    ties for a key that survives is never dropped: its total is the key's
+    final total, which the floor never exceeds. A NaN score, which no
+    comparison orders, meets the other candidates of its span in table
+    order. The survivors, n-bests and bytes are those of the search
+    without the checks.
 
     LM contexts are states of the models' `LmStates` memo, which every
     decode with them shares, so `NGramModel.score_ids` runs once per
-    distinct (context, word) per loaded model. Everything else is computed
-    per decode and dropped when it returns. The weighted phrase-local
-    score, LM ids and reordering scores of every option are computed once.
+    distinct (context, word) per loaded model; the `translation_features`
+    and LM ids of each phrase entry are also computed once per loaded model
+    (`PhraseModels.translations`). Everything else is computed per decode
+    and dropped when it returns. The weighted phrase-local score, estimate,
+    LM ceiling and reordering scores of every option are computed once.
     Each state the search reaches gets a row of (LM delta, next state) per
     distinct option target side, so extending a hypothesis costs one list
     lookup. Future costs are memoized by coverage. An expansion's
@@ -370,7 +439,6 @@ def decode_phrase(
         raise DecodeError("phrase decoding needs a phrase table and a language model")
 
     n = len(sentence)
-    lm = models.lm
     lm_states = models.lm_states()
     track_reorder = bool(models.reordering)
     distortion_weight = weights.distortion
@@ -385,26 +453,28 @@ def decode_phrase(
     if 0.0 <= lm_weight < math.inf and 0.0 <= reordering_weight < math.inf:
         ceilings = models.lm_ceilings()
 
-    # per option, indexed across all spans: its step, its weighted
-    # phrase-local score, its weighted LM ceiling (+inf without ceilings),
-    # the index of its LM ids among the distinct target sides, its
-    # reordering log-scores, its reordering id and its weighted backward
-    # score against the sentence end; per span: its index, coverage mask,
-    # width, options and their largest local score and LM ceiling
+    # per option, indexed across all spans in table order: its step and its
+    # reordering log-scores; per span: its index, start, end, coverage mask,
+    # width, options best first and their largest local score and LM ceiling.
+    # An option of a span is (its index, its step, its weighted phrase-local
+    # score, its weighted LM ceiling (+inf without ceilings), the largest of
+    # both over it and the options after it, the index of its LM ids among
+    # the distinct target sides, its reordering log-scores, its reordering id,
+    # its weighted backward score against the sentence end)
     steps: list[Step] = []
     option_logs: list = []
     target_ids: dict[tuple[int, ...], int] = {}
     span_options = []
     estimates: dict[tuple[int, int], list[float]] = {}
     reorder_ids: dict[tuple | None, int] = {}
-    for (i, j), span_steps in sorted(build_options(sentence, models).items()):
+    for (i, j), span_steps in sorted(_options_with_ids(sentence, models).items()):
         scored = []
-        for step in span_steps:
+        span_estimates = estimates[(i, j)] = []
+        for step, ids in span_steps:
             local = sum(weights.get(name) * v for name, v in step.features)
-            ids = tuple(lm.vocab.id_of(w) for w in step.tgt)
             estimate = local
             estimate += lm_weight * lm_states.advance(lm_states.empty, ids)[0]
-            estimates.setdefault((i, j), []).append(estimate)
+            span_estimates.append(estimate)
             lmc = math.inf
             if ceilings is not None:
                 ceiling = 0.0
@@ -422,9 +492,20 @@ def decode_phrase(
             scored.append((len(steps), step, local, lmc, target, reorder_logs, reorder_id, final))
             steps.append(step)
             option_logs.append(reorder_logs)
+        # best first by estimate, ties in table order; a NaN estimate, which
+        # orders nothing, keeps the whole span in table order
+        order = range(len(scored))
+        if all(e == e for e in span_estimates):
+            order = sorted(order, key=span_estimates.__getitem__, reverse=True)
+        ranked = []
+        rest_local = rest_lmc = -math.inf
+        for k in reversed(order):
+            option, step, local, lmc, *rest = scored[k]
+            rest_local, rest_lmc = _top([rest_local, local]), _top([rest_lmc, lmc])
+            ranked.append((option, step, local, lmc, rest_local, rest_lmc, *rest))
+        ranked.reverse()
         span_options.append((
-            len(span_options), i, j, ((1 << (j - i)) - 1) << i, j - i, scored,
-            _top([option[2] for option in scored]), _top([option[3] for option in scored]),
+            len(span_options), i, j, ((1 << (j - i)) - 1) << i, j - i, ranked, rest_local, rest_lmc,
         ))
     target_count = len(target_ids)
     ids_of = list(target_ids)
@@ -452,12 +533,55 @@ def decode_phrase(
     completed: dict[tuple[str, ...], tuple[float, list, int]] = {}
     full_mask = (1 << n) - 1
 
+    # per start, its spans by end: a span that overlaps the coverage is
+    # followed by wider ones that do too
+    spans_from: list[list[tuple]] = [[] for _ in range(n)]
+    for span in span_options:
+        spans_from[span[1]].append(span)
+
+    def legal_moves(count: int, coverage: int, last_end: int) -> list[tuple]:
+        """Each span a hypothesis with this coverage and last end may take,
+        by (start, end): its index, end, options, largest local score and LM
+        ceiling, weighted distortion, new coverage, future cost, and the
+        stack and floor it goes to (None and no floor for a completion)."""
+        moves = []
+        lo, hi = 0, n  # the starts within the distortion limit
+        if limit is not None:
+            lo, hi = max(0, last_end - limit), min(n, last_end + limit + 1)
+        for i in range(lo, hi):
+            if coverage >> i & 1:
+                continue
+            distortion = distortion_weight * -float(i - last_end if i >= last_end else last_end - i)
+            for index, _, j, mask, width, scored, top_local, top_lmc in spans_from[i]:
+                if coverage & mask:
+                    break
+                new_coverage = coverage | mask
+                if new_coverage == full_mask:
+                    target_stack, floor, new_future = None, no_floor, 0.0
+                else:
+                    target_stack, floor = stacks[count + width], floors[count + width]
+                    new_future = future_cache.get(new_coverage)
+                    if new_future is None:
+                        new_future = future_cache[new_coverage] = _uncovered_future(
+                            new_coverage, n, future
+                        )
+                moves.append((
+                    index, j, scored, top_local, top_lmc, distortion,
+                    new_coverage, new_future, target_stack, floor,
+                ))
+        return moves
+
+    # per (coverage, end of the last phrase), its legal moves
+    moves_of: dict[tuple[int, int], list[tuple]] = {}
     for count in range(n):
         stack = stacks[count]
         if not stack:
             continue
         for hyp in _survivors(stack, beam_width, steps):
             _, score, coverage, last_end, state, _, prev, tokens = hyp
+            moves = moves_of.get((coverage, last_end))
+            if moves is None:
+                moves = moves_of[(coverage, last_end)] = legal_moves(count, coverage, last_end)
             row = rows.get(state)
             if row is None:
                 row = rows[state] = [None] * target_count
@@ -478,34 +602,24 @@ def decode_phrase(
                         )
                         for span in span_options
                     ]
-            for index, i, j, mask, width, scored, top_local, top_lmc in span_options:
-                if coverage & mask:
+            for (
+                index, j, scored, top_local, top_lmc, distortion,
+                new_coverage, new_future, target_stack, floor,
+            ) in moves:
+                base = score + distortion
+                if ((base + top_local) + top_lmc) + new_future < floor[0]:
                     continue
-                jump = i - last_end if i >= last_end else last_end - i
-                if limit is not None and jump > limit:
-                    continue
-                base = score + distortion_weight * -float(jump)
-                new_coverage = coverage | mask
-                complete = new_coverage == full_mask
-                if complete:
-                    floor = no_floor
-                    new_future = 0.0
-                else:
-                    target_stack = stacks[count + width]
-                    floor = floors[count + width]
-                    new_future = future_cache.get(new_coverage)
-                    if new_future is None:
-                        new_future = future_cache[new_coverage] = _uncovered_future(
-                            new_coverage, n, future
-                        )
-                    if ((base + top_local) + top_lmc) + new_future < floor[0]:
-                        continue
                 if track_reorder:
                     forward_orient, backward_orient = orientations[index]
                     backward = 0.0 if prev_logs is None else prev_logs[1][backward_orient]
-                for option, step, local, lmc, target, reorder_logs, reorder_id, final in scored:
+                for (
+                    option, step, local, lmc, rest_local, rest_lmc,
+                    target, reorder_logs, reorder_id, final,
+                ) in scored:
                     inc = base + local
                     if (inc + lmc) + new_future < floor[0]:
+                        if ((base + rest_local) + rest_lmc) + new_future < floor[0]:
+                            break  # so would every option after this one
                         continue
                     transition = row[target]
                     if transition is None:
@@ -515,13 +629,17 @@ def decode_phrase(
                     if track_reorder:
                         forward = reorder_logs[0][forward_orient] if reorder_logs else 0.0
                         inc += reordering_weight * (forward + backward)
-                    if complete:
+                    if target_stack is None:
                         done = inc + lm_weight * end(next_state)
                         if track_reorder:
                             done += final
                         output = tokens + step.tgt
                         existing = completed.get(output)
-                        if existing is None or done > existing[0]:
+                        if (
+                            existing is None
+                            or done > existing[0]
+                            or done == existing[0] and existing[1] is hyp and option < existing[2]
+                        ):
                             completed[output] = (done, hyp, option)
                         continue
                     total = inc + new_future
@@ -532,7 +650,9 @@ def decode_phrase(
                     if other is None:
                         if bounded and total > floor[0]:
                             heapreplace(floor, total)
-                    elif other[_SCORE] >= inc:
+                    elif other[_SCORE] > inc or other[_SCORE] == inc and (
+                        other[_PARENT] is not hyp or other[_OPTION] < option
+                    ):
                         continue
                     target_stack[key] = [
                         total, inc, new_coverage, j, next_state, hyp, option, None

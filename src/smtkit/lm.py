@@ -448,6 +448,8 @@ def read_arpa(text: str) -> NGramModel:
         if not (math.isfinite(logp) and math.isfinite(bow)):
             number = cols[0] if not math.isfinite(logp) else cols[2]
             raise LmError(f"line {lineno + 1}: non-finite number {number!r}")
+        if logp > 0.0:  # a back-off weight may take any finite value
+            raise LmError(f"line {lineno + 1}: log10 probability {cols[0]!r} lies above 0")
         gram = tuple(vocab.add(w) for w in words)
         model.probs[current_k][gram] = logp
         if bow != 0.0:

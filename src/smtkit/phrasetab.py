@@ -9,17 +9,18 @@ the [phi(s|t), lex(s|t), phi(t|s), lex(t|s)] column order.
 per (src, tgt) pair, its occurrences, internal-alignment votes and, given an
 orientation set, forward and backward orientations; `build_phrase_table` and
 `extract_reordering` score such a count. The pipeline counts once for both
-tables and drops the count before writing them, since the count and the
-files' text together would set a phrase pipeline's memory peak.
-Entries are slotted, and equal values are one object, in built and read
-tables alike: a frozenset per distinct internal alignment and a read-only
-mapping per distinct orientation distribution.
+tables and drops the count before writing them, and writes each table line
+by line (`phrase_table_lines`, `reordering_table_lines`), never holding a
+file's whole text. Entries are slotted, and equal values are one object, in
+built and read tables alike: a frozenset per distinct internal alignment and
+a read-only mapping per distinct orientation distribution. A reader parses
+each distinct alignment, counts and orientation field once.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
@@ -252,6 +253,12 @@ def _alignment(field: str) -> frozenset[tuple[int, int]]:
     return frozenset((int(a), int(b)) for a, b in (p.split("-") for p in field.split()))
 
 
+@lru_cache(maxsize=4096)
+def _counts(field: str) -> tuple[float, ...]:
+    """finite_floats of a counts field; equal fields are parsed once."""
+    return finite_floats(field)
+
+
 def parse_phrase_entry(line: str) -> PhraseEntry:
     fields = line.split(" ||| ")
     if len(fields) != 5:
@@ -262,14 +269,23 @@ def parse_phrase_entry(line: str) -> PhraseEntry:
     if len(scores) != 4:
         raise PhraseError(f"expected 4 scores, found {len(scores)}: {line!r}")
     alignment = _alignment(fields[3])
-    counts = finite_floats(fields[4])
+    counts = _counts(fields[4])
     if len(counts) != 3:
         raise PhraseError(f"expected 3 counts, found {len(counts)}: {line!r}")
     return PhraseEntry(src, tgt, scores, alignment, counts)
 
 
+def phrase_table_lines(entries: list[PhraseEntry]) -> Iterator[str]:
+    """The lines of a phrase table file, each with its newline; a table
+    without entries is one empty line."""
+    for entry in entries:
+        yield format_phrase_entry(entry) + "\n"
+    if not entries:
+        yield "\n"
+
+
 def write_phrase_table(entries: list[PhraseEntry]) -> str:
-    return "\n".join(format_phrase_entry(e) for e in entries) + "\n"
+    return "".join(phrase_table_lines(entries))
 
 
 def parse_lines(text: str, parse_line) -> list:
@@ -364,32 +380,45 @@ def extract_reordering(
     return entries
 
 
+def format_reordering_entry(entry: ReorderingEntry) -> str:
+    orientations = MSD if len(entry.forward) == 3 else MSLR
+    values = [entry.forward[o] for o in orientations] + [entry.backward[o] for o in orientations]
+    return f"{' '.join(entry.src)} ||| {' '.join(entry.tgt)} ||| " + " ".join(map(_fmt_num, values))
+
+
+def reordering_table_lines(entries: list[ReorderingEntry]) -> Iterator[str]:
+    """The lines of a reordering table file, each with its newline; a
+    table without entries is one empty line."""
+    for entry in entries:
+        yield format_reordering_entry(entry) + "\n"
+    if not entries:
+        yield "\n"
+
+
 def write_reordering_table(entries: list[ReorderingEntry]) -> str:
-    lines = []
-    for e in entries:
-        orientations = MSD if len(e.forward) == 3 else MSLR
-        values = [e.forward[o] for o in orientations] + [e.backward[o] for o in orientations]
-        lines.append(
-            f"{' '.join(e.src)} ||| {' '.join(e.tgt)} ||| "
-            + " ".join(_fmt_num(v) for v in values)
-        )
-    return "\n".join(lines) + "\n"
+    return "".join(reordering_table_lines(entries))
+
+
+@lru_cache(maxsize=4096)
+def _orientation_values(field: str) -> tuple[Mapping[str, float], ...]:
+    """The forward and backward distributions of a reordering value field,
+    or () when it holds neither 6 nor 8 values; equal fields are parsed
+    once."""
+    values = probabilities(field, zero_ok=True)  # `train-reorder --sigma 0` writes zeros
+    if len(values) not in (6, 8):
+        return ()
+    half = len(values) // 2
+    return _distribution(values[:half]), _distribution(values[half:])
 
 
 def parse_reordering_entry(line: str) -> ReorderingEntry:
     fields = line.split(" ||| ")
     if len(fields) != 3:
         raise PhraseError(f"expected 3 ||| fields: {line!r}")
-    values = probabilities(fields[2], zero_ok=True)  # `train-reorder --sigma 0` writes zeros
-    if len(values) not in (6, 8):
+    distributions = _orientation_values(fields[2])
+    if not distributions:
         raise PhraseError(f"expected 6 or 8 probabilities: {line!r}")
-    half = len(values) // 2
-    return ReorderingEntry(
-        tuple(fields[0].split()),
-        tuple(fields[1].split()),
-        _distribution(values[:half]),
-        _distribution(values[half:]),
-    )
+    return ReorderingEntry(tuple(fields[0].split()), tuple(fields[1].split()), *distributions)
 
 
 def read_reordering_table(text: str) -> list[ReorderingEntry]:

@@ -18,7 +18,9 @@ from typing import Callable
 from .align import TTable
 from .corpus import SentencePair
 from .deptree import DepSentence
-from .phrasetab import PhraseError, _fmt_num, _lex_weight, extract_phrases, finite_floats, parse_lines
+from .phrasetab import (
+    PhraseError, _fmt_num, _lex_weight, extract_phrases, finite_floats, parse_lines, probabilities,
+)
 
 
 @dataclass(frozen=True)
@@ -222,7 +224,7 @@ def parse_rule(line: str) -> RuleEntry:
     tgt_syms, lhs_t = _parse_side(fields[1])
     if lhs != lhs_t:
         raise PhraseError(f"source lhs {lhs!r} != target lhs {lhs_t!r}")
-    scores = finite_floats(fields[2])
+    scores = probabilities(fields[2])
     alignment = frozenset(
         (int(a), int(b)) for a, b in (p.split("-") for p in fields[3].split())
     )
@@ -585,7 +587,7 @@ def parse_tree_rule(line: str) -> TreeRule:
         raise PhraseError(f"fragment variables are not numbered 1..{len(numbers)}, each once: {line!r}")
     if sorted(t.index for t in target if isinstance(t, Var)) != numbers:
         raise PhraseError(f"target variables do not name each fragment variable once: {line!r}")
-    scores = finite_floats(fields[2])
+    scores = probabilities(fields[2])
     counts = finite_floats(fields[3])
     return TreeRule(fragment, tuple(target), scores, counts)
 

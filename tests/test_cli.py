@@ -669,12 +669,25 @@ def _exit_code_cases():
         ("zero-reordering-table", lambda p: ["--phrase-table", p["table"], "--reordering",
                                              p["zero_reordering"], "--input", p["in"]],
          EXIT_OK, []),
+        ("rule-table", lambda p: ["--kind", "hier", "--rule-table", p["over_rules"],
+                                  "--input", p["in"]],
+         EXIT_DATA, ["over-rules.txt: line 2:", "probability '1.5' lies outside (0, 1]"]),
+        ("tree-rule-table", lambda p: ["--kind", "tree", "--rule-table", p["negative_tree_rules"],
+                                       "--input", p["trees"]],
+         EXIT_DATA, ["negative-tree-rules.txt: line 2:", "probability '-0.25' lies outside (0, 1]"]),
     ):
         cases.append((
             f"{'range-' if code == EXIT_DATA else ''}{name}-line",
             lambda p, argv=argv: ["decode", "--lm", p["lm"], *argv(p)],
             code, texts,
         ))
+    # ... and an ARPA log10 probability above 0
+    cases.append((
+        "range-lm-line",
+        lambda p: ["decode", "--lm", p["positive_lm"], "--phrase-table", p["table"],
+                   "--input", p["in"]],
+        EXIT_DATA, ["positive.arpa: line 7:", "log10 probability '2.0' lies above 0"],
+    ))
     cases.append((
         "extract-phrases-negative-ttable",
         lambda p: ["extract-phrases", "--source", p["train_src"], "--target", p["train_tgt"],
@@ -898,6 +911,8 @@ class TestExitCodeTable:
             ("bad-phrases.txt", "-0.5", "negative-phrases.txt"),
             ("bad-reordering.txt", "7.0", "seven-reordering.txt"),
             ("bad-reordering.txt", "0", "zero-reordering.txt"),
+            ("bad-rules.txt", "1.5", "over-rules.txt"),
+            ("bad-tree-rules.txt", "-0.25", "negative-tree-rules.txt"),
         ):
             text = (root / bad).read_text(encoding="utf-8")
             (root / name).write_text(text.replace("abc", value), encoding="utf-8")
@@ -924,6 +939,10 @@ class TestExitCodeTable:
         (root / "in.txt").write_text("the dog sees the house .\n", encoding="utf-8")
         (root / "closed.arpa").write_text(
             "\\data\\\nngram 1=3\n\n\\1-grams:\n-99\t<s>\n-0.3\t</s>\n-0.3\tb\n\n\\end\\\n",
+            encoding="utf-8",
+        )
+        (root / "positive.arpa").write_text(
+            "\\data\\\nngram 1=3\n\n\\1-grams:\n-99\t<s>\n-0.3\t</s>\n2.0\tb\n\n\\end\\\n",
             encoding="utf-8",
         )
         (root / "a-table.txt").write_text("a ||| b ||| 0.5 0.5 0.5 0.5 ||| 0-0 ||| 1 1 1\n", encoding="utf-8")
@@ -1002,6 +1021,9 @@ class TestExitCodeTable:
             "negative_phrases": str(root / "negative-phrases.txt"),
             "seven_reordering": str(root / "seven-reordering.txt"),
             "zero_reordering": str(root / "zero-reordering.txt"),
+            "over_rules": str(root / "over-rules.txt"),
+            "negative_tree_rules": str(root / "negative-tree-rules.txt"),
+            "positive_lm": str(root / "positive.arpa"),
             "twice_weights": str(root / "twice.weights"),
             "chain": str(root / "chain.conllu"),
             "in": str(root / "in.txt"),

@@ -472,6 +472,50 @@ class TestPhraseSearchBytes:
         assert kept_digest.hexdigest() == kept_before
         assert sum(sizes) < entries_before
 
+    def test_exact_tie_in_one_span_keeps_the_lower_option_index(self, monkeypatch):
+        # "a c" and "b c" translate x and both end in LM state (c): after
+        # <s> they score exactly alike, so they tie on one recombination
+        # key. Out of context "b c" estimates higher (b's unigram is -0.5,
+        # a's -1.0), so a search that visits options best first meets it
+        # first; table order (by target) still makes "a c" option 0, and
+        # the tie goes to it. Expected results recorded from the decoder
+        # that visited options in table order.
+        lm = read_arpa("\n".join([
+            "\\data\\", "ngram 1=7", "ngram 2=4", "", "\\1-grams:",
+            "-99\t<s>\t-0.5", "-1.0\ta\t-0.5", "-0.5\tb\t-0.5", "-1.0\tc\t-0.5",
+            "-1.0\td\t-0.5", "-1.0\t</s>\t0", "-2.0\t<unk>\t0", "", "\\2-grams:",
+            "-0.5\t<s> a", "-0.5\t<s> b", "-0.25\ta c", "-0.25\tb c", "", "\\end\\", "",
+        ]))
+        flat = (0.1, 0.1, 0.1, 0.1)
+        table = [_entry(["x"], ["b", "c"], flat), _entry(["x"], ["a", "c"], flat),
+                 _entry(["y"], ["d"], flat)]
+        models = PhraseModels(table, lm)
+        assert models.lm_ceilings() is not None
+        survivors = phrase_module._survivors
+        kept = []
+
+        def recording(stack, beam_width, steps):
+            hyps = survivors(stack, beam_width, steps)
+            kept.append([(hyp[_TOKENS], hyp[_OPTION]) for hyp in hyps])
+            return hyps
+
+        monkeypatch.setattr(phrase_module, "_survivors", recording)
+        results = {}
+        for stack, nbest in ((100, 5), (1, 1)):
+            hyps = decode_phrase(["x", "y"], models, EXACT_WEIGHTS, DecodeConfig(stack, nbest=nbest))
+            results[stack] = [
+                (h.tokens, h.score, [(s.start, s.end, s.tgt) for s in h.steps]) for h in hyps
+            ]
+        best = (("a", "c", "d"), -4.75, [(0, 1, ("a", "c")), (1, 2, ("d",))])
+        assert results[100] == [
+            best,
+            (("d", "b", "c"), -6.125, [(1, 2, ("d",)), (0, 1, ("b", "c"))]),
+            (("d", "a", "c"), -6.375, [(1, 2, ("d",)), (0, 1, ("a", "c"))]),
+        ]
+        assert results[1] == [best]
+        assert kept[1] == [(("a", "c"), 0), (("d",), 2)]
+        assert kept[3] == [(("a", "c"), 0)]
+
     def test_duplicate_tables_repeat_entries(self):
         # the duplicate-line tables really hold repeated (src, tgt) pairs
         models = exact_models(MSD, 19, True)
@@ -616,6 +660,28 @@ class TestLmCeiling:
         off = traced_search(models, sentences, configs, FeatureWeights())
         assert on[:2] == off[:2]
         assert on[2] < off[2]
+
+    def test_options_after_one_that_fails_the_check_are_still_tried(self, monkeypatch):
+        # y's options are visited best estimate first: p (unigram -0.5)
+        # before q (-2.0). After <s> and with a beam of one, x -> r sets the
+        # floor of stack 1, which p's ceiling total is below; q's ceiling
+        # (its bigram after <s>, -0.0625) is not, and q beats r for the
+        # beam. Stopping the span at p would lose "q r".
+        lm = read_arpa("\n".join([
+            "\\data\\", "ngram 1=6", "ngram 2=2", "", "\\1-grams:",
+            "-99\t<s>\t-0.5", "-0.25\tr\t0", "-0.5\tp\t0", "-2.0\tq\t0",
+            "-0.5\t</s>\t0", "-3.0\t<unk>\t0", "", "\\2-grams:",
+            "-0.125\t<s> r", "-0.0625\t<s> q", "", "\\end\\", "",
+        ]))
+        one = (1.0, 1.0, 1.0, 1.0)
+        table = [_entry(["x"], ["r"], one), _entry(["y"], ["p"], one), _entry(["y"], ["q"], one)]
+        models = PhraseModels(table, lm)
+        weights = FeatureWeights(lm=1.0, distortion=0.0)
+        config = DecodeConfig(stack_size=1)
+        on = decode_phrase(["x", "y"], models, weights, config)[0]
+        assert on.tokens == ("q", "r")
+        no_ceilings(monkeypatch)
+        assert decode_phrase(["x", "y"], models, weights, config)[0] == on
 
     @pytest.mark.parametrize("name", ["lm", "reordering"])
     def test_negative_weight_turns_the_check_off(self, name, monkeypatch):

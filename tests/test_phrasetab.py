@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import consistent_span_pairs, phrase_counts_reference
 from smtkit.align import TTable
-from smtkit.cli import _alignments_for
+from smtkit.cli import _alignments_for, _write
 from smtkit.corpus import SentencePair, read_parallel
 from smtkit.phrasetab import (
     MSD,
@@ -21,8 +21,10 @@ from smtkit.phrasetab import (
     extract_reordering,
     format_phrase_entry,
     parse_phrase_entry,
+    phrase_table_lines,
     read_phrase_table,
     read_reordering_table,
+    reordering_table_lines,
     write_phrase_table,
     write_reordering_table,
 )
@@ -305,6 +307,26 @@ class TestCountPhrasePairs:
             with pytest.raises(TypeError):
                 reordering[0].forward["swap"] = 1.0
 
+    def test_a_table_read_twice_shares_its_repeated_fields(self):
+        # a reader parses each distinct counts, alignment and orientation
+        # field once, also across reads
+        pairs, link_sets, fwd, bwd = digest_corpus()
+        counts = count_phrase_pairs(pairs, link_sets, 7, "msd")
+        phrases = write_phrase_table(build_phrase_table(pairs, link_sets, fwd, bwd, counts=counts))
+        orientations = write_reordering_table(extract_reordering(pairs, link_sets, "msd", counts=counts))
+        table, again = read_phrase_table(phrases), read_phrase_table(phrases)
+        assert table == again
+        for name in ("counts", "alignment"):
+            values = [getattr(e, name) for e in table]
+            assert len({id(v) for v in values}) == len(set(values)) < len(values)
+            assert all(getattr(e, name) is getattr(f, name) for e, f in zip(table, again))
+        reordering, again = read_reordering_table(orientations), read_reordering_table(orientations)
+        assert reordering == again
+        dists = [d for e in reordering for d in (e.forward, e.backward)]
+        assert len({id(d) for d in dists}) == len({tuple(d.items()) for d in dists}) < len(dists)
+        assert all(e.forward is f.forward and e.backward is f.backward
+                   for e, f in zip(reordering, again))
+
     def test_negative_smoothing_is_refused(self):
         with pytest.raises(PhraseError, match="sigma must be >= 0"):
             extract_reordering([make_pair(1, 1)], [{(0, 0)}], "msd", smoothing_sigma=-0.1)
@@ -359,6 +381,25 @@ REORDERING_TABLE_DIGESTS = {
 def test_phrase_table_matches_recorded_digest():
     text = write_phrase_table(build_phrase_table(*digest_corpus()))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PHRASE_TABLE_DIGEST
+
+
+def test_streamed_tables_equal_the_written_text(tmp_path):
+    # what the pipeline and the table commands write line by line is what
+    # write_phrase_table and write_reordering_table return, an empty table included
+    pairs, link_sets, fwd, bwd = digest_corpus()
+    counts = count_phrase_pairs(pairs, link_sets, 7, "msd")
+    path = tmp_path / "table.txt"
+    for lines, write, entries, digest in (
+        (phrase_table_lines, write_phrase_table,
+         build_phrase_table(pairs, link_sets, fwd, bwd, counts=counts), PHRASE_TABLE_DIGEST),
+        (reordering_table_lines, write_reordering_table,
+         extract_reordering(pairs, link_sets, "msd", counts=counts), REORDERING_TABLE_DIGESTS["msd"]),
+    ):
+        _write(str(path), lines(entries))
+        assert path.read_bytes() == write(entries).encode("utf-8")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        _write(str(path), lines([]))
+        assert path.read_bytes() == write([]).encode("utf-8") == b"\n"
 
 
 @pytest.mark.parametrize("orientation_set", sorted(REORDERING_TABLE_DIGESTS))

@@ -170,11 +170,17 @@ NON_FINITE = {
 }
 
 
+def in_range(read):
+    """A value that lies inside the range of each number `read` reads: 1,
+    but 0 in an ARPA file, whose log10 probabilities may not lie above 0."""
+    return "0" if read is read_arpa else "1"
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("name", sorted(NON_FINITE))
 def test_non_finite_number_is_a_data_error(name, value):
     read, error, text, message = NON_FINITE[name]
-    assert read(text.replace("{x}", "1"))
+    assert read(text.replace("{x}", in_range(read)))
     with pytest.raises(error, match=re.escape(message.replace("{x}", value))):
         read(text.replace("{x}", value))
 
@@ -192,7 +198,7 @@ def test_finite_numbers_whose_sum_overflows_are_read():
 
 # a valid file but for one number outside its range: the reader, its error,
 # the text with {x} for that number, the values that lie outside the range
-# and the message; the value 1 lies inside every range
+# and the message
 OUT_OF_RANGE = {
     "phrase-score": (read_phrase_table, PhraseError,
                      "a ||| x ||| 1 1 1 1 ||| 0-0 ||| 1 1 1\nb ||| y ||| 1 {x} 1 1 ||| 0-0 ||| 1 1 1\n",
@@ -202,13 +208,25 @@ OUT_OF_RANGE = {
     "reordering": (read_reordering_table, PhraseError,
                    "a ||| x ||| 0.5 0.25 0.25 0.5 0.25 0.25\nc ||| y ||| 0.5 0.25 {x} 0.5 0.25 0.25\n",
                    ["7.0", "-0.5", "1.5", "-1e-300"], "line 2: probability '{x}' lies outside [0, 1]"),
+    "rule-score": (read_rule_table, PhraseError,
+                   "a [X] ||| x [X] ||| 1 1 1 1 ||| 0-0 ||| 1 1 1\n"
+                   "b [X] ||| y [X] ||| 1 1 {x} 1 ||| 0-0 ||| 1 1 1\n",
+                   ["-0.5", "0", "1.5", "-1e-300"], "line 2: probability '{x}' lies outside (0, 1]"),
+    "tree-rule-score": (read_tree_rule_table, PhraseError,
+                        "(root w:a) ||| x ||| 1 1 ||| 1 1\n(nsubj w:b) ||| z ||| {x} 1 ||| 1 1\n",
+                        ["-2", "0", "-0.0", "3.5"], "line 2: probability '{x}' lies outside (0, 1]"),
+    # a back-off weight may take any finite value, as the one of <s> here
+    "arpa-probability": (read_arpa, LmError,
+                         "\\data\\\nngram 1=2\nngram 2=1\n\n\\1-grams:\n-99\t<s>\t0.5\n{x}\ta\t-0.1\n"
+                         "\n\\2-grams:\n-0.2\t<s> a\n\\end\\\n",
+                         ["2.0", "0.5", "1e-300"], "line 7: log10 probability '{x}' lies above 0"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(OUT_OF_RANGE))
 def test_number_outside_its_range_is_a_data_error(name):
     read, error, text, values, message = OUT_OF_RANGE[name]
-    assert read(text.replace("{x}", "1"))
+    assert read(text.replace("{x}", in_range(read)))
     for value in values:
         with pytest.raises(error, match="^" + re.escape(message.replace("{x}", value)) + "$"):
             read(text.replace("{x}", value))
