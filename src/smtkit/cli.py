@@ -244,6 +244,7 @@ class PipelineConfig:
     def validate(self) -> None:
         closed = {
             "lm_discount_mode": ("counts_of_counts", "fixed"),
+            "align_model": (1, 2),
             "align_symmetrization": ("intersection", "union", "grow-diag-final-and"),
             "reorder_orientation_set": ("msd", "mslr"),
             "decoder_kind": ("phrase", "hier", "tree"),
@@ -253,6 +254,10 @@ class PipelineConfig:
         for attr, values in closed.items():
             if getattr(self, attr) not in values:
                 raise corpus.CorpusError(f"config: {attr} must be one of {values}")
+        if self.decoder_stack_size < 1:
+            raise corpus.CorpusError(
+                f"config: decoder_stack_size must be >= 1, got {self.decoder_stack_size}"
+            )
         for attr in ("train_source", "train_target", "dev_source", "dev_target",
                      "test_source", "test_target", "mono_target", "train_trees",
                      "dev_trees", "test_trees"):
@@ -1023,6 +1028,8 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_USAGE
         if args.jobs < 1:
             raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
+        if getattr(args, "stack_size", 1) < 1:
+            raise UsageError(f"--stack-size must be >= 1, got {args.stack_size}")
         return args.func(args)
     except UsageError as exc:
         print(f"smtkit: error: {exc}", file=sys.stderr)

@@ -65,6 +65,7 @@ class PhraseModels(LmMemo):
                 self._reorder[(entry.src, entry.tgt)] = entry
         # filled on first use, so loading a model stays as cheap as indexing it
         self._reorder_logs: dict[tuple | None, tuple[dict[str, float], dict[str, float]] | None] = {}
+        self._log_tables: dict[tuple, dict[str, float]] = {}  # per distinct distribution
         self._ceilings: tuple[NGramModel, list[float] | None] | None = None
         self._translations: tuple[NGramModel, dict, dict] | None = None
 
@@ -119,12 +120,14 @@ class PhraseModels(LmMemo):
         """log10 forward and backward orientation scores of one phrase entry.
 
         `key` is a step's `entry_key`; None (an OOV step) or an entry without
-        reordering statistics gives None. Memoized per entry.
+        reordering statistics gives None. Memoized per entry; entries with
+        equal distributions share one log table.
         """
         if key not in self._reorder_logs:
             entry = self._reorder.get(key) if key is not None else None
-            self._reorder_logs[key] = (
-                None if entry is None else (_log_scores(entry.forward), _log_scores(entry.backward))
+            self._reorder_logs[key] = None if entry is None else tuple(
+                self._log_tables.setdefault(tuple(probs.items()), _log_scores(probs))
+                for probs in (entry.forward, entry.backward)
             )
         return self._reorder_logs[key]
 

@@ -6,9 +6,11 @@ structure compose child derivations into target strings; nodes without a
 matching rule fall back to a synthesized pass-through rule that copies the
 head word and keeps the children in surface order.
 
-A fragment matches only at a node whose form is its one top-level word, so
-`TreeModels` indexes the rules by (fragment label, head word), and a node
-tries only the rules under its own label and form, in table order.
+The tree's walk, projectivity and node labels come from `deptree`, as in
+rule extraction. A fragment matches only at a node whose form is its one
+top-level word, so `TreeModels` indexes the rules by (fragment label, head
+word), and a node tries only the rules under its own label and form, in
+table order.
 
 Derivations are the chart decoder's scored items (`chart.Item`). Nodes are
 decoded bottom-up without recursion, only those that a rule variable or the
@@ -26,10 +28,10 @@ from dataclasses import dataclass
 from itertools import product
 from operator import attrgetter
 
-from ..deptree import DepSentence, DepToken, is_projective
+from ..deptree import DepSentence, DepToken, node_label, tree_walk, yields_contiguous
 from ..gcpause import paused_gc
 from ..lm import LmMemo, NGramModel
-from ..ruletab import Fragment, TreeRule, Var, _node_label
+from ..ruletab import Fragment, TreeRule, Var
 from .chart import Item, ItemFactory
 from .phrase import (
     OOV_FEATURES,
@@ -68,12 +70,14 @@ class TreeConfig:
 
 
 def _match_fragment(
-    labels: dict[int, str],
-    constituents: dict[int, list[DepToken]],
+    tokens: list[DepToken],
+    labels: list[str],
+    constituents: list[list[int]],
     fragment: Fragment,
     tok_id: int,
 ) -> dict[int, int] | None:
-    """Match a rule fragment at a node, given each token's label; returns
+    """Match a rule fragment at a node, given each token's label and its
+    constituents (itself and its children, in surface order); returns
     variable -> token id."""
     if fragment.label != labels[tok_id]:
         return None
@@ -83,16 +87,16 @@ def _match_fragment(
     binding: dict[int, int] = {}
     for item, constituent in zip(fragment.items, here):
         if isinstance(item, str):
-            if constituent.id != tok_id or item != constituent.form:
+            if constituent != tok_id or item != tokens[tok_id - 1].form:
                 return None
-        elif constituent.id == tok_id:
+        elif constituent == tok_id:
             return None
         elif isinstance(item, Var):
-            if item.label != labels[constituent.id]:
+            if item.label != labels[constituent]:
                 return None
-            binding[item.index] = constituent.id
+            binding[item.index] = constituent
         else:
-            sub = _match_fragment(labels, constituents, item, constituent.id)
+            sub = _match_fragment(tokens, labels, constituents, item, constituent)
             if sub is None:
                 return None
             binding.update(sub)
@@ -110,29 +114,30 @@ def decode_tree(
     config = config or TreeConfig()
     if not sent.tokens:
         raise DecodeError("cannot decode an empty tree")
-    if not is_projective(sent):
+    walk = tree_walk(sent)
+    if walk is None or not yields_contiguous(sent, walk[1]):
         raise DecodeError(f"sentence {sent.sent_id or '<unknown>'} is non-projective")
 
     lm_states = models.lm_states()
     factory = ItemFactory(lm_states, weights)
     k = max(config.k_best_per_node, 1)
-    constituents = sent.constituents()
-    labels = {tok.id: _node_label(sent, tok.id) for tok in sent.tokens}
-    root = sent.root().id
+    children, order = walk
+    tokens = sent.tokens
+    constituents = [sorted(below + [tok_id]) for tok_id, below in enumerate(children)]
+    labels = [""] + [node_label(tok) for tok in tokens]
+    root = order[0]
 
-    # breadth first, so top-down: at each node that a rule variable or the
-    # pass-through reaches from the root, what to compose (`compose`'s
-    # arguments, with the node of each target variable in place of its item)
-    order = [root]
+    # top-down: at each node that a rule variable or the pass-through
+    # reaches from the root, what to compose (`compose`'s arguments, with
+    # the node of each target variable in place of its item)
     plans: dict[int, list[tuple]] = {root: []}
     for tok_id in order:
-        order += [t.id for t in constituents[tok_id] if t.id != tok_id]
         plan = plans.get(tok_id)
         if plan is None:
             continue
         label = labels[tok_id]
-        for rule, features in models.by_head.get((label, sent.tokens[tok_id - 1].form), []):
-            binding = _match_fragment(labels, constituents, rule.fragment, tok_id)
+        for rule, features in models.by_head.get((label, tokens[tok_id - 1].form), []):
+            binding = _match_fragment(tokens, labels, constituents, rule.fragment, tok_id)
             if binding is not None:
                 nodes = {t.index: binding[t.index] for t in rule.target if isinstance(t, Var)}
                 plan.append((label, rule.target, features, (rule,), nodes))
@@ -140,8 +145,8 @@ def decode_tree(
             # pass-through, not part of the derivation: the head word among
             # its children, each a variable
             here = constituents[tok_id]
-            target = tuple(t.form if t.id == tok_id else Var(t.id, "") for t in here)
-            nodes = {t.id: t.id for t in here if t.id != tok_id}
+            target = tuple(tokens[t - 1].form if t == tok_id else Var(t, "") for t in here)
+            nodes = {t: t for t in here if t != tok_id}
             plan.append((label, target, OOV_FEATURES, (), nodes))
         for *_, nodes in plan:
             for node in nodes.values():

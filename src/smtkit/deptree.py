@@ -1,4 +1,8 @@
-"""CoNLL-U dependency trees: parsing, projectivity, nested-tree conversion.
+"""CoNLL-U dependency trees: parsing, tree shape, nested-tree conversion.
+
+A tree's shape is worked out here only, for rule extraction and tree
+decoding alike: its walk (`tree_walk`), projectivity (`yields_contiguous`)
+and node labels (`node_label`).
 
 Supports the two source-side annotation schemes used by the toolkit: the
 karaka-based PD labels and the 37 UD relations, with the documented partial
@@ -106,7 +110,6 @@ class DepToken:
 @dataclass(slots=True)
 class DepSentence:
     sent_id: str = ""
-    text: str = ""
     tokens: list[DepToken] = field(default_factory=list)
     comments: list[str] = field(default_factory=list)
     # Multiword-token ranges and empty nodes, preserved verbatim as
@@ -119,14 +122,56 @@ class DepSentence:
     def root(self) -> DepToken:
         return next(t for t in self.tokens if t.head == 0)
 
-    def constituents(self) -> dict[int, list[DepToken]]:
-        """Each token's dependents and the token itself, in surface order."""
-        out: dict[int, list[DepToken]] = {tok.id: [] for tok in self.tokens}
-        for tok in self.tokens:  # in id order, so every list comes out sorted
-            if tok.head:
-                out[tok.head].append(tok)
-            out[tok.id].append(tok)
-        return out
+
+def node_label(tok: DepToken) -> str:
+    """A tree node's label, for rules and decoding alike: `root` for the
+    root, its deprel for any other token."""
+    return "root" if tok.head == 0 else tok.deprel
+
+
+def _walk(sent: DepSentence) -> tuple[list[list[int]], list[int]] | None:
+    """Each token's children in id order (children[0] holds the roots) and,
+    top-down, the tokens the roots reach: breadth first, so each comes after
+    its head. A token on or below a cycle is not reached. None when the ids
+    do not run 1..n or a head lies outside 0..n."""
+    n = len(sent.tokens)
+    children: list[list[int]] = [[] for _ in range(n + 1)]
+    for pos, tok in enumerate(sent.tokens, 1):
+        if tok.id != pos or not 0 <= tok.head <= n:
+            return None
+        children[tok.head].append(pos)
+    order = list(children[0])
+    for node in order:
+        order.extend(children[node])
+    return children, order
+
+
+def tree_walk(sent: DepSentence) -> tuple[list[list[int]], list[int]] | None:
+    """`_walk`'s children and top-down order of one tree, whose root is
+    order[0]; None unless exactly one root reaches every token."""
+    walk = _walk(sent)
+    if walk is None or len(walk[0][0]) != 1 or len(walk[1]) != len(sent.tokens):
+        return None
+    return walk
+
+
+def yields_contiguous(sent: DepSentence, order: list[int]) -> bool:
+    """Whether every token's yield is contiguous, in one bottom-up pass over
+    a `tree_walk` order that gives each token its yield's extent and size.
+    For a tree this holds iff no two arcs cross."""
+    n = len(sent.tokens)
+    first = list(range(n + 1))
+    last = list(range(n + 1))
+    size = [1] * (n + 1)
+    for node in reversed(order):
+        if last[node] - first[node] + 1 != size[node]:
+            return False
+        head = sent.tokens[node - 1].head
+        if head:
+            first[head] = min(first[head], first[node])
+            last[head] = max(last[head], last[node])
+            size[head] += size[node]
+    return True
 
 
 def _validate_tree(sent: DepSentence, line_of: dict[int, int]) -> None:
@@ -140,18 +185,11 @@ def _validate_tree(sent: DepSentence, line_of: dict[int, int]) -> None:
             raise ConlluError(
                 f"sentence {ident}, line {line}: head {tok.head} of token {tok.id} is dangling"
             )
-    roots = [t for t in sent.tokens if t.head == 0]
-    if len(roots) != 1:
-        raise ConlluError(f"sentence {ident}: expected exactly 1 root, found {len(roots)}")
-    # one pass down the children lists from the root reaches every token
-    # whose heads lead to it; a token it misses is on or below a cycle
-    children: list[list[int]] = [[] for _ in range(n + 1)]
-    for tok in sent.tokens:
-        children[tok.head].append(tok.id)
-    reached = [0]
-    for node in reached:
-        reached += children[node]
-    if len(reached) <= n:
+    children, reached = _walk(sent)
+    if len(children[0]) != 1:
+        raise ConlluError(f"sentence {ident}: expected exactly 1 root, found {len(children[0])}")
+    # a token that the walk from the root misses is on or below a cycle
+    if len(reached) < n:
         found = set(reached)
         missed = next(tok.id for tok in sent.tokens if tok.id not in found)
         raise ConlluError(
@@ -192,8 +230,6 @@ def parse_conllu(text: str) -> list[DepSentence]:
             body = line[1:].strip()
             if body.startswith("sent_id"):
                 current.sent_id = body.split("=", 1)[1].strip() if "=" in body else ""
-            elif body.startswith("text"):
-                current.text = body.split("=", 1)[1].strip() if "=" in body else ""
             continue
         cols = line.split("\t")
         if len(cols) != 10:
@@ -259,49 +295,13 @@ def _crossings(sent: DepSentence):
                 yield arcs[a], arcs[b]
 
 
-def crossing_arcs(sent: DepSentence) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-    """All pairs of crossing arcs; arcs sharing an endpoint never cross."""
-    return [] if is_projective(sent) else list(_crossings(sent))
-
-
-def _yields_contiguous(sent: DepSentence) -> bool | None:
-    """Whether every token's yield is contiguous, in one bottom-up pass that
-    gives each token its yield's extent and size; None when the tokens are
-    not a tree over ids 1..n."""
-    tokens = sent.tokens
-    n = len(tokens)
-    children: list[list[int]] = [[] for _ in range(n + 1)]  # children[0] holds the roots
-    for pos, tok in enumerate(tokens, 1):
-        if tok.id != pos or not 0 <= tok.head <= n:
-            return None
-        children[tok.head].append(pos)
-    order = list(children[0])
-    for node in order:  # breadth first, so every token comes after its head
-        order.extend(children[node])
-    if len(order) != n:  # a token on or below a cycle
-        return None
-    first = list(range(n + 1))
-    last = list(range(n + 1))
-    size = [1] * (n + 1)
-    for node in reversed(order):
-        if last[node] - first[node] + 1 != size[node]:
-            return False
-        head = tokens[node - 1].head
-        if head:
-            first[head] = min(first[head], first[node])
-            last[head] = max(last[head], last[node])
-            size[head] += size[node]
-    return True
-
-
 def is_projective(sent: DepSentence) -> bool:
-    """No two arcs cross. For a tree this holds iff every yield is
-    contiguous, which one bottom-up pass decides in linear time; anything
-    else goes through the pair search."""
-    contiguous = _yields_contiguous(sent)
-    if contiguous is None:
+    """No two arcs cross. A tree is decided by `yields_contiguous` in linear
+    time; anything else goes through the pair search."""
+    walk = tree_walk(sent)
+    if walk is None:
         return next(_crossings(sent), None) is None
-    return contiguous
+    return yields_contiguous(sent, walk[1])
 
 
 def _escape(text: str) -> str:
@@ -314,40 +314,31 @@ def _escape(text: str) -> str:
     )
 
 
-def _render_subtree(constituents: dict[int, list[DepToken]], tok: DepToken) -> str:
-    """Head word in surface position among its dependents, each wrapped.
-
-    Depth-first with an explicit stack, so that a deep chain of heads does
-    not exhaust Python's recursion limit.
-    """
-    parts = []
-    stack = [(tok, iter(constituents[tok.id]))]
-    while stack:
-        head, items = stack[-1]
-        for item in items:
-            if item.id == head.id:
-                parts.append(f'<tree label="{_escape(head.xpos)}">{_escape(head.form)}</tree>')
-            else:
-                parts.append(f'<tree label="{_escape(item.deprel)}">')
-                stack.append((item, iter(constituents[item.id])))
-                break
-        else:
-            stack.pop()
-            if stack:  # `tok` itself is wrapped by the caller
-                parts.append("</tree>")
-    return "".join(parts)
-
-
 def to_nested_tree(sent: DepSentence) -> str:
-    """Serialize a projective sentence to the nested-tree decoder input."""
-    if not is_projective(sent):
+    """Serialize a projective tree to the nested-tree decoder input: each
+    node's word in surface position among its dependents, each wrapped,
+    built bottom-up over the tree's walk."""
+    ident = sent.sent_id or "<unknown>"
+    walk = tree_walk(sent)
+    if walk is None:
+        raise ConlluError(f"sentence {ident} is not one tree")
+    children, order = walk
+    if not yields_contiguous(sent, order):
         a, b = next(_crossings(sent))
         raise ConlluError(
-            f"sentence {sent.sent_id or '<unknown>'} is non-projective: "
-            f"arc {a[0]}-{a[1]} crosses arc {b[0]}-{b[1]}"
+            f"sentence {ident} is non-projective: arc {a[0]}-{a[1]} crosses arc {b[0]}-{b[1]}"
         )
-    root = _render_subtree(sent.constituents(), sent.root())
-    return f'<tree label="sent"><tree label="root">{root}</tree></tree>'
+    rendered: dict[int, str] = {}
+    for node in reversed(order):
+        parts = []
+        for item in sorted(children[node] + [node]):
+            tok = sent.tokens[item - 1]
+            if item == node:
+                parts.append(f'<tree label="{_escape(tok.xpos)}">{_escape(tok.form)}</tree>')
+            else:
+                parts.append(f'<tree label="{_escape(tok.deprel)}">{rendered.pop(item)}</tree>')
+        rendered[node] = "".join(parts)
+    return f'<tree label="sent"><tree label="root">{rendered[order[0]]}</tree></tree>'
 
 
 def _unescape(text: str) -> str:
@@ -434,7 +425,7 @@ def parse_nested_tree(line: str, sent_id: str = "") -> DepSentence:
         pos = nxt
     if pos != len(line.strip()):
         raise ConlluError(f"trailing data after tree at offset {pos}")
-    return DepSentence(sent_id=sent_id, text=" ".join(t.form for t in tokens), tokens=tokens)
+    return DepSentence(sent_id=sent_id, tokens=tokens)
 
 
 def parse_nested_tree_file(text: str) -> list[DepSentence]:

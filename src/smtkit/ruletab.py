@@ -6,6 +6,12 @@ phrase pair of at most MAX_SPAN (10) words a side and replace them with
 co-indexed gap nonterminals, under the usual constraints: at most MAX_NT (2)
 nonterminals, never adjacent on the source side, at most MAX_SRC_SYMBOLS (5)
 source symbols, at least one source terminal.
+
+Tree rules are read off the walk that `deptree.tree_walk` gives a source
+tree, under `deptree.node_label`'s labels; a tree that is not projective
+(`deptree.yields_contiguous`) gives no rules. A hier gap and a tree
+variable are one named tuple, `NT`; a tree variable, `Var`, is an `NT`
+that prints under its own name.
 """
 
 from __future__ import annotations
@@ -13,19 +19,19 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .align import TTable
 from .corpus import SentencePair
-from .deptree import DepSentence
+from .deptree import DepSentence, node_label, tree_walk, yields_contiguous
 from .phrasetab import (
     PhraseError, _fmt_num, _lex_weight, extract_phrases, finite_floats, parse_lines, probabilities,
 )
 
 
-@dataclass(frozen=True)
-class NT:
-    """A gap nonterminal; index pairs source and target occurrences."""
+class NT(NamedTuple):
+    """A gap nonterminal or variable; index pairs source and target
+    occurrences."""
 
     index: int
     label: str = "X"
@@ -260,10 +266,10 @@ def read_rule_table(text: str) -> list[RuleEntry]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Var:
-    index: int
-    label: str
+class Var(NT):
+    """A tree rule's variable: an `NT` that prints under its own name."""
+
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
@@ -289,11 +295,6 @@ class TreeRule:
         return (self.fragment, self.target)
 
 
-def _node_label(sent: DepSentence, tok_id: int) -> str:
-    tok = sent.tokens[tok_id - 1]
-    return "root" if tok.head == 0 else tok.deprel
-
-
 def _word_text(word: str) -> str:
     """A fragment's terminal word as written: `w:word`, or, for a word with a
     parenthesis (which would end the fragment), `w=` and the word with `%`,
@@ -311,13 +312,11 @@ def _tree_rule_keys(pair: SentencePair, links) -> list[tuple[str, tuple]] | None
     each keyed as (its fragment's text, its target side with each variable
     as its index); None when the source tree is not projective.
 
-    One bottom-up pass gives each node the source extent and size of its
-    yield, and the number and target span of the links from inside it. The
-    tree is projective iff every yield is contiguous (its extent equals its
-    size). A node is a frontier node iff it has inside links and no other
-    link falls in their target span, i.e. iff the links into that span are
-    as many as its inside links. A link from beyond the tree is inside no
-    yield.
+    One bottom-up pass over the tree's walk gives each node the number and
+    target span of the links from inside its yield. A node is a frontier
+    node iff it has inside links and no other link falls in their target
+    span, i.e. iff the links into that span are as many as its inside
+    links. A link from beyond the tree is inside no yield.
     """
     sent: DepSentence = pair.source_tree
     if sent is None:
@@ -325,13 +324,6 @@ def _tree_rule_keys(pair: SentencePair, links) -> list[tuple[str, tuple]] | None
     tokens = sent.tokens
     n = len(tokens)
     target = pair.target
-    heads = [0] + [tok.head for tok in tokens]
-    children: list[list[int]] = [[] for _ in range(n + 1)]  # children[0] holds the root
-    for tok in tokens:
-        children[tok.head].append(tok.id)
-    order = list(children[0])
-    for node in order:  # breadth first, so every node comes after its head
-        order.extend(children[node])
 
     inside = [0] * (n + 1)
     lo = [len(target)] * (n + 1)
@@ -347,34 +339,29 @@ def _tree_rule_keys(pair: SentencePair, links) -> list[tuple[str, tuple]] | None
             hi[i + 1] = max(hi[i + 1], j)
     for j in range(len(target)):
         before[j + 1] += before[j]
-
-    first = list(range(n + 1))
-    last = list(range(n + 1))
-    size = [1] * (n + 1)
+    walk = tree_walk(sent)
+    if walk is None or not yields_contiguous(sent, walk[1]):
+        return None
+    children, order = walk
     for node in reversed(order):
-        if last[node] - first[node] + 1 != size[node]:
-            return None
-        head = heads[node]
+        head = tokens[node - 1].head
         if head:
             inside[head] += inside[node]
             lo[head] = min(lo[head], lo[node])
             hi[head] = max(hi[head], hi[node])
-            first[head] = min(first[head], first[node])
-            last[head] = max(last[head], last[node])
-            size[head] += size[node]
     frontier = [
         inside[node] > 0 and before[hi[node] + 1] - before[lo[node]] == inside[node]
         for node in range(n + 1)
     ]
 
     def fragment(node: int, variables: list[int]) -> str:
-        parts = ["(" + _node_label(sent, node)]
+        parts = ["(" + node_label(tokens[node - 1])]
         for item in sorted(children[node] + [node]):
             if item == node:
                 parts.append(_word_text(tokens[node - 1].form))
             elif frontier[item]:
                 variables.append(item)
-                parts.append(f"#{len(variables)}:{_node_label(sent, item)}")
+                parts.append(f"#{len(variables)}:{node_label(tokens[item - 1])}")
             else:
                 parts.append(fragment(item, variables))
         return " ".join(parts) + ")"
@@ -385,7 +372,7 @@ def _tree_rule_keys(pair: SentencePair, links) -> list[tuple[str, tuple]] | None
             continue
         variables: list[int] = []
         text = fragment(node, variables)
-        j, end = (0, len(target) - 1) if heads[node] == 0 else (lo[node], hi[node])
+        j, end = (0, len(target) - 1) if node == order[0] else (lo[node], hi[node])
         # the variables' target spans are disjoint: each one's links lie
         # outside every other one's yield
         slots = {lo[v]: (hi[v], index) for index, v in enumerate(variables, start=1)}
@@ -402,12 +389,9 @@ def _tree_rule_keys(pair: SentencePair, links) -> list[tuple[str, tuple]] | None
     return keys
 
 
-def _tree_rule(key: tuple[str, tuple]) -> TreeRule:
-    """The rule a `_tree_rule_keys` key stands for."""
-    text, target = key
-    return TreeRule(
-        _read_fragment(text), tuple(Var(t, "") if isinstance(t, int) else t for t in target)
-    )
+def _target(target: tuple) -> tuple:
+    """A rule key's target side with each variable index as a `Var`."""
+    return tuple(Var(t, "") if isinstance(t, int) else t for t in target)
 
 
 def extract_tree_rules(
@@ -417,7 +401,10 @@ def extract_tree_rules(
 
     Skips (returns nothing for) non-projective trees; the caller warns.
     """
-    return [_tree_rule(key) for key in _tree_rule_keys(pair, links) or ()]
+    return [
+        TreeRule(_read_fragment(text), _target(target))
+        for text, target in _tree_rule_keys(pair, links) or ()
+    ]
 
 
 def _count_tree_rules(
@@ -463,26 +450,27 @@ def build_tree_rule_table(
         skipped += shard_skipped
         for key, n in counts.items():
             joint[key] = joint.get(key, 0) + n
-    rules = {key: _tree_rule(key) for key in joint}
+    keyed = [(_read_fragment(text), target, n) for (text, target), n in joint.items()]
     label_totals: dict[str, int] = {}
     tgt_totals: dict[tuple, int] = {}
-    for key, n in joint.items():
-        label = rules[key].fragment.label
-        label_totals[label] = label_totals.get(label, 0) + n
-        tgt_totals[key[1]] = tgt_totals.get(key[1], 0) + n
+    for fragment, target, n in keyed:
+        label_totals[fragment.label] = label_totals.get(fragment.label, 0) + n
+        tgt_totals[target] = tgt_totals.get(target, 0) + n
     table = []
-    for key in sorted(joint, key=lambda k: format_tree_rule(rules[k])):
-        rule = rules[key]
-        count = float(joint[key])
-        label_total = float(label_totals[rule.fragment.label])
+    for fragment, target, n in keyed:
+        count = float(n)
+        label_total = float(label_totals[fragment.label])
         table.append(
             TreeRule(
-                rule.fragment,
-                rule.target,
-                scores=(count / tgt_totals[key[1]], 1.0, count / label_total, 1.0),
+                fragment,
+                _target(target),
+                scores=(count / tgt_totals[target], 1.0, count / label_total, 1.0),
                 counts=(count, label_total),
             )
         )
+    # the lines of two distinct keys differ before their scores, so these
+    # never decide the order
+    table.sort(key=format_tree_rule)
     return table, skipped
 
 

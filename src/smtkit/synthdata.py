@@ -119,8 +119,7 @@ def source_tree(sentence: list[str], sent_id: str) -> DepSentence:
         else:  # sentence-final period
             head, deprel, xpos = verb_position + 1, "punct", "."
         tokens.append(DepToken(i + 1, word, lemma=word, xpos=xpos, head=head, deprel=deprel))
-    text = " ".join(sentence)
-    return DepSentence(sent_id, text, tokens, [f"# sent_id = {sent_id}", f"# text = {text}"])
+    return DepSentence(sent_id, tokens, [f"# sent_id = {sent_id}", f"# text = {' '.join(sentence)}"])
 
 
 def write_trees(path: str, sentences: list[list[str]], prefix: str) -> None:

@@ -6,7 +6,7 @@ import pytest
 
 from smtkit import align, cli, lm, phrasetab, ruletab, tune
 from smtkit.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, PipelineConfig, main
-from smtkit.deptree import write_conllu
+from smtkit.deptree import parse_conllu, to_nested_tree, write_conllu
 from smtkit.synthdata import write_fixture_tree
 from test_deptree import chain_sentence
 from test_readers import BAD_RULE_LINES, BAD_TREE_RULE_LINES
@@ -561,6 +561,24 @@ class TestDecoderSettings:
             assert got[:2] == want[:2]
             assert float(got[3]) == pytest.approx(float(want[3]), abs=1e-9)
 
+    def test_nested_tree_input_decodes_like_its_conllu(self, tiny_fixture, tmp_path):
+        config = write_pipeline_config(
+            tmp_path / "tree.cfg", tiny_fixture, tmp_path / "out", "tree", "tune.enabled = false"
+        )
+        code, _, err = run(["pipeline", "--config", str(config)])
+        assert code == EXIT_OK, err
+        trees = parse_conllu((tiny_fixture / "test.conllu").read_text(encoding="utf-8"))
+        nested = tmp_path / "test.nested"
+        nested.write_text("".join(to_nested_tree(tree) + "\n" for tree in trees), encoding="utf-8")
+        argv = decode_argv("tree", tmp_path / "out", tiny_fixture, "--nbest", "3")
+        code, from_conllu, err = run(argv)
+        assert code == EXIT_OK, err
+        # the last --input wins
+        code, from_nested, err = run(argv + ["--input", str(nested)])
+        assert code == EXIT_OK, err
+        assert len(from_conllu.splitlines()) > len(trees)
+        assert from_nested == from_conllu
+
     def test_tune_reads_each_model_file_once(self, fixture_dir, trained, tmp_path, monkeypatch):
         calls = {"read_arpa": 0, "read_phrase_table": 0}
         for module, name in ((lm, "read_arpa"), (phrasetab, "read_phrase_table")):
@@ -861,6 +879,29 @@ def _exit_code_cases():
                 "decode", "--lm", p["closed_lm"], "--kind", kind, flag, p[table], "--input", p[source]],
             EXIT_OK, [],
         ))
+    # a stack size below 1 is the user's fault: a usage error for the flag,
+    # a config error in a pipeline config
+    for kind, flag, table, size in (
+        ("phrase", "--phrase-table", "table", "-1"), ("phrase", "--phrase-table", "table", "0"),
+        ("hier", "--rule-table", "a_rules", "-1"), ("tree", "--rule-table", "tree_rules", "-1"),
+    ):
+        cases.append((
+            f"decode-{kind}-stack-size-{size}",
+            lambda p, kind=kind, flag=flag, table=table, size=size: [
+                "decode", "--lm", p["lm"], "--kind", kind, flag, p[table],
+                "--input", p["trees" if kind == "tree" else "in"], "--stack-size", size],
+            EXIT_USAGE, [f"--stack-size must be >= 1, got {size}"],
+        ))
+    cases.append((
+        "pipeline-stack-size-below-one",
+        lambda p: ["pipeline", "--config", p["stack_config"]],
+        EXIT_DATA, ["stack.cfg: config: decoder_stack_size must be >= 1, got -1"],
+    ))
+    cases.append((
+        "pipeline-unknown-align-model",
+        lambda p: ["pipeline", "--config", p["model7_config"]],
+        EXIT_DATA, ["model7.cfg: config: align_model must be one of (1, 2)"],
+    ))
     cases.append((
         "jobs-below-one",
         lambda p: ["--jobs", "0", "train-align", "--source", p["train_src"],
@@ -1001,6 +1042,11 @@ class TestExitCodeTable:
         (root / "bad-int.cfg").write_text(
             "decoder.kind = phrase\ndecoder.stack_size = abc\n", encoding="utf-8"
         )
+        (root / "stack.cfg").write_text("decoder.kind = phrase\ndecoder.stack_size = -1\n", encoding="utf-8")
+        (root / "model7.cfg").write_text("align.model = 7\n", encoding="utf-8")
+        (root / "a-rules.txt").write_text(
+            "a [X] ||| b [X] ||| 1 1 1 1 ||| 0-0 ||| 1 1 1\n" + glue, encoding="utf-8"
+        )
         (root / "bad-scores.csv").write_text("1, 4, 5\n2, x, 3\n", encoding="utf-8")
         return {
             "lm": str(trained / "lm.arpa"),
@@ -1046,6 +1092,9 @@ class TestExitCodeTable:
             "short_links": str(root / "short.links"),
             "short_config": str(root / "short.cfg"),
             "bad_int_config": str(root / "bad-int.cfg"),
+            "stack_config": str(root / "stack.cfg"),
+            "model7_config": str(root / "model7.cfg"),
+            "a_rules": str(root / "a-rules.txt"),
             "bad_scores": str(root / "bad-scores.csv"),
             "links": str(root / "all.links"),
             "bad_links": str(root / "bad.links"),

@@ -822,6 +822,17 @@ class TestOrientationsAgainstExtraction:
                         expected += math.log10(max(entry.backward[backward], 1e-30))
                 assert hyp.features["reordering"] == pytest.approx(expected, abs=1e-9)
 
+    def test_equal_distributions_share_one_log_table(self):
+        table = random_phrase_table()
+        forward = {"monotone": 0.5, "swap": 0.25, "discontinuous": 0.25}
+        backward = dict(forward, swap=0.125)
+        reorder = [ReorderingEntry(e.src, e.tgt, dict(forward), dict(backward)) for e in table[:2]]
+        models = PhraseModels(table, random_lm(), reorder)
+        first, second = (models.reordering_logs((e.src, e.tgt)) for e in table[:2])
+        assert first[0] is second[0] and first[1] is second[1]
+        assert first[0]["disc-left"] == first[0]["disc-right"] == math.log10(0.25)
+        assert first[1]["swap"] == math.log10(0.125)
+
 
 def reorder_rule_fixture():
     lm = train_lm([["जात", "हऽ", "ऊ"], ["ऊ", "जात", "हऽ"]], order=2)
