@@ -3,9 +3,9 @@
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal invariant
 violation. All stochastic choices run off a single --seed. --jobs N spreads
 independent work over N processes (`_fork_map`): the two alignment
-directions, the rule counts of tree-rule extraction, and the sentences of
-the pipeline's test and MERT decodes and of `decode`, `translate` and
-`tune`. No output byte depends on --jobs.
+directions, the rule counts of hier and tree rule extraction, and the
+sentences of the pipeline's test and MERT decodes and of `decode`,
+`translate` and `tune`. No output byte depends on --jobs.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import os
 import signal
 import sys
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable
 
 from . import __version__, align, corpus, deptree, evaluate, lm, phrasetab, ruletab, tune
@@ -254,10 +255,11 @@ class PipelineConfig:
         for attr, values in closed.items():
             if getattr(self, attr) not in values:
                 raise corpus.CorpusError(f"config: {attr} must be one of {values}")
-        if self.decoder_stack_size < 1:
-            raise corpus.CorpusError(
-                f"config: decoder_stack_size must be >= 1, got {self.decoder_stack_size}"
-            )
+        least = {"decoder_stack_size": 1, "decoder_distortion_limit": 0, "decoder_nbest": 1,
+                 "tune_iterations": 1, "tune_nbest": 1}
+        for attr, low in least.items():
+            if getattr(self, attr) < low:
+                raise corpus.CorpusError(f"config: {attr} must be >= {low}, got {getattr(self, attr)}")
         for attr in ("train_source", "train_target", "dev_source", "dev_target",
                      "test_source", "test_target", "mono_target", "train_trees",
                      "dev_trees", "test_trees"):
@@ -487,9 +489,7 @@ def _attach_trees(pairs, path: str) -> None:
 def _tree_rule_table(pairs, links, jobs: int) -> list:
     """The tree-rule table of the pairs, counted across `jobs` processes;
     warns of the non-projective sentences it skipped."""
-    table, skipped = ruletab.build_tree_rule_table(
-        pairs, links, jobs, lambda count, shards: _fork_map(jobs, count, shards)
-    )
+    table, skipped = ruletab.build_tree_rule_table(pairs, links, jobs, partial(_fork_map, jobs))
     if skipped:
         print(f"warning: skipped {skipped} non-projective sentences", file=sys.stderr)
     return table
@@ -501,7 +501,7 @@ def cmd_extract_rules(args) -> int:
     if args.kind == "hier":
         fwd = _read_file(align.read_ttable, args.ttable_fwd)
         bwd = _read_file(align.read_ttable, args.ttable_bwd)
-        table = ruletab.build_rule_table(pairs, links, fwd, bwd)
+        table = ruletab.build_rule_table(pairs, links, fwd, bwd, args.jobs, partial(_fork_map, args.jobs))
         _write(args.output, ruletab.write_rule_table(table))
     else:
         _attach_trees(pairs, args.trees)
@@ -815,7 +815,7 @@ def cmd_pipeline(args) -> int:
             _write(out("reordering-table.txt"), phrasetab.reordering_table_lines(reordering))
             artifacts["reordering"] = "reordering-table.txt"
     elif config.decoder_kind == "hier":
-        table = ruletab.build_rule_table(pairs, links, fwd, bwd)
+        table = ruletab.build_rule_table(pairs, links, fwd, bwd, args.jobs, partial(_fork_map, args.jobs))
         _write(out("rule-table.txt"), ruletab.write_rule_table(table))
         artifacts["rule_table"] = "rule-table.txt"
     else:
@@ -903,8 +903,8 @@ def build_parser() -> _Parser:
     parser.add_argument(
         "--jobs", type=int, default=1,
         help="processes; 2 or more train the two alignment directions side by side "
-        "and split tree-rule extraction and every batch of sentences to decode "
-        "(outputs never depend on it)",
+        "and split the rule counts of hier and tree extraction and every batch of "
+        "sentences to decode (outputs never depend on it)",
     )
     sub = parser.add_subparsers(dest="command")
 
@@ -1026,10 +1026,13 @@ def main(argv: list[str] | None = None) -> int:
         if not getattr(args, "command", None):
             parser.print_usage(sys.stderr)
             return EXIT_USAGE
-        if args.jobs < 1:
-            raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
-        if getattr(args, "stack_size", 1) < 1:
-            raise UsageError(f"--stack-size must be >= 1, got {args.stack_size}")
+        least = {"jobs": 1, "stack_size": 1, "distortion_limit": 0, "nbest": 1}
+        if args.command == "tune":  # train-align's own --iterations check is a data error
+            least["iterations"] = 1
+        for name, low in least.items():
+            value = getattr(args, name, low)
+            if value < low:
+                raise UsageError(f"--{name.replace('_', '-')} must be >= {low}, got {value}")
         return args.func(args)
     except UsageError as exc:
         print(f"smtkit: error: {exc}", file=sys.stderr)

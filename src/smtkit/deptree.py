@@ -116,12 +116,6 @@ class DepSentence:
     # (index of the token line they precede, raw line).
     extra_rows: list[tuple[int, str]] = field(default_factory=list)
 
-    def forms(self) -> list[str]:
-        return [t.form for t in self.tokens]
-
-    def root(self) -> DepToken:
-        return next(t for t in self.tokens if t.head == 0)
-
 
 def node_label(tok: DepToken) -> str:
     """A tree node's label, for rules and decoding alike: `root` for the

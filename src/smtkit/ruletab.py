@@ -12,6 +12,10 @@ tree, under `deptree.node_label`'s labels; a tree that is not projective
 (`deptree.yields_contiguous`) gives no rules. A hier gap and a tree
 variable are one named tuple, `NT`; a tree variable, `Var`, is an `NT`
 that prints under its own name.
+
+Both tables are counted by `_count_rules` on plain keys, which write a gap
+or variable as its index, in slices that the CLI spreads over `--jobs`
+processes; a rule object is built once per distinct key.
 """
 
 from __future__ import annotations
@@ -56,8 +60,9 @@ MAX_SPAN = 10  # longest initial phrase, on either side
 
 
 def _side(words: list[str], start: int, end: int, holes: dict[int, tuple[int, int]]):
-    """words[start..end] with each hole {start: (end, index)} written as
-    NT(index), and the position in that side of each kept word and hole."""
+    """words[start..end] with each hole {start: (end, index)} written as its
+    index, and the position in that side of each kept word and hole; a hier
+    rule's side or a tree rule's target side."""
     rhs: list = []
     at: dict[int, int] = {}
     p = start
@@ -68,15 +73,17 @@ def _side(words: list[str], start: int, end: int, holes: dict[int, tuple[int, in
             rhs.append(words[p])
             p += 1
         else:
-            rhs.append(NT(hole[1]))
+            rhs.append(hole[1])
             p = hole[0] + 1
     return tuple(rhs), at
 
 
-def extract_hier_rules(pair: SentencePair, links: set[tuple[int, int]]) -> list[RuleEntry]:
-    """Hierarchical rules from one sentence pair, deduplicated."""
+def _hier_rule_keys(pair: SentencePair, links) -> set[tuple[tuple, tuple]]:
+    """The hierarchical rules of one sentence pair, each keyed as (its source
+    side, its target side) with each gap as its index, and each with its
+    sorted links; a key found with several link sets comes with each."""
     initial = extract_phrases(pair, links, MAX_SPAN)
-    rules: set[RuleEntry] = set()
+    rules: set[tuple[tuple, tuple]] = set()
     for outer in initial:
         (i1, i2), (j1, j2) = outer
         # the other initial pairs inside this one, sorted as `initial` is, so
@@ -104,20 +111,30 @@ def extract_hier_rules(pair: SentencePair, links: set[tuple[int, int]]) -> list[
             alignment.update(
                 (src_at[i], tgt_at[j]) for i, j in links if i in src_at and j in tgt_at
             )
-            rules.add(RuleEntry("X", src_rhs, tgt_rhs, alignment=frozenset(alignment)))
-    return sorted(rules, key=_rule_sort_key)
+            rules.add(((src_rhs, tgt_rhs), tuple(sorted(alignment))))
+    return rules
 
 
-def _rule_sort_key(rule: RuleEntry):
-    """Rules in key order; one key found with several alignments in a
-    sentence puts its smallest link list first, which the table keeps."""
+def _symbols(side: tuple, nt: type = NT, label: str = "X") -> tuple:
+    """A rule key's side with each gap or variable index as an `nt`."""
+    return tuple(nt(s, label) if isinstance(s, int) else s for s in side)
 
-    def side(symbols):
-        return tuple(
-            (1, s.index, s.label) if isinstance(s, NT) else (0, 0, s) for s in symbols
+
+def _rule_sort_key(key: tuple) -> tuple:
+    """A hier rule key's place in the table: side by side, a word before a
+    gap, words by their text and gaps by their index."""
+    return tuple(tuple((1, s) if isinstance(s, int) else (0, s) for s in side) for side in key)
+
+
+def extract_hier_rules(pair: SentencePair, links: set[tuple[int, int]]) -> list[RuleEntry]:
+    """Hierarchical rules from one sentence pair, deduplicated, in key order
+    and a key's link sets from the smallest."""
+    return [
+        RuleEntry("X", _symbols(src), _symbols(tgt), alignment=frozenset(alignment))
+        for (src, tgt), alignment in sorted(
+            _hier_rule_keys(pair, links), key=lambda rule: (_rule_sort_key(rule[0]), rule[1])
         )
-
-    return (rule.lhs, side(rule.src_rhs), side(rule.tgt_rhs), sorted(rule.alignment))
+    ]
 
 
 def glue_rules() -> list[RuleEntry]:
@@ -133,21 +150,46 @@ def glue_rules() -> list[RuleEntry]:
     ]
 
 
-def _rule_lex_weights(
-    rule: RuleEntry, ttable_fwd: TTable, ttable_bwd: TTable
-) -> tuple[float, float]:
-    """Lexical weights over terminal links only."""
-    term_links = [
-        (i, j)
-        for i, j in rule.alignment
-        if not isinstance(rule.src_rhs[i], NT) and not isinstance(rule.tgt_rhs[j], NT)
-    ]
+def _count_rules(
+    rule_keys: Callable,
+    pairs: list[SentencePair],
+    link_sets: list[set[tuple[int, int]]],
+    shards: int = 1,
+    map_shards: Callable | None = None,
+) -> tuple[dict[tuple, list], int]:
+    """{key: [occurrences, smallest (sentence number, links)]} over the
+    rules that `rule_keys(pair, links)` gives as (key, links), and the number
+    of pairs it skips by giving None.
 
-    lex_t_given_s = _lex_weight(rule.tgt_rhs, rule.src_rhs, term_links, ttable_fwd)
-    lex_s_given_t = _lex_weight(
-        rule.src_rhs, rule.tgt_rhs, [(j, i) for i, j in term_links], ttable_bwd
-    )
-    return lex_s_given_t, lex_t_given_s
+    The pairs are counted in `shards` round-robin slices by
+    `map_shards(count, slices)`, which returns [count(s) for s in slices]
+    (in this process when None; the CLI passes one that spreads the slices
+    over processes, so a slice's counts are plain data). The result does
+    not depend on the slicing.
+    """
+    shards = max(1, min(shards, len(pairs)))
+
+    def count(shard: int):
+        counts: dict[tuple, list] = {}
+        skipped = 0
+        for number in range(shard, len(pairs), shards):
+            rules = rule_keys(pairs[number], link_sets[number])
+            skipped += rules is None
+            for key, links in rules or ():
+                seen = counts.setdefault(key, [0, (number, links)])
+                seen[0] += 1
+                seen[1] = min(seen[1], (number, links))
+        return counts, skipped
+
+    joint: dict[tuple, list] = {}
+    skipped = 0
+    for counts, shard_skipped in (map_shards or map)(count, list(range(shards))):
+        skipped += shard_skipped
+        for key, (n, first) in counts.items():
+            seen = joint.setdefault(key, [0, first])
+            seen[0] += n
+            seen[1] = min(seen[1], first)
+    return joint, skipped
 
 
 def build_rule_table(
@@ -155,34 +197,34 @@ def build_rule_table(
     link_sets: list[set[tuple[int, int]]],
     ttable_fwd: TTable,
     ttable_bwd: TTable,
+    shards: int = 1,
+    map_shards: Callable | None = None,
 ) -> list[RuleEntry]:
-    """Aggregate per-sentence rules into a scored rule table, glue rules last."""
-    joint: dict[tuple, float] = {}
-    by_rule: dict[tuple, RuleEntry] = {}
-    src_totals: dict[tuple, float] = {}
-    tgt_totals: dict[tuple, float] = {}
-    for pair, links in zip(pairs, link_sets):
-        for rule in extract_hier_rules(pair, links):
-            key = rule.key()
-            joint[key] = joint.get(key, 0.0) + 1.0
-            by_rule.setdefault(key, rule)
-            src_totals[(rule.lhs, rule.src_rhs)] = src_totals.get((rule.lhs, rule.src_rhs), 0.0) + 1.0
-            tgt_totals[(rule.lhs, rule.tgt_rhs)] = tgt_totals.get((rule.lhs, rule.tgt_rhs), 0.0) + 1.0
-
+    """The scored hier rules of the pairs in key order, glue rules last.
+    A rule keeps its smallest links in the first sentence that has it. The
+    pairs are counted as `_count_rules` says."""
+    joint, _ = _count_rules(_hier_rule_keys, pairs, link_sets, shards, map_shards)
+    src_totals: dict[tuple, int] = {}
+    tgt_totals: dict[tuple, int] = {}
+    for (src, tgt), (n, _) in joint.items():
+        src_totals[src] = src_totals.get(src, 0) + n
+        tgt_totals[tgt] = tgt_totals.get(tgt, 0) + n
     table = []
-    for key in sorted(joint, key=lambda k: _rule_sort_key(by_rule[k])):
-        rule = by_rule[key]
-        count = joint[key]
-        count_src = src_totals[(rule.lhs, rule.src_rhs)]
-        count_tgt = tgt_totals[(rule.lhs, rule.tgt_rhs)]
-        lex_s_given_t, lex_t_given_s = _rule_lex_weights(rule, ttable_fwd, ttable_bwd)
+    for key in sorted(joint, key=_rule_sort_key):
+        src, tgt = key
+        n, (_, alignment) = joint[key]
+        count, count_src, count_tgt = float(n), float(src_totals[src]), float(tgt_totals[tgt])
+        # lexical weights over the links between words, not gaps
+        words = [(i, j) for i, j in alignment if isinstance(src[i], str) and isinstance(tgt[j], str)]
+        lex_t_given_s = _lex_weight(tgt, src, words, ttable_fwd)
+        lex_s_given_t = _lex_weight(src, tgt, [(j, i) for i, j in words], ttable_bwd)
         table.append(
             RuleEntry(
-                rule.lhs,
-                rule.src_rhs,
-                rule.tgt_rhs,
+                "X",
+                _symbols(src),
+                _symbols(tgt),
                 scores=(count / count_tgt, lex_s_given_t, count / count_src, lex_t_given_s),
-                alignment=rule.alignment,
+                alignment=frozenset(alignment),
                 counts=(count_tgt, count_src, count),
             )
         )
@@ -307,10 +349,11 @@ def _word_text(word: str) -> str:
 _ESCAPED = re.compile("%2[589]")
 
 
-def _tree_rule_keys(pair: SentencePair, links) -> list[tuple[str, tuple]] | None:
+def _tree_rule_keys(pair: SentencePair, links) -> list[tuple[tuple[str, tuple], tuple]] | None:
     """The minimal frontier-node rules of one sentence pair, in token order,
     each keyed as (its fragment's text, its target side with each variable
-    as its index); None when the source tree is not projective.
+    as its index), and each with no links, (); None when the source tree is
+    not projective.
 
     One bottom-up pass over the tree's walk gives each node the number and
     target span of the links from inside its yield. A node is a frontier
@@ -372,26 +415,12 @@ def _tree_rule_keys(pair: SentencePair, links) -> list[tuple[str, tuple]] | None
             continue
         variables: list[int] = []
         text = fragment(node, variables)
-        j, end = (0, len(target) - 1) if node == order[0] else (lo[node], hi[node])
+        start, end = (0, len(target) - 1) if node == order[0] else (lo[node], hi[node])
         # the variables' target spans are disjoint: each one's links lie
         # outside every other one's yield
-        slots = {lo[v]: (hi[v], index) for index, v in enumerate(variables, start=1)}
-        rhs: list = []
-        while j <= end:
-            slot = slots.get(j)
-            if slot is None:
-                rhs.append(target[j])
-                j += 1
-            else:
-                rhs.append(slot[1])
-                j = slot[0] + 1
-        keys.append((text, tuple(rhs)))
+        holes = {lo[v]: (hi[v], index) for index, v in enumerate(variables, start=1)}
+        keys.append(((text, _side(target, start, end, holes)[0]), ()))
     return keys
-
-
-def _target(target: tuple) -> tuple:
-    """A rule key's target side with each variable index as a `Var`."""
-    return tuple(Var(t, "") if isinstance(t, int) else t for t in target)
 
 
 def extract_tree_rules(
@@ -402,26 +431,9 @@ def extract_tree_rules(
     Skips (returns nothing for) non-projective trees; the caller warns.
     """
     return [
-        TreeRule(_read_fragment(text), _target(target))
-        for text, target in _tree_rule_keys(pair, links) or ()
+        TreeRule(_read_fragment(text), _symbols(target, Var, ""))
+        for (text, target), _ in _tree_rule_keys(pair, links) or ()
     ]
-
-
-def _count_tree_rules(
-    pairs: list[SentencePair], link_sets: list[set[tuple[int, int]]]
-) -> tuple[dict[tuple[str, tuple], int], int]:
-    """How often each rule key occurs in the pairs, and the number of
-    non-projective pairs skipped: plain data, so that it can cross a pipe."""
-    counts: dict[tuple[str, tuple], int] = {}
-    skipped = 0
-    for pair, links in zip(pairs, link_sets):
-        keys = _tree_rule_keys(pair, links)
-        if keys is None:
-            skipped += 1
-            continue
-        for key in keys:
-            counts[key] = counts.get(key, 0) + 1
-    return counts, skipped
 
 
 def build_tree_rule_table(
@@ -432,25 +444,11 @@ def build_tree_rule_table(
 ) -> tuple[list[TreeRule], int]:
     """Aggregate tree rules; relative frequency over root labels.
 
-    Returns the table and the number of skipped non-projective sentences.
-    The pairs are counted in `shards` round-robin slices by
-    `map_shards(count, slices)`, which returns [count(s) for s in slices]
-    (in this process when None; the CLI passes one that spreads the slices
-    over processes). Counts are whole numbers and the table is sorted by its
-    text, so the table does not depend on the slicing.
+    Returns the table, sorted by its text, and the number of skipped
+    non-projective sentences. The pairs are counted as `_count_rules` says.
     """
-    shards = max(1, min(shards, len(pairs)))
-
-    def count_shard(shard: int):
-        return _count_tree_rules(pairs[shard::shards], link_sets[shard::shards])
-
-    joint: dict[tuple[str, tuple], int] = {}
-    skipped = 0
-    for counts, shard_skipped in (map_shards or map)(count_shard, list(range(shards))):
-        skipped += shard_skipped
-        for key, n in counts.items():
-            joint[key] = joint.get(key, 0) + n
-    keyed = [(_read_fragment(text), target, n) for (text, target), n in joint.items()]
+    joint, skipped = _count_rules(_tree_rule_keys, pairs, link_sets, shards, map_shards)
+    keyed = [(_read_fragment(text), target, n) for (text, target), (n, _) in joint.items()]
     label_totals: dict[str, int] = {}
     tgt_totals: dict[tuple, int] = {}
     for fragment, target, n in keyed:
@@ -463,7 +461,7 @@ def build_tree_rule_table(
         table.append(
             TreeRule(
                 fragment,
-                _target(target),
+                _symbols(target, Var, ""),
                 scores=(count / tgt_totals[target], 1.0, count / label_total, 1.0),
                 counts=(count, label_total),
             )

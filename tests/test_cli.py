@@ -897,6 +897,39 @@ def _exit_code_cases():
         lambda p: ["pipeline", "--config", p["stack_config"]],
         EXIT_DATA, ["stack.cfg: config: decoder_stack_size must be >= 1, got -1"],
     ))
+    # so is an n-best size or a tuning iteration count below 1, or a
+    # distortion limit below 0
+    for kind, flag, table, option, value, low in (
+        ("phrase", "--phrase-table", "table", "--nbest", "0", 1),
+        ("phrase", "--phrase-table", "table", "--nbest", "-2", 1),
+        ("tree", "--rule-table", "tree_rules", "--nbest", "0", 1),
+        ("phrase", "--phrase-table", "table", "--distortion-limit", "-1", 0),
+    ):
+        cases.append((
+            f"decode-{kind}-{option[2:]}-{value}",
+            lambda p, kind=kind, flag=flag, table=table, option=option, value=value: [
+                "decode", "--lm", p["lm"], "--kind", kind, flag, p[table],
+                "--input", p["trees" if kind == "tree" else "in"], option, value],
+            EXIT_USAGE, [f"{option} must be >= {low}, got {value}"],
+        ))
+    for option in ("--iterations", "--nbest"):
+        cases.append((
+            f"tune-{option[2:]}-0",
+            lambda p, option=option: [
+                "tune", "--lm", p["lm"], "--phrase-table", p["table"], "--dev-source", p["in"],
+                "--dev-target", p["in"], option, "0"],
+            EXIT_USAGE, [f"{option} must be >= 1, got 0"],
+        ))
+    for key, value, low in (
+        ("decoder.nbest", "0", 1), ("tune.nbest", "-1", 1),
+        ("decoder.distortion_limit", "-3", 0), ("tune.iterations", "0", 1),
+    ):
+        attr = key.replace(".", "_")
+        cases.append((
+            f"pipeline-{key}-{value}",
+            lambda p, attr=attr: ["pipeline", "--config", p[f"{attr}_config"]],
+            EXIT_DATA, [f"{attr}.cfg: config: {attr} must be >= {low}, got {value}"],
+        ))
     cases.append((
         "pipeline-unknown-align-model",
         lambda p: ["pipeline", "--config", p["model7_config"]],
@@ -1044,6 +1077,10 @@ class TestExitCodeTable:
         )
         (root / "stack.cfg").write_text("decoder.kind = phrase\ndecoder.stack_size = -1\n", encoding="utf-8")
         (root / "model7.cfg").write_text("align.model = 7\n", encoding="utf-8")
+        below = {"decoder.nbest": "0", "tune.nbest": "-1", "decoder.distortion_limit": "-3",
+                 "tune.iterations": "0"}
+        for key, value in below.items():
+            (root / f"{key.replace('.', '_')}.cfg").write_text(f"{key} = {value}\n", encoding="utf-8")
         (root / "a-rules.txt").write_text(
             "a [X] ||| b [X] ||| 1 1 1 1 ||| 0-0 ||| 1 1 1\n" + glue, encoding="utf-8"
         )
@@ -1094,6 +1131,8 @@ class TestExitCodeTable:
             "bad_int_config": str(root / "bad-int.cfg"),
             "stack_config": str(root / "stack.cfg"),
             "model7_config": str(root / "model7.cfg"),
+            **{f"{key.replace('.', '_')}_config": str(root / f"{key.replace('.', '_')}.cfg")
+               for key in below},
             "a_rules": str(root / "a-rules.txt"),
             "bad_scores": str(root / "bad-scores.csv"),
             "links": str(root / "all.links"),
@@ -1293,23 +1332,27 @@ class TestDecodeJobs:
         if kind == "tree":
             assert outputs["1"]["tree-rule-table.txt"].count(b"\n") > 5
 
-    def test_tree_rule_extraction_bytes_do_not_depend_on_jobs(self, fixture_dir, tmp_path):
+    @pytest.mark.parametrize("kind", ["hier", "tree"])
+    def test_rule_extraction_bytes_do_not_depend_on_jobs(self, fixture_dir, tmp_path, kind):
         links = tmp_path / "train.links"
+        ttables = ["--ttable-fwd", str(tmp_path / "fwd.txt"), "--ttable-bwd", str(tmp_path / "bwd.txt")]
         code, _, err = run(["train-align", "--source", f"{fixture_dir}/train.src",
                             "--target", f"{fixture_dir}/train.tgt", "--iterations", "2",
-                            "--output", str(links)])
+                            "--output", str(links), *ttables])
         assert code == EXIT_OK, err
+        inputs = ttables if kind == "hier" else ["--trees", f"{fixture_dir}/train.conllu"]
         outputs = []
         for jobs in self.JOBS:
             out = tmp_path / f"rules-{jobs}.txt"
             code, _, err = self.run_jobs([
-                "extract-rules", "--kind", "tree", "--source", f"{fixture_dir}/train.src",
+                "extract-rules", "--kind", kind, "--source", f"{fixture_dir}/train.src",
                 "--target", f"{fixture_dir}/train.tgt", "--alignments", str(links),
-                "--trees", f"{fixture_dir}/train.conllu", "--output", str(out)], jobs)
+                *inputs, "--output", str(out)], jobs)
             assert code == EXIT_OK, err
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
-        assert outputs[0].count(b"\n") > 10 and b"(root " in outputs[0]
+        assert outputs[0].count(b"\n") > 10
+        assert (b" [X][X] " if kind == "hier" else b"(root ") in outputs[0]
 
     def test_decode_translate_tune_bytes_do_not_depend_on_jobs(self, trained, fixture_dir, tmp_path):
         model = ["--lm", str(trained / "lm.arpa"), "--phrase-table", str(trained / "phrase-table.txt")]

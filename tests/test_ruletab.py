@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -15,7 +16,9 @@ from smtkit.ruletab import (
     NT,
     TreeRule,
     Var,
-    _count_tree_rules,
+    _count_rules,
+    _hier_rule_keys,
+    _tree_rule_keys,
     build_rule_table,
     build_tree_rule_table,
     extract_hier_rules,
@@ -204,6 +207,34 @@ RULE_TABLE_DIGEST = "4e19f8f247821b87442390b209bd97f3fea77b6e92df562078c3858145a
 def test_rule_table_matches_recorded_digest():
     text = write_rule_table(build_rule_table(*digest_corpus()))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == RULE_TABLE_DIGEST
+
+
+def test_rule_table_does_not_depend_on_link_set_order():
+    # four source words linked to one target word: the sum of their
+    # translation probabilities depends on its order, which is the links'
+    # order, not the order in which the link set was built
+    pair = SentencePair(list("abcd"), ["x"])
+    probs = dict(zip("abcd", (0.1, 0.2, 0.3, 0.7)))
+    fwd, bwd = TTable({s: {"x": p} for s, p in probs.items()}), TTable({"x": probs})
+    tables = {
+        write_rule_table(build_rule_table([pair], [set(order)], fwd, bwd))
+        for order in itertools.permutations([(i, 0) for i in range(4)])
+    }
+    assert len(tables) == 1
+
+
+def test_rule_table_digest_does_not_depend_on_slicing():
+    # the pairs counted in slices, merged in any order, give the same table
+    for shards in (2, 3, 11):
+        calls = []
+
+        def reversed_map(count, slices):
+            calls.append(list(slices))
+            return [count(s) for s in slices][::-1]
+
+        text = write_rule_table(build_rule_table(*digest_corpus(), shards, reversed_map))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == RULE_TABLE_DIGEST
+        assert calls == [list(range(shards))]
 
 
 def chain_tree(links_monotone=True):
@@ -490,9 +521,18 @@ def test_shard_counts_are_plain_data():
     import marshal
 
     pair, links = chain_tree(links_monotone=False)
-    counts, skipped = _count_tree_rules([pair, pair], [links, links])
-    assert marshal.loads(marshal.dumps((counts, skipped))) == (counts, skipped)
-    assert skipped == 0 and set(counts.values()) == {2}
+    for rule_keys in (_hier_rule_keys, _tree_rule_keys):
+        sent = []
+
+        def marshalled(count, slices):
+            sent.extend(count(s) for s in slices)
+            return [marshal.loads(marshal.dumps(counts)) for counts in sent]
+
+        counts, skipped = _count_rules(rule_keys, [pair, pair], [links, links], 2, marshalled)
+        assert [marshal.loads(marshal.dumps(counts)) for counts in sent] == sent
+        assert (counts, skipped) == _count_rules(rule_keys, [pair, pair], [links, links])
+        assert skipped == 0 and {n for n, _ in counts.values()} == {2}
+        assert {number for _, (number, _) in counts.values()} == {0}
 
 
 def test_link_outside_pair_rejected():
