@@ -585,12 +585,16 @@ def _load_decoder(args):
     """decode(source, weights, nbest) over the LM, table and reordering files in args."""
     backend = _BACKENDS[args.kind]
     _require(args, backend.table_option)
-    table = _read_file(backend.read_table, getattr(args, backend.table_option))
+    table_path = getattr(args, backend.table_option)
+    table = _read_file(backend.read_table, table_path)
     model = _read_file(lm.read_arpa, args.lm)
     reordering = None
     if getattr(args, "reordering", None):
         reordering = _read_file(phrasetab.read_reordering_table, args.reordering)
-    models = backend.models(table, model, reordering)
+    try:
+        models = backend.models(table, model, reordering)
+    except DecodeError as exc:  # a table the decoder cannot use
+        raise DataError(f"{table_path}: {exc}") from None
     return _decoder(backend, models, args.stack_size, args.distortion_limit)
 
 
@@ -650,8 +654,17 @@ def _format_nbest(results) -> str:
     return "".join(lines)
 
 
+def _nonblank(sentences: list) -> list:
+    """`sentences`, which must each have a word: an input line without one
+    cannot be decoded."""
+    for number, sentence in enumerate(sentences, 1):
+        if not sentence:
+            raise DecodeError(f"line {number}: cannot decode an empty sentence")
+    return sentences
+
+
 def _decode_inputs(args) -> list:
-    return _read_sources(args.kind, args.input)
+    return _read_sources(args.kind, args.input, lambda text: _nonblank(_split_lines(text)))
 
 
 def cmd_decode(args) -> int:
@@ -663,7 +676,8 @@ def cmd_decode(args) -> int:
 
 def cmd_translate(args) -> int:
     sentences = _read_sources(
-        args.kind, args.input, lambda text: corpus.tokenize(text, args.lang) if text.strip() else []
+        args.kind, args.input,
+        lambda text: _nonblank(corpus.tokenize(text, args.lang)) if text.strip() else [],
     )
     if not sentences:
         _write(args.output, "")

@@ -1,14 +1,21 @@
 """CKY-style chart decoding over a hierarchical rule table with glue rules,
-and the scored derivation item that the chart and tree decoders share.
+and the forest-node fill and scored derivation item that the chart and tree
+decoders share.
 
-An `Item` is LM-integrated (Huang & Chiang 2007, "Forest Rescoring"): it
-carries its score, the LM score of its words without boundaries, the part of
-it that its first order-1 words contribute, and the `lm.LmStates` state its
-words reach. `ItemFactory.compose` builds an item from a rule's target side
-and the items that fill its variables, rescoring only the junction words
-from the end state each sub-item carries, so an item costs O(LM order) LM
-queries per sub-item to combine. Each rule's own features are computed once,
-when the models are built.
+Both decoders build the hypergraph of Huang & Chiang 2007 ("Forest
+Rescoring"). A node's incoming edges each name a builder, its fixed
+arguments and the item lists of its tails, and `fill` turns them into the
+node's ranked items: one item per combination of one item from each tail
+(one `itertools.product`, which cube pruning would replace), then one
+ranking step, `phrase.rank_best`, that recombines and cuts to the beam.
+
+An `Item` is LM-integrated: it carries its score, the LM score of its words
+without boundaries, the part of it that its first order-1 words contribute,
+and the `lm.LmStates` state its words reach. `ItemFactory.compose` builds an
+item from a rule's target side and the items that fill its variables,
+rescoring only the junction words from the end state each sub-item carries,
+so an item costs O(LM order) LM queries per sub-item to combine. Each rule's
+own features are computed once, when the models are built.
 
 Before the cell loop the rules are filtered per sentence (Lopez 2007,
 "Hierarchical Phrase-Based Translation with Suffix Arrays"): only those
@@ -17,14 +24,12 @@ index on each rule's first source terminal finds those without a scan of
 all of them. A cell tries the kept rules that start with its first word and
 the kept NT-initial rules, each group in table order.
 
-Chart items are keyed per cell by (lhs, boundary words); each cell keeps a
-beam. A rule is composed with every combination of the best sub-items of its
-gaps (one `itertools.product`, which cube pruning would replace), and one
-ranking step, `phrase.rank_best`, recombines each cell and cuts it to the
-beam. Glue derivations are left-anchored: S covers a prefix and grows
-monotonically to the right. Sentences that fail to parse fall back to
-glue-concatenating the best per-word lexical rules, which cannot fail thanks
-to verbatim pass-through for uncovered words.
+The table holds X rules with X gaps and the two glue rules, so each chart
+cell is one node: its edges are the rule matches over its span, and its
+items are keyed by their boundary words. A width-1 cell that builds no item
+holds its word passed through verbatim. Glue derivations are left-anchored:
+the node S(0, j) takes X(0, j) as it is and joins every S(0, k) to X(k, j),
+so every sentence has a derivation.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from operator import attrgetter
 
 from ..gcpause import paused_gc
 from ..lm import LmMemo, LmStates, NGramModel
-from ..ruletab import NT, RuleEntry
+from ..ruletab import NT, RuleEntry, format_rule, glue_rules
 from .phrase import (
     OOV_FEATURES,
     DecodeError,
@@ -46,6 +51,8 @@ from .phrase import (
 )
 from .weights import FeatureWeights, add_features
 
+GLUE_KEYS = {rule.key() for rule in glue_rules()}
+
 
 @dataclass
 class ChartModels(LmMemo):
@@ -53,38 +60,50 @@ class ChartModels(LmMemo):
     lm: NGramModel
 
     def __post_init__(self):
-        # (table position, rule, its translation features) of each rule but
-        # the glue ones, by the rule's first source terminal (None: it has
-        # none), so a sentence looks up only the rules its words can start
-        self.by_first_terminal: dict[str | None, list[tuple[int, RuleEntry, dict[str, float]]]] = {}
+        # (table position, rule, its edges' fixed `compose` arguments) of
+        # each rule but the glue ones, by the rule's first source terminal
+        # (None: it has none), so a sentence looks up only the rules its
+        # words can start
+        self.by_first_terminal: dict[str | None, list[tuple[int, RuleEntry, tuple]]] = {}
         has_glue = False
         for position, rule in enumerate(self.rule_table):
-            if rule.lhs == "S":
+            if rule.key() in GLUE_KEYS:
                 has_glue = True
                 continue  # glue applications are built in, not matched
+            if rule.lhs != "X" or any(
+                isinstance(s, NT) and s.label != "X" for s in rule.src_rhs + rule.tgt_rhs
+            ):
+                raise DecodeError(
+                    "only X rules with X gaps and the glue rules can be decoded: "
+                    f"{format_rule(rule)!r}"
+                )
+            # the target with each gap as the position of its tail, in source order
+            gaps = [s.index for s in rule.src_rhs if isinstance(s, NT)]
+            target = tuple(s if isinstance(s, str) else gaps.index(s.index) for s in rule.tgt_rhs)
             first = next((s for s in rule.src_rhs if not isinstance(s, NT)), None)
             self.by_first_terminal.setdefault(first, []).append(
-                (position, rule, translation_features(rule.scores, rule.tgt_rhs))
+                (position, rule, (target, translation_features(rule.scores, rule.tgt_rhs), (rule,)))
             )
         if not has_glue:
             raise DecodeError("rule table is missing the glue rules")
 
-    def candidates(self, sentence: list[str]) -> list[list[tuple[RuleEntry, dict[str, float]]]]:
+    def candidates(self, sentence: list[str]) -> list[list[tuple[RuleEntry, tuple]]]:
         """Per start position of `sentence`, the rules whose source terminals
         occur in `sentence` in order (the only ones that can match any of its
-        spans): those that start with the word there, then the NT-initial
-        ones, each group in table order."""
+        spans), each with its edges' fixed `compose` arguments: those that
+        start with the word there, then the NT-initial ones, each group in
+        table order."""
         kept = sorted(
             entry
             for first in {None, *sentence}
             for entry in self.by_first_terminal.get(first, ())
             if _terminals_in(entry[1], sentence)
         )
-        starting: dict[str, list[tuple[RuleEntry, dict[str, float]]]] = {word: [] for word in sentence}
+        starting: dict[str, list[tuple[RuleEntry, tuple]]] = {word: [] for word in sentence}
         nt_initial = []
-        for _, rule, features in kept:
+        for _, rule, args in kept:
             first = rule.src_rhs[0]
-            (nt_initial if isinstance(first, NT) else starting[first]).append((rule, features))
+            (nt_initial if isinstance(first, NT) else starting[first]).append((rule, args))
         return [starting[word] + nt_initial for word in sentence]
 
 
@@ -103,7 +122,6 @@ class ChartConfig:
 
 @dataclass
 class Item:
-    lhs: str  # the chart's nonterminal, or the tree node's label
     tokens: tuple[str, ...]
     features: dict[str, float]  # without lm
     rules: tuple  # the applied rules, in derivation order
@@ -111,6 +129,15 @@ class Item:
     head_lm: float = 0.0  # portion contributed by the first order-1 words
     score: float = 0.0  # weights.dot(features) + lm weight * prefix_lm
     state: int = 0  # the LmStates state that tokens reach from the empty one
+
+
+def fill(edges, key, beam: int) -> list[Item]:
+    """A forest node's items: for each incoming edge `(build, args, tails)`,
+    `build(*args, *subs)` for every combination `subs` of one item from each
+    of its tails' item lists, the last tail varying fastest; then the best
+    item per `key(item)`, sorted by score and cut to `beam`."""
+    items = [build(*args, *subs) for build, args, tails in edges for subs in product(*tails)]
+    return rank_best(items, key, attrgetter("score"), beam)
 
 
 class ItemFactory:
@@ -121,22 +148,22 @@ class ItemFactory:
         self.weights = weights
 
     def compose(
-        self, lhs: str, target: tuple, base_features: dict, applied_rules: tuple, subs: dict
+        self, target: tuple, base_features: dict, applied_rules: tuple, *subs: Item
     ) -> Item:
         """The item of `target`, whose `str` symbols are words and whose
-        variables (`NT` or `Var`) stand for `subs[variable.index]`.
-        `base_features` are the applied rule's own features and
+        other symbols are positions in `subs`, the items that fill its
+        variables. `base_features` are the applied rule's own features and
         `applied_rules` its part of the derivation."""
-        parts = [s if isinstance(s, str) else subs[s.index] for s in target]
+        parts = [s if isinstance(s, str) else subs[s] for s in target]
         features = dict(base_features)
         rules = applied_rules
         for sub in parts:
             if not isinstance(sub, str):
                 add_features(features, sub.features)
                 rules += sub.rules
-        return self._build(lhs, parts, features, rules)
+        return self._build(parts, features, rules)
 
-    def _build(self, lhs: str, parts: list, features: dict[str, float], rules: tuple) -> Item:
+    def _build(self, parts: list, features: dict[str, float], rules: tuple) -> Item:
         word = self.lm_states.word
         id_of = self.lm_states.lm.vocab.id_of
         cut = self.lm_states.cut
@@ -163,22 +190,18 @@ class ItemFactory:
                     state = part.state
                 tokens += part.tokens
         score = self.weights.dot(features) + self.weights.lm * total
-        return Item(lhs, tokens, features, rules, total, head, score, state)
+        return Item(tokens, features, rules, total, head, score, state)
 
     def glue_join(self, left: Item, right: Item) -> Item:
         features = dict(left.features)
         add_features(features, right.features)
         features["glue"] = features.get("glue", 0.0) - 1.0
-        return self._build("S", [left, right], features, left.rules + right.rules)
-
-    def oov(self, word: str) -> Item:
-        return self.compose("X", (word,), OOV_FEATURES, (), {})
+        return self._build([left, right], features, left.rules + right.rules)
 
     def as_glue(self, item: Item) -> Item:
         features = dict(item.features)
         features["glue"] = features.get("glue", 0.0) - 1.0
-        score = item.score + self.weights.glue * -1.0
-        return replace(item, lhs="S", features=features, score=score)
+        return replace(item, features=features, score=item.score + self.weights.glue * -1.0)
 
 
 def _match_positions(
@@ -215,69 +238,36 @@ def decode_chart(
     n = len(sentence)
     lm_states = models.lm_states()
     factory = ItemFactory(lm_states, weights)
+    compose = factory.compose
     cut = lm_states.cut
+    beam = max(config.cell_beam, 1)
+    # sub-items tried per gap when composing; keeps two-gap rules from
+    # multiplying whole cell beams together
+    compose_beam = max(int(beam ** 0.5), 1)
 
     def boundary(item: Item) -> tuple:  # items that share it recombine
-        return (item.lhs, item.tokens[:cut], item.tokens[-cut:] if cut else ())
+        return (item.tokens[:cut], item.tokens[-cut:] if cut else ())
 
     starting_at = models.candidates(sentence)
-    cells: dict[tuple[int, int], dict[str, list[Item]]] = {}
-    glue: dict[int, list[Item]] = {}  # S items over [0, j)
-    # sub-items tried per nonterminal when composing; keeps two-gap rules
-    # from multiplying whole cell beams together
-    compose_beam = max(int(config.cell_beam ** 0.5), 1)
-
+    cells: dict[tuple[int, int], list[Item]] = {}  # X items per span
     for width in range(1, n + 1):
         for i in range(0, n - width + 1):
             j = i + width
-            found: list[Item] = []
-            for rule, features in starting_at[i]:
-                if len(rule.src_rhs) > width:
-                    continue
-                nts = [s for s in rule.src_rhs if isinstance(s, NT)]
-                for spans in _match_positions(rule.src_rhs, sentence, i, j):
-                    sub_lists = [
-                        cells.get(span, {}).get(nt.label, [])[:compose_beam]
-                        for nt, span in zip(nts, spans)
-                    ]
-                    for combo in product(*sub_lists):
-                        subs = {nt.index: sub for nt, sub in zip(nts, combo)}
-                        found.append(factory.compose(rule.lhs, rule.tgt_rhs, features, (rule,), subs))
-            if width == 1 and not any(item.lhs == "X" for item in found):
-                found.append(factory.oov(sentence[i]))
-            if found:
-                pruned = rank_best(found, boundary, attrgetter("score"), config.cell_beam)
-                by_label: dict[str, list[Item]] = {}
-                for item in pruned:
-                    by_label.setdefault(item.lhs, []).append(item)
-                cells[(i, j)] = by_label
+            # a unary rule's tail is this cell, not yet filled: it builds nothing
+            edges = [
+                (compose, args, [cells.get(span, [])[:compose_beam] for span in spans])
+                for rule, args in starting_at[i]
+                if len(rule.src_rhs) <= width
+                for spans in _match_positions(rule.src_rhs, sentence, i, j)
+            ]
+            items = fill(edges, boundary, beam)
+            if width == 1 and not items:
+                items = [compose((sentence[i],), OOV_FEATURES, ())]
+            cells[(i, j)] = items
 
-    # left-anchored glue pass: S(0,j) = X(0,j) | S(0,k) + X(k,j)
+    glue: list[list[Item]] = [[]]  # S items over [0, j)
     for j in range(1, n + 1):
-        candidates = [factory.as_glue(item) for item in cells.get((0, j), {}).get("X", [])]
-        for k in range(1, j):
-            pairs = product(glue.get(k, []), cells.get((k, j), {}).get("X", []))
-            candidates += [factory.glue_join(left, right) for left, right in pairs]
-        if candidates:
-            glue[j] = rank_best(candidates, boundary, attrgetter("score"), config.cell_beam)
-
-    finals = glue.get(n) or [_fallback(sentence, models, factory)]
-    return rank_nbest(finals, lm_states, weights, config.nbest)
-
-
-def _fallback(sentence: list[str], models: ChartModels, factory: ItemFactory) -> Item:
-    """Monotone concatenation of the best purely lexical rule per word."""
-    item = None
-    for word in sentence:
-        best: Item | None = None
-        for _, rule, features in models.by_first_terminal.get(word, []):
-            if rule.src_rhs == (word,) and not any(isinstance(s, NT) for s in rule.tgt_rhs):
-                candidate = factory.compose(rule.lhs, rule.tgt_rhs, features, (rule,), {})
-                if best is None or candidate.score > best.score:
-                    best = candidate
-        if best is None:
-            best = factory.oov(word)
-        best = factory.as_glue(best)
-        item = best if item is None else factory.glue_join(item, best)
-    assert item is not None
-    return item
+        edges = [(factory.as_glue, (), [cells[(0, j)]])]
+        edges += [(factory.glue_join, (), [glue[k], cells[(k, j)]]) for k in range(1, j)]
+        glue.append(fill(edges, boundary, beam))
+    return rank_nbest(glue[n], lm_states, weights, config.nbest)

@@ -12,35 +12,26 @@ top-level word, so `TreeModels` indexes the rules by (fragment label, head
 word), and a node tries only the rules under its own label and form, in
 table order.
 
-Derivations are the chart decoder's scored items (`chart.Item`). Nodes are
-decoded bottom-up without recursion, only those that a rule variable or the
-pass-through reaches. Both kinds of rule are composed by
-`chart.ItemFactory.compose` over the full product of the k-best lists of the
-rule's variables, which rescores only the junction words from each child
-item's LM state. One ranking step, `phrase.rank_best`, keeps each node's k
-best distinct strings by item score; a lazy k-best combiner would replace
-the product.
+The tree is the chart decoder's hypergraph with one node per reached tree
+node. A top-down pass finds the nodes that a rule variable or the
+pass-through reaches from the root, and each node's incoming edges: a
+matching rule, or the pass-through, with the nodes of its variables as
+tails. A bottom-up pass then fills each node with `chart.fill`, building
+the chart decoder's items (`chart.Item`) with `chart.ItemFactory.compose`
+and keeping the k best distinct strings by item score.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from operator import attrgetter
 
 from ..deptree import DepSentence, DepToken, node_label, tree_walk, yields_contiguous
 from ..gcpause import paused_gc
 from ..lm import LmMemo, NGramModel
 from ..ruletab import Fragment, TreeRule, Var
-from .chart import Item, ItemFactory
-from .phrase import (
-    OOV_FEATURES,
-    DecodeError,
-    DecodedHypothesis,
-    rank_best,
-    rank_nbest,
-    translation_features,
-)
+from .chart import Item, ItemFactory, fill
+from .phrase import OOV_FEATURES, DecodeError, DecodedHypothesis, rank_nbest, translation_features
 from .weights import FeatureWeights
 
 
@@ -50,17 +41,20 @@ class TreeModels(LmMemo):
     lm: NGramModel
 
     def __post_init__(self):
-        # (rule, its translation features) per (fragment label, head word),
-        # in table order. A fragment matches only at a node whose form is its
-        # one top-level word, so a fragment with no such word or with two is
-        # left out: it can never match.
-        self.by_head: dict[tuple[str, str], list[tuple[TreeRule, dict[str, float]]]] = {}
+        # (rule, its edges' fixed `compose` arguments, its target's
+        # variables in order) per (fragment label, head word), in table
+        # order. A fragment matches only at a node whose form is its one
+        # top-level word, so a fragment with no such word or with two is left
+        # out: it can never match.
+        self.by_head: dict[tuple[str, str], list[tuple[TreeRule, tuple, list[int]]]] = {}
         for rule in self.tree_rules:
             words = [item for item in rule.fragment.items if isinstance(item, str)]
             if len(words) == 1:
-                self.by_head.setdefault((rule.fragment.label, words[0]), []).append(
-                    (rule, translation_features(rule.scores, rule.target))
-                )
+                variables = [t.index for t in rule.target if isinstance(t, Var)]
+                slots = [t if isinstance(t, str) else variables.index(t.index) for t in rule.target]
+                args = (tuple(slots), translation_features(rule.scores, rule.target), (rule,))
+                key = (rule.fragment.label, words[0])
+                self.by_head.setdefault(key, []).append((rule, args, variables))
 
 
 @dataclass
@@ -127,41 +121,37 @@ def decode_tree(
     labels = [""] + [node_label(tok) for tok in tokens]
     root = order[0]
 
-    # top-down: at each node that a rule variable or the pass-through
-    # reaches from the root, what to compose (`compose`'s arguments, with
-    # the node of each target variable in place of its item)
+    # top-down: the incoming edges of each node that a rule variable or the
+    # pass-through reaches from the root, as (fixed `compose` arguments,
+    # the node of each target variable)
     plans: dict[int, list[tuple]] = {root: []}
     for tok_id in order:
         plan = plans.get(tok_id)
         if plan is None:
             continue
         label = labels[tok_id]
-        for rule, features in models.by_head.get((label, tokens[tok_id - 1].form), []):
+        for rule, args, variables in models.by_head.get((label, tokens[tok_id - 1].form), []):
             binding = _match_fragment(tokens, labels, constituents, rule.fragment, tok_id)
             if binding is not None:
-                nodes = {t.index: binding[t.index] for t in rule.target if isinstance(t, Var)}
-                plan.append((label, rule.target, features, (rule,), nodes))
+                plan.append((args, [binding[v] for v in variables]))
         if not plan:
             # pass-through, not part of the derivation: the head word among
             # its children, each a variable
             here = constituents[tok_id]
-            target = tuple(tokens[t - 1].form if t == tok_id else Var(t, "") for t in here)
-            nodes = {t: t for t in here if t != tok_id}
-            plan.append((label, target, OOV_FEATURES, (), nodes))
-        for *_, nodes in plan:
-            for node in nodes.values():
+            nodes = [t for t in here if t != tok_id]
+            target = tuple(tokens[t - 1].form if t == tok_id else nodes.index(t) for t in here)
+            plan.append(((target, OOV_FEATURES, ()), nodes))
+        for _, nodes in plan:
+            for node in nodes:
                 plans.setdefault(node, [])
 
-    # bottom-up, the k best distinct strings of each reached node: one item
-    # per combination of the k-best lists of a plan's variables, the last
-    # varying fastest
+    # bottom-up, the k best distinct strings of each reached node
+    compose = factory.compose
+    tokens_of = attrgetter("tokens")
     best: dict[int, list[Item]] = {}
     for tok_id in reversed(order):
-        if tok_id in plans:
-            items = []
-            for label, target, features, applied, nodes in plans[tok_id]:
-                for combo in product(*(best[node] for node in nodes.values())):
-                    subs = dict(zip(nodes, combo))
-                    items.append(factory.compose(label, target, features, applied, subs))
-            best[tok_id] = rank_best(items, attrgetter("tokens"), attrgetter("score"), k)
+        plan = plans.get(tok_id)
+        if plan is not None:
+            edges = [(compose, args, [best[node] for node in nodes]) for args, nodes in plan]
+            best[tok_id] = fill(edges, tokens_of, k)
     return rank_nbest(best[root], lm_states, weights, config.nbest)

@@ -935,6 +935,28 @@ def _exit_code_cases():
         lambda p: ["pipeline", "--config", p["model7_config"]],
         EXIT_DATA, ["model7.cfg: config: align_model must be one of (1, 2)"],
     ))
+    # a rule table the chart decoder cannot use names its file
+    for name, texts in (
+        ("y_rules", ["y-rules.txt: only X rules with X gaps and the glue rules can be decoded",
+                     "[Y][Y] a [X]"]),
+        ("no_glue_rules", ["no-glue-rules.txt: rule table is missing the glue rules"]),
+    ):
+        cases.append((
+            f"decode-hier-{name.replace('_', '-')}",
+            lambda p, name=name: ["decode", "--lm", p["lm"], "--kind", "hier", "--rule-table", p[name],
+                                  "--input", p["a_a"]],
+            EXIT_DATA, texts,
+        ))
+    # so does a blank decoder input line, with its line
+    for command, kind, flag, table in (
+        ("decode", "phrase", "--phrase-table", "table"), ("translate", "hier", "--rule-table", "a_rules"),
+    ):
+        cases.append((
+            f"{command}-{kind}-blank-line",
+            lambda p, command=command, kind=kind, flag=flag, table=table: [
+                command, "--lm", p["lm"], "--kind", kind, flag, p[table], "--input", p["blank_line"]],
+            EXIT_DATA, ["blank-line.txt: line 2: cannot decode an empty sentence"],
+        ))
     cases.append((
         "jobs-below-one",
         lambda p: ["--jobs", "0", "train-align", "--source", p["train_src"],
@@ -1084,6 +1106,14 @@ class TestExitCodeTable:
         (root / "a-rules.txt").write_text(
             "a [X] ||| b [X] ||| 1 1 1 1 ||| 0-0 ||| 1 1 1\n" + glue, encoding="utf-8"
         )
+        (root / "y-rules.txt").write_text(
+            "a [X] ||| b [X] ||| 1 1 1 1 ||| 0-0 ||| 1 1 1\n"
+            "[Y][Y] a [X] ||| [Y][Y] b [X] ||| 1 1 1 1 ||| 0-0 1-1 ||| 1 1 1\n" + glue, encoding="utf-8"
+        )
+        (root / "no-glue-rules.txt").write_text(
+            "a [X] ||| b [X] ||| 1 1 1 1 ||| 0-0 ||| 1 1 1\n", encoding="utf-8"
+        )
+        (root / "blank-line.txt").write_text("a\n\na\n", encoding="utf-8")
         (root / "bad-scores.csv").write_text("1, 4, 5\n2, x, 3\n", encoding="utf-8")
         return {
             "lm": str(trained / "lm.arpa"),
@@ -1134,6 +1164,9 @@ class TestExitCodeTable:
             **{f"{key.replace('.', '_')}_config": str(root / f"{key.replace('.', '_')}.cfg")
                for key in below},
             "a_rules": str(root / "a-rules.txt"),
+            "y_rules": str(root / "y-rules.txt"),
+            "no_glue_rules": str(root / "no-glue-rules.txt"),
+            "blank_line": str(root / "blank-line.txt"),
             "bad_scores": str(root / "bad-scores.csv"),
             "links": str(root / "all.links"),
             "bad_links": str(root / "bad.links"),

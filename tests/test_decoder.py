@@ -39,7 +39,9 @@ from smtkit.phrasetab import (
     build_phrase_table,
     extract_reordering,
 )
-from smtkit.ruletab import Fragment, NT, RuleEntry, TreeRule, Var, build_tree_rule_table, glue_rules
+from smtkit.ruletab import (
+    Fragment, NT, RuleEntry, TreeRule, Var, build_rule_table, build_tree_rule_table, glue_rules,
+)
 from smtkit.synthdata import write_fixture_tree
 from test_ruletab import as_pair, neutral
 
@@ -865,6 +867,36 @@ class TestDecodeChart:
         with pytest.raises(DecodeError, match="glue"):
             ChartModels([RuleEntry("X", ("a",), ("b",))], lm)
 
+    def test_unary_rule_keeps_the_pass_through_of_an_unknown_word(self):
+        # the unary rule's tail is the cell it would fill, which is not
+        # filled yet: it builds no item there, so "zz" is passed through
+        x1 = NT(1)
+        rules = [RuleEntry("X", ("a",), ("A",)), RuleEntry("X", (x1,), (x1,))] + glue_rules()
+        hyp = decode_chart(["a", "zz"], ChartModels(rules, random_lm()))[0]
+        assert hyp.tokens == ("A", "zz")
+        assert hyp.features["oov"] == -1.0
+
+    @pytest.mark.parametrize("rule", [
+        RuleEntry("Y", ("a",), ("b",)),
+        RuleEntry("X", (NT(1, "Y"), "a"), (NT(1, "Y"), "b")),
+        RuleEntry("X", (NT(1), "a"), (NT(1, "Y"), "b")),
+        RuleEntry("S", ("a",), ("b",)),
+        RuleEntry("S", (NT(1, "S"), NT(2, "X")), (NT(2, "X"), NT(1, "S"))),
+    ], ids=["lhs-y", "gap-y", "target-gap-y", "lexical-s", "swapped-glue"])
+    def test_only_x_rules_and_the_glue_rules_are_accepted(self, rule):
+        table = [RuleEntry("X", ("a",), ("b",)), rule] + glue_rules()
+        with pytest.raises(DecodeError, match="only X rules with X gaps and the glue rules"):
+            ChartModels(table, random_lm())
+        assert ChartModels(table[:1] + table[2:], random_lm())
+
+    def test_cell_beam_below_one_keeps_one_item(self):
+        # as the tree decoder's k does
+        models = reorder_rule_fixture()
+        sentence = ["is", "he", "going"]
+        one = decode_chart(sentence, models, config=ChartConfig(cell_beam=1, nbest=5))
+        for beam in (0, -1):
+            assert decode_chart(sentence, models, config=ChartConfig(cell_beam=beam, nbest=5)) == one
+
     def test_score_rederives_from_features(self):
         models = reorder_rule_fixture()
         weights = FeatureWeights()
@@ -1187,14 +1219,14 @@ ITEM_SHAPES = st.recursive(
 
 
 def composed_item(factory, shape):
-    target, subs = [], {}
+    target, subs = [], []
     for part in shape:
         if isinstance(part, str):
             target.append(part)
         else:
-            subs[len(subs) + 1] = composed_item(factory, part)
-            target.append(NT(len(subs)))
-    return factory.compose("X", tuple(target), {"phrase_penalty": -1.0}, (), subs)
+            target.append(len(subs))
+            subs.append(composed_item(factory, part))
+    return factory.compose(tuple(target), {"phrase_penalty": -1.0}, (), *subs)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -1338,11 +1370,11 @@ def tree_digest_models(seed):
     return TreeModels(rules, dyadic_lm(seed))
 
 
-def nbest_digest(decode, models, sentences, configs):
+def nbest_digest(decode, models, sentences, configs, weights=CHART_TREE_WEIGHTS):
     digest = hashlib.sha256()
     for sent in sentences:
         for config in configs:
-            for hyp in decode(sent, models, CHART_TREE_WEIGHTS, config):
+            for hyp in decode(sent, models, weights, config):
                 record = (
                     hyp.tokens,
                     repr(hyp.score),
@@ -1402,6 +1434,49 @@ class TestChartTreeBytes:
             hyps = decode_tree(sent, tree_models, CHART_TREE_WEIGHTS, TREE_CONFIGS[-1])
             assert all(h.features["oov"] < 0 for h in hyps)
             assert len({h.score for h in hyps}) < len(hyps)
+
+
+@pytest.fixture(scope="module")
+def trained_chart_tree(tmp_path_factory):
+    """Hier and tree models trained as the pipeline trains them on a small
+    `write_fixture_tree` corpus, and its test inputs. Their rule scores,
+    lexical weights and LM numbers are not dyadic, so that a change in the
+    order of a sum shows in the last digit of a score."""
+    paths = write_fixture_tree(60, 2, 8, seed=3, root=str(tmp_path_factory.mktemp("trained")))
+    pairs = read_parallel(paths["train.src"], paths["train.tgt"])
+    for pair, tree in zip(pairs, parse_conllu(open(paths["train.conllu"], encoding="utf-8").read())):
+        pair.source_tree = tree
+    fwd, bwd, links = cli._alignments_for(pairs, 3, 1, "grow-diag-final-and")
+    lm = train_lm([p.target for p in pairs] + read_sentences(paths["mono.tgt"]), order=3)
+    return {
+        "chart": (decode_chart, ChartModels(build_rule_table(pairs, links, fwd, bwd), lm),
+                  read_sentences(paths["test.src"]),
+                  [ChartConfig(cell_beam=b, nbest=5) for b in (1, 4, 30)]),
+        "tree": (decode_tree, TreeModels(build_tree_rule_table(pairs, links)[0], lm),
+                 parse_conllu(open(paths["test.conllu"], encoding="utf-8").read()),
+                 [TreeConfig(k_best_per_node=b, nbest=5) for b in (1, 4, 30)]),
+    }
+
+
+# the default weights and a second set, neither dyadic, and a glue weight
+TRAINED_WEIGHTS = [
+    FeatureWeights(),
+    FeatureWeights().replaced("glue", 0.7).replaced("word_penalty", -0.35).replaced("lm", 0.45),
+]
+# recorded before the chart and tree decoders filled their nodes in one place
+TRAINED_DIGESTS = {
+    "chart": "b8fbcf16cf0c0116a2dfcfb47aa0516afc280dfab081f2e4ff970119c07269e0",
+    "tree": "0d3bcd6da3717fd7e54fb196a8bb857ed2f0b0dd22c058e2203ff44ff6586be4",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TRAINED_DIGESTS))
+def test_trained_models_match_recorded_digest(trained_chart_tree, kind):
+    """Every n-best of trained hier and tree models, byte for byte: the
+    dyadic digests above cannot see a sum taken in another order."""
+    decode, models, inputs, configs = trained_chart_tree[kind]
+    digests = [nbest_digest(decode, models, inputs, configs, weights) for weights in TRAINED_WEIGHTS]
+    assert hashlib.sha256(" ".join(digests).encode()).hexdigest() == TRAINED_DIGESTS[kind]
 
 
 def shared_memo_cases():
