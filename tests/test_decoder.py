@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -1444,7 +1445,8 @@ def trained_chart_tree(tmp_path_factory):
     order of a sum shows in the last digit of a score."""
     paths = write_fixture_tree(60, 2, 8, seed=3, root=str(tmp_path_factory.mktemp("trained")))
     pairs = read_parallel(paths["train.src"], paths["train.tgt"])
-    for pair, tree in zip(pairs, parse_conllu(open(paths["train.conllu"], encoding="utf-8").read())):
+    trees = parse_conllu(Path(paths["train.conllu"]).read_text(encoding="utf-8"))
+    for pair, tree in zip(pairs, trees):
         pair.source_tree = tree
     fwd, bwd, links = cli._alignments_for(pairs, 3, 1, "grow-diag-final-and")
     lm = train_lm([p.target for p in pairs] + read_sentences(paths["mono.tgt"]), order=3)
@@ -1453,7 +1455,7 @@ def trained_chart_tree(tmp_path_factory):
                   read_sentences(paths["test.src"]),
                   [ChartConfig(cell_beam=b, nbest=5) for b in (1, 4, 30)]),
         "tree": (decode_tree, TreeModels(build_tree_rule_table(pairs, links)[0], lm),
-                 parse_conllu(open(paths["test.conllu"], encoding="utf-8").read()),
+                 parse_conllu(Path(paths["test.conllu"]).read_text(encoding="utf-8")),
                  [TreeConfig(k_best_per_node=b, nbest=5) for b in (1, 4, 30)]),
     }
 
