@@ -135,9 +135,9 @@ def fill(edges, key, beam: int) -> list[Item]:
     """A forest node's items: for each incoming edge `(build, args, tails)`,
     `build(*args, *subs)` for every combination `subs` of one item from each
     of its tails' item lists, the last tail varying fastest; then the best
-    item per `key(item)`, sorted by score and cut to `beam`."""
+    item per `key(item)`, sorted by score and cut to `beam` (at least 1)."""
     items = [build(*args, *subs) for build, args, tails in edges for subs in product(*tails)]
-    return rank_best(items, key, attrgetter("score"), beam)
+    return rank_best(items, key, attrgetter("score"), max(beam, 1))
 
 
 class ItemFactory:
@@ -240,10 +240,10 @@ def decode_chart(
     factory = ItemFactory(lm_states, weights)
     compose = factory.compose
     cut = lm_states.cut
-    beam = max(config.cell_beam, 1)
+    beam = config.cell_beam
     # sub-items tried per gap when composing; keeps two-gap rules from
     # multiplying whole cell beams together
-    compose_beam = max(int(beam ** 0.5), 1)
+    compose_beam = int(max(beam, 1) ** 0.5)
 
     def boundary(item: Item) -> tuple:  # items that share it recombine
         return (item.tokens[:cut], item.tokens[-cut:] if cut else ())

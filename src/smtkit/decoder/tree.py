@@ -114,7 +114,6 @@ def decode_tree(
 
     lm_states = models.lm_states()
     factory = ItemFactory(lm_states, weights)
-    k = max(config.k_best_per_node, 1)
     children, order = walk
     tokens = sent.tokens
     constituents = [sorted(below + [tok_id]) for tok_id, below in enumerate(children)]
@@ -153,5 +152,5 @@ def decode_tree(
         plan = plans.get(tok_id)
         if plan is not None:
             edges = [(compose, args, [best[node] for node in nodes]) for args, nodes in plan]
-            best[tok_id] = fill(edges, tokens_of, k)
+            best[tok_id] = fill(edges, tokens_of, config.k_best_per_node)
     return rank_nbest(best[root], lm_states, weights, config.nbest)

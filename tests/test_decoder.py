@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -1465,11 +1466,20 @@ TRAINED_WEIGHTS = [
     FeatureWeights(),
     FeatureWeights().replaced("glue", 0.7).replaced("word_penalty", -0.35).replaced("lm", 0.45),
 ]
-# recorded before the chart and tree decoders filled their nodes in one place
+# recorded before the chart and tree decoders filled their nodes in one place,
+# once per float sum() of the interpreter: from Python 3.12 sum() is
+# compensated, which changes the last digit of the EM's t-tables and of
+# `FeatureWeights.dot`. Both were checked to agree on 3.10 and 3.11, and on
+# 3.12 and 3.13.
 TRAINED_DIGESTS = {
     "chart": "b8fbcf16cf0c0116a2dfcfb47aa0516afc280dfab081f2e4ff970119c07269e0",
     "tree": "0d3bcd6da3717fd7e54fb196a8bb857ed2f0b0dd22c058e2203ff44ff6586be4",
 }
+if sys.version_info >= (3, 12):
+    TRAINED_DIGESTS = {
+        "chart": "a541b535a4bb4dd9311fea95b8319a09a5e7eb1b671e13d02068014cf735623d",
+        "tree": "723660e2e4786fe925ad53b4bf60b63dd3a3dec5bcd4d4b0c77d779d3981f5fc",
+    }
 
 
 @pytest.mark.parametrize("kind", sorted(TRAINED_DIGESTS))
