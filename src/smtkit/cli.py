@@ -663,8 +663,10 @@ def _nonblank(sentences: list) -> list:
     return sentences
 
 
-def _decode_inputs(args) -> list:
-    return _read_sources(args.kind, args.input, lambda text: _nonblank(_split_lines(text)))
+def _decode_inputs(args, option: str = "input") -> list:
+    """The sentences to decode, read from the file that `option` (an attribute
+    name) gives; a blank line is an error that names the file and line."""
+    return _read_sources(args.kind, getattr(args, option), lambda text: _nonblank(_split_lines(text)))
 
 
 def cmd_decode(args) -> int:
@@ -699,7 +701,7 @@ def cmd_tune(args) -> int:
         max_iterations=args.iterations,
         seed=args.seed,
     )
-    dev_sources = _read_sources(args.kind, args.dev_source)
+    dev_sources = _decode_inputs(args, "dev_source")
     decode = _mert_decoder(_load_decoder(args), args.jobs)
     result = tune.mert(dev_sources, dev_refs, decode, weights, config)
     _write(args.output, format_weights(result.weights, result.history))

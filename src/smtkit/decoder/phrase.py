@@ -111,9 +111,6 @@ class PhraseModels(LmMemo):
             ]
         return found
 
-    def reordering_entry(self, src, tgt) -> ReorderingEntry | None:
-        return self._reorder.get((src, tgt))
-
     def reordering_logs(
         self, key: tuple | None
     ) -> tuple[dict[str, float], dict[str, float]] | None:

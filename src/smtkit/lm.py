@@ -384,83 +384,85 @@ def write_arpa(model: NGramModel) -> str:
 
 
 def read_arpa(text: str) -> NGramModel:
+    """The model in ARPA `text`: one pass over the lines after `\\data\\`,
+    which first reads the count lines, up to the first blank one, then the
+    sections; every error but a missing header or terminator, an empty
+    `\\data\\` or a count mismatch names its line."""
     lines = text.splitlines()
-    pos = 0
-    while pos < len(lines) and lines[pos].strip() != "\\data\\":
-        if lines[pos].strip():
-            raise LmError(f"line {pos + 1}: expected \\data\\ header")
-        pos += 1
-    if pos == len(lines):
+    start = next((i for i, line in enumerate(lines) if line.strip()), len(lines))
+    if start == len(lines):
         raise LmError("missing \\data\\ header")
-    pos += 1
-    declared: dict[int, int] = {}
-    while pos < len(lines) and lines[pos].strip():
-        part = lines[pos].strip()
-        if not part.startswith("ngram "):
-            raise LmError(f"line {pos + 1}: malformed count line {part!r}")
-        k_str, _, count_str = part[len("ngram "):].partition("=")
-        try:
-            k, count = int(k_str), int(count_str)
-        except ValueError:
-            k = count = -1
-        if k < 1 or count < 0:
-            raise LmError(f"line {pos + 1}: malformed count line {part!r}")
-        declared[k] = count
-        pos += 1
-    if not declared:
-        raise LmError("empty \\data\\ section")
-    order = max(declared)
-
+    if lines[start].strip() != "\\data\\":
+        raise LmError(f"line {start + 1}: expected \\data\\ header")
     vocab = Vocabulary()
-    model = NGramModel(order=order, vocab=vocab)
-    seen: dict[int, int] = {k: 0 for k in declared}
-    current_k = 0
-    for lineno in range(pos, len(lines)):
-        line = lines[lineno].strip()
-        if not line:
-            continue
-        if line == "\\end\\":
-            break
-        if line.startswith("\\") and line.endswith("-grams:"):
-            k_str = line[1:-len("-grams:")]
-            current_k = int(k_str) if k_str.isdecimal() else -1
-            if current_k not in declared:
-                raise LmError(f"line {lineno + 1}: undeclared section {line!r}")
-            continue
-        if current_k == 0:
-            raise LmError(f"line {lineno + 1}: data outside any n-gram section")
+    known, add, inf = vocab._str_to_id.__getitem__, vocab.add, math.inf
+    declared: dict[int, int] = {}
+    model = probs = bows = None
+    k = n = expect = 0  # the section, its lines so far, and its field count
+    for lineno, line in enumerate(lines[start + 1:], start + 2):
+        line = line.strip()
+        if probs is None or not line or line[0] == "\\":
+            if model is None:  # a count line, or the blank line that ends them
+                if line:
+                    k_str, _, count_str = line[len("ngram "):].partition("=")
+                    try:
+                        size, count = int(k_str), int(count_str)
+                    except ValueError:
+                        size = count = -1
+                    if not line.startswith("ngram ") or size < 1 or count < 0:
+                        raise LmError(f"line {lineno}: malformed count line {line!r}")
+                    declared[size] = count
+                    continue
+                if not declared:
+                    raise LmError("empty \\data\\ section")
+                model = NGramModel(order=max(declared), vocab=vocab)
+                seen = [0] * (model.order + 1)
+                continue
+            if not line:
+                continue
+            if line == "\\end\\":
+                break
+            if line[0] == "\\" and line.endswith("-grams:"):
+                seen[k] += n
+                k_str = line[1:-len("-grams:")]
+                k, n = int(k_str) if k_str.isdecimal() else -1, 0
+                if k not in declared:
+                    raise LmError(f"line {lineno}: undeclared section {line!r}")
+                probs = model.probs[k]
+                bows = model.backoffs[k] if k < model.order else None
+                expect = 2 if bows is None else 3
+                continue
+            if probs is None:
+                raise LmError(f"line {lineno}: data outside any n-gram section")
         cols = line.split("\t")
-        expect = 2 if current_k == order else 3
         if len(cols) != expect:
-            raise LmError(
-                f"line {lineno + 1}: {current_k}-gram line has {len(cols)} fields, expected {expect}"
-            )
-        words = tuple(cols[1].split(" "))
-        if len(words) != current_k:
-            raise LmError(f"line {lineno + 1}: expected {current_k} tokens in {cols[1]!r}")
+            raise LmError(f"line {lineno}: {k}-gram line has {len(cols)} fields, expected {expect}")
+        words = cols[1].split(" ")
+        if len(words) != k:
+            raise LmError(f"line {lineno}: expected {k} tokens in {cols[1]!r}")
         try:
             logp = float(cols[0])
-            bow = float(cols[2]) if current_k < order else 0.0
+            bow = 0.0 if bows is None else float(cols[2])
         except ValueError:
-            raise LmError(
-                f"line {lineno + 1}: non-numeric probability or back-off in {line!r}"
-            ) from None
-        if not (math.isfinite(logp) and math.isfinite(bow)):
-            number = cols[0] if not math.isfinite(logp) else cols[2]
-            raise LmError(f"line {lineno + 1}: non-finite number {number!r}")
-        if logp > 0.0:  # a back-off weight may take any finite value
-            raise LmError(f"line {lineno + 1}: log10 probability {cols[0]!r} lies above 0")
-        gram = tuple(vocab.add(w) for w in words)
-        model.probs[current_k][gram] = logp
-        if bow != 0.0:
-            model.backoffs[current_k][gram] = bow
-        seen[current_k] += 1
+            raise LmError(f"line {lineno}: non-numeric probability or back-off in {line!r}") from None
+        if not (-inf < logp <= 0.0 and -inf < bow < inf):
+            if not (math.isfinite(logp) and math.isfinite(bow)):
+                number = cols[0] if not math.isfinite(logp) else cols[2]
+                raise LmError(f"line {lineno}: non-finite number {number!r}")
+            # a back-off weight may take any finite value
+            raise LmError(f"line {lineno}: log10 probability {cols[0]!r} lies above 0")
+        try:
+            gram = tuple(map(known, words))
+        except KeyError:  # a word this model has not met: ids in first-appearance order
+            gram = tuple(map(add, words))
+        probs[gram] = logp
+        if bow:
+            bows[gram] = bow
+        n += 1
     else:
-        raise LmError("missing \\end\\ terminator")
+        raise LmError("missing \\end\\ terminator" if declared else "empty \\data\\ section")
+    seen[k] += n
     for k, count in declared.items():
         if seen[k] != count:
-            raise LmError(
-                f"\\{k}-grams: section declares {count} entries but contains {seen[k]}"
-            )
+            raise LmError(f"\\{k}-grams: section declares {count} entries but contains {seen[k]}")
     return model
-

@@ -40,7 +40,7 @@ def _orientation(prev_start, prev_end, start, end, orientations):
 
 
 def _score_sequence(
-    ordered: list[Step], models: PhraseModels, weights: FeatureWeights, n: int
+    ordered: list[Step], models: PhraseModels, entries: dict, weights: FeatureWeights, n: int
 ) -> float:
     score = 0.0
     tokens: list[str] = []
@@ -51,13 +51,13 @@ def _score_sequence(
             score += weights.get(name) * value
         score += weights.distortion * -abs(step.start - last_end)
         if models.reordering:
-            entry = models.reordering_entry(*step.entry_key) if step.entry_key else None
+            entry = entries.get(step.entry_key)
             orients = MSLR if entry is not None and len(entry.forward) == 4 else MSD
             orient = _orientation(last_start, last_end, step.start, step.end, orients)
             if entry is not None:
                 score += weights.reordering * math.log10(max(entry.forward[orient], 1e-30))
             if prev_key is not None:
-                prev_entry = models.reordering_entry(*prev_key)
+                prev_entry = entries.get(prev_key)
                 if prev_entry is not None:
                     back_orients = MSD if len(prev_entry.backward) == 3 else MSLR
                     back = _orientation(step.start, step.end, last_start, last_end, back_orients)
@@ -68,7 +68,7 @@ def _score_sequence(
         last_start, last_end = step.start, step.end
         prev_key = step.entry_key
     if models.reordering and prev_key is not None:
-        prev_entry = models.reordering_entry(*prev_key)
+        prev_entry = entries.get(prev_key)
         if prev_entry is not None:
             back_orients = MSD if len(prev_entry.backward) == 3 else MSLR
             back = _orientation(n, n + 1, last_start, last_end, back_orients)
@@ -93,6 +93,8 @@ def decode_oracle(
             f"oracle decoding is capped at {max_len} words, got {len(sentence)}"
         )
     options = build_options(sentence, models)
+    # each (source, target) pair's reordering entry, the last one for a pair listed twice
+    entries = {(e.src, e.tgt): e for e in models.reordering or ()}
     n = len(sentence)
     best_tokens: tuple[str, ...] | None = None
     best_score = -math.inf
@@ -104,7 +106,7 @@ def decode_oracle(
             choice = [0] * len(segmentation)
             while True:
                 ordered = [usable[idx][choice[idx]] for idx in order]
-                score = _score_sequence(ordered, models, weights, n)
+                score = _score_sequence(ordered, models, entries, weights, n)
                 tokens = tuple(t for step in ordered for t in step.tgt)
                 if score > best_score + 1e-12 or (
                     abs(score - best_score) <= 1e-12

@@ -1432,7 +1432,9 @@ class TestDecodeJobs:
             assert results[0] == results[1] == results[2], name
             code, _, err = results[0]
             assert code == EXIT_DATA and "cannot decode an empty sentence" in err, (name, err)
-            if name != "decode":
+            if name == "tune":
+                assert f"{source}: line {blank[0] + 1}: cannot decode" in err, (name, err)
+            elif name == "pipeline":
                 assert f"decoder failed on dev sentence {blank[0]}: " in err, (name, err)
 
 

@@ -813,6 +813,7 @@ class TestOrientationsAgainstExtraction:
         orientation_set = "msd" if orientations == MSD else "mslr"
         weights = FeatureWeights(reordering=0.7, distortion=0.2)
         config = DecodeConfig(stack_size=10, distortion_limit=None, nbest=5)
+        entries = {(e.src, e.tgt): e for e in models.reordering}
         rng = random.Random(53)
         for _ in range(20):
             sent = [rng.choice(SRC + ["oov-word"]) for _ in range(rng.randint(1, 6))]
@@ -820,7 +821,7 @@ class TestOrientationsAgainstExtraction:
                 expected = 0.0
                 found = extracted_orientations(len(sent), hyp.steps, orientation_set)
                 for step, (forward, backward) in zip(hyp.steps, found):
-                    entry = step.entry_key and models.reordering_entry(*step.entry_key)
+                    entry = entries.get(step.entry_key)
                     if entry:
                         expected += math.log10(max(entry.forward[forward], 1e-30))
                         expected += math.log10(max(entry.backward[backward], 1e-30))

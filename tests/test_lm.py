@@ -4,9 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arpa_reference import read_arpa as reference_read_arpa
 from oracles import arpa_tables, backoff_reference_logprob, kn_reference_prob
+from smtkit.cli import EXIT_OK, main
 from smtkit.corpus import BOS, EOS, NULL, UNK
 from smtkit.lm import LOG10_ZERO, LmError, read_arpa, train_lm, write_arpa
+from smtkit.synthdata import write_fixture_tree
 
 
 def predictable_vocab(model):
@@ -311,3 +314,190 @@ class TestWordCeilings:
         closed = read_arpa(CLOSED_ARPA)
         closed.backoffs[1][(closed.vocab.id_of("a"),)] = float(value)
         assert closed.word_ceilings() is None
+
+
+# words shared by every section, so that an n-gram's words recur across orders
+ARPA_WORDS = [BOS, EOS, UNK, "a", "b", "c", "long-word"]
+BLANK_LINES = ["", " ", "\t"]
+
+
+@st.composite
+def arpa_lines(draw):
+    """A well-formed ARPA text of order 1 to 5 as (role, k, line) triples: a
+    role of "head", "count", "blank", "section", "entry" or "end"; k is the
+    n-gram size of a count, section or entry line. Blank and whitespace-only
+    lines go before the header and anywhere after the count lines; an
+    n-gram may appear twice in its section."""
+    order = draw(st.integers(min_value=1, max_value=5))
+    logps = st.floats(max_value=0.0, allow_nan=False, allow_infinity=False)
+    bows = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, -0.0])
+    sections = [
+        draw(st.lists(
+            st.tuples(logps, st.lists(st.sampled_from(ARPA_WORDS), min_size=k, max_size=k), bows),
+            min_size=1 if k == 1 else 0, max_size=6,
+        ))
+        for k in range(1, order + 1)
+    ]
+    body = [("blank", 0, "")]
+    for k, entries in enumerate(sections, start=1):
+        body.append(("section", k, f"\\{k}-grams:"))
+        for logp, words, bow in entries:
+            fields = [repr(logp), " ".join(words)] + ([repr(bow)] if k < order else [])
+            body.append(("entry", k, "\t".join(fields)))
+    body.append(("end", 0, "\\end\\"))
+    blank = st.tuples(st.just("blank"), st.just(0), st.sampled_from(BLANK_LINES))
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        body.insert(draw(st.integers(min_value=1, max_value=len(body))), draw(blank))
+    leading = draw(st.lists(blank, max_size=2))
+    counts = [("count", k, f"ngram {k}={len(entries)}") for k, entries in enumerate(sections, start=1)]
+    return leading + [("head", 0, "\\data\\")] + counts + body
+
+
+def arpa_text(lines) -> str:
+    return "\n".join(line for _, _, line in lines) + "\n"
+
+
+def read_outcome(reader, text):
+    """The model `reader` reads from `text`, as the exact reprs of its tables
+    in insertion order and its vocabulary, or the message of its LmError."""
+    try:
+        model = reader(text)
+    except LmError as exc:
+        return str(exc)
+    return (
+        model.order,
+        [repr(list(table.items())) for table in model.probs],
+        [repr(list(table.items())) for table in model.backoffs],
+        model.vocab.strings(),
+    )
+
+
+def pick(lines, draw, role):
+    """The index of a line with role `role`."""
+    return draw(st.sampled_from([i for i, (found, _, _) in enumerate(lines) if found == role]))
+
+
+def set_field(lines, index, field, value):
+    role, k, line = lines[index]
+    fields = line.split("\t")
+    fields[field] = value
+    lines[index] = (role, k, "\t".join(fields))
+
+
+# the numbers that make a value non-numeric, non-finite or a positive log10 probability
+BAD_VALUES = {
+    "non-numeric value": ["abc", "1,5", "--1", "0x1"],
+    "non-finite value": ["nan", "inf", "-inf", "NaN", "-Infinity"],
+    "positive log10 probability": ["0.5", "1e-300", "3"],
+}
+ARPA_DEFECTS = [
+    "bad count line", "undeclared section", "wrong field count", "wrong token count",
+    "non-numeric value", "non-finite value", "positive log10 probability",
+    "data before any section", "missing end", "mismatched declared count",
+]
+
+
+def inject_defect(lines, defect, draw):
+    """`lines` with one defect of kind `defect`, a key of ARPA_DEFECTS."""
+    lines = list(lines)
+    order = max(k for role, k, _ in lines if role == "count")
+    if defect == "bad count line":
+        i = pick(lines, draw, "count")
+        k = lines[i][1]
+        lines[i] = ("count", k, draw(st.sampled_from(
+            ["ngram x=1", f"ngram 0={k}", f"ngram {k}=-1", f"ngram {k}", f"count {k}=1", f"ngram {k}=1.5"]
+        )))
+    elif defect == "undeclared section":
+        i = pick(lines, draw, "section")
+        lines[i] = ("section", 0, draw(st.sampled_from(
+            [f"\\{order + 1}-grams:", "\\x-grams:", "\\-grams:", "\\0-grams:"]
+        )))
+    elif defect == "wrong field count":
+        i = pick(lines, draw, "entry")
+        role, k, line = lines[i]
+        fields = line.split("\t")
+        fields = draw(st.sampled_from([fields + ["-1.5"], fields[:-1] if k < order else fields[:1]]))
+        lines[i] = (role, k, "\t".join(fields))
+    elif defect == "wrong token count":
+        i = pick(lines, draw, "entry")
+        words = lines[i][2].split("\t")[1]
+        shorter = [words.rpartition(" ")[0]] if " " in words else []
+        set_field(lines, i, 1, draw(st.sampled_from([words + " a", " " + words] + shorter)))
+    elif defect in BAD_VALUES:
+        i = pick(lines, draw, "entry")
+        fields = [0, 2] if lines[i][1] < order and defect != "positive log10 probability" else [0]
+        set_field(lines, i, draw(st.sampled_from(fields)), draw(st.sampled_from(BAD_VALUES[defect])))
+    elif defect == "data before any section":
+        first = next(i for i, (role, _, _) in enumerate(lines) if role == "section")
+        lines.insert(first, lines[pick(lines, draw, "entry")])
+    elif defect == "missing end":
+        del lines[pick(lines, draw, "end")]
+    else:  # a declared count that does not match its section
+        i = pick(lines, draw, "count")
+        k, count = lines[i][1], int(lines[i][2].partition("=")[2])
+        wrong = draw(st.sampled_from([count + 1, count + 7] + ([count - 1] if count else [])))
+        lines[i] = ("count", k, f"ngram {k}={wrong}")
+    return lines
+
+
+class TestReaderMatchesReference:
+    """`read_arpa` reads what the line-by-line reader in `arpa_reference`
+    reads: the same tables in the same order, the same vocabulary ids, and on
+    malformed text the same first error."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(arpa_lines())
+    def test_same_model(self, lines):
+        text = arpa_text(lines)
+        found = read_outcome(read_arpa, text)
+        assert not isinstance(found, str), found
+        assert found == read_outcome(reference_read_arpa, text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(arpa_lines(), st.sampled_from(ARPA_DEFECTS), st.data())
+    def test_same_error(self, lines, defect, data):
+        text = arpa_text(inject_defect(lines, defect, data.draw))
+        expected = read_outcome(reference_read_arpa, text)
+        assert isinstance(expected, str), defect
+        assert read_outcome(read_arpa, text) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(arpa_lines(), st.data())
+    def test_any_line_replaced(self, lines, data):
+        """Any one line replaced by a line of ARPA-like fragments reads the
+        same, model or error."""
+        fragment = st.sampled_from(["\\", "\t", " ", "ngram", "=", "-grams:", "1", "-0.5", "a", "end", "data"])
+        lines = list(lines)
+        lines[data.draw(st.integers(min_value=0, max_value=len(lines) - 1))] = (
+            "", 0, "".join(data.draw(st.lists(fragment, max_size=8)))
+        )
+        text = arpa_text(lines)
+        assert read_outcome(read_arpa, text) == read_outcome(reference_read_arpa, text)
+
+    @pytest.mark.parametrize("text", ["", "\n \n", "\\data\\\n", "\\data\\\n\n", "\\data\\\nngram 1=0\n"])
+    def test_truncated_texts(self, text):
+        assert read_outcome(read_arpa, text) == read_outcome(reference_read_arpa, text)
+
+    @pytest.mark.parametrize("kind, order", [("phrase", 3), ("hier", 2), ("tree", 5)])
+    def test_pipeline_models(self, kind, order, tmp_path):
+        fixture = tmp_path / "corpus"
+        write_fixture_tree(train=40, dev=6, test=5, seed=2, root=str(fixture))
+        config = [
+            f"paths.train_source = {fixture}/train.src",
+            f"paths.train_target = {fixture}/train.tgt",
+            f"paths.test_source = {fixture}/test.src",
+            f"paths.test_target = {fixture}/test.tgt",
+            f"paths.model_dir = {tmp_path}/model",
+            "align.iterations = 1",
+            f"decoder.kind = {kind}",
+            f"lm.order = {order}",
+            "tune.enabled = false",
+        ]
+        if kind == "tree":
+            config += [f"paths.{split}_trees = {fixture}/{split}.conllu" for split in ("train", "test")]
+        (tmp_path / "pipeline.cfg").write_text("\n".join(config) + "\n", encoding="utf-8")
+        assert main(["pipeline", "--config", str(tmp_path / "pipeline.cfg")]) == EXIT_OK
+        text = (tmp_path / "model" / "lm.arpa").read_text(encoding="utf-8")
+        found = read_outcome(read_arpa, text)
+        assert found[0] == order
+        assert found == read_outcome(reference_read_arpa, text)
