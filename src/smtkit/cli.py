@@ -843,9 +843,10 @@ def cmd_pipeline(args) -> int:
     decode = _decoder(backend, models, config.decoder_stack_size, config.decoder_distortion_limit)
 
     def sources(trees_path: str, text_path: str) -> list:
+        # a blank line is an error that names the file and line, as in `decode`
         if backend.reads_trees:
             return _read_file(_parse_trees, trees_path)
-        return corpus.read_sentences(text_path, config.source_profile)
+        return _read_file(lambda text: _nonblank(corpus.tokenize(text, config.source_profile)), text_path)
 
     # tuning
     weights = FeatureWeights()

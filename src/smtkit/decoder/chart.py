@@ -38,6 +38,7 @@ from dataclasses import dataclass, replace
 from itertools import product
 from operator import attrgetter
 
+from ..corpus import UNK_ID
 from ..gcpause import paused_gc
 from ..lm import LmMemo, LmStates, NGramModel
 from ..ruletab import NT, RuleEntry, format_rule, glue_rules
@@ -120,7 +121,7 @@ class ChartConfig:
     nbest: int = 1
 
 
-@dataclass
+@dataclass(slots=True)
 class Item:
     tokens: tuple[str, ...]
     features: dict[str, float]  # without lm
@@ -146,6 +147,8 @@ class ItemFactory:
     def __init__(self, lm_states: LmStates, weights: FeatureWeights):
         self.lm_states = lm_states
         self.weights = weights
+        # `Vocabulary.id_of` as one lookup in the vocabulary's dict
+        self.word_id = lm_states.lm.vocab._str_to_id.get
 
     def compose(
         self, target: tuple, base_features: dict, applied_rules: tuple, *subs: Item
@@ -157,23 +160,28 @@ class ItemFactory:
         parts = [s if isinstance(s, str) else subs[s] for s in target]
         features = dict(base_features)
         rules = applied_rules
+        get = features.get
         for sub in parts:
             if not isinstance(sub, str):
-                add_features(features, sub.features)
+                for name, value in sub.features.items():  # `add_features` without a call
+                    features[name] = get(name, 0.0) + value
                 rules += sub.rules
         return self._build(parts, features, rules)
 
     def _build(self, parts: list, features: dict[str, float], rules: tuple) -> Item:
-        word = self.lm_states.word
-        id_of = self.lm_states.lm.vocab.id_of
-        cut = self.lm_states.cut
+        lm_states = self.lm_states
+        transitions = lm_states.transitions
+        word = lm_states.word
+        word_id = self.word_id
+        cut = lm_states.cut
         tokens: tuple[str, ...] = ()
-        state = self.lm_states.empty
+        state = lm_states.empty
         total = 0.0
         head = 0.0
         for part in parts:
             if isinstance(part, str):
-                delta, state = word(state, id_of(part))
+                wid = word_id(part, UNK_ID)
+                delta, state = transitions.get((state, wid)) or word(state, wid)
                 if len(tokens) < cut:
                     head += delta
                 total += delta
@@ -181,7 +189,8 @@ class ItemFactory:
             else:
                 rescored = 0.0
                 for position, token in enumerate(part.tokens[:cut], len(tokens)):
-                    delta, state = word(state, id_of(token))
+                    wid = word_id(token, UNK_ID)
+                    delta, state = transitions.get((state, wid)) or word(state, wid)
                     if position < cut:
                         head += delta
                     rescored += delta

@@ -174,9 +174,11 @@ def translation_features(scores, target: tuple) -> dict[str, float]:
 
 
 def rank_best(items, key, score, limit: int) -> list:
-    """The ranking step of the chart and tree decoders: the best item per
-    `key(item)` (the first of equals), sorted by (-score, tokens) and cut to
-    `limit`."""
+    """The ranking step of the chart and tree decoders: the best item of the
+    list `items` per `key(item)` (the first of equals), sorted by (-score,
+    tokens) and cut to `limit`; a lone item needs neither step."""
+    if len(items) == 1:
+        return items[:limit]
     best: dict = {}
     for item in items:
         value, slot = score(item), key(item)

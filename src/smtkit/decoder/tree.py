@@ -19,6 +19,15 @@ matching rule, or the pass-through, with the nodes of its variables as
 tails. A bottom-up pass then fills each node with `chart.fill`, building
 the chart decoder's items (`chart.Item`) with `chart.ItemFactory.compose`
 and keeping the k best distinct strings by item score.
+
+A leaf, a reached node without children, is a hypergraph node whose items
+depend on nothing outside it (Huang & Chiang 2007): only on its label and
+form, the rules, the LM memo whose state ids the items hold, the weights and
+k. So `TreeModels` keeps each leaf's items by (label, form), and a decode
+takes a cached leaf's items as they are, without matching rules or filling
+it. The cache is built on first use and begins anew whenever the LM memo
+(`LmMemo.lm_states`), a weight's value or k differs from the decode that
+filled it. Nothing larger than a leaf is cached.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ from operator import attrgetter
 
 from ..deptree import DepSentence, DepToken, node_label, tree_walk, yields_contiguous
 from ..gcpause import paused_gc
-from ..lm import LmMemo, NGramModel
+from ..lm import LmMemo, LmStates, NGramModel
 from ..ruletab import Fragment, TreeRule, Var
 from .chart import Item, ItemFactory, fill
 from .phrase import OOV_FEATURES, DecodeError, DecodedHypothesis, rank_nbest, translation_features
@@ -55,6 +64,21 @@ class TreeModels(LmMemo):
                 args = (tuple(slots), translation_features(rule.scores, rule.target), (rule,))
                 key = (rule.fragment.label, words[0])
                 self.by_head.setdefault(key, []).append((rule, args, variables))
+        self._leaves: tuple[LmStates, dict[str, float], int, dict] | None = None
+
+    def leaf_items(
+        self, lm_states: LmStates, weights: FeatureWeights, k: int
+    ) -> dict[tuple[str, str], list[Item]]:
+        """The leaf cache: the items of each leaf decoded with this memo,
+        these weight values and this k, by (node label, form), read only,
+        since every decode shares them. Begins anew when any of the three
+        differs from the last decode's, so it is dropped with the memo whose
+        states its items hold."""
+        leaves = self._leaves
+        values = vars(weights)
+        if leaves is None or leaves[0] is not lm_states or leaves[1] != values or leaves[2] != k:
+            leaves = self._leaves = (lm_states, dict(values), k, {})
+        return leaves[3]
 
 
 @dataclass
@@ -114,6 +138,7 @@ def decode_tree(
 
     lm_states = models.lm_states()
     factory = ItemFactory(lm_states, weights)
+    leaves = models.leaf_items(lm_states, weights, config.k_best_per_node)
     children, order = walk
     tokens = sent.tokens
     constituents = [sorted(below + [tok_id]) for tok_id, below in enumerate(children)]
@@ -122,14 +147,18 @@ def decode_tree(
 
     # top-down: the incoming edges of each node that a rule variable or the
     # pass-through reaches from the root, as (fixed `compose` arguments,
-    # the node of each target variable)
+    # the node of each target variable); a cached leaf has its items instead
     plans: dict[int, list[tuple]] = {root: []}
+    best: dict[int, list[Item]] = {}
     for tok_id in order:
         plan = plans.get(tok_id)
         if plan is None:
             continue
-        label = labels[tok_id]
-        for rule, args, variables in models.by_head.get((label, tokens[tok_id - 1].form), []):
+        head = (labels[tok_id], tokens[tok_id - 1].form)
+        if not children[tok_id] and head in leaves:
+            best[tok_id] = leaves[head]
+            continue
+        for rule, args, variables in models.by_head.get(head, []):
             binding = _match_fragment(tokens, labels, constituents, rule.fragment, tok_id)
             if binding is not None:
                 plan.append((args, [binding[v] for v in variables]))
@@ -144,13 +173,14 @@ def decode_tree(
             for node in nodes:
                 plans.setdefault(node, [])
 
-    # bottom-up, the k best distinct strings of each reached node
+    # bottom-up, the k best distinct strings of each other reached node
     compose = factory.compose
     tokens_of = attrgetter("tokens")
-    best: dict[int, list[Item]] = {}
     for tok_id in reversed(order):
         plan = plans.get(tok_id)
-        if plan is not None:
+        if plan is not None and tok_id not in best:
             edges = [(compose, args, [best[node] for node in nodes]) for args, nodes in plan]
             best[tok_id] = fill(edges, tokens_of, config.k_best_per_node)
+            if not children[tok_id]:
+                leaves[labels[tok_id], tokens[tok_id - 1].form] = best[tok_id]
     return rank_nbest(best[root], lm_states, weights, config.nbest)

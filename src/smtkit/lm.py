@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .corpus import BOS, EOS, NULL, UNK, Vocabulary
+from .corpus import BOS, EOS, NULL, UNK, UNK_ID, Vocabulary
 
 LOG10_ZERO = -99.0  # conventional ARPA stand-in for log10(0)
 
@@ -80,7 +80,9 @@ class NGramModel:
         return [len(self.probs[k]) for k in range(1, self.order + 1)]
 
     def _ids(self, tokens: list[str] | tuple[str, ...]) -> tuple[int, ...]:
-        return tuple(self.vocab.id_of(t) for t in tokens)
+        # `Vocabulary.id_of` as one lookup per token in the vocabulary's dict
+        get = self.vocab._str_to_id.get
+        return tuple([get(t, UNK_ID) for t in tokens])
 
     def score_ids(self, history: tuple[int, ...], word: int) -> float:
         """log10 p(word | history) with interpolated-model backoff.

@@ -196,7 +196,8 @@ def build_phrase_table(
         top = max(votes.values())
         # most frequent internal alignment; ties to the smallest link list
         alignment = min((a for a, c in votes.items() if c == top), key=sorted)
-        reverse = frozenset((j, i) for i, j in alignment)
+        # the lexical weights sum in link order, not in the set's order
+        reverse = sorted((j, i) for i, j in alignment)
         entries.append(
             PhraseEntry(
                 src=src,
@@ -205,7 +206,7 @@ def build_phrase_table(
                     count / tgt_totals[tgt],
                     _lex_weight(src, tgt, reverse, ttable_bwd),
                     count / src_totals[src],
-                    _lex_weight(tgt, src, alignment, ttable_fwd),
+                    _lex_weight(tgt, src, sorted(alignment), ttable_fwd),
                 ),
                 alignment=alignment,
                 counts=(tgt_totals[tgt], src_totals[src], count),

@@ -1213,6 +1213,70 @@ def test_tree_decoder_matches_exhaustive_oracle(case, order, weights):
     assert hyps[0].score == pytest.approx(max(best.values()), abs=1e-9)
 
 
+@st.composite
+def tree_runs(draw):
+    """1-3 random projective trees and a one-token one, the rule table that
+    `build_tree_rule_table` extracts from them with 1-3 random targets and
+    link sets each, an LM over the targets, and a run of sentences that
+    decodes each tree four times in a random order. The words come from
+    three, so leaves share their (label, form) within a tree and across."""
+    trees = [draw_tree(draw, SRC[:3]) for _ in range(draw(st.integers(1, 3)))]
+    trees.append(([0], ["root"], [draw(st.sampled_from(SRC[:3]))]))
+    pairs, link_sets = [], []
+    for heads, labels, forms in trees:
+        n = len(heads)
+        for _ in range(draw(st.integers(1, 3))):
+            target = draw(st.lists(st.sampled_from(TGT[:4]), min_size=1, max_size=5))
+            pairs.append(as_pair(heads, labels, forms, target))
+            link_sets.append(draw(st.sets(
+                st.tuples(st.integers(0, n - 1), st.integers(0, len(target) - 1)),
+                min_size=1, max_size=2 * n,
+            )))
+    table, _ = build_tree_rule_table(pairs, link_sets)
+    lm = train_lm([pair.target for pair in pairs] + [TGT[:4]], order=draw(st.sampled_from((2, 3))))
+    sources = [as_pair(*tree, []).source_tree for tree in trees]
+    run = draw(st.permutations(list(range(len(trees))) * 4))
+    return table, lm, [sources[i] for i in run]
+
+
+# two weight sets that rank a leaf's targets differently: by LM and length
+LEAF_CACHE_WEIGHTS = [
+    FeatureWeights(),
+    FeatureWeights(lm=2.0, word_penalty=-1.5, phi_t_given_s=0.0, lex_t_given_s=1.0),
+]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(tree_runs())
+def test_leaf_cache_gives_the_bytes_of_fresh_models(case):
+    """A run of decodes with one `TreeModels`, whose leaf cache carries from
+    sentence to sentence, writes the n-best bytes of a fresh `TreeModels`
+    per sentence. Along the run, k and the n-best size change, the weights
+    change every third sentence, first as one of two objects and then as one
+    object changed in place, and the LM memo begins anew once."""
+    table, lm, run = case
+    configs = [TreeConfig(k_best_per_node=k, nbest=n) for k in (1, 2, 100) for n in (1, 5)]
+    steps = [(config, i) for config in configs for i in range(len(run))]
+    models = TreeModels(table, lm)
+    in_place = FeatureWeights()
+    shared, fresh = [], []
+    for step, (config, i) in enumerate(steps):
+        values = LEAF_CACHE_WEIGHTS[step // 3 % 2]
+        if step < len(steps) // 2:
+            weights = values
+        else:
+            weights = in_place
+            vars(weights).update(vars(values))
+        with pytest.MonkeyPatch.context() as patch:
+            if step == len(steps) * 3 // 4 + 1:  # not where the weights change
+                patch.setattr(lm_module, "MEMO_TRANSITIONS", 0)
+            hyps = decode_tree(run[i], models, weights, config)
+        shared.append([(h.tokens, h.score, h.features) for h in hyps])
+        hyps = decode_tree(run[i], TreeModels(table, lm), FeatureWeights(**vars(values)), config)
+        fresh.append([(h.tokens, h.score, h.features) for h in hyps])
+    assert cli._format_nbest(shared) == cli._format_nbest(fresh)
+
+
 # nested target sides: words, and lists that stand for composed sub-items
 ITEM_SHAPES = st.recursive(
     st.lists(st.sampled_from(TGT[:4] + ["zz"]), max_size=3),

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 import tracemalloc
 from collections import Counter
@@ -381,6 +382,21 @@ REORDERING_TABLE_DIGESTS = {
 def test_phrase_table_matches_recorded_digest():
     text = write_phrase_table(build_phrase_table(*digest_corpus()))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PHRASE_TABLE_DIGEST
+
+
+def test_phrase_table_does_not_depend_on_link_set_order():
+    # four source words linked to one target word, the phrase twin of
+    # test_ruletab's test: the sum of their translation probabilities depends
+    # on its order, which is the links' order, not the order in which the
+    # link set was built
+    pair = SentencePair(list("abcd"), ["x"])
+    probs = dict(zip("abcd", (0.1, 0.2, 0.3, 0.7)))
+    fwd, bwd = TTable({s: {"x": p} for s, p in probs.items()}), TTable({"x": probs})
+    tables = {
+        write_phrase_table(build_phrase_table([pair], [set(order)], fwd, bwd))
+        for order in itertools.permutations([(i, 0) for i in range(4)])
+    }
+    assert len(tables) == 1
 
 
 def test_streamed_tables_equal_the_written_text(tmp_path):
