@@ -473,7 +473,8 @@ def cmd_extract_phrases(args) -> int:
 
 def _attach_trees(pairs, path: str) -> None:
     """Give each sentence pair its source tree from the CoNLL-U file at `path`,
-    which must have one token per source word."""
+    which must have one token per source word, as a `deptree.TreeShape`; the
+    parsed sentences are dropped on return."""
     trees = _read_file(deptree.parse_conllu, path)
     if len(trees) != len(pairs):
         raise deptree.ConlluError(f"{path}: {len(trees)} trees for {len(pairs)} sentence pairs")
@@ -483,7 +484,7 @@ def _attach_trees(pairs, path: str) -> None:
                 f"{path}: sentence {tree.sent_id or number} has {len(tree.tokens)} tokens, "
                 f"but source sentence {number} has {len(pair.source)} words"
             )
-        pair.source_tree = tree
+        pair.source_tree = deptree.TreeShape.of(tree)
 
 
 def _tree_rule_table(pairs, links, jobs: int) -> list:
@@ -799,6 +800,7 @@ def cmd_pipeline(args) -> int:
     if config.mono_target:
         lm_corpus += corpus.read_sentences(config.mono_target, config.target_profile)
     model = lm.train_lm(lm_corpus, order=config.lm_order, discount_mode=config.lm_discount_mode)
+    del lm_corpus  # the monolingual sentences are not needed past here
     arpa = lm.write_arpa(model)
     _write(out("lm.arpa"), arpa)
     artifacts["lm"] = "lm.arpa"

@@ -33,7 +33,8 @@ class CorpusError(ValueError):
 
 @dataclass(slots=True)
 class SentencePair:
-    """A parallel sentence with optional source-side dependency tree."""
+    """A parallel sentence with an optional source-side dependency tree, kept
+    as a `deptree.TreeShape` for rule extraction."""
 
     source: list[str]
     target: list[str]

@@ -1,8 +1,11 @@
 """CoNLL-U dependency trees: parsing, tree shape, nested-tree conversion.
 
 A tree's shape is worked out here only, for rule extraction and tree
-decoding alike: its walk (`tree_walk`), projectivity (`yields_contiguous`)
-and node labels (`node_label`).
+decoding alike: its walk (`heads_walk`), projectivity (`heads_contiguous`)
+and node labels (`node_label`), all over the tree's head array.
+`tree_walk` and `yields_contiguous` run the same two on a `DepSentence`.
+Rule extraction keeps a training tree as a `TreeShape`, three tuples in
+place of one object per token.
 
 Supports the two source-side annotation schemes used by the toolkit: the
 karaka-based PD labels and the 37 UD relations, with the documented partial
@@ -13,6 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Iterator, NamedTuple, Sequence
 
 from .gcpause import paused_gc
 
@@ -123,49 +127,83 @@ def node_label(tok: DepToken) -> str:
     return "root" if tok.head == 0 else tok.deprel
 
 
-def _walk(sent: DepSentence) -> tuple[list[list[int]], list[int]] | None:
+class TreeShape(NamedTuple):
+    """A tree as rule extraction reads it: each token's form, head and
+    `node_label`, in token order."""
+
+    forms: tuple[str, ...]
+    heads: tuple[int, ...]
+    labels: tuple[str, ...]
+
+    @classmethod
+    def of(cls, sent: DepSentence) -> TreeShape:
+        tokens = sent.tokens
+        return cls(
+            tuple(tok.form for tok in tokens),
+            tuple(tok.head for tok in tokens),
+            tuple(node_label(tok) for tok in tokens),
+        )
+
+
+def _walk(heads: Sequence[int]) -> tuple[list[list[int]], list[int]] | None:
     """Each token's children in id order (children[0] holds the roots) and,
     top-down, the tokens the roots reach: breadth first, so each comes after
-    its head. A token on or below a cycle is not reached. None when the ids
-    do not run 1..n or a head lies outside 0..n."""
-    n = len(sent.tokens)
+    its head. Token ids run 1..n in the order of `heads`. A token on or
+    below a cycle is not reached. None when a head lies outside 0..n."""
+    n = len(heads)
     children: list[list[int]] = [[] for _ in range(n + 1)]
-    for pos, tok in enumerate(sent.tokens, 1):
-        if tok.id != pos or not 0 <= tok.head <= n:
+    for pos, head in enumerate(heads, 1):
+        if not 0 <= head <= n:
             return None
-        children[tok.head].append(pos)
+        children[head].append(pos)
     order = list(children[0])
     for node in order:
         order.extend(children[node])
     return children, order
 
 
-def tree_walk(sent: DepSentence) -> tuple[list[list[int]], list[int]] | None:
+def heads_walk(heads: Sequence[int]) -> tuple[list[list[int]], list[int]] | None:
     """`_walk`'s children and top-down order of one tree, whose root is
     order[0]; None unless exactly one root reaches every token."""
-    walk = _walk(sent)
-    if walk is None or len(walk[0][0]) != 1 or len(walk[1]) != len(sent.tokens):
+    walk = _walk(heads)
+    if walk is None or len(walk[0][0]) != 1 or len(walk[1]) != len(heads):
         return None
     return walk
 
 
-def yields_contiguous(sent: DepSentence, order: list[int]) -> bool:
+def heads_contiguous(heads: Sequence[int], order: list[int]) -> bool:
     """Whether every token's yield is contiguous, in one bottom-up pass over
-    a `tree_walk` order that gives each token its yield's extent and size.
+    a `heads_walk` order that gives each token its yield's extent and size.
     For a tree this holds iff no two arcs cross."""
-    n = len(sent.tokens)
+    n = len(heads)
     first = list(range(n + 1))
     last = list(range(n + 1))
     size = [1] * (n + 1)
     for node in reversed(order):
         if last[node] - first[node] + 1 != size[node]:
             return False
-        head = sent.tokens[node - 1].head
+        head = heads[node - 1]
         if head:
             first[head] = min(first[head], first[node])
             last[head] = max(last[head], last[node])
             size[head] += size[node]
     return True
+
+
+def _heads(sent: DepSentence) -> list[int]:
+    return [tok.head for tok in sent.tokens]
+
+
+def tree_walk(sent: DepSentence) -> tuple[list[list[int]], list[int]] | None:
+    """`heads_walk` of a sentence whose token ids run 1..n; None otherwise."""
+    if any(tok.id != pos for pos, tok in enumerate(sent.tokens, 1)):
+        return None
+    return heads_walk(_heads(sent))
+
+
+def yields_contiguous(sent: DepSentence, order: list[int]) -> bool:
+    """`heads_contiguous` of a sentence, over its `tree_walk` order."""
+    return heads_contiguous(_heads(sent), order)
 
 
 def _validate_tree(sent: DepSentence, line_of: dict[int, int]) -> None:
@@ -179,7 +217,7 @@ def _validate_tree(sent: DepSentence, line_of: dict[int, int]) -> None:
             raise ConlluError(
                 f"sentence {ident}, line {line}: head {tok.head} of token {tok.id} is dangling"
             )
-    children, reached = _walk(sent)
+    children, reached = _walk(_heads(sent))
     if len(children[0]) != 1:
         raise ConlluError(f"sentence {ident}: expected exactly 1 root, found {len(children[0])}")
     # a token that the walk from the root misses is on or below a cycle
@@ -191,12 +229,28 @@ def _validate_tree(sent: DepSentence, line_of: dict[int, int]) -> None:
         )
 
 
+# the characters a parse splits into lines at a time, up to the next line feed
+_SLICE_CHARS = 1 << 16
+
+
+def _lines(text: str) -> Iterator[str]:
+    """`text.splitlines()`, one slice at a time: each slice ends just after
+    a line feed (or at the end), so no line break is cut, and the lines of
+    the whole text never exist at once."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _SLICE_CHARS - 1) + 1 or len(text)
+        yield from text[start:end].splitlines()
+        start = end
+
+
 @paused_gc()
 def parse_conllu(text: str) -> list[DepSentence]:
     """Parse CoNLL-U text into validated dependency sentences.
 
     Equal column values share one string object within a parse, so a corpus
-    keeps each distinct form, lemma, tag and label once.
+    keeps each distinct form, lemma, tag and label once. Lines are read in
+    bounded slices (`_lines`).
     """
     sentences: list[DepSentence] = []
     current = DepSentence()
@@ -214,8 +268,7 @@ def parse_conllu(text: str) -> list[DepSentence]:
         line_of = {}
 
     lineno = 0
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.rstrip("\n")
+    for lineno, line in enumerate(_lines(text), start=1):
         if not line.strip():
             flush(lineno)
             continue

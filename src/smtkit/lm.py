@@ -388,8 +388,9 @@ def write_arpa(model: NGramModel) -> str:
 def read_arpa(text: str) -> NGramModel:
     """The model in ARPA `text`: one pass over the lines after `\\data\\`,
     which first reads the count lines, up to the first blank one, then the
-    sections; every error but a missing header or terminator, an empty
-    `\\data\\` or a count mismatch names its line."""
+    sections; every error but a missing header or an empty `\\data\\`
+    names a line: a count mismatch its count line, a missing `\\end\\` the
+    last line."""
     lines = text.splitlines()
     start = next((i for i, line in enumerate(lines) if line.strip()), len(lines))
     if start == len(lines):
@@ -398,7 +399,7 @@ def read_arpa(text: str) -> NGramModel:
         raise LmError(f"line {start + 1}: expected \\data\\ header")
     vocab = Vocabulary()
     known, add, inf = vocab._str_to_id.__getitem__, vocab.add, math.inf
-    declared: dict[int, int] = {}
+    declared: dict[int, tuple[int, int]] = {}  # size -> (count, its line)
     model = probs = bows = None
     k = n = expect = 0  # the section, its lines so far, and its field count
     for lineno, line in enumerate(lines[start + 1:], start + 2):
@@ -413,7 +414,7 @@ def read_arpa(text: str) -> NGramModel:
                         size = count = -1
                     if not line.startswith("ngram ") or size < 1 or count < 0:
                         raise LmError(f"line {lineno}: malformed count line {line!r}")
-                    declared[size] = count
+                    declared[size] = count, lineno
                     continue
                 if not declared:
                     raise LmError("empty \\data\\ section")
@@ -462,9 +463,13 @@ def read_arpa(text: str) -> NGramModel:
             bows[gram] = bow
         n += 1
     else:
-        raise LmError("missing \\end\\ terminator" if declared else "empty \\data\\ section")
+        if not declared:
+            raise LmError("empty \\data\\ section")
+        raise LmError(f"line {len(lines)}: missing \\end\\ terminator")
     seen[k] += n
-    for k, count in declared.items():
+    for k, (count, lineno) in declared.items():
         if seen[k] != count:
-            raise LmError(f"\\{k}-grams: section declares {count} entries but contains {seen[k]}")
+            raise LmError(
+                f"line {lineno}: \\{k}-grams: section declares {count} entries but contains {seen[k]}"
+            )
     return model

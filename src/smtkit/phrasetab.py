@@ -106,13 +106,17 @@ def _lex_weight(
     ttable: TTable,
 ) -> float:
     """Koehn-style lexical weight: product over target words of the mean
-    translation probability of their aligned source words (NULL when none);
-    a rule's nonterminals are skipped."""
+    translation probability of their aligned source words (NULL when none),
+    summed in link order; a rule's nonterminals are skipped. The links are
+    grouped by target position in one pass."""
+    sources: dict[int, list[int]] = {}  # target position -> its linked source positions
+    for i, j in links:
+        sources.setdefault(j, []).append(i)
     weight = 1.0
     for j, tgt_word in enumerate(tgt):
         if not isinstance(tgt_word, str):
             continue
-        aligned = [i for i, jj in links if jj == j]
+        aligned = sources.get(j)
         if aligned:
             total = sum(ttable.prob(tgt_word, src[i]) for i in aligned)
             weight *= total / len(aligned)
@@ -221,11 +225,19 @@ def _fmt_num(value: float) -> str:
     return repr(value)
 
 
-def format_phrase_entry(entry: PhraseEntry) -> str:
+def _links_field(alignment: frozenset[tuple[int, int]]) -> str:
+    return " ".join(f"{i}-{j}" for i, j in sorted(alignment))
+
+
+def _phrase_line(entry: PhraseEntry, links: str) -> str:
+    """An entry's line, given its alignment field `links`."""
     scores = " ".join(_fmt_num(s) for s in entry.scores)
-    links = " ".join(f"{i}-{j}" for i, j in sorted(entry.alignment))
     counts = " ".join(_fmt_num(c) for c in entry.counts)
     return f"{' '.join(entry.src)} ||| {' '.join(entry.tgt)} ||| {scores} ||| {links} ||| {counts}"
+
+
+def format_phrase_entry(entry: PhraseEntry) -> str:
+    return _phrase_line(entry, _links_field(entry.alignment))
 
 
 def finite_floats(field: str) -> tuple[float, ...]:
@@ -278,9 +290,14 @@ def parse_phrase_entry(line: str) -> PhraseEntry:
 
 def phrase_table_lines(entries: list[PhraseEntry]) -> Iterator[str]:
     """The lines of a phrase table file, each with its newline; a table
-    without entries is one empty line."""
+    without entries is one empty line. Each distinct alignment is formatted
+    once."""
+    fields: dict[frozenset[tuple[int, int]], str] = {}
     for entry in entries:
-        yield format_phrase_entry(entry) + "\n"
+        links = fields.get(entry.alignment)
+        if links is None:
+            links = fields[entry.alignment] = _links_field(entry.alignment)
+        yield _phrase_line(entry, links) + "\n"
     if not entries:
         yield "\n"
 
@@ -381,17 +398,21 @@ def extract_reordering(
     return entries
 
 
-def format_reordering_entry(entry: ReorderingEntry) -> str:
-    orientations = MSD if len(entry.forward) == 3 else MSLR
-    values = [entry.forward[o] for o in orientations] + [entry.backward[o] for o in orientations]
-    return f"{' '.join(entry.src)} ||| {' '.join(entry.tgt)} ||| " + " ".join(map(_fmt_num, values))
-
-
 def reordering_table_lines(entries: list[ReorderingEntry]) -> Iterator[str]:
     """The lines of a reordering table file, each with its newline; a
-    table without entries is one empty line."""
+    table without entries is one empty line. The values of each shared
+    (forward, backward) pair of distributions are formatted once."""
+    # by the pair's ids: the entries keep every distribution alive meanwhile
+    fields: dict[tuple[int, int], str] = {}
     for entry in entries:
-        yield format_reordering_entry(entry) + "\n"
+        forward, backward = entry.forward, entry.backward
+        values = fields.get((id(forward), id(backward)))
+        if values is None:
+            orientations = MSD if len(forward) == 3 else MSLR
+            values = fields[id(forward), id(backward)] = " ".join(
+                map(_fmt_num, [forward[o] for o in orientations] + [backward[o] for o in orientations])
+            )
+        yield f"{' '.join(entry.src)} ||| {' '.join(entry.tgt)} ||| {values}\n"
     if not entries:
         yield "\n"
 

@@ -7,9 +7,9 @@ co-indexed gap nonterminals, under the usual constraints: at most MAX_NT (2)
 nonterminals, never adjacent on the source side, at most MAX_SRC_SYMBOLS (5)
 source symbols, at least one source terminal.
 
-Tree rules are read off the walk that `deptree.tree_walk` gives a source
-tree, under `deptree.node_label`'s labels; a tree that is not projective
-(`deptree.yields_contiguous`) gives no rules. A hier gap and a tree
+Tree rules are read off the walk that `deptree.heads_walk` gives a source
+tree's `deptree.TreeShape`, under its labels; a tree that is not projective
+(`deptree.heads_contiguous`) gives no rules. A hier gap and a tree
 variable are one named tuple, `NT`; a tree variable, `Var`, is an `NT`
 that prints under its own name.
 
@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple
 
 from .align import TTable
 from .corpus import SentencePair
-from .deptree import DepSentence, node_label, tree_walk, yields_contiguous
+from .deptree import TreeShape, heads_contiguous, heads_walk
 from .phrasetab import (
     PhraseError, _fmt_num, _lex_weight, extract_phrases, finite_floats, parse_lines, probabilities,
 )
@@ -361,11 +361,11 @@ def _tree_rule_keys(pair: SentencePair, links) -> list[tuple[tuple[str, tuple], 
     span, i.e. iff the links into that span are as many as its inside
     links. A link from beyond the tree is inside no yield.
     """
-    sent: DepSentence = pair.source_tree
-    if sent is None:
+    tree: TreeShape = pair.source_tree
+    if tree is None:
         raise PhraseError("sentence pair carries no source tree")
-    tokens = sent.tokens
-    n = len(tokens)
+    forms, heads, labels = tree
+    n = len(heads)
     target = pair.target
 
     inside = [0] * (n + 1)
@@ -382,12 +382,12 @@ def _tree_rule_keys(pair: SentencePair, links) -> list[tuple[tuple[str, tuple], 
             hi[i + 1] = max(hi[i + 1], j)
     for j in range(len(target)):
         before[j + 1] += before[j]
-    walk = tree_walk(sent)
-    if walk is None or not yields_contiguous(sent, walk[1]):
+    walk = heads_walk(heads)
+    if walk is None or not heads_contiguous(heads, walk[1]):
         return None
     children, order = walk
     for node in reversed(order):
-        head = tokens[node - 1].head
+        head = heads[node - 1]
         if head:
             inside[head] += inside[node]
             lo[head] = min(lo[head], lo[node])
@@ -398,13 +398,13 @@ def _tree_rule_keys(pair: SentencePair, links) -> list[tuple[tuple[str, tuple], 
     ]
 
     def fragment(node: int, variables: list[int]) -> str:
-        parts = ["(" + node_label(tokens[node - 1])]
+        parts = ["(" + labels[node - 1]]
         for item in sorted(children[node] + [node]):
             if item == node:
-                parts.append(_word_text(tokens[node - 1].form))
+                parts.append(_word_text(forms[node - 1]))
             elif frontier[item]:
                 variables.append(item)
-                parts.append(f"#{len(variables)}:{node_label(tokens[item - 1])}")
+                parts.append(f"#{len(variables)}:{labels[item - 1]}")
             else:
                 parts.append(fragment(item, variables))
         return " ".join(parts) + ")"

@@ -1,5 +1,7 @@
 """The line-by-line ARPA reader that `smtkit.lm.read_arpa` replaced, kept
-verbatim as an exact-order reference.
+as an exact-order reference: verbatim but for the messages of a count
+mismatch and a missing `\\end\\`, which now name a line as the reader's
+do.
 
 `smtkit.lm.read_arpa` must return the same model as this function: the same
 `probs` and `backoffs` in the same insertion order and the same vocabulary
@@ -26,6 +28,7 @@ def read_arpa(text: str) -> NGramModel:
         raise LmError("missing \\data\\ header")
     pos += 1
     declared: dict[int, int] = {}
+    count_line: dict[int, int] = {}
     while pos < len(lines) and lines[pos].strip():
         part = lines[pos].strip()
         if not part.startswith("ngram "):
@@ -38,6 +41,7 @@ def read_arpa(text: str) -> NGramModel:
         if k < 1 or count < 0:
             raise LmError(f"line {pos + 1}: malformed count line {part!r}")
         declared[k] = count
+        count_line[k] = pos + 1
         pos += 1
     if not declared:
         raise LmError("empty \\data\\ section")
@@ -88,11 +92,12 @@ def read_arpa(text: str) -> NGramModel:
             model.backoffs[current_k][gram] = bow
         seen[current_k] += 1
     else:
-        raise LmError("missing \\end\\ terminator")
+        raise LmError(f"line {len(lines)}: missing \\end\\ terminator")
     for k, count in declared.items():
         if seen[k] != count:
             raise LmError(
-                f"\\{k}-grams: section declares {count} entries but contains {seen[k]}"
+                f"line {count_line[k]}: \\{k}-grams: section declares {count} entries "
+                f"but contains {seen[k]}"
             )
     return model
 

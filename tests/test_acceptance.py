@@ -27,7 +27,7 @@ from smtkit.decoder import (
     decode_tree,
     score_derivation,
 )
-from smtkit.deptree import is_projective, parse_conllu, to_nested_tree
+from smtkit.deptree import TreeShape, is_projective, parse_conllu, to_nested_tree
 from smtkit.evaluate import bleu, meteor_lite, precision_recall_f, wer
 from smtkit.lm import read_arpa, train_lm, write_arpa
 from smtkit.phrasetab import PhraseEntry, extract_phrases
@@ -265,7 +265,7 @@ def test_criterion_10_tree_pipeline():
     # tree rules extracted from a fixed alignment reproduce the translation
     target = "एगो पत्थर , कहलस छोटन ।".split()
     links = {(0, 0), (1, 1), (2, 2), (3, 3), (6, 4), (7, 5)}
-    pair = SentencePair([t.form for t in stone.tokens], target, source_tree=stone)
+    pair = SentencePair([t.form for t in stone.tokens], target, source_tree=TreeShape.of(stone))
     table, skipped = build_tree_rule_table([pair], [{(i, j) for i, j in links}])
     assert skipped == 0
     lm_fixture = train_lm([target] * 3, order=2)

@@ -30,7 +30,7 @@ from smtkit.decoder import phrase as phrase_module
 from smtkit.decoder.chart import ItemFactory
 from smtkit.decoder.phrase import _COVERAGE, _LAST_END, _OPTION, _TOKENS, _TOTAL
 from smtkit.decoder.weights import format_weights, parse_weights
-from smtkit.deptree import parse_conllu
+from smtkit.deptree import TreeShape, parse_conllu
 from smtkit import lm as lm_module
 from smtkit.lm import LmStates, NGramModel, read_arpa, train_lm
 from smtkit.phrasetab import (
@@ -45,7 +45,7 @@ from smtkit.ruletab import (
     Fragment, NT, RuleEntry, TreeRule, Var, build_rule_table, build_tree_rule_table, glue_rules,
 )
 from smtkit.synthdata import write_fixture_tree
-from test_ruletab import as_pair, neutral
+from test_ruletab import as_pair, dep_sentence, neutral
 
 
 SRC = [f"s{i}" for i in range(8)]
@@ -1205,7 +1205,7 @@ def test_tree_decoder_matches_exhaustive_oracle(case, order, weights):
     for score, tokens in reference:
         best[tokens] = max(score, best.get(tokens, -math.inf))
     k = len(reference)
-    hyps = decode_tree(as_pair(heads, labels, forms, []).source_tree, TreeModels(table, lm),
+    hyps = decode_tree(dep_sentence(heads, labels, forms), TreeModels(table, lm),
                        weights, TreeConfig(k_best_per_node=k, nbest=k))
     assert {h.tokens for h in hyps} == set(best)
     for hyp in hyps:
@@ -1234,7 +1234,7 @@ def tree_runs(draw):
             )))
     table, _ = build_tree_rule_table(pairs, link_sets)
     lm = train_lm([pair.target for pair in pairs] + [TGT[:4]], order=draw(st.sampled_from((2, 3))))
-    sources = [as_pair(*tree, []).source_tree for tree in trees]
+    sources = [dep_sentence(*tree) for tree in trees]
     run = draw(st.permutations(list(range(len(trees))) * 4))
     return table, lm, [sources[i] for i in run]
 
@@ -1513,7 +1513,7 @@ def trained_chart_tree(tmp_path_factory):
     pairs = read_parallel(paths["train.src"], paths["train.tgt"])
     trees = parse_conllu(Path(paths["train.conllu"]).read_text(encoding="utf-8"))
     for pair, tree in zip(pairs, trees):
-        pair.source_tree = tree
+        pair.source_tree = TreeShape.of(tree)
     fwd, bwd, links = cli._alignments_for(pairs, 3, 1, "grow-diag-final-and")
     lm = train_lm([p.target for p in pairs] + read_sentences(paths["mono.tgt"]), order=3)
     return {

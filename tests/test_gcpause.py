@@ -38,7 +38,7 @@ def system(tmp_path_factory):
     pairs = read_parallel(paths["train.src"], paths["train.tgt"])
     conllu = Path(paths["train.conllu"]).read_text(encoding="utf-8")
     for pair, tree in zip(pairs, deptree.parse_conllu(conllu)):
-        pair.source_tree = tree
+        pair.source_tree = deptree.TreeShape.of(tree)
     fwd, bwd, links = _alignments_for(pairs, 3, 1, "grow-diag-final-and")
     lm = train_lm([p.target for p in pairs] + read_sentences(paths["mono.tgt"]), order=3)
     test_conllu = Path(paths["test.conllu"]).read_text(encoding="utf-8")

@@ -9,7 +9,7 @@ from oracles import frontier_rules_reference, hier_rules_reference
 
 from smtkit.align import TTable
 from smtkit.corpus import SentencePair
-from smtkit.deptree import DepSentence, DepToken, parse_conllu
+from smtkit.deptree import DepSentence, DepToken, TreeShape, parse_conllu
 from smtkit.phrasetab import extract_phrases
 from smtkit.ruletab import (
     Fragment,
@@ -244,7 +244,7 @@ def chain_tree(links_monotone=True):
         "3\tt3\t_\t_\tC\t_\t0\troot\t_\t_\n"
     )
     sent = parse_conllu(conllu)[0]
-    pair = SentencePair(["t1", "t2", "t3"], ["u1", "u2", "u3"], source_tree=sent)
+    pair = SentencePair(["t1", "t2", "t3"], ["u1", "u2", "u3"], source_tree=TreeShape.of(sent))
     # the interleaving alignment makes the middle node's target span overlap
     # the root word's target position
     links = {(0, 0), (1, 1), (2, 2)} if links_monotone else {(0, 0), (1, 2), (2, 1)}
@@ -254,7 +254,7 @@ def chain_tree(links_monotone=True):
 class TestTreeExtraction:
     def test_single_word_single_rule(self):
         sent = parse_conllu("1\tw\t_\t_\tX\t_\t0\troot\t_\t_\n")[0]
-        pair = SentencePair(["w"], ["v"], source_tree=sent)
+        pair = SentencePair(["w"], ["v"], source_tree=TreeShape.of(sent))
         rules = extract_tree_rules(pair, {(0, 0)})
         assert len(rules) == 1
         assert rules[0].fragment == Fragment("root", ("w",))
@@ -296,7 +296,7 @@ class TestTreeExtraction:
             "4\td\t_\t_\tD\t_\t3\td\t_\t_\n"
         )
         sent = parse_conllu(conllu)[0]
-        pair = SentencePair(["a", "b", "c", "d"], ["w"], source_tree=sent)
+        pair = SentencePair(["a", "b", "c", "d"], ["w"], source_tree=TreeShape.of(sent))
         assert extract_tree_rules(pair, {(0, 0)}) == []
         _, skipped = build_tree_rule_table([pair], [{(0, 0)}])
         assert skipped == 1
@@ -448,10 +448,14 @@ def tree_pairs(draw):
     return heads, labels, forms, target, links
 
 
+def dep_sentence(heads, labels, forms):
+    return DepSentence(tokens=[DepToken(t, forms[t - 1], head=heads[t - 1], deprel=labels[t - 1])
+                               for t in range(1, len(heads) + 1)])
+
+
 def as_pair(heads, labels, forms, target):
-    tokens = [DepToken(t, forms[t - 1], head=heads[t - 1], deprel=labels[t - 1])
-              for t in range(1, len(heads) + 1)]
-    return SentencePair(list(forms), list(target), source_tree=DepSentence(tokens=tokens))
+    return SentencePair(list(forms), list(target),
+                        source_tree=TreeShape.of(dep_sentence(heads, labels, forms)))
 
 
 def neutral(rule):
