@@ -322,6 +322,9 @@ def grow_diag_final_and(
     return alignment
 
 
+SYMMETRIZATIONS = ("intersection", "union", "grow-diag-final-and")
+
+
 def symmetrize(
     forward: set[tuple[int, int]],
     backward: set[tuple[int, int]],

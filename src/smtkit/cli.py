@@ -244,13 +244,13 @@ class PipelineConfig:
 
     def validate(self) -> None:
         closed = {
-            "lm_discount_mode": ("counts_of_counts", "fixed"),
+            "lm_discount_mode": lm.DISCOUNT_MODES,
             "align_model": (1, 2),
-            "align_symmetrization": ("intersection", "union", "grow-diag-final-and"),
-            "reorder_orientation_set": ("msd", "mslr"),
-            "decoder_kind": ("phrase", "hier", "tree"),
-            "source_profile": ("english", "devanagari"),
-            "target_profile": ("english", "devanagari"),
+            "align_symmetrization": align.SYMMETRIZATIONS,
+            "reorder_orientation_set": phrasetab.ORIENTATION_SETS,
+            "decoder_kind": tuple(_BACKENDS),
+            "source_profile": corpus.LANG_PROFILES,
+            "target_profile": corpus.LANG_PROFILES,
         }
         for attr, values in closed.items():
             if getattr(self, attr) not in values:
@@ -846,9 +846,10 @@ def cmd_pipeline(args) -> int:
 
     def sources(trees_path: str, text_path: str) -> list:
         # a blank line is an error that names the file and line, as in `decode`
-        if backend.reads_trees:
-            return _read_file(_parse_trees, trees_path)
-        return _read_file(lambda text: _nonblank(corpus.tokenize(text, config.source_profile)), text_path)
+        return _read_sources(
+            config.decoder_kind, trees_path if backend.reads_trees else text_path,
+            lambda text: _nonblank(corpus.tokenize(text, config.source_profile)),
+        )
 
     # tuning
     weights = FeatureWeights()
@@ -905,8 +906,8 @@ def cmd_pipeline(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_decoder_args(parser, kinds=("phrase", "hier", "tree")):
-    parser.add_argument("--kind", choices=kinds, default="phrase")
+def _add_decoder_args(parser):
+    parser.add_argument("--kind", choices=tuple(_BACKENDS), default="phrase")
     parser.add_argument("--phrase-table")
     parser.add_argument("--rule-table")
     parser.add_argument("--reordering")
@@ -928,7 +929,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("tokenize", help="tokenize raw text, one sentence per line")
-    p.add_argument("--lang", choices=("english", "devanagari"), default="english")
+    p.add_argument("--lang", choices=corpus.LANG_PROFILES, default="english")
     p.add_argument("--input")
     p.add_argument("--output")
     p.set_defaults(func=cmd_tokenize)
@@ -944,7 +945,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train-lm", help="train a Kneser-Ney n-gram model, ARPA output")
     p.add_argument("--input", required=True)
     p.add_argument("--order", type=int, default=3, choices=(2, 3, 4, 5))
-    p.add_argument("--discount-mode", choices=("counts_of_counts", "fixed"), default="counts_of_counts")
+    p.add_argument("--discount-mode", choices=lm.DISCOUNT_MODES, default="counts_of_counts")
     p.add_argument("--output")
     p.set_defaults(func=cmd_train_lm)
 
@@ -953,8 +954,7 @@ def build_parser() -> _Parser:
     p.add_argument("--target", required=True)
     p.add_argument("--iterations", type=int, default=5)
     p.add_argument("--model", type=int, choices=(1, 2), default=1)
-    p.add_argument("--symmetrization", choices=("intersection", "union", "grow-diag-final-and"),
-                   default="grow-diag-final-and")
+    p.add_argument("--symmetrization", choices=align.SYMMETRIZATIONS, default="grow-diag-final-and")
     p.add_argument("--output")
     p.add_argument("--ttable-fwd")
     p.add_argument("--ttable-bwd")
@@ -985,7 +985,7 @@ def build_parser() -> _Parser:
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--alignments", required=True)
-    p.add_argument("--orientation-set", choices=("msd", "mslr"), default="msd")
+    p.add_argument("--orientation-set", choices=phrasetab.ORIENTATION_SETS, default="msd")
     p.add_argument("--sigma", type=float, default=0.5)
     p.add_argument("--max-phrase-len", type=int, default=7)
     p.add_argument("--output")
@@ -1000,8 +1000,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("translate", help="translate raw text to detokenized output")
     _add_decoder_args(p)
-    p.add_argument("--lang", choices=("english", "devanagari"), default="english")
-    p.add_argument("--target-lang", choices=("english", "devanagari"), default="devanagari")
+    p.add_argument("--lang", choices=corpus.LANG_PROFILES, default="english")
+    p.add_argument("--target-lang", choices=corpus.LANG_PROFILES, default="devanagari")
     p.add_argument("--input")
     p.add_argument("--output")
     p.set_defaults(func=cmd_translate)

@@ -98,6 +98,9 @@ def _split_punct(word: str) -> list[str]:
     return parts
 
 
+LANG_PROFILES = ("english", "devanagari")
+
+
 def tokenize_line(line: str, lang_profile: str = "english") -> list[str]:
     """Tokenize a single sentence.
 
@@ -105,7 +108,7 @@ def tokenize_line(line: str, lang_profile: str = "english") -> list[str]:
     danda and double danda) into standalone tokens. The english profile
     lowercases as a deterministic stand-in for truecasing.
     """
-    if lang_profile not in ("english", "devanagari"):
+    if lang_profile not in LANG_PROFILES:
         raise CorpusError(f"unknown language profile: {lang_profile!r}")
     if lang_profile == "english":
         line = line.lower()

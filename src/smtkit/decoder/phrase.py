@@ -52,17 +52,17 @@ class PhraseModels(LmMemo):
     reordering: list[ReorderingEntry] | None = None
 
     def __post_init__(self):
-        self._options: dict[tuple[str, ...], list[PhraseEntry]] = {}
-        self.max_src_len = 1
+        options: dict[tuple[str, ...], list[PhraseEntry]] = {}
         for entry in self.phrase_table:
-            self._options.setdefault(entry.src, []).append(entry)
-            self.max_src_len = max(self.max_src_len, len(entry.src))
-        for options in self._options.values():
-            options.sort(key=lambda e: (e.tgt, e.scores))
-        self._reorder: dict[tuple[tuple[str, ...], tuple[str, ...]], ReorderingEntry] = {}
-        if self.reordering:
-            for entry in self.reordering:
-                self._reorder[(entry.src, entry.tgt)] = entry
+            options.setdefault(entry.src, []).append(entry)
+        self._options = options
+        self.max_src_len = max(1, max(map(len, options), default=1))
+        for entries in options.values():
+            if len(entries) > 1:
+                entries.sort(key=lambda e: (e.tgt, e.scores))
+        self._reorder: dict[tuple[tuple[str, ...], tuple[str, ...]], ReorderingEntry] = {
+            (entry.src, entry.tgt): entry for entry in self.reordering or ()
+        }
         # filled on first use, so loading a model stays as cheap as indexing it
         self._reorder_logs: dict[tuple | None, tuple[dict[str, float], dict[str, float]] | None] = {}
         self._log_tables: dict[tuple, dict[str, float]] = {}  # per distinct distribution
@@ -670,16 +670,15 @@ def decode_phrase(
     results = []
     for tokens, (score, hyp, option) in ranked[: max(config.nbest, 1)]:
         derivation = _derivation_steps(hyp, option, steps)
-        features = _phrase_and_order_features(derivation, models, n)
-        features["lm"] = lm_states.sentence(tokens)
+        features = derivation_features(derivation, models, n)
         results.append(DecodedHypothesis(tokens, score, features, derivation))
     return results
 
 
-def _phrase_and_order_features(
+def derivation_features(
     steps: tuple[Step, ...], models: PhraseModels, n: int
 ) -> dict[str, float]:
-    """The feature vector of a derivation without its LM score."""
+    """Recompute the full feature vector of a derivation from scratch."""
     features: dict[str, float] = {}
     last_start, last_end = 0, 0
     prev: Step | None = None
@@ -699,16 +698,7 @@ def _phrase_and_order_features(
     features["distortion"] = -distortion
     if models.reordering:
         features["reordering"] = reorder
-    return features
-
-
-def derivation_features(
-    steps: tuple[Step, ...], models: PhraseModels, n: int
-) -> dict[str, float]:
-    """Recompute the full feature vector of a derivation from scratch."""
-    features = _phrase_and_order_features(steps, models, n)
-    tokens = [w for step in steps for w in step.tgt]
-    features["lm"] = models.lm_states().sentence(tokens)
+    features["lm"] = models.lm_states().sentence([w for step in steps for w in step.tgt])
     return features
 
 

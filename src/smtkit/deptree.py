@@ -6,15 +6,10 @@ and node labels (`node_label`), all over the tree's head array.
 `tree_walk` and `yields_contiguous` run the same two on a `DepSentence`.
 Rule extraction keeps a training tree as a `TreeShape`, three tuples in
 place of one object per token.
-
-Supports the two source-side annotation schemes used by the toolkit: the
-karaka-based PD labels and the 37 UD relations, with the documented partial
-mapping between them.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Sequence
 
@@ -23,70 +18,6 @@ from .gcpause import paused_gc
 
 class ConlluError(ValueError):
     """Raised for structurally invalid CoNLL-U input."""
-
-
-PD_LABELS = frozenset(
-    {
-        "k1", "k1s", "pk1", "jk1", "mk1",
-        "k2", "k2p", "k2g", "k2s",
-        "k3", "k4", "k4a", "k5", "k5prk",
-        "k7t", "k7p", "k7", "k7a", "k*u",
-        "r6", "r6-k1", "r6-k2", "r6v",
-        "adv", "sent-adv", "rd", "rh", "rt",
-        "ras-k*", "ras-neg", "rs", "rsp", "rad",
-        "nmod__relc", "jjmod__relc", "rbmod__relc",
-        "nmod", "nmod_emph", "vmod", "jjmod",
-        "pof", "pof-phrv", "ccof", "fragof", "enm",
-        "rsym", "psp__cl", "dummy-sub",
-    }
-)
-
-UD_LABELS = frozenset(
-    {
-        "nsubj", "obj", "iobj", "csubj", "ccomp", "xcomp",
-        "obl", "vocative", "expl", "dislocated", "advcl", "advmod",
-        "discourse", "aux", "cop", "mark",
-        "nmod", "appos", "nummod", "acl", "amod", "det",
-        "clf", "case", "conj", "cc",
-        "fixed", "flat", "compound", "list", "parataxis",
-        "orphan", "goeswith", "reparandum", "punct", "root", "dep",
-    }
-)
-
-# Partial PD -> UD correspondences. Labels without a documented mapping
-# return the empty set.
-_PD_TO_UD: dict[str, frozenset[str]] = {
-    "k2": frozenset({"ccomp", "dobj", "xcomp"}),
-    "k3": frozenset({"nmod"}),
-    "k7p": frozenset({"nmod"}),
-    "k7t": frozenset({"nmod"}),
-    "r6": frozenset({"nmod"}),
-    "k1": frozenset({"nsubj"}),
-    "k4a": frozenset({"nsubj"}),
-    "pk1": frozenset({"nsubj"}),
-}
-
-
-@dataclass(frozen=True)
-class LabelInventory:
-    scheme: str
-    labels: frozenset[str]
-
-    def __contains__(self, label: str) -> bool:
-        # Subtyped labels like "obl:tmod" are valid when their bare prefix is.
-        return label in self.labels or label.split(":", 1)[0] in self.labels
-
-
-PD_INVENTORY = LabelInventory("PD", PD_LABELS)
-UD_INVENTORY = LabelInventory("UD", UD_LABELS)
-
-
-def inventory(scheme: str) -> LabelInventory:
-    if scheme.upper() == "PD":
-        return PD_INVENTORY
-    if scheme.upper() == "UD":
-        return UD_INVENTORY
-    raise ValueError(f"unknown annotation scheme: {scheme!r}")
 
 
 @dataclass(slots=True)
@@ -488,29 +419,3 @@ def parse_nested_tree_file(text: str) -> list[DepSentence]:
             raise ConlluError(f"line {lineno}: {exc}") from None
     return sentences
 
-
-def map_pd_to_ud(pd_label: str) -> frozenset[str]:
-    """Documented UD candidates for a PD label; empty when unmapped."""
-    if pd_label not in PD_INVENTORY:
-        raise ValueError(f"unknown PD label: {pd_label!r}")
-    return _PD_TO_UD.get(pd_label, frozenset())
-
-
-def scheme_stats(
-    sentences: list[DepSentence], scheme: str
-) -> tuple[Counter[str], list[str]]:
-    """Count deprel labels; out-of-inventory labels go under OTHER.
-
-    Returns the frequency table and the list of unknown labels encountered.
-    """
-    inv = inventory(scheme)
-    table: Counter[str] = Counter()
-    warnings: list[str] = []
-    for sent in sentences:
-        for tok in sent.tokens:
-            if tok.deprel in inv:
-                table[tok.deprel] += 1
-            else:
-                warnings.append(tok.deprel)
-                table["OTHER"] += 1
-    return table, warnings

@@ -253,6 +253,9 @@ class LmMemo:
         return memo
 
 
+DISCOUNT_MODES = ("counts_of_counts", "fixed")
+
+
 def train_lm(
     corpus: list[list[str]],
     order: int = 3,
@@ -269,7 +272,7 @@ def train_lm(
     """
     if order < 2:
         raise LmError(f"order must be >= 2, got {order}")
-    if discount_mode not in ("counts_of_counts", "fixed"):
+    if discount_mode not in DISCOUNT_MODES:
         raise LmError(f"unknown discount mode: {discount_mode!r}")
     if not 0.0 < fixed_discount <= 1.0:
         raise LmError(f"fixed discount must be in (0, 1], got {fixed_discount}")

@@ -14,7 +14,8 @@ by line (`phrase_table_lines`, `reordering_table_lines`), never holding a
 file's whole text. Entries are slotted, and equal values are one object, in
 built and read tables alike: a frozenset per distinct internal alignment and
 a read-only mapping per distinct orientation distribution. A reader parses
-each distinct alignment, counts and orientation field once.
+each distinct alignment, counts and orientation field once, and the rule
+reader shares `read_alignment`, which range-checks each entry's links.
 """
 
 from __future__ import annotations
@@ -25,13 +26,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 
-from .align import NULL_WORD, TTable
+from .align import NULL_WORD, TTable, format_links, parse_links
 from .corpus import SentencePair
 
 SpanPair = tuple[tuple[int, int], tuple[int, int]]  # ((i1,i2),(j1,j2)) inclusive
 
 MSD = ("monotone", "swap", "discontinuous")
 MSLR = ("monotone", "swap", "disc-left", "disc-right")
+ORIENTATION_SETS = ("msd", "mslr")
 
 
 class PhraseError(ValueError):
@@ -126,7 +128,7 @@ def _lex_weight(
 
 
 def _orientations(orientation_set: str) -> tuple[str, ...]:
-    if orientation_set not in ("msd", "mslr"):
+    if orientation_set not in ORIENTATION_SETS:
         raise PhraseError(f"unknown orientation set: {orientation_set!r}")
     return MSD if orientation_set == "msd" else MSLR
 
@@ -225,10 +227,6 @@ def _fmt_num(value: float) -> str:
     return repr(value)
 
 
-def _links_field(alignment: frozenset[tuple[int, int]]) -> str:
-    return " ".join(f"{i}-{j}" for i, j in sorted(alignment))
-
-
 def _phrase_line(entry: PhraseEntry, links: str) -> str:
     """An entry's line, given its alignment field `links`."""
     scores = " ".join(_fmt_num(s) for s in entry.scores)
@@ -237,7 +235,7 @@ def _phrase_line(entry: PhraseEntry, links: str) -> str:
 
 
 def format_phrase_entry(entry: PhraseEntry) -> str:
-    return _phrase_line(entry, _links_field(entry.alignment))
+    return _phrase_line(entry, format_links(entry.alignment))
 
 
 def finite_floats(field: str) -> tuple[float, ...]:
@@ -254,16 +252,29 @@ def probabilities(field: str, zero_ok: bool = False) -> tuple[float, ...]:
     """finite_floats of a field of probabilities: each in (0, 1], or in
     [0, 1] when `zero_ok`."""
     values = finite_floats(field)
-    for word, value in zip(field.split(), values):
-        if not (0.0 < value <= 1.0 or zero_ok and value == 0.0):
-            raise PhraseError(f"probability {word!r} lies outside {'[0, 1]' if zero_ok else '(0, 1]'}")
+    if values and not (0.0 < min(values) and max(values) <= 1.0):  # else each lies in (0, 1]
+        for word, value in zip(field.split(), values):
+            if not (0.0 < value <= 1.0 or zero_ok and value == 0.0):
+                raise PhraseError(f"probability {word!r} lies outside {'[0, 1]' if zero_ok else '(0, 1]'}")
     return values
 
 
 @lru_cache(maxsize=4096)
-def _alignment(field: str) -> frozenset[tuple[int, int]]:
+def _links(field: str) -> frozenset[tuple[int, int]]:
     """The links of an alignment field; equal fields give one frozenset."""
-    return frozenset((int(a), int(b)) for a, b in (p.split("-") for p in field.split()))
+    return frozenset(parse_links(field))
+
+
+@lru_cache(maxsize=4096)
+def read_alignment(field: str, n_src: int, n_tgt: int, within: str) -> frozenset[tuple[int, int]]:
+    """The links of the alignment field of an entry (a `within`) whose sides
+    hold `n_src` and `n_tgt` symbols; a point outside them is a PhraseError
+    naming it. Each distinct field and pair of side lengths is checked once."""
+    links = _links(field)
+    for i, j in sorted(links):
+        if not (0 <= i < n_src and 0 <= j < n_tgt):
+            raise PhraseError(f"alignment point {i}-{j} lies outside the {within}")
+    return links
 
 
 @lru_cache(maxsize=4096)
@@ -281,7 +292,7 @@ def parse_phrase_entry(line: str) -> PhraseEntry:
     scores = probabilities(fields[2])
     if len(scores) != 4:
         raise PhraseError(f"expected 4 scores, found {len(scores)}: {line!r}")
-    alignment = _alignment(fields[3])
+    alignment = read_alignment(fields[3], len(src), len(tgt), "phrase pair")
     counts = _counts(fields[4])
     if len(counts) != 3:
         raise PhraseError(f"expected 3 counts, found {len(counts)}: {line!r}")
@@ -296,7 +307,7 @@ def phrase_table_lines(entries: list[PhraseEntry]) -> Iterator[str]:
     for entry in entries:
         links = fields.get(entry.alignment)
         if links is None:
-            links = fields[entry.alignment] = _links_field(entry.alignment)
+            links = fields[entry.alignment] = format_links(entry.alignment)
         yield _phrase_line(entry, links) + "\n"
     if not entries:
         yield "\n"

@@ -25,11 +25,12 @@ import re
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .align import TTable
+from .align import TTable, format_links
 from .corpus import SentencePair
 from .deptree import TreeShape, heads_contiguous, heads_walk
 from .phrasetab import (
     PhraseError, _fmt_num, _lex_weight, extract_phrases, finite_floats, parse_lines, probabilities,
+    read_alignment,
 )
 
 
@@ -241,11 +242,10 @@ def _side_to_text(symbols: tuple, lhs: str) -> str:
 
 def format_rule(rule: RuleEntry) -> str:
     scores = " ".join(_fmt_num(s) for s in rule.scores)
-    links = " ".join(f"{i}-{j}" for i, j in sorted(rule.alignment))
     counts = " ".join(_fmt_num(c) for c in rule.counts)
     return (
         f"{_side_to_text(rule.src_rhs, rule.lhs)} ||| {_side_to_text(rule.tgt_rhs, rule.lhs)}"
-        f" ||| {scores} ||| {links} ||| {counts}"
+        f" ||| {scores} ||| {format_links(rule.alignment)} ||| {counts}"
     )
 
 
@@ -273,12 +273,7 @@ def parse_rule(line: str) -> RuleEntry:
     if lhs != lhs_t:
         raise PhraseError(f"source lhs {lhs!r} != target lhs {lhs_t!r}")
     scores = probabilities(fields[2])
-    alignment = frozenset(
-        (int(a), int(b)) for a, b in (p.split("-") for p in fields[3].split())
-    )
-    for i, j in alignment:
-        if not (0 <= i < len(src_syms) and 0 <= j < len(tgt_syms)):
-            raise PhraseError(f"alignment point {i}-{j} lies outside the rule: {line!r}")
+    alignment = read_alignment(fields[3], len(src_syms), len(tgt_syms), "rule")
     counts = finite_floats(fields[4])
     # co-index nonterminals through the alignment, in source order
     index = 0
@@ -421,19 +416,6 @@ def _tree_rule_keys(pair: SentencePair, links) -> list[tuple[tuple[str, tuple], 
         holes = {lo[v]: (hi[v], index) for index, v in enumerate(variables, start=1)}
         keys.append(((text, _side(target, start, end, holes)[0]), ()))
     return keys
-
-
-def extract_tree_rules(
-    pair: SentencePair, links: set[tuple[int, int]]
-) -> list[TreeRule]:
-    """Minimal frontier-node rules from a projective source dependency tree.
-
-    Skips (returns nothing for) non-projective trees; the caller warns.
-    """
-    return [
-        TreeRule(_read_fragment(text), _symbols(target, Var, ""))
-        for (text, target), _ in _tree_rule_keys(pair, links) or ()
-    ]
 
 
 def build_tree_rule_table(

@@ -9,7 +9,7 @@ from smtkit.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, PipelineConfig, main
 from smtkit.deptree import parse_conllu, to_nested_tree, write_conllu
 from smtkit.synthdata import write_fixture_tree
 from test_deptree import chain_sentence
-from test_readers import BAD_RULE_LINES, BAD_TREE_RULE_LINES
+from test_readers import BAD_LINKS, BAD_RULE_LINES, BAD_TREE_RULE_LINES, LINK_TABLES
 
 
 def run(argv, stdin=""):
@@ -699,6 +699,18 @@ def _exit_code_cases():
             lambda p, argv=argv: ["decode", "--lm", p["lm"], *argv(p)],
             code, texts,
         ))
+    # ... and of an alignment point that is malformed, negative or outside
+    # its entry, in a phrase and in a rule table
+    for table, kind in (("phrase", ["--phrase-table"]), ("rule", ["--kind", "hier", "--rule-table"])):
+        for name, (_, message) in BAD_LINKS.items():
+            cases.append((
+                f"{name}-{table}-table-line",
+                lambda p, key=f"{name}-{table}", kind=kind: [
+                    "decode", "--lm", p["lm"], *kind, p[key], "--input", p["in"]
+                ],
+                EXIT_DATA,
+                [f"{name}-{table}.txt: line 2: " + message.format(within=LINK_TABLES[table][1])],
+            ))
     # ... and an ARPA log10 probability above 0
     cases.append((
         "range-lm-line",
@@ -1045,6 +1057,11 @@ class TestExitCodeTable:
         (root / "a-zz.txt").write_text("a zz\n", encoding="utf-8")
         (root / "a-a.txt").write_text("a a\n", encoding="utf-8")
         glue = ruletab.write_rule_table(ruletab.glue_rules())
+        for table, (_, _, line) in LINK_TABLES.items():
+            for name, (links, _) in BAD_LINKS.items():
+                (root / f"{name}-{table}.txt").write_text(
+                    line.format(links="0-0") + "\n" + line.format(links=links) + "\n", encoding="utf-8"
+                )
         for name, (rule, _) in BAD_RULE_LINES.items():
             (root / f"{name}.txt").write_text(
                 "a [X] ||| b [X] ||| 1 1 1 1 ||| 0-0 ||| 1 1 1\n" + rule + "\n" + glue, encoding="utf-8"
@@ -1145,6 +1162,8 @@ class TestExitCodeTable:
             "a_zz": str(root / "a-zz.txt"),
             "a_a": str(root / "a-a.txt"),
             **{name: str(root / f"{name}.txt") for name in BAD_RULE_LINES},
+            **{f"{name}-{table}": str(root / f"{name}-{table}.txt")
+               for name in BAD_LINKS for table in LINK_TABLES},
             **{name: str(root / f"{name}.txt") for name in BAD_TREE_RULE_LINES},
             "obj_trees": str(root / "obj.conllu"),
             "a_zz_tree": str(root / "a-zz.conllu"),

@@ -15,14 +15,10 @@ from smtkit.deptree import (
     ConlluError,
     DepSentence,
     DepToken,
-    PD_INVENTORY,
-    UD_LABELS,
     is_projective,
-    map_pd_to_ud,
     parse_conllu,
     parse_nested_tree,
     parse_nested_tree_file,
-    scheme_stats,
     to_nested_tree,
     write_conllu,
 )
@@ -466,52 +462,3 @@ class TestNestedTree:
         assert len(sentences) == 2
         assert next(t for t in sentences[1].tokens if t.head == 0).form == "said"
 
-
-class TestPdUdMapping:
-    def test_k2(self):
-        assert map_pd_to_ud("k2") == {"ccomp", "dobj", "xcomp"}
-
-    def test_nmod_sources(self):
-        for label in ("k3", "k7p", "k7t", "r6"):
-            assert map_pd_to_ud(label) == {"nmod"}
-
-    def test_nsubj_sources(self):
-        for label in ("k1", "k4a", "pk1"):
-            assert "nsubj" in map_pd_to_ud(label)
-
-    def test_unmapped_label_empty(self):
-        assert map_pd_to_ud("rsym") == frozenset()
-
-    def test_unknown_label_rejected(self):
-        with pytest.raises(ValueError):
-            map_pd_to_ud("not-a-label")
-
-    def test_inventory_sizes(self):
-        assert len(UD_LABELS) == 37
-        for required in ("dummy-sub", "k*u", "ras-neg", "psp__cl", "nmod_emph"):
-            assert required in PD_INVENTORY
-
-
-class TestSchemeStats:
-    def test_empty(self):
-        table, warnings = scheme_stats([], "UD")
-        assert table == {} and warnings == []
-
-    def test_fig_3_8_counts(self, fig_3_8):
-        table, warnings = scheme_stats([fig_3_8], "UD")
-        assert dict(table) == {
-            "nsubj": 1, "cc": 1, "conj": 1, "root": 1, "obl:tmod": 1, "punct": 1,
-        }
-        assert warnings == []
-        assert sum(table.values()) == len(fig_3_8.tokens)
-
-    def test_additive_over_concatenation(self, fig_3_8, a_stone_sentence):
-        t1, _ = scheme_stats([fig_3_8], "UD")
-        t2, _ = scheme_stats([a_stone_sentence], "UD")
-        both, _ = scheme_stats([fig_3_8, a_stone_sentence], "UD")
-        assert both == t1 + t2
-
-    def test_out_of_inventory_goes_to_other(self, fig_3_8):
-        fig_3_8.tokens[0].deprel = "made-up"
-        table, warnings = scheme_stats([fig_3_8], "UD")
-        assert table["OTHER"] == 1 and warnings == ["made-up"]

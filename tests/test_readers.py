@@ -277,3 +277,34 @@ def test_unpaired_tree_rule_variable_is_a_data_error(name):
     line, message = BAD_TREE_RULE_LINES[name]
     with pytest.raises(PhraseError, match="^line 2: " + re.escape(message)):
         read_tree_rule_table("(root w:a) ||| b ||| 1 1 1 1 ||| 1 1\n" + line + "\n")
+
+
+# an alignment field with a bad point, in a phrase-table and in a rule-table
+# line: the field, and the error it gives with the entry's name for `within`
+BAD_LINKS = {
+    "malformed-link": ("1-2-3", "malformed link '1-2-3', expected i-j"),
+    "dashless-link": ("0", "malformed link '0', expected i-j"),
+    "negative-link": ("0--1", "alignment point 0--1 lies outside the {within}"),
+    "outside-link": ("5-7", "alignment point 5-7 lies outside the {within}"),
+    "one-past-link": ("0-0 1-2", "alignment point 1-2 lies outside the {within}"),
+}
+LINK_TABLES = {
+    "phrase": (read_phrase_table, "phrase pair", "a c ||| b d ||| 0.5 0.5 0.5 0.5 ||| {links} ||| 1 1 1"),
+    "rule": (read_rule_table, "rule", "a c [X] ||| b d [X] ||| 0.5 0.5 0.5 0.5 ||| {links} ||| 1 1 1"),
+}
+
+
+@pytest.mark.parametrize("table", sorted(LINK_TABLES))
+@pytest.mark.parametrize("name", sorted(BAD_LINKS))
+def test_bad_alignment_point_is_a_data_error(table, name):
+    read, within, line = LINK_TABLES[table]
+    links, message = BAD_LINKS[name]
+    text = line.format(links="0-0") + "\n" + line.format(links=links) + "\n"
+    with pytest.raises(PhraseError, match="^line 2: " + re.escape(message.format(within=within))):
+        read(text)
+
+
+@pytest.mark.parametrize("table", sorted(LINK_TABLES))
+def test_each_point_inside_the_entry_is_read(table):
+    read, _, line = LINK_TABLES[table]
+    assert read(line.format(links="1-0 0-1 1-1"))[0].alignment == {(1, 0), (0, 1), (1, 1)}

@@ -18,11 +18,12 @@ from smtkit.ruletab import (
     Var,
     _count_rules,
     _hier_rule_keys,
+    _read_fragment,
+    _symbols,
     _tree_rule_keys,
     build_rule_table,
     build_tree_rule_table,
     extract_hier_rules,
-    extract_tree_rules,
     format_rule,
     format_tree_rule,
     glue_rules,
@@ -209,6 +210,17 @@ def test_rule_table_matches_recorded_digest():
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == RULE_TABLE_DIGEST
 
 
+def test_a_rule_table_read_twice_shares_its_alignments():
+    # the rule reader parses each distinct alignment field once, as the
+    # phrase-table reader does, also across reads
+    text = write_rule_table(build_rule_table(*digest_corpus()))
+    table, again = read_rule_table(text), read_rule_table(text)
+    assert table == again
+    alignments = [rule.alignment for rule in table]
+    assert len({id(a) for a in alignments}) == len(set(alignments)) < len(alignments)
+    assert all(rule.alignment is other.alignment for rule, other in zip(table, again))
+
+
 def test_rule_table_does_not_depend_on_link_set_order():
     # four source words linked to one target word: the sum of their
     # translation probabilities depends on its order, which is the links'
@@ -255,26 +267,26 @@ class TestTreeExtraction:
     def test_single_word_single_rule(self):
         sent = parse_conllu("1\tw\t_\t_\tX\t_\t0\troot\t_\t_\n")[0]
         pair = SentencePair(["w"], ["v"], source_tree=TreeShape.of(sent))
-        rules = extract_tree_rules(pair, {(0, 0)})
+        rules, _ = build_tree_rule_table([pair], [{(0, 0)}])
         assert len(rules) == 1
         assert rules[0].fragment == Fragment("root", ("w",))
         assert rules[0].target == ("v",)
 
     def test_chain_three_minimal_rules(self):
         pair, links = chain_tree()
-        rules = extract_tree_rules(pair, links)
+        rules, _ = build_tree_rule_table([pair], [links])
         assert len(rules) == 3
         root_rule = next(r for r in rules if r.fragment.label == "root")
         assert sum(isinstance(t, Var) for t in root_rule.target) == 1
 
     def test_all_frontier_monotone_one_rule_per_node(self):
         pair, links = chain_tree()
-        assert len(extract_tree_rules(pair, links)) == len(pair.source)
+        assert len(build_tree_rule_table([pair], [links])[0]) == len(pair.source)
 
     def test_non_frontier_material_absorbed_into_parent(self):
         # reversed alignment makes the middle node's span overlap its complement
         pair, links = chain_tree(links_monotone=False)
-        rules = extract_tree_rules(pair, links)
+        rules, _ = build_tree_rule_table([pair], [links])
         labels = [r.fragment.label for r in rules]
         assert "root" in labels
         root_rule = next(r for r in rules if r.fragment.label == "root")
@@ -284,7 +296,7 @@ class TestTreeExtraction:
 
     def test_target_variables_unique(self):
         pair, links = chain_tree()
-        for rule in extract_tree_rules(pair, links):
+        for rule in build_tree_rule_table([pair], [links])[0]:
             indices = [t.index for t in rule.target if isinstance(t, Var)]
             assert len(indices) == len(set(indices))
 
@@ -297,13 +309,13 @@ class TestTreeExtraction:
         )
         sent = parse_conllu(conllu)[0]
         pair = SentencePair(["a", "b", "c", "d"], ["w"], source_tree=TreeShape.of(sent))
-        assert extract_tree_rules(pair, {(0, 0)}) == []
-        _, skipped = build_tree_rule_table([pair], [{(0, 0)}])
+        rules, skipped = build_tree_rule_table([pair], [{(0, 0)}])
+        assert rules == []
         assert skipped == 1
 
     def test_missing_tree_rejected(self):
         with pytest.raises(PhraseError):
-            extract_tree_rules(SentencePair(["a"], ["b"]), set())
+            build_tree_rule_table([SentencePair(["a"], ["b"])], [set()])
 
 
 class TestTreeRuleTable:
@@ -458,6 +470,13 @@ def as_pair(heads, labels, forms, target):
                         source_tree=TreeShape.of(dep_sentence(heads, labels, forms)))
 
 
+def tree_rules(pair, links):
+    """One pair's rules as `_tree_rule_keys` lists them: in token order,
+    a repeated rule once per occurrence."""
+    return [TreeRule(_read_fragment(text), _symbols(target, Var, ""))
+            for (text, target), _ in _tree_rule_keys(pair, links) or ()]
+
+
 def neutral(rule):
     """A TreeRule in the oracle's terms."""
     def fragment(frag):
@@ -479,7 +498,7 @@ def test_tree_rules_match_oracle(case):
     heads, labels, forms, target, links = case
     expected = frontier_rules_reference(heads, labels, forms, target, links)
     pair = as_pair(heads, labels, forms, target)
-    assert [neutral(r) for r in extract_tree_rules(pair, links)] == (expected or [])
+    assert [neutral(r) for r in tree_rules(pair, links)] == (expected or [])
     table, skipped = build_tree_rule_table([pair], [links])
     assert skipped == (expected is None)
     assert sorted(neutral(r) for r in table) == sorted(set(expected or []))
@@ -542,4 +561,4 @@ def test_shard_counts_are_plain_data():
 def test_link_outside_pair_rejected():
     pair, _ = chain_tree()
     with pytest.raises(PhraseError, match="link 0-3 lies outside the sentence pair"):
-        extract_tree_rules(pair, {(0, 0), (0, 3)})
+        build_tree_rule_table([pair], [{(0, 0), (0, 3)}])
