@@ -2,17 +2,22 @@
 
 Conventions: the NULL token occupies source position 0 and takes part in
 both E-steps. Alignment functions map target positions to source positions.
-Link sets are 0-based (source index, target index) pairs.
+Link sets are 0-based (source index, target index) pairs. A corpus's links,
+as the pipeline symmetrizes them and as `read_links` reads them, have the
+one form that `link_tuples` builds: each pair's links are a sorted tuple of
+points, and equal points are one tuple object across the corpus.
 
 EM runs over integer cell ids (Och & Ney 2003, "A Systematic Comparison of
 Various Statistical Alignment Models"). Each co-occurring (source word,
 target word) cell is numbered once, in the order a pass over the pairs
 first meets it. t(f|e) and the expected counts are flat float lists indexed
 by cell id, and each pair holds, per target word, the cell ids of its
-sources: NULL last for Model 1 and first for Model 2. Each source word keeps
-its {target word: id} row in first-met order, and each (j, l_f, l_e)
-geometry has one distortion row, a list over positions 0..l_e. The trained
-tables come back as `TTable` and `DistortionTable` dicts in that order.
+sources: NULL last for Model 1 and first for Model 2. A target word repeated
+within a pair shares its first occurrence's tuple, which holds the same ids.
+Each source word keeps its {target word: id} row in first-met order, and
+each (j, l_f, l_e) geometry has one distortion row, a list over positions
+0..l_e. The trained tables come back as `TTable` and `DistortionTable`
+dicts in that order.
 
 Summation order is part of the output. Denominators, row totals and the
 floor rescale are `sum()` calls, counts accumulate by `+=` in traversal
@@ -27,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .corpus import SentencePair
 from .gcpause import paused_gc
@@ -113,6 +119,7 @@ def _cell_layout(
     Returns the cells, each source word's {target word: cell id} in
     first-met order, and for each pair, per target word, the tuple of the
     cell ids of its sources, with NULL first or last as `null_first` says.
+    A target word repeated within a pair gets its first occurrence's tuple.
     """
     cells: dict[str, dict[str, int]] = {}
     layout: list[list[tuple[int, ...]]] = []
@@ -120,16 +127,21 @@ def _cell_layout(
     for pair in pairs:
         sources = [NULL_WORD] + pair.source if null_first else pair.source + [NULL_WORD]
         rows = [cells.setdefault(src, {}) for src in sources]
+        firsts: dict[str, tuple[int, ...]] = {}  # a target word -> its tuple in this pair
         targets = []
         for tgt in pair.target:
-            try:
-                targets.append(tuple([row[tgt] for row in rows]))
-            except KeyError:  # a cell not met before, rare after the first pairs
-                for row in rows:
-                    if tgt not in row:
-                        row[tgt] = n
-                        n += 1
-                targets.append(tuple([row[tgt] for row in rows]))
+            ids = firsts.get(tgt)
+            if ids is None:
+                try:
+                    ids = tuple([row[tgt] for row in rows])
+                except KeyError:  # a cell not met before, rare after the first pairs
+                    for row in rows:
+                        if tgt not in row:
+                            row[tgt] = n
+                            n += 1
+                    ids = tuple([row[tgt] for row in rows])
+                firsts[tgt] = ids
+            targets.append(ids)
         layout.append(targets)
     return cells, layout
 
@@ -339,7 +351,19 @@ def symmetrize(
     raise AlignError(f"unknown symmetrization heuristic: {heuristic!r}")
 
 
-def format_links(links: set[tuple[int, int]]) -> str:
+Links = tuple[tuple[int, int], ...]
+
+
+def link_tuples(link_sets: Iterable[Iterable[tuple[int, int]]]) -> list[Links]:
+    """Each pair's links as a sorted tuple of (i, j) points, equal points
+    one tuple object across the pairs: ~0.1 KB a pair of 7 links, where a
+    set of fresh tuples takes ~0.9 KB. Extractors only iterate over links
+    and test points for membership."""
+    share = {}.setdefault  # a point -> its first equal tuple
+    return [tuple(sorted([share(point, point) for point in links])) for links in link_sets]
+
+
+def format_links(links: Iterable[tuple[int, int]]) -> str:
     """Pharaoh format: space-separated i-j pairs, source-target, 0-based."""
     return " ".join(f"{i}-{j}" for i, j in sorted(links))
 
@@ -383,12 +407,15 @@ def parse_links(text: str) -> set[tuple[int, int]]:
     return links
 
 
-def read_links(text: str) -> list[set[tuple[int, int]]]:
-    """One link set per line of a Pharaoh-format alignment file."""
-    sets = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        try:
-            sets.append(parse_links(line))
-        except AlignError as exc:
-            raise AlignError(f"line {lineno}: {exc}") from None
-    return sets
+def read_links(text: str) -> list[Links]:
+    """The links of each line of a Pharaoh-format alignment file, in
+    `link_tuples`' form."""
+
+    def link_sets():
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            try:
+                yield parse_links(line)
+            except AlignError as exc:
+                raise AlignError(f"line {lineno}: {exc}") from None
+
+    return link_tuples(link_sets())

@@ -123,7 +123,7 @@ def _read_pairs(args, with_alignments: bool = True):
         found = ", ".join(f"{path} has {n}" for path, n in counts.items())
         raise corpus.CorpusError(f"line count mismatch: {found}")
     for lineno, (s, t, pair_links) in enumerate(zip(src, tgt, links or ()), start=1):
-        for i, j in sorted(pair_links):
+        for i, j in pair_links:
             if not (0 <= i < len(s) and 0 <= j < len(t)):
                 raise align.AlignError(
                     f"{args.alignments}: line {lineno}: link {i}-{j} lies outside the "
@@ -272,6 +272,22 @@ class PipelineConfig:
             if self.tune_enabled and not self.dev_trees:
                 raise corpus.CorpusError("config: tuning a tree decoder needs dev_trees")
 
+    def check_inputs(self) -> None:
+        """Raise, naming the key, for an empty path that a pipeline of this
+        config reads: the training pair, the test source (trees for the tree
+        kind) and target, and, when tuning, the dev source and target.
+        `parse` leaves this to the pipeline, as a config need not name its
+        files to be well formed."""
+        tree = self.decoder_kind == "tree"
+        read = ["train_source", "train_target", "test_trees" if tree else "test_source", "test_target"]
+        if self.tune_enabled:
+            read += ["dev_trees" if tree else "dev_source", "dev_target"]
+        for attr in read:
+            if not getattr(self, attr):
+                raise corpus.CorpusError(
+                    f"config: {attr} path is empty, but a {self.decoder_kind} pipeline reads it"
+                )
+
 
 # ---------------------------------------------------------------------------
 # subcommands
@@ -309,8 +325,10 @@ def _train_directional(pairs, iterations, model_kind):
 
 def _viterbi_rows(table, dist, pairs) -> list[tuple[int, ...]]:
     """Each pair's Viterbi alignment as the source position of each target
-    word (-1 where unlinked). Held until symmetrization, a set of link
-    tuples per pair would take ~1 KB a pair."""
+    word (-1 where unlinked): one tuple of small ints a pair, which also
+    crosses the pipe from the backward direction's child, where a set of
+    fresh link tuples would take ~0.9 KB a pair. Symmetrization turns both
+    directions' rows into links one pair at a time (`_alignments_for`)."""
     rows = []
     for pair in pairs:
         row = [-1] * len(pair.target)
@@ -432,20 +450,21 @@ def _fork_map(jobs: int, fn, items: list) -> list:
 
 
 def _alignments_for(pairs, iterations, model_kind, heuristic, jobs=1):
-    """Both directions' tables and the symmetrized links; with jobs >= 2 the
-    backward direction trains in a child while this process does the forward."""
+    """Both directions' tables and the symmetrized links, in
+    `align.link_tuples`' form; with jobs >= 2 the backward direction trains
+    in a child while this process does the forward."""
     (fwd_rows, fwd_viterbi), (bwd_rows, bwd_viterbi) = _fork_map(
         jobs, lambda backward: _direction(pairs, iterations, model_kind, backward), [False, True]
     )
     # a backward row is indexed by source position and holds target positions
-    links = [
+    links = align.link_tuples(
         align.symmetrize(
             {(i, j) for j, i in enumerate(f) if i >= 0},
             {(i, j) for i, j in enumerate(b) if j >= 0},
             heuristic,
         )
         for f, b in zip(fwd_viterbi, bwd_viterbi)
-    ]
+    )
     return align.TTable(fwd_rows), align.TTable(bwd_rows), links
 
 
@@ -473,18 +492,21 @@ def cmd_extract_phrases(args) -> int:
 
 def _attach_trees(pairs, path: str) -> None:
     """Give each sentence pair its source tree from the CoNLL-U file at `path`,
-    which must have one token per source word, as a `deptree.TreeShape`; the
-    parsed sentences are dropped on return."""
-    trees = _read_file(deptree.parse_conllu, path)
+    which must have one token per source word, as a `deptree.TreeShape`
+    (`deptree.read_tree_shapes`: the file's parsed sentences never exist
+    all at once)."""
+    text, trees = _read_file(lambda text: (text, deptree.read_tree_shapes(text)), path)
     if len(trees) != len(pairs):
         raise deptree.ConlluError(f"{path}: {len(trees)} trees for {len(pairs)} sentence pairs")
     for number, (pair, tree) in enumerate(zip(pairs, trees), start=1):
-        if len(tree.tokens) != len(pair.source):
+        if len(tree.forms) != len(pair.source):
+            # a shape keeps no sent_id: parse again for this message alone
+            sent_id = deptree.parse_conllu(text)[number - 1].sent_id
             raise deptree.ConlluError(
-                f"{path}: sentence {tree.sent_id or number} has {len(tree.tokens)} tokens, "
+                f"{path}: sentence {sent_id or number} has {len(tree.forms)} tokens, "
                 f"but source sentence {number} has {len(pair.source)} words"
             )
-        pair.source_tree = deptree.TreeShape.of(tree)
+        pair.source_tree = tree
 
 
 def _tree_rule_table(pairs, links, jobs: int) -> list:
@@ -778,7 +800,12 @@ def cmd_compare(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    config_text, config = _read_file(lambda text: (text, PipelineConfig.parse(text)), args.config)
+    def read_config(text):
+        config = PipelineConfig.parse(text)
+        config.check_inputs()
+        return text, config
+
+    config_text, config = _read_file(read_config, args.config)
     model_dir = config.model_dir
     os.makedirs(model_dir, exist_ok=True)
 

@@ -149,9 +149,14 @@ def clean(pairs: list[SentencePair], max_len: int = 80) -> list[SentencePair]:
 
 
 def read_text(path: str) -> str:
-    """Read a UTF-8 text file, reporting the byte offset of any bad byte."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    """Read a UTF-8 text file, reporting the byte offset of any bad byte; a
+    file that cannot be read (missing, a directory, unreadable) is a
+    CorpusError naming it."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise CorpusError(f"{path}: cannot read: {exc.strerror}") from exc
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:

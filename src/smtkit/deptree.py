@@ -5,11 +5,13 @@ decoding alike: its walk (`heads_walk`), projectivity (`heads_contiguous`)
 and node labels (`node_label`), all over the tree's head array.
 `tree_walk` and `yields_contiguous` run the same two on a `DepSentence`.
 Rule extraction keeps a training tree as a `TreeShape`, three tuples in
-place of one object per token.
+place of one object per token, read by `read_tree_shapes` one validated
+sentence at a time, through the parse loop of `parse_conllu`.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Sequence
 
@@ -138,6 +140,8 @@ def yields_contiguous(sent: DepSentence, order: list[int]) -> bool:
 
 
 def _validate_tree(sent: DepSentence, line_of: dict[int, int]) -> None:
+    """Raise for a sentence that is not one tree; an error names the line of
+    the token at fault, or for a root count that of the first token."""
     ident = sent.sent_id or "<unknown>"
     n = len(sent.tokens)
     for tok in sent.tokens:
@@ -150,7 +154,10 @@ def _validate_tree(sent: DepSentence, line_of: dict[int, int]) -> None:
             )
     children, reached = _walk(_heads(sent))
     if len(children[0]) != 1:
-        raise ConlluError(f"sentence {ident}: expected exactly 1 root, found {len(children[0])}")
+        raise ConlluError(
+            f"sentence {ident}, line {line_of.get(1, 0)}: "
+            f"expected exactly 1 root, found {len(children[0])}"
+        )
     # a token that the walk from the root misses is on or below a cycle
     if len(reached) < n:
         found = set(reached)
@@ -175,33 +182,24 @@ def _lines(text: str) -> Iterator[str]:
         start = end
 
 
-@paused_gc()
-def parse_conllu(text: str) -> list[DepSentence]:
-    """Parse CoNLL-U text into validated dependency sentences.
-
-    Equal column values share one string object within a parse, so a corpus
-    keeps each distinct form, lemma, tag and label once. Lines are read in
-    bounded slices (`_lines`).
-    """
-    sentences: list[DepSentence] = []
+def _sentences(text: str) -> Iterator[DepSentence]:
+    """The parse loop of every CoNLL-U reader: each sentence, validated, as
+    its block ends. Equal column values share one string object within a
+    parse, so a corpus keeps each distinct form, lemma, tag and label once.
+    Lines are read in bounded slices (`_lines`); the text gets one blank
+    line more, which ends its last block."""
     current = DepSentence()
     line_of: dict[int, int] = {}
     share = {}.setdefault  # a column value -> its first equal string
-
-    def flush(lineno: int):
-        nonlocal current, line_of
-        if current.tokens:
-            _validate_tree(current, line_of)
-            sentences.append(current)
-        elif current.comments:
-            raise ConlluError(f"line {lineno}: comment block without token lines")
-        current = DepSentence()
-        line_of = {}
-
-    lineno = 0
-    for lineno, line in enumerate(_lines(text), start=1):
+    for lineno, line in enumerate(itertools.chain(_lines(text), [""]), start=1):
         if not line.strip():
-            flush(lineno)
+            if current.tokens:
+                _validate_tree(current, line_of)
+                yield current
+            elif current.comments:
+                raise ConlluError(f"line {lineno}: comment block without token lines")
+            current = DepSentence()
+            line_of = {}
             continue
         if line.startswith("#"):
             current.comments.append(line)
@@ -235,8 +233,20 @@ def parse_conllu(text: str) -> list[DepSentence]:
         _, form, lemma, upos, xpos, feats, _, deprel, deps, misc = map(share, cols, cols)
         current.tokens.append(DepToken(tok_id, form, lemma, upos, xpos, feats, head, deprel, deps, misc))
         line_of[tok_id] = lineno
-    flush(lineno + 1)
-    return sentences
+
+
+@paused_gc()
+def parse_conllu(text: str) -> list[DepSentence]:
+    """Parse CoNLL-U text into validated dependency sentences (`_sentences`)."""
+    return list(_sentences(text))
+
+
+@paused_gc()
+def read_tree_shapes(text: str) -> list[TreeShape]:
+    """`[TreeShape.of(s) for s in parse_conllu(text)]`, with the same checks
+    and errors, each sentence dropped once its shape is made, so that the
+    list of every parsed sentence never exists."""
+    return [TreeShape.of(sent) for sent in _sentences(text)]
 
 
 def write_conllu(sentences: list[DepSentence]) -> str:

@@ -1,6 +1,6 @@
 """A pause of Python's cyclic garbage collector around allocation-heavy loops.
 
-The decoders, IBM EM and the CoNLL-U reader allocate many short-lived
+The decoders, IBM EM and the CoNLL-U readers allocate many short-lived
 objects while a large model stays loaded, and each collection pass walks
 that model again. Those loops make no reference cycles, so reference
 counting frees all they drop, and pausing the collector there only saves

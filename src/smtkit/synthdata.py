@@ -123,9 +123,14 @@ def source_tree(sentence: list[str], sent_id: str) -> DepSentence:
 
 
 def write_trees(path: str, sentences: list[list[str]], prefix: str) -> None:
-    trees = [source_tree(sent, f"{prefix}-{i}") for i, sent in enumerate(sentences)]
+    """`write_conllu` of the sentences' trees, written one tree at a time, so
+    that the trees of a split never exist at once."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(write_conllu(trees))
+        if not sentences:
+            fh.write(write_conllu([]))
+        for i, sent in enumerate(sentences):
+            # write_conllu parts blocks by a blank line
+            fh.write(("\n" if i else "") + write_conllu([source_tree(sent, f"{prefix}-{i}")]))
 
 
 def write_lines(path: str, sentences: list[list[str]]) -> None:

@@ -11,6 +11,7 @@ from smtkit.align import (
     AlignError,
     NULL_WORD,
     TTable,
+    _cell_layout,
     format_links,
     DistortionTable,
     parse_links,
@@ -22,6 +23,7 @@ from smtkit.align import (
     viterbi_align,
     write_ttable,
 )
+from smtkit.cli import _alignments_for
 from smtkit.corpus import SentencePair
 from smtkit.synthdata import write_fixture_tree
 
@@ -109,6 +111,26 @@ class TestExactOrderEm:
         rest = covered_by(init, pairs)
         assert len(rest) > 100 and has_missing_cell(init, rest)
         assert_same_em(rest, init_pairs=pairs[:100], iterations=4)
+
+    @pytest.mark.parametrize("null_first", [False, True])
+    def test_repeated_target_words_share_one_tuple(self, null_first):
+        # a repeated target word, new in its pair ("x" of the first pair) or
+        # met before, reads its first occurrence's ids, so the E-steps sum
+        # the same ids in the same order as with a tuple per occurrence
+        pairs = [
+            SentencePair(["a", "b"], ["x", "y", "x", "x"]),
+            SentencePair(["b", "b", "c"], ["y", "z", "y", "."]),
+            SentencePair(["a", "c"], [".", "x", ".", "z", "."]),
+        ]
+        _, layout = _cell_layout(pairs, null_first)
+        for pair, targets in zip(pairs, layout):
+            first = {}
+            for word, ids in zip(pair.target, targets):
+                assert first.setdefault(word, ids) is ids
+            assert len({id(ids) for ids in targets}) == len(set(pair.target))
+        for side in (pairs, swapped(pairs)):
+            assert_same_em(side, iterations=5)
+            assert_same_em(side, iterations=8, epsilon=1e-6)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -351,9 +373,40 @@ class TestLinkFormat:
             parse_links(line)
 
     def test_read_links_names_the_line(self):
-        assert read_links("0-0 1-1\n\n2-0\n") == [{(0, 0), (1, 1)}, set(), {(2, 0)}]
+        assert read_links("0-0 1-1\n\n2-0\n") == [((0, 0), (1, 1)), (), ((2, 0),)]
         with pytest.raises(AlignError, match=r"line 2: malformed link '1-x'"):
             read_links("0-0\n0-0 1-x\n")
+
+
+def assert_link_tuples(link_lists):
+    """Each pair's links are a sorted tuple of distinct points, and equal
+    points are one object across the pairs."""
+    first = {}
+    for links in link_lists:
+        assert type(links) is tuple and list(links) == sorted(set(links))
+        for point in links:
+            assert first.setdefault(point, point) is point
+    return first
+
+
+class TestLinkTuples:
+    def test_read_links_shares_equal_points(self):
+        links = read_links("1-0 0-0 2-1\n\n0-0 2-1 2-1\n1-0\n")
+        assert links == [((0, 0), (1, 0), (2, 1)), (), ((0, 0), (2, 1)), ((1, 0),)]
+        assert len(assert_link_tuples(links)) == 3
+
+    @pytest.mark.parametrize("heuristic", ["intersection", "union", "grow-diag-final-and"])
+    def test_pipeline_links_share_equal_points(self, tmp_path, heuristic):
+        paths = write_fixture_tree(60, 1, 1, seed=3, root=str(tmp_path))
+        pairs = corpus.clean(corpus.read_parallel(paths["train.src"], paths["train.tgt"]))
+        _, _, links = _alignments_for(pairs, 2, 1, heuristic)
+        assert len(links) == len(pairs)
+        points = assert_link_tuples(links)
+        # shared, so far fewer distinct points than links
+        assert len(points) < sum(map(len, links)) / 2
+        # and the same links as the pipeline wrote before, one set a pair
+        text = "".join(format_links(l) + "\n" for l in links)
+        assert [set(l) for l in read_links(text)] == [set(l) for l in links]
 
 
 class TestTTableSerialization:

@@ -969,6 +969,33 @@ def _exit_code_cases():
                 command, "--lm", p["lm"], "--kind", kind, flag, p[table], "--input", p["blank_line"]],
             EXIT_DATA, ["blank-line.txt: line 2: cannot decode an empty sentence"],
         ))
+    # a directory named as an input file is the user's fault, and names itself
+    for command, argv in (
+        ("decode-lm", lambda p: ["decode", "--lm", p["dir"], "--phrase-table", p["table"],
+                                 "--input", p["in"]]),
+        ("evaluate-ref", lambda p: ["evaluate", "--hyp", p["in"], "--ref", p["dir"]]),
+        ("pipeline-config", lambda p: ["pipeline", "--config", p["dir"]]),
+    ):
+        cases.append((
+            f"{command}-directory", argv, EXIT_DATA, ["exit-codes", ": cannot read: Is a directory"],
+        ))
+    # an empty path the pipeline reads names its key
+    for key, extra, name in (
+        ("train_target", "", "empty-train-target"),
+        ("dev_source", "tune.enabled = true\n", "empty-dev-source"),
+    ):
+        cases.append((
+            f"pipeline-{name}",
+            lambda p, name=name: ["pipeline", "--config", p[name]],
+            EXIT_DATA, [f"{name}.cfg: config: {key} path is empty, but a phrase pipeline reads it"],
+        ))
+    cases.append((
+        "extract-rules-tree-two-roots",
+        lambda p: ["extract-rules", "--kind", "tree", "--source", p["len_src"],
+                   "--target", p["len_tgt"], "--alignments", p["len_links"],
+                   "--trees", p["roots_trees"], "--output", p["out"]],
+        EXIT_DATA, ["roots.conllu: sentence r2, line 6: expected exactly 1 root, found 2"],
+    ))
     cases.append((
         "jobs-below-one",
         lambda p: ["--jobs", "0", "train-align", "--source", p["train_src"],
@@ -1089,6 +1116,11 @@ class TestExitCodeTable:
         (root / "len.conllu").write_text(
             f"# sent_id = s1\n{two_tokens}\n# sent_id = s2\n{two_tokens}\n", encoding="utf-8"
         )
+        # the second tree has two roots
+        two_roots = two_tokens.replace("2\tnsubj", "0\tnsubj")
+        (root / "roots.conllu").write_text(
+            f"# sent_id = r1\n{two_tokens}\n# sent_id = r2\n{two_roots}\n", encoding="utf-8"
+        )
         train_tgt = (tiny_fixture / "train.tgt").read_text(encoding="utf-8").splitlines()
         (root / "short.tgt").write_text("\n".join(train_tgt[:20]) + "\n", encoding="utf-8")
         (root / "short.links").write_text("0-0\n" * 20, encoding="utf-8")
@@ -1111,6 +1143,13 @@ class TestExitCodeTable:
         (root / "short.cfg").write_text(
             text.replace(f"{tiny_fixture}/train.tgt", str(root / "short.tgt")), encoding="utf-8"
         )
+        for key, extra, name in (
+            ("train_target", "", "empty-train-target"),
+            ("dev_source", "tune.enabled = true\n", "empty-dev-source"),
+        ):
+            lines = [f"paths.{key} =" if line.startswith(f"paths.{key} ") else line
+                     for line in text.splitlines()]
+            (root / f"{name}.cfg").write_text("\n".join(lines) + "\n" + extra, encoding="utf-8")
         (root / "bad-int.cfg").write_text(
             "decoder.kind = phrase\ndecoder.stack_size = abc\n", encoding="utf-8"
         )
@@ -1200,6 +1239,10 @@ class TestExitCodeTable:
             "len_tgt": str(root / "len.tgt"),
             "len_links": str(root / "len.links"),
             "len_trees": str(root / "len.conllu"),
+            "roots_trees": str(root / "roots.conllu"),
+            "empty-train-target": str(root / "empty-train-target.cfg"),
+            "empty-dev-source": str(root / "empty-dev-source.cfg"),
+            "dir": str(root),
             "outside_links": str(root / "outside.links"),
             "out": str(root / "out.txt"),
         }

@@ -15,6 +15,7 @@ from smtkit.deptree import (
     ConlluError,
     DepSentence,
     DepToken,
+    TreeShape,
     is_projective,
     parse_conllu,
     parse_nested_tree,
@@ -74,6 +75,17 @@ class TestParseConllu:
         block = "1\ta\t_\t_\t_\t_\t0\troot\t_\t_\n2\tb\t_\t_\t_\t_\t0\troot\t_\t_\n"
         with pytest.raises(ConlluError, match="root"):
             parse_conllu(block)
+
+    @pytest.mark.parametrize("heads, roots", [((0, 0, 2), 2), ((2, 3, 1), 0)])
+    def test_root_count_error_names_the_first_token_line(self, heads, roots):
+        good = "# sent_id = ok\n1\tw\t_\t_\t_\t_\t0\troot\t_\t_\n\n"
+        block = "# sent_id = two\n# text = a b c\n" + "".join(
+            f"{i}\tw{i}\t_\t_\t_\t_\t{head}\tdep\t_\t_\n" for i, head in enumerate(heads, start=1)
+        )
+        with pytest.raises(
+            ConlluError, match=f"^sentence two, line 6: expected exactly 1 root, found {roots}$"
+        ):
+            parse_conllu(good + block)
 
     def test_dangling_head_rejected(self):
         with pytest.raises(ConlluError, match="dangling"):
@@ -227,6 +239,99 @@ class TestBoundedSlices:
         with mock.patch.object(deptree, "_SLICE_CHARS", len(head)):
             with pytest.raises(ConlluError, match=expected):
                 parse_conllu(text)
+
+
+@st.composite
+def conllu_texts(draw):
+    """The token lines of 1-4 random trees (any shape, projective or not)
+    and a CoNLL-U text of them: a sentence
+    may have a sent_id and a text comment and a multiword range, and blocks
+    are parted by one or two blank lines, with or without a final one."""
+    token_lines = []
+    blocks = []
+    for index in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(1, 6))
+        order = draw(st.permutations(range(1, n + 1)))
+        heads = {order[0]: 0}
+        for k in range(1, n):
+            heads[order[k]] = order[draw(st.integers(0, k - 1))]
+        lines = []
+        if draw(st.booleans()):
+            lines.append(f"# sent_id = s{index}")
+        if draw(st.booleans()):
+            lines.append("# text = t")
+        for i in range(1, n + 1):
+            if i == 1 and n > 1 and draw(st.booleans()):
+                lines.append("1-2\tmw\t_\t_\t_\t_\t_\t_\t_\t_")
+            form, label = draw(st.sampled_from("ab")), draw(st.sampled_from(["nsubj", "obj"]))
+            lines.append(f"{i}\t{form}\t_\tX\tX\t_\t{heads[i]}\t{label}\t_\t_")
+            token_lines.append(lines[-1])
+        blocks.append("\n".join(lines))
+    text = "".join(block + "\n" * draw(st.integers(2, 3)) for block in blocks[:-1])
+    return token_lines, text + blocks[-1] + "\n" * draw(st.integers(0, 2))
+
+
+def _defect(line: str, kind: str) -> str:
+    """A token line broken in one way that `_sentences` checks."""
+    cols = line.split("\t")
+    tok_id = int(cols[0])
+    if kind == "self-head":
+        cols[6] = str(tok_id)
+    elif kind == "dangling-head":
+        cols[6] = "99"
+    elif kind == "negative-head":
+        cols[6] = "-1"
+    elif kind == "extra-root":
+        cols[6] = "0" if cols[6] != "0" else str(1 if tok_id > 1 else 2)
+    elif kind == "non-integer":
+        cols[6] = "h"
+    elif kind == "wrong-id":
+        cols[0] = str(tok_id + 1)
+    elif kind == "columns":
+        cols = cols[:9]
+    return "\t".join(cols)
+
+
+DEFECTS = ["self-head", "dangling-head", "negative-head", "extra-root", "non-integer",
+           "wrong-id", "columns", "lone-comment"]
+
+
+class TestTreeShapeReader:
+    """`read_tree_shapes` is `parse_conllu` then `TreeShape.of` per sentence,
+    errors included: both run one parse loop."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(conllu_texts())
+    def test_shapes_of_the_parsed_sentences(self, case):
+        _, text = case
+        shapes = deptree.read_tree_shapes(text)
+        assert shapes == [TreeShape.of(sent) for sent in parse_conllu(text)]
+        assert all(type(shape) is TreeShape for shape in shapes)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(conllu_texts(), st.sampled_from(DEFECTS), st.data())
+    def test_same_error_for_each_defect(self, case, kind, data):
+        token_lines, text = case
+        line = data.draw(st.sampled_from(token_lines))
+        if kind == "lone-comment":
+            text = text.replace(line, "# lone\n\n" + line, 1)
+        else:
+            text = text.replace(line, _defect(line, kind), 1)
+        with pytest.raises(ConlluError) as parsed:
+            parse_conllu(text)
+        with pytest.raises(ConlluError) as shaped:
+            deptree.read_tree_shapes(text)
+        assert str(shaped.value) == str(parsed.value)
+        assert "line " in str(parsed.value)
+
+    def test_equal_strings_are_shared_across_shapes(self):
+        text = (
+            "1\tab\t_\t_\t_\t_\t0\tnsubj\t_\t_\n\n"
+            "1\tab\t_\t_\t_\t_\t0\tobj\t_\t_\n2\tab\t_\t_\t_\t_\t1\tnsubj\t_\t_\n"
+        )
+        first, second = deptree.read_tree_shapes(text)
+        assert first.forms[0] is second.forms[0] is second.forms[1]
+        assert first.labels == ("root",) and second.labels[1] == "nsubj"
 
 
 class TestProjectivity:

@@ -1,5 +1,5 @@
 """The cyclic garbage collector is paused inside the decoders, IBM EM and the
-CoNLL-U reader, and restored to what it was when they return or raise. The
+CoNLL-U readers, and restored to what it was when they return or raise. The
 pause rests on those functions making no reference cycles, which
 `test_leaves_no_cycles` pins."""
 
@@ -37,8 +37,8 @@ def system(tmp_path_factory):
     paths = write_fixture_tree(40, 2, 4, seed=5, root=str(tmp_path_factory.mktemp("gc")))
     pairs = read_parallel(paths["train.src"], paths["train.tgt"])
     conllu = Path(paths["train.conllu"]).read_text(encoding="utf-8")
-    for pair, tree in zip(pairs, deptree.parse_conllu(conllu)):
-        pair.source_tree = deptree.TreeShape.of(tree)
+    for pair, tree in zip(pairs, deptree.read_tree_shapes(conllu)):
+        pair.source_tree = tree
     fwd, bwd, links = _alignments_for(pairs, 3, 1, "grow-diag-final-and")
     lm = train_lm([p.target for p in pairs] + read_sentences(paths["mono.tgt"]), order=3)
     test_conllu = Path(paths["test.conllu"]).read_text(encoding="utf-8")
@@ -88,6 +88,10 @@ def calls(system):
             lambda: deptree.parse_conllu(system["conllu"]),
             lambda: deptree.parse_conllu("1\tw\n"),
         ),
+        "read_tree_shapes": (
+            lambda: deptree.read_tree_shapes(system["conllu"]),
+            lambda: deptree.read_tree_shapes(system["conllu"] + "\n1\tw\t_\t_\t_\t_\t1\tdep\t_\t_\n"),
+        ),
     }
 
 
@@ -99,6 +103,7 @@ PROBES = {
     "train_ibm1": (align, "_normalize_rows"),
     "train_ibm2": (align, "_normalize_rows"),
     "parse_conllu": (deptree, "_validate_tree"),
+    "read_tree_shapes": (deptree, "_validate_tree"),
 }
 ERRORS = (DecodeError, align.AlignError, deptree.ConlluError)
 
